@@ -17,6 +17,7 @@ interleaved ordering beta = (X1, P1, ..., XN, PN).
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -48,10 +49,21 @@ __all__ = [
 _CHAIN_KEYS = ("n", "g", "phi", "J", "eta")
 
 
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2N x 2N symplectic form, a direct sum of [[0, 1], [-1, 0]]."""
-    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), omega)
+    """Return the 2N x 2N symplectic form, a direct sum of [[0, 1], [-1, 0]].
+
+    The matrix is cached per N and read-only; copy it before writing.
+    """
+    size = 2 * n_modes
+    omega = np.zeros((size, size))
+    # entries (2j, 2j+1) and (2j+1, 2j) lie 2 * size + 2 apart in the
+    # flattened matrix
+    flat = omega.reshape(-1)
+    flat[1 :: 2 * size + 2] = 1.0
+    flat[size :: 2 * size + 2] = -1.0
+    omega.setflags(write=False)
+    return omega
 
 
 def _is_scalar(value) -> bool:

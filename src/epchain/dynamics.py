@@ -7,7 +7,8 @@ covariances as sigma(t) = S sigma S^T with the symplectic propagator
 S = exp(K t).  The exponential is always taken from t = 0 rather than by
 step chaining, so results stay exact at exceptional points (where S is
 polynomial times exponential in t) and no error accumulates in regimes of
-exponential growth.
+exponential growth.  ``evolve`` is the scalar reference; ``evolve_grid`` runs
+the same arithmetic and checks on a whole stack of (generator, time) cells.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "propagator",
     "evolve",
     "evolve_trajectory",
+    "evolve_grid",
     "GROWTH_CAP",
 ]
 
@@ -45,6 +47,25 @@ _SYMMETRY_RTOL = 1e-12
 _BONA_FIDE_ATOL = 1e-9
 _BONA_FIDE_RTOL = 1e-8
 _SYMPLECTIC_RTOL = 1e-10
+
+
+# the errors of the checks, shared by the scalar path and evolve_grid
+def _overflow_risk(t: float, exponent: float) -> OverflowRisk:
+    return OverflowRisk(
+        f"propagation to t={t} has growth exponent {exponent:.1f} "
+        f"(cap {GROWTH_CAP:.0f}); entries would overflow double precision",
+        exponent=exponent,
+    )
+
+
+def _lost_symplecticity(residual: float, t: float) -> EpchainError:
+    return EpchainError(f"propagator lost symplecticity: residual {residual:.3e} at t={t}")
+
+
+def _not_bona_fide(lowest: float) -> ConfigError:
+    return ConfigError(
+        f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest:.3e}"
+    )
 
 
 @dataclass(frozen=True)
@@ -75,9 +96,7 @@ class GaussianState:
             np.linalg.eigvalsh(cm + 1j * symplectic_form(n)).min()
         )
         if lowest < -max(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm):
-            raise ConfigError(
-                f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest:.3e}"
-            )
+            raise _not_bona_fide(lowest)
         cm.setflags(write=False)
         object.__setattr__(self, "cm", cm)
 
@@ -142,19 +161,13 @@ def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
         raise ConfigError(f"time must be finite, got {t}")
     exponent = float(np.linalg.norm(k.data, 2)) * abs(t)
     if exponent > GROWTH_CAP:
-        raise OverflowRisk(
-            f"propagation to t={t} has growth exponent {exponent:.1f} "
-            f"(cap {GROWTH_CAP:.0f}); entries would overflow double precision",
-            exponent=exponent,
-        )
+        raise _overflow_risk(t, exponent)
     s = expm(k.data * t)
     omega = symplectic_form(k.n_modes)
     residual = float(np.abs(s @ omega @ s.T - omega).max())
     scale = 1.0 + float(np.linalg.norm(s, 2)) ** 2
     if residual > _SYMPLECTIC_RTOL * scale:
-        raise EpchainError(
-            f"propagator lost symplecticity: residual {residual:.3e} at t={t}"
-        )
+        raise _lost_symplecticity(residual, t)
     return SymplecticPropagator(s=s, t=float(t))
 
 
@@ -180,3 +193,64 @@ def evolve_trajectory(
     if np.any(np.diff(ts) < 0):
         raise UnsortedTimes(f"times must be sorted ascending, got {ts}")
     return [evolve(state, k, float(t)) for t in ts]
+
+
+def evolve_grid(
+    state: GaussianState, k: np.ndarray, times: Sequence[float]
+) -> tuple[np.ndarray, EpchainError | None]:
+    """Batched ``evolve`` over a stack of generators times a set of times.
+
+    ``k`` is a (G, 2N, 2N) stack of generator matrices; the G x T cells are
+    taken generator-major, and each returned covariance equals
+    ``evolve(state, k[g], times[i]).cm`` bit for bit.  Every cell passes
+    the checks of ``propagator`` and ``GaussianState`` in the same order and
+    at the same thresholds: a finite time, the growth cap on ||K||_2 |t|,
+    scipy's stacked ``expm`` (the same scaling-and-squaring algorithm on
+    each slice), the symplectic residual, and bona-fide-ness.
+
+    Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
+    and the error ``evolve`` raises at the first cell that failed, or None
+    when all G x T cells passed.
+    """
+    k = np.asarray(k, dtype=float)
+    times = np.asarray(times, dtype=float)
+    size = 2 * state.n_modes
+    if k.ndim != 3 or k.shape[1:] != (size, size):
+        raise ConfigError(
+            f"generators must be a stack of {size}x{size} matrices, got shape {k.shape}"
+        )
+    n_times = times.size
+    # growth guard, as in propagator: finite time first, then the cap
+    exponents = (np.linalg.norm(k, 2, axis=(1, 2))[:, None] * np.abs(times)).ravel()
+    cell_times = np.tile(times, len(k))
+    refused = np.flatnonzero(~np.isfinite(cell_times) | (exponents > GROWTH_CAP))
+    stop = int(refused[0]) if refused.size else cell_times.size
+    error: EpchainError | None = None
+    if refused.size:
+        t = float(cell_times[stop])
+        if np.isfinite(t):
+            error = _overflow_risk(t, float(exponents[stop]))
+        else:
+            error = ConfigError(f"time must be finite, got {t}")
+    cells = np.arange(stop)
+    s = expm(k[cells // n_times] * cell_times[:stop, None, None])
+    s_t = s.transpose(0, 2, 1)
+    omega = symplectic_form(state.n_modes)
+    residual = np.abs(s @ omega @ s_t - omega).max(axis=(1, 2))
+    scale = 1.0 + np.linalg.norm(s, 2, axis=(1, 2)) ** 2
+    # S sigma S^T with distinct operands: a shortcut such as S @ S^T for the
+    # vacuum would let numpy switch to another BLAS kernel and move the bits
+    cm = s @ state.cm @ s_t
+    cm = 0.5 * (cm + cm.transpose(0, 2, 1))
+    norm = np.abs(cm).max(axis=(1, 2))
+    lowest = np.linalg.eigvalsh(cm + 1j * omega).min(axis=1)
+    unsymplectic = residual > _SYMPLECTIC_RTOL * scale
+    not_bona_fide = lowest < -np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm)
+    failed = np.flatnonzero(unsymplectic | not_bona_fide)
+    if failed.size:
+        stop = int(failed[0])
+        if unsymplectic[stop]:
+            error = _lost_symplecticity(float(residual[stop]), float(cell_times[stop]))
+        else:
+            error = _not_bona_fide(float(lowest[stop]))
+    return cm[:stop], error

@@ -8,7 +8,8 @@ sigma~ drops below 1.  The logarithmic negativity -sum ln(nu~_k) over the
 eigenvalues below 1 quantifies the violation.
 
 Besides the numeric pipeline (build the chain, transport the vacuum
-covariance, partial-transpose, eigensolve), the module carries closed-form
+covariance, partial-transpose, eigensolve; ``witness_stack`` is its batched
+form for a stack of covariances), the module carries closed-form
 witnesses for three reference families: the two-mode chain without on-site
 squeezing, the uniform chain at g = J with an arbitrary hopping phase (whose
 invariant is a polynomial in t with phase-independent coefficients fitted
@@ -42,6 +43,7 @@ __all__ = [
     "partial_transpose",
     "symplectic_eigenvalues",
     "entanglement_result",
+    "witness_stack",
     "nu_minus",
     "log_negativity",
     "chain_nu_minus",
@@ -142,10 +144,16 @@ def partial_transpose(state: GaussianState, part: Bipartition) -> np.ndarray:
         raise InvalidBipartition(
             f"partition is for {part.n_modes} modes but the state has {state.n_modes}"
         )
-    signs = np.ones(2 * state.n_modes)
+    signs = _flip_signs(part)
+    return signs[:, None] * state.cm * signs[None, :]
+
+
+def _flip_signs(part: Bipartition) -> np.ndarray:
+    """+1 per quadrature, -1 on the P quadratures of side B."""
+    signs = np.ones(2 * part.n_modes)
     for mode in part.side_b:
         signs[2 * mode + 1] = -1.0
-    return signs[:, None] * state.cm * signs[None, :]
+    return signs
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
@@ -186,6 +194,49 @@ def entanglement_result(state: GaussianState, part: Bipartition) -> Entanglement
         nu_minus=float(values[0]),
         log_negativity=max(neg, 0.0),
     )
+
+
+def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``entanglement_result``: nu_- and E_N for a stack of covariances.
+
+    Runs the same arithmetic as the scalar path on the whole (C, 2N, 2N)
+    stack: the sign-flip partial transpose, a stacked Cholesky factor L
+    and the eigenvalues of i L^T Omega L, so each value equals
+    ``entanglement_result`` bit for bit.  If any matrix of the stack is not
+    positive definite, the stack is evaluated matrix by matrix through
+    ``symplectic_eigenvalues``.  Returns (nu_minus, log_negativity) arrays.
+    """
+    cms = np.asarray(cms, dtype=float)
+    n = part.n_modes
+    if cms.ndim != 3 or cms.shape[1:] != (2 * n, 2 * n):
+        raise InvalidBipartition(
+            f"partition is for {n} modes but the covariances have shape {cms.shape}"
+        )
+    asym = np.abs(cms - cms.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bound = 1e-12 * np.maximum(1.0, np.abs(cms).max(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(asym > bound)
+    if bad.size:
+        raise AsymmetricInput(f"matrix asymmetry {asym[bad[0]]:.3e} exceeds tolerance")
+    signs = _flip_signs(part)
+    # flipping signs is exact, so the order of the two products is immaterial
+    pt = cms * (signs[:, None] * signs[None, :])
+    pt = 0.5 * (pt + pt.transpose(0, 2, 1))
+    try:
+        chol = np.linalg.cholesky(pt)
+    except np.linalg.LinAlgError:
+        values = np.array([symplectic_eigenvalues(sigma) for sigma in pt]).reshape(-1, n)
+    else:
+        omega = symplectic_form(n)
+        values = np.linalg.eigvalsh(1j * (chol.transpose(0, 2, 1) @ omega @ chol))[:, n:]
+    # E_N sums the logs of each row's values below 1 as one contiguous run,
+    # so numpy's pairwise summation groups them as in entanglement_result
+    below = values < 1.0
+    counts = below.sum(axis=1)
+    neg = np.zeros(len(values))
+    for count in np.unique(counts[counts > 0]):
+        rows = counts == count
+        neg[rows] = -np.sum(np.log(values[rows][below[rows]].reshape(-1, count)), axis=1)
+    return values[:, 0], np.where(0.0 > neg, 0.0, neg)
 
 
 def nu_minus(state: GaussianState, part: Bipartition) -> float:

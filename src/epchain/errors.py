@@ -72,6 +72,9 @@ class OverflowRisk(EpchainError, ArithmeticError):
         super().__init__(message)
         self.exponent = exponent
 
+    def __reduce__(self):
+        return type(self), (str(self), self.exponent)
+
 
 class UnsortedTimes(ConfigError):
     """Trajectory sample times must be sorted ascending."""

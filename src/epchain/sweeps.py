@@ -1,9 +1,18 @@
 """Experiment sweeps and machine-readable output writers.
 
 Every bundled experiment reduces to evaluating the chain pipeline over a
-parameter grid and emitting rows.  Grids are evaluated cell by cell (in a
-process pool when requested), assembled strictly by grid index, and written
-with a pinned float format of 17 significant digits, so identical
+parameter grid and emitting rows.  The witness maps (fig2, fig4 and its
+arc, entangle) stack their generators and times and run one batched kernel:
+``evolve_grid`` transports the initial covariance for all (generator, time)
+cells at once and ``witness_stack`` evaluates nu_- and E_N per cut.  Both do
+the scalar pipeline's arithmetic, so every value equals what ``evolve`` and
+``entanglement_result`` give for that cell bit for bit, and a failing check
+raises the scalar error of the first failing cell in grid order.  The
+kernel works through a grid in chunks of a fixed number of matrix entries,
+so memory stays flat on large grids; with ``threads > 1`` the chunks are
+mapped over a pool of spawned processes (a script calling these functions
+with ``threads > 1`` needs an ``if __name__ == "__main__"`` guard).  Rows are assembled strictly by grid index and
+written with a pinned float format of 17 significant digits, so identical
 configurations produce byte-identical files regardless of thread count.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
 configuration and the tool version.
@@ -14,8 +23,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,16 +34,16 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .chain import ChainSpec, build_bdg_matrix, build_chain_spec, quadrature_generator
-from .dynamics import evolve, initial_state
+from .dynamics import GaussianState, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
     bkc_nu_minus,
     enhancement_ratio,
-    entanglement_result,
     nu_closed_form_three_mode_nonuniform,
     three_mode_surface_spec,
+    witness_stack,
 )
-from .errors import ConfigError, NoTransition, OverflowRisk, UnsortedTimes
+from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, UnsortedTimes
 from .spectral import (
     DEFAULT_RANK_TOL,
     DEFAULT_REGION_TOL,
@@ -165,6 +175,82 @@ def write_manifest(data_path: str | Path, command: str, config: dict, extras: di
 
 
 # ---------------------------------------------------------------------------
+# batched witness kernel
+
+# matrix entries per stacked matrix in one chunk: the cells per chunk shrink
+# with the chain size, so a chunk's working set stays near a few MB
+_CHUNK_ENTRIES = 1 << 15
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_in_order(fn, tasks: list, threads: int) -> list:
+    """``[fn(task) for task in tasks]``, over a process pool when threads > 1.
+
+    Workers are spawned with one BLAS thread each: the kernel's matrices are
+    small, and BLAS threads on top of the workers oversubscribe the cores.
+    The variables are set only while the workers start, since a BLAS
+    library reads them once, when the worker imports numpy.
+    """
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(workers)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+    with pool:
+        return pool.map(fn, tasks, chunksize=1)
+
+
+def _witness_chunk(args: tuple) -> tuple[list, np.ndarray | None, EpchainError | None]:
+    state0, k, times, parts, keep_cm = args
+    cms, error = evolve_grid(state0, k, times)
+    witnesses = [witness_stack(cms, part) for part in parts]
+    return witnesses, (cms if keep_cm else None), error
+
+
+def _witness_map(
+    state0: GaussianState,
+    k: np.ndarray,
+    times: np.ndarray,
+    parts: Sequence[Bipartition],
+    threads: int = 1,
+    keep_cm: bool = False,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None, EpchainError | None]:
+    """nu_- and E_N per cut for every (generator, time) cell, generator-major.
+
+    Returns one (nu_minus, log_negativity) pair of arrays per cut over the
+    leading cells that passed every check, their covariances when
+    ``keep_cm``, and the error of the first failing cell (None if none).
+    """
+    per_chunk = max(1, _CHUNK_ENTRIES // (2 * state0.n_modes) ** 2)
+    if len(times) >= per_chunk:
+        blocks = [(k[g : g + 1], times[i : i + per_chunk])
+                  for g in range(len(k)) for i in range(0, len(times), per_chunk)]
+    else:
+        step = per_chunk // len(times)
+        blocks = [(k[g : g + step], times) for g in range(0, len(k), step)]
+    tasks = [(state0, kb, tb, tuple(parts), keep_cm) for kb, tb in blocks]
+    witnesses, cms, error = [], [], None
+    for chunk_witnesses, chunk_cms, error in _map_in_order(_witness_chunk, tasks, threads):
+        witnesses.append(chunk_witnesses)
+        cms.append(chunk_cms)
+        if error is not None:
+            break
+    per_cut = [
+        tuple(np.concatenate([chunk[p][i] for chunk in witnesses]) for i in (0, 1))
+        for p in range(len(parts))
+    ]
+    return per_cut, (np.concatenate(cms) if keep_cm else None), error
+
+
+# ---------------------------------------------------------------------------
 # spectrum and trajectory commands
 
 def _apply_axis(chain: dict, axis_name: str, value: float) -> dict:
@@ -258,50 +344,35 @@ def entanglement_trajectory(
         partitions = [Bipartition.one_vs_rest(spec.n_modes).label]
     parts = [Bipartition.from_label(p, spec.n_modes) for p in partitions]
     k = quadrature_generator(build_bdg_matrix(spec))
-    state0 = initial_state(spec.n_modes)
     header = ["t"]
     for part in parts:
         header += [f"nu_minus_{part.label}", f"log_negativity_{part.label}"]
+    n2 = 2 * spec.n_modes
+    upper = np.triu_indices(n2)
     if include_cm:
-        n2 = 2 * spec.n_modes
-        header += [f"cm_{i+1}_{j+1}" for i in range(n2) for j in range(i, n2)]
-    rows: list[list] = []
+        header += [f"cm_{i+1}_{j+1}" for i, j in zip(*upper)]
+    witnesses, cms, error = _witness_map(
+        initial_state(spec.n_modes), k.data[None], ts, parts, keep_cm=include_cm
+    )
+    columns = [ts[: len(witnesses[0][0])].tolist()]
+    for nu, logneg in witnesses:
+        columns += [nu.tolist(), logneg.tolist()]
+    if include_cm:
+        columns += cms[:, upper[0], upper[1]].T.tolist()
+    rows: list[list] = [list(row) for row in zip(*columns)]
     extras: dict = {}
-    for t in times:
-        try:
-            state = evolve(state0, k, float(t))
-        except OverflowRisk as exc:
-            rows.append([f"warning: truncated at t={t:.6g}, growth exponent {exc.exponent:.1f}"]
-                        + [""] * (len(header) - 1))
-            extras["truncated_at"] = float(t)
-            break
-        row: list = [float(t)]
-        for part in parts:
-            res = entanglement_result(state, part)
-            row += [res.nu_minus, res.log_negativity]
-        if include_cm:
-            n2 = 2 * spec.n_modes
-            row += [float(state.cm[i, j]) for i in range(n2) for j in range(i, n2)]
-        rows.append(row)
+    if isinstance(error, OverflowRisk):
+        t = float(ts[len(rows)])
+        rows.append([f"warning: truncated at t={t:.6g}, growth exponent {error.exponent:.1f}"]
+                    + [""] * (len(header) - 1))
+        extras["truncated_at"] = t
+    elif error is not None:
+        raise error
     return header, rows, extras
 
 
 # ---------------------------------------------------------------------------
 # figure-style grids
-
-def _fig2_column(args: tuple) -> list[tuple[float, float]]:
-    """(nu_minus, log_negativity) down one g column of the two-mode map."""
-    g, eta, times = args
-    spec = ChainSpec.uniform(2, g=g, j=1.0, eta=eta)
-    k = quadrature_generator(build_bdg_matrix(spec))
-    state0 = initial_state(2)
-    part = Bipartition.one_vs_rest(2)
-    out = []
-    for t in times:
-        res = entanglement_result(evolve(state0, k, float(t)), part)
-        out.append((res.nu_minus, res.log_negativity))
-    return out
-
 
 def fig2_grid(
     eta: float = 0.2,
@@ -317,25 +388,23 @@ def fig2_grid(
     """
     g_axis = g_axis or SweepAxis("g", 0.5, 1.5, 301)
     t_axis = t_axis or SweepAxis("t", 0.0, 5.0, 501)
-    g_values = g_axis.values()
+    g_values = g_axis.values().tolist()
     times = t_axis.values()
-    regions = {
-        float(g): spectrum_report(
-            build_bdg_matrix(ChainSpec.uniform(2, g=float(g), j=1.0, eta=eta)), tol
-        ).region.value
-        for g in g_values
-    }
-    tasks = [(float(g), float(eta), tuple(float(t) for t in times)) for g in g_values]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(_fig2_column, tasks, chunksize=8))
-    else:
-        columns = [_fig2_column(task) for task in tasks]
+    matrices = [build_bdg_matrix(ChainSpec.uniform(2, g=g, j=1.0, eta=eta)) for g in g_values]
+    regions = [spectrum_report(m, tol).region.value for m in matrices]
+    k = np.stack([quadrature_generator(m).data for m in matrices])
+    [(nu, logneg)], _, error = _witness_map(
+        initial_state(2), k, times, [Bipartition.one_vs_rest(2)], threads
+    )
+    if error is not None:
+        raise error
     header = ["g", "t", "region", "nu_minus", "log_negativity"]
-    rows = []
-    for g, column in zip(g_values, columns):
-        for t, (nu, logneg) in zip(times, column):
-            rows.append([float(g), float(t), regions[float(g)], nu, logneg])
+    n_times = len(times)
+    cells = zip(
+        np.repeat(g_values, n_times).tolist(), np.tile(times, len(g_values)).tolist(),
+        np.repeat(regions, n_times).tolist(), nu.tolist(), logneg.tolist(),
+    )
+    rows = [list(cell) for cell in cells]
     extras = {"eta": eta, "g_steps": g_axis.steps, "t_steps": t_axis.steps}
     try:
         extras["transitions"] = list(
@@ -411,17 +480,6 @@ def fig3_tables(
     return witness, ratio, extras
 
 
-def _fig4_cell(args: tuple) -> tuple[str, float]:
-    g1, g2, j, t, tol = args
-    spec = ChainSpec(3, hopping=(complex(g1), complex(g2)), pairing=float(j), sms=0)
-    m = build_bdg_matrix(spec)
-    region = spectrum_report(m, tol).region.value
-    k = quadrature_generator(m)
-    state = evolve(initial_state(3), k, t)
-    res = entanglement_result(state, Bipartition.from_label("13|2", 3))
-    return region, res.nu_minus
-
-
 def fig4_grid(
     j: float = 1.0,
     t: float = 5.0,
@@ -440,37 +498,37 @@ def fig4_grid(
     """
     g1_axis = g1_axis or SweepAxis("g1", 0.0, 2.0, 81)
     g2_axis = g2_axis or SweepAxis("g2", 0.0, 2.0, 81)
-    tasks = [
-        (float(g1), float(g2), float(j), float(t), tol)
-        for g1 in g1_axis.values()
-        for g2 in g2_axis.values()
+    points = [(g1, g2) for g1 in g1_axis.values().tolist() for g2 in g2_axis.values().tolist()]
+    matrices = [
+        build_bdg_matrix(ChainSpec(3, hopping=(complex(g1), complex(g2)), pairing=float(j), sms=0))
+        for g1, g2 in points
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(_fig4_cell, tasks, chunksize=32))
-    else:
-        cells = [_fig4_cell(task) for task in tasks]
+    varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps).tolist()
+    specs = [three_mode_surface_spec(varphi, j=j) for varphi in varphis]
+    # the grid and the arc share the chain size, time and cut: one stack
+    k = np.stack([quadrature_generator(m).data for m in matrices]
+                 + [quadrature_generator(build_bdg_matrix(spec)).data for spec in specs])
+    [(nu, _)], _, error = _witness_map(
+        initial_state(3), k, np.array([float(t)]), [Bipartition.from_label("13|2", 3)], threads
+    )
+    if error is not None:
+        raise error
+    nu = nu.tolist()
     grid_rows = [
-        [task[0], task[1], cell[0], cell[1]] for task, cell in zip(tasks, cells)
+        [g1, g2, spectrum_report(m, tol).region.value, value]
+        for (g1, g2), m, value in zip(points, matrices, nu)
     ]
     grid = (["g1", "g2", "region", "nu_minus_13|2"], grid_rows)
-
-    arc_rows = []
-    for varphi in np.linspace(-math.pi / 4, math.pi / 4, arc_steps):
-        spec = three_mode_surface_spec(float(varphi), j=j)
-        m = build_bdg_matrix(spec)
-        k = quadrature_generator(m)
-        state = evolve(initial_state(3), k, t)
-        res = entanglement_result(state, Bipartition.from_label("13|2", 3))
-        arc_rows.append(
-            [
-                float(varphi),
-                float(spec.hopping[0].real),
-                float(spec.hopping[1].real),
-                res.nu_minus,
-                nu_closed_form_three_mode_nonuniform(float(varphi), j, t),
-            ]
-        )
+    arc_rows = [
+        [
+            varphi,
+            float(spec.hopping[0].real),
+            float(spec.hopping[1].real),
+            value,
+            nu_closed_form_three_mode_nonuniform(varphi, j, t),
+        ]
+        for varphi, spec, value in zip(varphis, specs, nu[len(points):])
+    ]
     arc = (["varphi", "g1", "g2", "nu_minus_13|2", "nu_closed_form"], arc_rows)
     extras = {"j": float(j), "t": float(t)}
     return grid, arc, extras
