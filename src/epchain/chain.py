@@ -11,7 +11,10 @@ The Heisenberg equations of motion close on the vector Phi = [a, a+], giving
 i d/dt Phi = M Phi with a 2N x 2N block matrix M = [[A, B], [-B*, -A*]].
 This module validates parameter records, builds M, and converts it to the
 real generator K of the quadrature dynamics d/dt beta = K beta in the
-interleaved ordering beta = (X1, P1, ..., XN, PN).
+interleaved ordering beta = (X1, P1, ..., XN, PN).  ``bdg_stack`` and
+``generator_stack`` build M and K for a whole stack of same-size chains at
+once; ``build_bdg_matrix`` and ``quadrature_generator`` are their one-slice
+case.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ __all__ = [
     "build_chain_spec",
     "build_bdg_matrix",
     "quadrature_generator",
+    "bdg_stack",
+    "uniform_bdg_stack",
+    "generator_stack",
     "chain_spec_to_config",
     "chain_spec_to_json",
     "chain_spec_from_json",
@@ -64,6 +70,18 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     flat[size :: 2 * size + 2] = -1.0
     omega.setflags(write=False)
     return omega
+
+
+def _check_mode_count(n_modes) -> int:
+    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)):
+        raise NonPositiveN(f"n_modes must be a positive integer, got {n_modes!r}")
+    if n_modes < 1:
+        raise NonPositiveN(f"n_modes must be a positive integer, got {n_modes}")
+    return int(n_modes)
+
+
+def _uniform_hopping(g, phi) -> complex:
+    return complex(g) * cmath.exp(1j * phi)
 
 
 def _is_scalar(value) -> bool:
@@ -113,11 +131,7 @@ class ChainSpec:
     sms: tuple[complex, ...] = field(default=())
 
     def __post_init__(self):
-        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, (int, np.integer)):
-            raise NonPositiveN(f"n_modes must be a positive integer, got {self.n_modes!r}")
-        if self.n_modes < 1:
-            raise NonPositiveN(f"n_modes must be a positive integer, got {self.n_modes}")
-        n = int(self.n_modes)
+        n = _check_mode_count(self.n_modes)
         object.__setattr__(self, "n_modes", n)
         object.__setattr__(self, "hopping", _as_tuple(self.hopping, n - 1, "hopping", complex))
         object.__setattr__(self, "pairing", _as_tuple(self.pairing, n - 1, "pairing", float))
@@ -131,7 +145,7 @@ class ChainSpec:
         """Build a chain with identical rates on every bond and site."""
         return cls(
             n_modes=n_modes,
-            hopping=complex(g) * cmath.exp(1j * phi),
+            hopping=_uniform_hopping(g, phi),
             pairing=float(j),
             sms=complex(eta),
         )
@@ -242,9 +256,12 @@ class BdgMatrix:
         return self.data[:n, n:]
 
 
-def build_bdg_matrix(spec: ChainSpec) -> BdgMatrix:
-    """Assemble the dynamical matrix of the chain's Heisenberg equations.
+def bdg_stack(hopping, pairing, sms) -> np.ndarray:
+    """Assemble the dynamical matrices of a stack of same-size chains.
 
+    ``hopping`` holds P rows of N-1 complex bond rates; ``pairing`` (N-1
+    bond rates per row) and ``sms`` (N site rates per row) broadcast
+    against it, so a scalar applies to every bond or site of every chain.
     Collecting the coefficient of each operator in i d a_j/dt = [a_j, H]
     row by row gives
 
@@ -253,19 +270,66 @@ def build_bdg_matrix(spec: ChainSpec) -> BdgMatrix:
         B[j, j+1] = B[j+1, j] = J_j,
 
     and the adjoint equations fix the lower half to [-B*, -A*].  A is
-    Hermitian and B symmetric exactly, entry by entry.
+    Hermitian and B symmetric exactly, entry by entry.  Returns the
+    (P, 2N, 2N) complex stack; the rates are checked as ``ChainSpec``
+    checks them, with its errors.
     """
-    n = spec.n_modes
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        hop = np.asarray(spec.hopping, dtype=complex)
-        pair = np.asarray(spec.pairing, dtype=float)
-        a += np.diag(hop, 1) + np.diag(hop.conj(), -1)
-        b += np.diag(pair, 1) + np.diag(pair, -1)
-    b += np.diag(np.asarray(spec.sms, dtype=complex).conj())
-    m = np.block([[a, b], [-b.conj(), -a.conj()]])
-    return BdgMatrix(data=m)
+    hop = np.asarray(hopping, dtype=complex)
+    if hop.ndim != 2:
+        raise ConfigError(f"hopping must be a 2-d stack of bond rates, got shape {hop.shape}")
+    pair = np.asarray(pairing, dtype=float)
+    site = np.asarray(sms, dtype=complex)
+    for name, rates in (("hopping", hop), ("pairing", pair), ("sms", site)):
+        if not np.isfinite(rates).all():
+            raise NonFiniteParameter(f"{name} contains NaN or infinite entries")
+    if (pair < 0).any():
+        raise ConfigError("pairing rates must be nonnegative")
+    count, n = hop.shape[0], hop.shape[1] + 1
+    # every rate lands on a zero entry as 0 + rate, so signed zeros in the
+    # rates come out as +0.0; in the flattened n x n blocks the diagonal
+    # starts at 0, the superdiagonal at 1 and the subdiagonal at n, each
+    # with stride n + 1
+    a = np.zeros((count, n, n), dtype=complex)
+    b = np.zeros((count, n, n), dtype=complex)
+    flat_a, flat_b = a.reshape(count, n * n), b.reshape(count, n * n)
+    flat_a[:, 1 :: n + 1] = hop + 0.0
+    flat_a[:, n :: n + 1] = hop.conj() + 0.0
+    flat_b[:, 1 :: n + 1] = pair + 0.0
+    flat_b[:, n :: n + 1] = pair + 0.0
+    flat_b[:, :: n + 1] = site.conj() + 0.0
+    m = np.empty((count, 2 * n, 2 * n), dtype=complex)
+    m[:, :n, :n] = a
+    m[:, :n, n:] = b
+    m[:, n:, :n] = -b.conj()
+    m[:, n:, n:] = -a.conj()
+    return m
+
+
+def uniform_bdg_stack(n_modes: int, g=0.0, j=0.0, eta=0.0, phi=0.0) -> np.ndarray:
+    """``bdg_stack`` of uniform chains, one per entry of the broadcast rates.
+
+    Each of ``g``, ``j``, ``eta`` and ``phi`` is a scalar or a sequence with
+    one value per slice; slice p is the matrix of
+    ``ChainSpec.uniform(n_modes, g[p], j[p], eta[p], phi[p])``.
+    """
+    n = _check_mode_count(n_modes)
+    g, j, eta, phi = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(g, dtype=float)),
+        np.atleast_1d(np.asarray(j, dtype=float)),
+        np.atleast_1d(np.asarray(eta, dtype=complex)),
+        np.atleast_1d(np.asarray(phi, dtype=float)),
+    )
+    hop = np.array([_uniform_hopping(gv, pv) for gv, pv in zip(g.tolist(), phi.tolist())],
+                   dtype=complex)
+    return bdg_stack(np.repeat(hop[:, None], n - 1, axis=1), j[:, None], eta[:, None])
+
+
+def build_bdg_matrix(spec: ChainSpec) -> BdgMatrix:
+    """Assemble the dynamical matrix of the chain's Heisenberg equations.
+
+    The one-chain case of :func:`bdg_stack`, which gives the entries.
+    """
+    return BdgMatrix(data=bdg_stack([spec.hopping], [spec.pairing], [spec.sms])[0])
 
 
 @dataclass(frozen=True)
@@ -291,45 +355,71 @@ class RealGenerator:
         return self.size // 2
 
 
+@functools.lru_cache(maxsize=None)
 def _interleave_permutation(n_modes: int) -> np.ndarray:
-    # maps block ordering (X1..XN, P1..PN) to interleaved (X1, P1, ...)
-    perm = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        perm[2 * j, j] = 1.0
-        perm[2 * j + 1, n_modes + j] = 1.0
+    """Map the block ordering (X1..XN, P1..PN) to the interleaved (X1, P1, ...).
+
+    The matrix is cached per N and read-only, like ``symplectic_form``.
+    """
+    size = 2 * n_modes
+    perm = np.zeros((size, size))
+    rows = np.arange(size)
+    perm[rows, rows // 2 + (rows % 2) * n_modes] = 1.0
+    perm.setflags(write=False)
     return perm
+
+
+def generator_stack(m) -> np.ndarray:
+    """Real quadrature generators K of a (P, 2N, 2N) stack of dynamical matrices.
+
+    With X = (a + a+)/sqrt(2) and P = -i(a - a+)/sqrt(2), the basis change
+    U Phi = (X1..XN, P1..PN) turns i d/dt Phi = M Phi into d/dt beta = K beta
+    with K = -i U M U^-1, which is real whenever M has the block structure
+    produced by :func:`bdg_stack`.  The spectrum of K is -i times the
+    spectrum of M.  Returns the (P, 2N, 2N) stack of K in the interleaved
+    ordering.
+
+    Raises
+    ------
+    ImaginaryResidual
+        For the first slice whose transformed generator has an entry with
+        imaginary part above 1e-12 relative to its magnitude scale,
+        indicating that the input was not a valid dynamical matrix.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] % 2:
+        raise ConfigError(f"dynamical matrices must be a stack of square even-sized matrices, "
+                          f"got shape {m.shape}")
+    n = m.shape[1] // 2
+    ident = np.eye(n)
+    u = np.block([[ident, ident], [-1j * ident, 1j * ident]]) / np.sqrt(2.0)
+    u_inv = np.block([[ident, 1j * ident], [ident, -1j * ident]]) / np.sqrt(2.0)
+    k_block = -1j * (u @ m @ u_inv)
+    scale = np.fmax(1.0, np.abs(k_block).max(axis=(1, 2), initial=0.0))
+    residual = np.abs(k_block.imag).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(residual > 1e-12 * scale)
+    if bad.size:
+        p = bad[0]
+        raise ImaginaryResidual(
+            f"quadrature generator has imaginary residual {float(residual[p]):.3e} "
+            f"(scale {float(scale[p]):.3e}); the input is not a valid dynamical matrix"
+        )
+    perm = _interleave_permutation(n)
+    return perm @ k_block.real @ perm.T
 
 
 def quadrature_generator(m: BdgMatrix) -> RealGenerator:
     """Convert the mode-operator dynamics to the real quadrature generator.
 
-    With X = (a + a+)/sqrt(2) and P = -i(a - a+)/sqrt(2), the basis change
-    U Phi = (X1..XN, P1..PN) turns i d/dt Phi = M Phi into d/dt beta = K beta
-    with K = -i U M U^-1, which is real whenever M has the block structure
-    produced by :func:`build_bdg_matrix`.  The spectrum of K is -i times the
-    spectrum of M.
+    The one-matrix case of :func:`generator_stack`.
 
     Raises
     ------
     ImaginaryResidual
-        If the transformed generator has an entry with imaginary part above
-        1e-12 relative to its magnitude scale, indicating that the input was
-        not a valid dynamical matrix.
+        If the input is not a valid dynamical matrix; see
+        :func:`generator_stack`.
     """
-    n = m.n_modes
-    ident = np.eye(n)
-    u = np.block([[ident, ident], [-1j * ident, 1j * ident]]) / np.sqrt(2.0)
-    u_inv = np.block([[ident, 1j * ident], [ident, -1j * ident]]) / np.sqrt(2.0)
-    k_block = -1j * (u @ m.data @ u_inv)
-    scale = max(1.0, float(np.abs(k_block).max()))
-    residual = float(np.abs(k_block.imag).max())
-    if residual > 1e-12 * scale:
-        raise ImaginaryResidual(
-            f"quadrature generator has imaginary residual {residual:.3e} "
-            f"(scale {scale:.3e}); the input is not a valid dynamical matrix"
-        )
-    perm = _interleave_permutation(n)
-    return RealGenerator(data=perm @ k_block.real @ perm.T)
+    return RealGenerator(data=generator_stack(m.data[None])[0])
 
 
 def particle_hole_residual(m: BdgMatrix) -> float:

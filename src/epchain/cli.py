@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from .chain import _CHAIN_KEYS
 from .errors import ConfigError, EpchainError
 from .selftest import run_selftest
 from .sweeps import (
@@ -40,8 +41,6 @@ from .sweeps import (
     write_manifest,
     write_rows,
 )
-
-_CHAIN_KEYS = ("n", "g", "phi", "J", "eta")
 
 
 def _load_config(path: str | None, required: bool = True) -> dict:
@@ -233,6 +232,9 @@ def _cmd_fig3(args) -> int:
         raise ConfigError(f"--ns must be comma-separated integers: {exc}") from exc
     if any(n < 2 for n in n_values):
         raise ConfigError("--ns entries must be at least 2")
+    if args.fit_max_n < 4:
+        # the fit a*exp(b*N)+c needs at least three sizes, N = 2..4
+        raise ConfigError("--fit-max-n must be at least 4")
     witness, ratio, extras = fig3_tables(
         n_values=n_values, phi_steps=args.phi_steps, t=args.t, fit_max_n=args.fit_max_n
     )

@@ -9,7 +9,9 @@ eigenvalues below 1 quantifies the violation.
 
 Besides the numeric pipeline (build the chain, transport the vacuum
 covariance, partial-transpose, eigensolve; ``witness_stack`` is its batched
-form for a stack of covariances), the module carries closed-form
+form for a stack of covariances, which the sweeps use for every preset,
+fig3's ``bkc_nu_minus`` and ``enhancement_ratio`` cells included), the
+module carries closed-form
 witnesses for three reference families: the two-mode chain without on-site
 squeezing, the uniform chain at g = J with an arbitrary hopping phase (whose
 invariant is a polynomial in t with phase-independent coefficients fitted
@@ -422,10 +424,14 @@ def nu_closed_form_three_mode_nonuniform(varphi: float, j: float, t: float) -> f
 
 def three_mode_surface_spec(varphi: float, j: float = 1.0) -> ChainSpec:
     """Three-mode chain on the coalescence circle, parameterized by varphi."""
-    theta = math.pi / 4 - varphi
-    g1 = math.sqrt(2.0) * j * math.cos(theta)
-    g2 = math.sqrt(2.0) * j * math.sin(theta)
+    g1, g2 = _surface_hopping(varphi, j)
     return ChainSpec(n_modes=3, hopping=(complex(g1), complex(g2)), pairing=float(j), sms=0)
+
+
+def _surface_hopping(varphi: float, j: float = 1.0) -> tuple[float, float]:
+    """Hopping rates (g1, g2) of ``three_mode_surface_spec``."""
+    theta = math.pi / 4 - varphi
+    return math.sqrt(2.0) * j * math.cos(theta), math.sqrt(2.0) * j * math.sin(theta)
 
 
 def enhancement_ratio(
@@ -445,9 +451,14 @@ def enhancement_ratio(
         If the reference witness nu_-(0, t) equals 1, as at t = 0.
     """
     fn = nu_fn if nu_fn is not None else bkc_nu_minus
-    reference = fn(n_modes, 0.0, t)
+    reference = _ratio_reference(fn(n_modes, 0.0, t))
+    return math.log(fn(n_modes, math.pi / 2, t)) / math.log(reference)
+
+
+def _ratio_reference(reference: float) -> float:
+    """The reference witness of ``enhancement_ratio``, if the ratio is defined there."""
     if reference >= 1.0:
         raise DivisionByZeroLog(
             f"reference witness is {reference}; the ratio is undefined there"
         )
-    return math.log(fn(n_modes, math.pi / 2, t)) / math.log(reference)
+    return reference

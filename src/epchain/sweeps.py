@@ -1,19 +1,23 @@
 """Experiment sweeps and machine-readable output writers.
 
 Every bundled experiment reduces to evaluating the chain pipeline over a
-parameter grid and emitting rows.  The witness maps (fig2, fig4 and its
-arc, entangle) stack their generators and times and run one batched kernel:
-``evolve_grid`` transports the initial covariance for all (generator, time)
-cells at once and ``witness_stack`` evaluates nu_- and E_N per cut.  Both do
-the scalar pipeline's arithmetic, so every value equals what ``evolve`` and
-``entanglement_result`` give for that cell bit for bit, and a failing check
-raises the scalar error of the first failing cell in grid order.  The
-kernel works through a grid in chunks of a fixed number of matrix entries,
-so memory stays flat on large grids; with ``threads > 1`` the chunks are
-mapped over a pool of spawned processes (a script calling these functions
-with ``threads > 1`` needs an ``if __name__ == "__main__"`` guard).  Rows are assembled strictly by grid index and
-written with a pinned float format of 17 significant digits, so identical
-configurations produce byte-identical files regardless of thread count.
+parameter grid and emitting rows.  fig2, fig3 and fig4 build the matrices
+of all their chains as one stack (``bdg_stack`` or ``uniform_bdg_stack``,
+then ``generator_stack``), and every witness preset (fig2, fig3, fig4 and
+its arc, entangle) runs one batched kernel: ``evolve_grid`` transports the
+initial covariance for all (generator, time) cells at once and
+``witness_stack`` evaluates nu_- and E_N per cut.  Both do the scalar
+pipeline's arithmetic, so every value equals what ``evolve`` and
+``entanglement_result`` (in fig3: ``bkc_nu_minus`` and
+``enhancement_ratio``) give for that cell bit for bit, and a failing check
+raises the error the scalar loop would raise first.  The kernel works
+through a grid in chunks of a fixed number of matrix entries, so memory
+stays flat on large grids; with ``threads > 1`` the chunks are mapped over
+a pool of spawned processes (a script calling these functions with
+``threads > 1`` needs an ``if __name__ == "__main__"`` guard).  Rows are
+assembled strictly by grid index and written with a pinned float format of
+17 significant digits, so identical configurations produce byte-identical
+files regardless of thread count.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
 configuration and the tool version.
 """
@@ -33,14 +37,22 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from .chain import ChainSpec, build_bdg_matrix, build_chain_spec, quadrature_generator
+from .chain import (
+    BdgMatrix,
+    ChainSpec,
+    bdg_stack,
+    build_bdg_matrix,
+    build_chain_spec,
+    generator_stack,
+    quadrature_generator,
+    uniform_bdg_stack,
+)
 from .dynamics import GaussianState, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
-    bkc_nu_minus,
-    enhancement_ratio,
+    _ratio_reference,
+    _surface_hopping,
     nu_closed_form_three_mode_nonuniform,
-    three_mode_surface_spec,
     witness_stack,
 )
 from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, UnsortedTimes
@@ -229,6 +241,10 @@ def _witness_map(
     leading cells that passed every check, their covariances when
     ``keep_cm``, and the error of the first failing cell (None if none).
     """
+    if not (len(k) and len(times)):
+        empty = np.empty(0)
+        cms = np.empty((0,) + k.shape[1:]) if keep_cm else None
+        return [(empty, empty)] * len(parts), cms, None
     per_chunk = max(1, _CHUNK_ENTRIES // (2 * state0.n_modes) ** 2)
     if len(times) >= per_chunk:
         blocks = [(k[g : g + 1], times[i : i + per_chunk])
@@ -390,9 +406,9 @@ def fig2_grid(
     t_axis = t_axis or SweepAxis("t", 0.0, 5.0, 501)
     g_values = g_axis.values().tolist()
     times = t_axis.values()
-    matrices = [build_bdg_matrix(ChainSpec.uniform(2, g=g, j=1.0, eta=eta)) for g in g_values]
-    regions = [spectrum_report(m, tol).region.value for m in matrices]
-    k = np.stack([quadrature_generator(m).data for m in matrices])
+    m = uniform_bdg_stack(2, g=g_values, j=1.0, eta=eta)
+    regions = [spectrum_report(BdgMatrix(mg), tol).region.value for mg in m]
+    k = generator_stack(m)
     [(nu, logneg)], _, error = _witness_map(
         initial_state(2), k, times, [Bipartition.one_vs_rest(2)], threads
     )
@@ -420,6 +436,48 @@ def fig2_grid(
     return header, rows, extras
 
 
+def _bkc_nu(
+    n: int, phis: Sequence[float], times: Sequence[float]
+) -> tuple[np.ndarray, EpchainError | None]:
+    """``bkc_nu_minus(n, phi, t)`` for every (phi, t) cell, phase-major, on the kernel.
+
+    Returns nu_- over the leading cells that passed and the error of the
+    first failing cell (None if none).
+    """
+    k = generator_stack(uniform_bdg_stack(n, g=1.0, j=1.0, phi=phis))
+    part = Bipartition.one_vs_rest(n)
+    [(nu, _)], _, error = _witness_map(initial_state(n), k, np.asarray(times, dtype=float), [part])
+    return nu, error
+
+
+def _enhancement_ratios(n: int, times: Sequence[float]) -> list[float]:
+    """``enhancement_ratio(n, t)`` for each t, on one phase-{0, pi/2} stack.
+
+    Raises what a loop of ``enhancement_ratio`` calls over the times raises
+    first: at each time the phase-0 cell, then the reference check, then the
+    phase-pi/2 cell.
+    """
+    times = list(times)
+    nu, error = _bkc_nu(n, (0.0, math.pi / 2), times)
+    reference, half = nu[: len(times)].tolist(), nu[len(times):].tolist()
+    if error is not None and len(reference) < len(times):
+        # the phase-0 row failed; the loop meets the phase-pi/2 cells of the
+        # earlier times before that failure
+        nu, half_error = _bkc_nu(n, (math.pi / 2,), times[: len(reference)])
+        half = nu.tolist()
+        if half_error is not None:
+            error = half_error
+    ratios = []
+    for i in range(len(times)):
+        if i == len(reference):
+            raise error
+        _ratio_reference(reference[i])
+        if i == len(half):
+            raise error
+        ratios.append(math.log(half[i]) / math.log(reference[i]))
+    return ratios
+
+
 def fig3_tables(
     n_values: Sequence[int] = (2, 3, 4, 5, 6),
     phi_steps: int = 65,
@@ -432,34 +490,32 @@ def fig3_tables(
     Returns (witness table, ratio table, extras).  The witness table runs
     phi over [0, pi] (symmetry about pi/2 is reported in the extras); the
     ratio table gives R(N, t); the extras carry the exponential fit
-    a*exp(b*N)+c of R(N) at the fixed time over N = 2..fit_max_n.
+    a*exp(b*N)+c of R(N) at the fixed time over N = 2..fit_max_n.  Every
+    chain size runs its cells as one stack on the kernel, with the values
+    and errors of ``bkc_nu_minus`` and ``enhancement_ratio``.
     """
     phis = np.linspace(0.0, math.pi, phi_steps)
     witness_rows = []
-    by_key: dict[tuple[int, int], float] = {}
+    asymmetry = 0.0
     for n in n_values:
-        for i, phi in enumerate(phis):
-            nu = bkc_nu_minus(int(n), float(phi), float(t))
-            by_key[(int(n), i)] = nu
-            witness_rows.append([int(n), float(phi), nu, -math.log(nu) if nu > 0 else math.inf])
+        nu, error = _bkc_nu(int(n), phis, [float(t)])
+        if error is not None:
+            raise error
+        asymmetry = max(asymmetry, float(np.abs(nu - nu[::-1]).max(initial=0.0)))
+        for phi, value in zip(phis.tolist(), nu.tolist()):
+            witness_rows.append([int(n), phi, value, -math.log(value) if value > 0 else math.inf])
     witness = (["N", "phi", "nu_minus", "neg_log_nu"], witness_rows)
 
     ratio_rows = []
     for n in n_values:
         if n < 2:
             continue
-        for rt in ratio_times:
-            ratio_rows.append([int(n), float(rt), enhancement_ratio(int(n), float(rt))])
+        times = [float(rt) for rt in ratio_times]
+        ratio_rows += [[int(n), rt, r] for rt, r in zip(times, _enhancement_ratios(int(n), times))]
     ratio = (["N", "t", "ratio"], ratio_rows)
 
-    asymmetry = 0.0
-    for n in n_values:
-        for i in range(phi_steps // 2):
-            mirrored = phi_steps - 1 - i
-            asymmetry = max(asymmetry, abs(by_key[(int(n), i)] - by_key[(int(n), mirrored)]))
-
     fit_ns = np.arange(2, fit_max_n + 1)
-    fit_rs = np.array([enhancement_ratio(int(n), float(t)) for n in fit_ns])
+    fit_rs = np.array([_enhancement_ratios(int(n), [float(t)])[0] for n in fit_ns])
     with warnings.catch_warnings():
         # tiny fit ranges can make the parameter covariance singular; only
         # the point estimate is used
@@ -499,15 +555,12 @@ def fig4_grid(
     g1_axis = g1_axis or SweepAxis("g1", 0.0, 2.0, 81)
     g2_axis = g2_axis or SweepAxis("g2", 0.0, 2.0, 81)
     points = [(g1, g2) for g1 in g1_axis.values().tolist() for g2 in g2_axis.values().tolist()]
-    matrices = [
-        build_bdg_matrix(ChainSpec(3, hopping=(complex(g1), complex(g2)), pairing=float(j), sms=0))
-        for g1, g2 in points
-    ]
+    m = bdg_stack(points, float(j), 0.0)
     varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps).tolist()
-    specs = [three_mode_surface_spec(varphi, j=j) for varphi in varphis]
+    arc_hopping = [_surface_hopping(varphi, j) for varphi in varphis]
+    arc_m = bdg_stack(np.array(arc_hopping, dtype=complex).reshape(-1, 2), float(j), 0.0)
     # the grid and the arc share the chain size, time and cut: one stack
-    k = np.stack([quadrature_generator(m).data for m in matrices]
-                 + [quadrature_generator(build_bdg_matrix(spec)).data for spec in specs])
+    k = generator_stack(np.concatenate([m, arc_m]))
     [(nu, _)], _, error = _witness_map(
         initial_state(3), k, np.array([float(t)]), [Bipartition.from_label("13|2", 3)], threads
     )
@@ -515,19 +568,13 @@ def fig4_grid(
         raise error
     nu = nu.tolist()
     grid_rows = [
-        [g1, g2, spectrum_report(m, tol).region.value, value]
-        for (g1, g2), m, value in zip(points, matrices, nu)
+        [g1, g2, spectrum_report(BdgMatrix(cell), tol).region.value, value]
+        for (g1, g2), cell, value in zip(points, m, nu)
     ]
     grid = (["g1", "g2", "region", "nu_minus_13|2"], grid_rows)
     arc_rows = [
-        [
-            varphi,
-            float(spec.hopping[0].real),
-            float(spec.hopping[1].real),
-            value,
-            nu_closed_form_three_mode_nonuniform(varphi, j, t),
-        ]
-        for varphi, spec, value in zip(varphis, specs, nu[len(points):])
+        [varphi, g1, g2, value, nu_closed_form_three_mode_nonuniform(varphi, j, t)]
+        for varphi, (g1, g2), value in zip(varphis, arc_hopping, nu[len(points):])
     ]
     arc = (["varphi", "g1", "g2", "nu_minus_13|2", "nu_closed_form"], arc_rows)
     extras = {"j": float(j), "t": float(t)}

@@ -1,9 +1,15 @@
-"""The batched witness kernel against the scalar evolve/entanglement_result pipeline.
+"""The batched kernel against the scalar pipeline it replaces.
 
-``evolve_grid`` and ``witness_stack`` promise the scalar pipeline's values
-bit for bit, and the scalar pipeline's error at the first failing cell, so
-every comparison here is exact.
+``bdg_stack``/``generator_stack`` promise the matrices of
+``build_bdg_matrix``/``quadrature_generator``, ``evolve_grid`` and
+``witness_stack`` the values of ``evolve``/``entanglement_result``, and the
+fig3 tables those of ``bkc_nu_minus``/``enhancement_ratio``: bit for bit,
+with the scalar pipeline's error at the first failing cell, so every
+comparison here is exact.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,21 +17,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epchain import (
+    BdgMatrix,
     Bipartition,
     ChainSpec,
     RealGenerator,
+    bdg_stack,
+    bkc_nu_minus,
     build_bdg_matrix,
+    enhancement_ratio,
     entanglement_result,
     evolve,
     evolve_grid,
+    generator_stack,
     initial_state,
     quadrature_generator,
     symplectic_eigenvalues,
     witness_stack,
 )
-from epchain import dynamics
-from epchain.errors import ConfigError, EpchainError, OverflowRisk
-from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig4_grid
+from epchain import dynamics, sweeps
+from epchain.errors import (
+    ConfigError,
+    DivisionByZeroLog,
+    EpchainError,
+    ImaginaryResidual,
+    OverflowRisk,
+)
+from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_tables, fig4_grid
 
 from conftest import chain_specs
 
@@ -197,3 +214,166 @@ class TestSweepsThroughKernel:
                 fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=threads)
             messages.append((str(excinfo.value), excinfo.value.exponent))
         assert messages[0] == messages[1]
+
+
+def reference_bdg(spec):
+    """M as a sum of diagonals and a block matrix, independent of bdg_stack."""
+    n = spec.n_modes
+    a = np.zeros((n, n), dtype=complex)
+    b = np.zeros((n, n), dtype=complex)
+    if n > 1:
+        hop = np.asarray(spec.hopping, dtype=complex)
+        pair = np.asarray(spec.pairing, dtype=float)
+        a += np.diag(hop, 1) + np.diag(hop.conj(), -1)
+        b += np.diag(pair, 1) + np.diag(pair, -1)
+    b += np.diag(np.asarray(spec.sms, dtype=complex).conj())
+    return np.block([[a, b], [-b.conj(), -a.conj()]])
+
+
+def reference_generator(m):
+    """K = P Re(-i U M U^-1) P^T with P the interleaving permutation."""
+    n = m.shape[0] // 2
+    ident = np.eye(n)
+    u = np.block([[ident, ident], [-1j * ident, 1j * ident]]) / np.sqrt(2.0)
+    u_inv = np.block([[ident, 1j * ident], [ident, -1j * ident]]) / np.sqrt(2.0)
+    perm = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        perm[2 * j, j] = perm[2 * j + 1, n + j] = 1.0
+    return perm @ (-1j * (u @ m @ u_inv)).real @ perm.T
+
+
+@st.composite
+def spec_stacks(draw):
+    spec = draw(chain_specs())
+    n = spec.n_modes
+    return [spec] + draw(st.lists(chain_specs(min_n=n, max_n=n), max_size=3))
+
+
+class TestStackedBuilder:
+    @given(spec_stacks())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_one_chain_builders(self, specs):
+        m = bdg_stack([s.hopping for s in specs], [s.pairing for s in specs], [s.sms for s in specs])
+        k = generator_stack(m)
+        assert m.shape[0] == k.shape[0] == len(specs)
+        for spec, m_slice, k_slice in zip(specs, m, k):
+            one = build_bdg_matrix(spec)
+            assert bits(m_slice.view(float)) == bits(one.data.view(float))
+            assert bits(m_slice.view(float)) == bits(reference_bdg(spec).view(float))
+            assert bits(k_slice) == bits(quadrature_generator(one).data)
+            assert bits(k_slice) == bits(reference_generator(one.data))
+
+    def test_first_slice_without_particle_hole_structure_raises(self):
+        specs = [ChainSpec.uniform(3, g=g, j=1.0, eta=0.2) for g in (0.5, 1.0, 1.5, 2.0)]
+        m = np.stack([build_bdg_matrix(spec).data for spec in specs])
+        m[1, 0, 4] += 0.25  # B no longer mirrored in the lower-left block
+        m[3, 1, 1] += 1.0j  # A no longer Hermitian
+        with pytest.raises(ImaginaryResidual) as scalar:
+            quadrature_generator(BdgMatrix(m[1]))
+        with pytest.raises(ImaginaryResidual) as stacked:
+            generator_stack(m)
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_rates_are_checked_like_chain_spec(self):
+        cases = [
+            (([[np.nan]], 1.0, 0.0), ([np.nan], 1.0, 0.0)),
+            (([[1.0]], np.inf, 0.0), ([1.0], np.inf, 0.0)),
+            (([[1.0]], 1.0, np.nan), ([1.0], 1.0, np.nan)),
+            (([[1.0]], -1.0, 0.0), ([1.0], -1.0, 0.0)),
+        ]
+        for stacked, single in cases:
+            with pytest.raises(ConfigError) as scalar:
+                ChainSpec(2, *single)
+            with pytest.raises(ConfigError) as batch:
+                bdg_stack(*stacked)
+            assert type(batch.value) is type(scalar.value)
+            assert str(batch.value) == str(scalar.value)
+
+
+def fig3_loops(n_values, phi_steps, t, ratio_times, fit_max_n):
+    """fig3's tables and fit inputs from bkc_nu_minus and enhancement_ratio, cell by cell."""
+    witness = []
+    for n in n_values:
+        for phi in np.linspace(0.0, math.pi, phi_steps):
+            nu = bkc_nu_minus(n, float(phi), float(t))
+            witness.append([n, float(phi), nu, -math.log(nu) if nu > 0 else math.inf])
+    ratio = [[n, float(rt), enhancement_ratio(n, float(rt))] for n in n_values for rt in ratio_times]
+    fit = [enhancement_ratio(n, float(t)) for n in range(2, fit_max_n + 1)]
+    return witness, ratio, fit
+
+
+def raised(fn, *args, **kwargs):
+    with pytest.raises(EpchainError) as excinfo:
+        fn(*args, **kwargs)
+    return type(excinfo.value), str(excinfo.value)
+
+
+class TestFig3ThroughKernel:
+    kwargs = dict(n_values=(2, 3, 4), phi_steps=5, ratio_times=(0.5, 1.0, 3.5), fit_max_n=6)
+
+    @pytest.mark.parametrize("phi_steps, ratio_times", [(5, (0.5, 1.0, 3.5)), (0, ())])
+    def test_tables_equal_scalar_loops(self, monkeypatch, phi_steps, ratio_times):
+        fit_inputs, fit = [], sweeps.curve_fit
+
+        def recording_fit(f, xdata, ydata, **kw):
+            fit_inputs.append(ydata.tolist())
+            return fit(f, xdata, ydata, **kw)
+
+        monkeypatch.setattr(sweeps, "curve_fit", recording_fit)
+        kwargs = dict(self.kwargs, phi_steps=phi_steps, ratio_times=ratio_times)
+        (_, witness), (_, ratio), _ = fig3_tables(t=3.5, **kwargs)
+        ref_witness, ref_ratio, ref_fit = fig3_loops(t=3.5, **kwargs)
+        assert repr(witness) == repr(ref_witness)
+        assert repr(ratio) == repr(ref_ratio)
+        assert repr(fit_inputs) == repr([ref_fit])
+
+    @pytest.mark.parametrize(
+        "t, ratio_times, expected",
+        [
+            # the witness table is fine at t = 0, the fit's reference is not
+            (0.0, (0.5, 1.0, 3.5), DivisionByZeroLog),
+            # ||K|| t passes the growth cap at N = 3, phase 0
+            (120.0, (0.5, 1.0, 3.5), OverflowRisk),
+            # the ratio table's phase-0 row trips the cap at N = 3 first
+            (3.5, (0.5, 120.0), OverflowRisk),
+            (3.5, (0.0, 1.0), DivisionByZeroLog),
+            # the phase-0 row fails at t = 160, after the reference at t = 0
+            (3.5, (0.5, 0.0, 160.0), DivisionByZeroLog),
+        ],
+    )
+    def test_errors_equal_scalar_loops(self, t, ratio_times, expected):
+        kwargs = dict(self.kwargs, ratio_times=ratio_times)
+        error = raised(fig3_tables, t=t, **kwargs)
+        assert error == raised(fig3_loops, t=t, **kwargs)
+        assert error[0] is expected
+
+    @pytest.mark.parametrize("outcomes", list(itertools.product(("low", "one", "fail"), repeat=4)))
+    def test_ratio_error_order(self, monkeypatch, outcomes):
+        # every mix of a good witness, a reference of 1 and a failing cell
+        # over two times: the stacked ratios raise what the loop raises
+        times = (1.0, 2.0)
+        table = dict(zip(itertools.product((0.0, math.pi / 2), times), outcomes))
+
+        def nu(n, phi, t):
+            outcome = table[(phi, t)]
+            if outcome == "fail":
+                raise EpchainError(f"cell phi={phi} t={t} failed")
+            return 1.0 if outcome == "one" else 0.25 + t / 10
+
+        def stacked_nu(n, phis, ts):
+            values = []
+            for phi, t in itertools.product(phis, ts):
+                try:
+                    values.append(nu(n, phi, t))
+                except EpchainError as exc:
+                    return np.array(values), exc
+            return np.array(values), None
+
+        monkeypatch.setattr(sweeps, "_bkc_nu", stacked_nu)
+        try:
+            expected = [enhancement_ratio(3, t, nu_fn=nu) for t in times]
+        except EpchainError:
+            expected = raised(lambda: [enhancement_ratio(3, t, nu_fn=nu) for t in times])
+            assert raised(sweeps._enhancement_ratios, 3, times) == expected
+        else:
+            assert sweeps._enhancement_ratios(3, times) == expected

@@ -162,6 +162,15 @@ class TestFigureCommands:
         assert fit["c"] == pytest.approx(2.5, abs=0.3)
         assert manifest["extras"]["phi_symmetry_residual"] <= 1e-9
 
+    @pytest.mark.parametrize("fit_max_n", ["1", "3"])
+    def test_fig3_fit_needs_three_sizes(self, tmp_path, capsys, fit_max_n):
+        out = tmp_path / "fig3.csv"
+        code = main(["fig3", "--ns", "2", "--phi-steps", "3", "--fit-max-n", fit_max_n,
+                     "--out", str(out)])
+        assert code == 2
+        assert "config error: --fit-max-n must be at least 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fig4_grid_and_arc(self, tmp_path):
         out = tmp_path / "fig4.csv"
         code = main(["fig4", "--g-steps", "5", "--arc-steps", "5", "--out", str(out),
