@@ -166,12 +166,7 @@ def build_chain_spec(config: Mapping) -> ChainSpec:
         raise ConfigError(f"unknown chain config keys: {sorted(unknown)}")
     if "n" not in config:
         raise ConfigError("chain config is missing the mode count 'n'")
-    n = config["n"]
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise NonPositiveN(f"'n' must be an integer, got {n!r}")
-    if n < 1:
-        raise NonPositiveN(f"'n' must be positive, got {n}")
-    n = int(n)
+    n = _check_mode_count(config["n"])
     bonds = n - 1
     g = _as_tuple(config.get("g", 0.0), bonds, "g", float)
     phi = _as_tuple(config.get("phi", 0.0), bonds, "phi", float)

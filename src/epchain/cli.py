@@ -31,7 +31,6 @@ from .errors import ConfigError, EpchainError
 from .selftest import run_selftest
 from .sweeps import (
     SweepAxis,
-    SweepPlan,
     entanglement_trajectory,
     es_scan_table,
     fig2_grid,
@@ -79,21 +78,21 @@ def _times_from(rest: dict) -> list[float]:
     raise ConfigError("'times' must be a list or {start, stop, steps}")
 
 
-def _default_threads() -> int:
-    return max(os.cpu_count() or 1, 1)
-
-
 def _add_common(parser: argparse.ArgumentParser, with_partition: bool = False):
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output data file")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--threads", type=int, default=_default_threads())
     if with_partition:
         parser.add_argument(
             "--partition", action="append", default=None,
             help="bipartition label like '13|2' (repeatable)",
         )
+
+
+def _add_threads(parser: argparse.ArgumentParser):
+    parser.add_argument("--threads", type=int, default=max(os.cpu_count() or 1, 1),
+                        help="worker processes for the witness kernel")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig2", help="two-mode witness map")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--eta", type=float, default=0.2)
     p.add_argument("--g-min", type=float, default=0.5)
     p.add_argument("--g-max", type=float, default=1.5)
@@ -129,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig4", help="three-mode witness map and circle cut")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--t", type=float, default=5.0)
     p.add_argument("--g-max", type=float, default=2.0)
@@ -192,15 +193,8 @@ def _cmd_entangle(args) -> int:
     unknown = set(rest) - {"times", "partitions"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    plan = SweepPlan(
-        chain=chain,
-        times=tuple(times),
-        partitions=tuple(partitions),
-        out=args.out,
-        fmt=args.fmt,
-    )
     header, rows, extras = entanglement_trajectory(
-        plan.chain, plan.times, plan.partitions, include_cm=args.include_cm
+        chain, times, partitions, include_cm=args.include_cm
     )
     _emit(args, "entangle", header, rows, config, extras, "entangle.csv")
     if "truncated_at" in extras:
@@ -235,6 +229,8 @@ def _cmd_fig3(args) -> int:
     if args.fit_max_n < 4:
         # the fit a*exp(b*N)+c needs at least three sizes, N = 2..4
         raise ConfigError("--fit-max-n must be at least 4")
+    if args.phi_steps < 0:
+        raise ConfigError("--phi-steps must be nonnegative")
     witness, ratio, extras = fig3_tables(
         n_values=n_values, phi_steps=args.phi_steps, t=args.t, fit_max_n=args.fit_max_n
     )
@@ -250,6 +246,8 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_fig4(args) -> int:
+    if args.arc_steps < 0:
+        raise ConfigError("--arc-steps must be nonnegative")
     grid, arc, extras = fig4_grid(
         j=args.j,
         t=args.t,

@@ -187,12 +187,19 @@ def evolve_trajectory(
     state: GaussianState, k: RealGenerator, times: Sequence[float]
 ) -> list[GaussianState]:
     """Evolve the state to each sample time, each directly from t = 0."""
+    return [evolve(state, k, float(t)) for t in _sample_times(times)]
+
+
+def _sample_times(times: Sequence[float]) -> np.ndarray:
+    """Trajectory sample times as an array: nonempty, 1-d, finite, ascending."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ConfigError("times must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(ts)):
+        raise ConfigError(f"times must be finite, got {ts}")
     if np.any(np.diff(ts) < 0):
         raise UnsortedTimes(f"times must be sorted ascending, got {ts}")
-    return [evolve(state, k, float(t)) for t in ts]
+    return ts
 
 
 def evolve_grid(

@@ -14,14 +14,12 @@ fig3's ``bkc_nu_minus`` and ``enhancement_ratio`` cells included), the
 module carries closed-form
 witnesses for three reference families: the two-mode chain without on-site
 squeezing, the uniform chain at g = J with an arbitrary hopping phase (whose
-invariant is a polynomial in t with phase-independent coefficients fitted
-once from the numeric pipeline), and the three-mode chain on its
-coalescence surface.
+invariant is a polynomial in t with exact, phase-independent coefficients),
+and the three-mode chain on its coalescence surface.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,9 +31,7 @@ from .dynamics import GaussianState, evolve, initial_state
 from .errors import (
     AsymmetricInput,
     DivisionByZeroLog,
-    FitResidualTooLarge,
     InvalidBipartition,
-    MissingCoefficients,
     OutOfRange,
 )
 
@@ -323,90 +319,36 @@ def nu_closed_form_two_mode(g: float, j: float, t: float) -> float:
     return nu_from_xi(xi)
 
 
-@functools.lru_cache(maxsize=None)
-def xi_series_coefficients(
-    max_n: int,
-    nodes: int = 40,
-    t_min: float = 0.05,
-    t_max: float = 1.0,
-    residual_tol: float = 1e-6,
-    consistency_tol: float = 1e-4,
-) -> tuple[float, ...]:
-    """Fit the polynomial coefficients of the coalescence-point invariant.
+def xi_series_coefficients(max_n: int) -> tuple[float, ...]:
+    """Exact coefficients c_1 .. c_(max_n - 1) of the coalescence-point invariant.
 
-    For each chain size N from 2 to ``max_n``, the numeric pipeline is run at
-    g = J, no on-site squeezing, hopping phase pi/2, first-mode-vs-rest cut;
-    the witness is converted to xi and the model
-    xi - 1 = sum_j c_j (J t)^(2 j), j = 1 .. N-1, is least-squares fitted on
-    ``nodes`` times in [t_min, t_max].  Coefficients shared between
-    consecutive sizes must agree to ``consistency_tol`` relative; each fit
-    must reproduce its data to ``residual_tol``.  Returns the coefficients of
-    the largest size, c_1 .. c_(max_n - 1).
+    At g = J and hopping phase pi/2 the quadrature generator of the uniform
+    chain is nilpotent, so S(t) is a polynomial in t and the first-mode-vs-rest
+    invariant is xi = 1 + sum_j c_j (J t)^(2 j), j = 1 .. N-1, with
 
-    The Vandermonde basis conditions worsen quickly with the polynomial
-    degree; at the default settings the fit is exact up to ``max_n`` of 9 and
-    the consistency guard rejects larger requests rather than returning
-    drifting values.
+        c_j = 2 * 4^j / (j!)^2,
 
-    Raises
-    ------
-    FitResidualTooLarge
-        If a fit fails its residual bound or the cross-size consistency
-        check, which signals a wrong model or a pipeline defect.
+    the degree-(N-1) truncation of 2 I_0(4 J t) - 1.  Each value is the
+    correctly rounded quotient of two integers.
     """
     if max_n < 2:
         raise OutOfRange(f"max_n must be at least 2, got {max_n}")
-    times = np.linspace(t_min, t_max, nodes)
-    previous: np.ndarray | None = None
-    coeffs = np.zeros(0)
-    for n in range(2, max_n + 1):
-        xi = np.array(
-            [xi_from_nu(bkc_nu_minus(n, math.pi / 2, float(t))) for t in times]
-        )
-        basis = np.column_stack([(times**2) ** j for j in range(1, n)])
-        coeffs, *_ = np.linalg.lstsq(basis, xi - 1.0, rcond=None)
-        residual = float(np.abs(basis @ coeffs - (xi - 1.0)).max())
-        if residual > residual_tol:
-            raise FitResidualTooLarge(
-                f"series fit for N={n} left residual {residual:.3e} "
-                f"(bound {residual_tol:.1e})"
-            )
-        if previous is not None:
-            shared = len(previous)
-            drift = np.abs(coeffs[:shared] - previous) / np.maximum(np.abs(previous), 1e-30)
-            if np.any(drift > consistency_tol):
-                raise FitResidualTooLarge(
-                    f"coefficients changed by {drift.max():.3e} relative between "
-                    f"N={n-1} and N={n}; they must be size-independent"
-                )
-        previous = coeffs
-    return tuple(float(c) for c in coeffs)
+    return tuple(2 * 4**j / math.factorial(j) ** 2 for j in range(1, max_n))
 
 
-def nu_closed_form_bkc_ep(
-    n_modes: int,
-    phi: float,
-    t: float,
-    coefficients: Sequence[float] | None = None,
-    j: float = 1.0,
-) -> float:
+def nu_closed_form_bkc_ep(n_modes: int, phi: float, t: float, j: float = 1.0) -> float:
     """Closed-form nu_- of the uniform chain at g = J and hopping phase phi.
 
     Evaluates xi = 1 + sum_j c_j (J t)^(2 j) sin(phi)^(2 (j - 1)) with the
-    fitted coefficient sequence (see :func:`xi_series_coefficients`).
+    exact coefficients of :func:`xi_series_coefficients`, by Horner's rule
+    so that no power of J t overflows on its own for large N.
     """
-    if coefficients is None:
-        coefficients = xi_series_coefficients(max(n_modes, 2))
-    if len(coefficients) < n_modes - 1:
-        raise MissingCoefficients(
-            f"need {n_modes - 1} coefficients for N={n_modes}, got {len(coefficients)}"
-        )
-    s2 = math.sin(phi) ** 2
     u = (j * t) ** 2
-    xi = 1.0
-    for idx in range(1, n_modes):
-        xi += coefficients[idx - 1] * u**idx * s2 ** (idx - 1)
-    return nu_from_xi(xi)
+    step = u * math.sin(phi) ** 2
+    acc = 0.0
+    for c in reversed(xi_series_coefficients(n_modes) if n_modes >= 2 else ()):
+        acc = c + step * acc
+    return nu_from_xi(1.0 + u * acc)
 
 
 def nu_closed_form_three_mode_nonuniform(varphi: float, j: float, t: float) -> float:

@@ -95,13 +95,5 @@ class OutOfRange(EpchainError, ValueError):
     """A scalar argument lies outside its admissible interval."""
 
 
-class FitResidualTooLarge(EpchainError, ArithmeticError):
-    """The series fit did not reproduce the data to the required residual."""
-
-
-class MissingCoefficients(EpchainError, ValueError):
-    """Not enough series coefficients were supplied for the requested size."""
-
-
 class DivisionByZeroLog(EpchainError, ZeroDivisionError):
     """The enhancement ratio is undefined when the reference witness is 1."""

@@ -47,7 +47,7 @@ from .chain import (
     quadrature_generator,
     uniform_bdg_stack,
 )
-from .dynamics import GaussianState, evolve_grid, initial_state
+from .dynamics import GaussianState, _sample_times, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
     _ratio_reference,
@@ -55,7 +55,7 @@ from .entanglement import (
     nu_closed_form_three_mode_nonuniform,
     witness_stack,
 )
-from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, UnsortedTimes
+from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk
 from .spectral import (
     DEFAULT_RANK_TOL,
     DEFAULT_REGION_TOL,
@@ -67,7 +67,6 @@ from .spectral import (
 
 __all__ = [
     "SweepAxis",
-    "SweepPlan",
     "format_value",
     "write_rows",
     "write_manifest",
@@ -114,25 +113,6 @@ class SweepAxis:
         if isinstance(cfg, (list, tuple)) and len(cfg) == 3:
             return cls(name, float(cfg[0]), float(cfg[1]), int(cfg[2]))
         raise ConfigError(f"axis {name!r} config must be [start, stop, steps] or a mapping")
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """A chain template plus swept axes, sample times, and output routing."""
-
-    chain: dict
-    axes: tuple[SweepAxis, ...] = ()
-    times: tuple[float, ...] = ()
-    partitions: tuple[str, ...] = ()
-    out: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        build_chain_spec(self.chain)  # validate eagerly
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"output format must be csv or json, got {self.fmt!r}")
-        if any(not np.isfinite(t) for t in self.times):
-            raise ConfigError("sample times must be finite")
 
 
 def format_value(value) -> str:
@@ -351,11 +331,7 @@ def entanglement_trajectory(
     spec = build_chain_spec(chain)
     if spec.n_modes < 2:
         raise ConfigError("entanglement requires at least two modes")
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ConfigError("times must be a nonempty 1-d sequence")
-    if np.any(np.diff(ts) < 0):
-        raise UnsortedTimes(f"times must be sorted ascending, got {ts}")
+    ts = _sample_times(times)
     if not partitions:
         partitions = [Bipartition.one_vs_rest(spec.n_modes).label]
     parts = [Bipartition.from_label(p, spec.n_modes) for p in partitions]

@@ -114,12 +114,11 @@ def test_c06_jordan_block_structures():
 
 
 def test_c07_series_coefficients():
-    with criterion("C07", "series coefficients: value, residual, consistency"):
-        # the call enforces fit residual <= 1e-6 and cross-size consistency
-        # <= 1e-4 relative internally, raising on violation
-        coeffs = xi_series_coefficients(6, residual_tol=1e-6, consistency_tol=1e-4)
+    with criterion("C07", "series coefficients: exact values c_j = 2 4^j / (j!)^2"):
+        coeffs = xi_series_coefficients(6)
         assert abs(coeffs[0] - 8.0) <= 1e-6
         assert len(coeffs) == 5
+        assert coeffs == (8.0, 8.0, 32.0 / 9.0, 8.0 / 9.0, 32.0 / 225.0)
 
 
 def test_c08_phase_monotonicity_and_size_ordering():

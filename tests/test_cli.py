@@ -114,6 +114,13 @@ class TestEntangleCommand:
         assert "cm_1_1" in header and "cm_4_4" in header
         assert len(header) == 1 + 2 + 10  # t, two metrics, upper triangle of 4x4
 
+    def test_nan_time_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "nan.json", {"n": 2, "J": 1.0, "times": [0.0, float("nan")]})
+        out = tmp_path / "nan.csv"
+        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: times must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "o.json", {
             "n": 2, "eta": 5.0, "times": [0.0, 25.0, 50.0, 75.0, 100.0],
@@ -171,6 +178,17 @@ class TestFigureCommands:
         assert "config error: --fit-max-n must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["fig3", "--ns", "2", "--phi-steps", "-1"], "--phi-steps"),
+        (["fig4", "--g-steps", "2", "--arc-steps", "-2"], "--arc-steps"),
+    ])
+    def test_negative_step_counts_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / f"{argv[0]}.csv"
+        code = main(argv + ["--out", str(out)])
+        assert code == 2
+        assert f"config error: {flag} must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fig4_grid_and_arc(self, tmp_path):
         out = tmp_path / "fig4.csv"
         code = main(["fig4", "--g-steps", "5", "--arc-steps", "5", "--out", str(out),
@@ -197,6 +215,15 @@ class TestFigureCommands:
         payload = json.loads(out.read_text())
         assert payload["columns"] == ["N", "phi", "nu_minus", "neg_log_nu"]
         assert len(payload["rows"]) == 3
+
+
+@pytest.mark.parametrize("command", ["spectrum", "entangle", "fig3", "es-scan"])
+def test_threads_only_where_used(command, capsys):
+    # only fig2 and fig4 spread their kernel over worker processes
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
 
 class TestEsScanCommand:

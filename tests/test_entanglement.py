@@ -1,6 +1,7 @@
 """Partial-transpose witnesses, closed forms, and series coefficients."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from epchain.errors import (
     AsymmetricInput,
     DivisionByZeroLog,
     InvalidBipartition,
-    MissingCoefficients,
     OutOfRange,
 )
 
@@ -242,11 +242,10 @@ class TestSeriesCoefficients:
         assert coeffs[0] == pytest.approx(8.0, abs=1e-6)
 
     def test_values_stable_across_sizes(self):
-        # the shared prefix must agree between consecutive sizes (checked
-        # internally); freeze the fitted values as regression anchors
+        # c_j does not depend on the chain size: a larger size only appends
         coeffs = xi_series_coefficients(6)
-        expected = (8.0, 8.0, 32.0 / 9.0, 8.0 / 9.0, 32.0 / 225.0)
-        np.testing.assert_allclose(coeffs, expected, rtol=1e-6)
+        assert coeffs == (8.0, 8.0, 32.0 / 9.0, 8.0 / 9.0, 32.0 / 225.0)
+        assert xi_series_coefficients(30)[:5] == coeffs
 
     def test_coefficients_decay(self):
         coeffs = xi_series_coefficients(6)
@@ -265,12 +264,54 @@ class TestSeriesCoefficients:
         with pytest.raises(OutOfRange):
             xi_series_coefficients(1)
 
-    def test_oversized_fit_fails_honestly(self):
-        # beyond the conditioning limit the guard must reject, not drift
-        from epchain.errors import FitResidualTooLarge
+    def test_large_sizes_are_exact(self):
+        # no ceiling on the size: N = 12 and 30 give the exact values too
+        for max_n in (12, 30):
+            coeffs = xi_series_coefficients(max_n)
+            assert len(coeffs) == max_n - 1
+            for j, c in enumerate(coeffs, start=1):
+                assert c == float(Fraction(2 * 4**j, math.factorial(j) ** 2))
 
-        with pytest.raises(FitResidualTooLarge):
-            xi_series_coefficients(12)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_exact_propagator(self, n):
+        # at g = J = 1, phi = pi/2 the generator K has integer entries and is
+        # nilpotent, so S(t) = sum_k (K t)^k / k! is a polynomial with
+        # rational coefficients; for the vacuum and the 1|rest cut,
+        # xi = 2 det(sigma_1) - 1 with sigma_1 the first mode's 2x2 block of
+        # S S^T.  Build that polynomial exactly and compare term by term.
+        k = quadrature_generator(
+            build_bdg_matrix(ChainSpec.uniform(n, g=1.0, j=1.0, phi=math.pi / 2))
+        ).data
+        k_int = np.rint(k)
+        assert np.abs(k - k_int).max() <= 1e-12
+        k_int = k_int.astype(int).astype(object)
+        # rows[p][a][c] is the t^p coefficient of S[a][c], for a in {0, 1}
+        rows, power = [], np.eye(2 * n, dtype=int).astype(object)[:2]
+        while power.any():
+            assert len(rows) < 2 * n, "K is not nilpotent"
+            rows.append([[Fraction(int(v), math.factorial(len(rows))) for v in r] for r in power])
+            power = power.dot(k_int)
+
+        def block(a, b):
+            poly = [Fraction(0)] * (2 * len(rows) - 1)
+            for p, row_p in enumerate(rows):
+                for q, row_q in enumerate(rows):
+                    poly[p + q] += sum(x * y for x, y in zip(row_p[a], row_q[b]))
+            return poly
+
+        s00, s01, s11 = block(0, 0), block(0, 1), block(1, 1)
+        det = [Fraction(0)] * (2 * len(s00) - 1)
+        for p in range(len(s00)):
+            for q in range(len(s00)):
+                det[p + q] += s00[p] * s11[q] - s01[p] * s01[q]
+        xi = [2 * d for d in det]
+        xi[0] -= 1
+        want = [Fraction(0)] * len(xi)
+        want[0] = Fraction(1)
+        for j in range(1, n):
+            want[2 * j] = Fraction(2 * 4**j, math.factorial(j) ** 2)
+        assert xi == want
+        assert xi_series_coefficients(n) == tuple(float(c) for c in want[2::2][:n - 1])
 
 
 class TestBkcEpClosedForm:
@@ -288,16 +329,13 @@ class TestBkcEpClosedForm:
         assert nu_closed_form_bkc_ep(3, np.pi / 2, t) < nu_closed_form_bkc_ep(3, 0.0, t)
 
     def test_matches_numeric_pipeline(self):
-        for n in (3, 4, 5):
-            for phi in (0.0, np.pi / 4, np.pi / 2):
-                for t in (0.5, 1.5, 3.0):
+        # sizes beyond N = 9 included: the series has no size ceiling
+        for n in (2, 3, 4, 5, 7, 12, 20, 30):
+            for phi in (0.0, 0.4, np.pi / 4, np.pi / 2, 2.5):
+                for t in (0.5, 1.5, 3.0, 3.5):
                     got = bkc_nu_minus(n, phi, t)
                     want = nu_closed_form_bkc_ep(n, phi, t)
                     assert got == pytest.approx(want, abs=1e-7), (n, phi, t)
-
-    def test_missing_coefficients(self):
-        with pytest.raises(MissingCoefficients):
-            nu_closed_form_bkc_ep(5, 0.3, 1.0, coefficients=(8.0,))
 
 
 class TestThreeModeClosedForm:

@@ -1,4 +1,4 @@
-"""Sweep plans, writers, and the figure-grid helpers."""
+"""Sweep axes, writers, and the figure-grid helpers."""
 
 import math
 
@@ -9,7 +9,6 @@ from epchain import symplectic_eigenvalues
 from epchain.errors import ConfigError, UnsortedTimes
 from epchain.sweeps import (
     SweepAxis,
-    SweepPlan,
     entanglement_trajectory,
     fig2_grid,
     fig3_tables,
@@ -48,29 +47,6 @@ class TestSweepAxis:
             SweepAxis.from_config("g", {"start": 0.0, "steps": 5})
 
 
-class TestSweepPlan:
-    def test_validates_chain_eagerly(self):
-        with pytest.raises(ConfigError):
-            SweepPlan(chain={"n": 2, "g": [1, 2, 3]})
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(ConfigError):
-            SweepPlan(chain={"n": 2}, fmt="xml")
-
-    def test_rejects_non_finite_times(self):
-        with pytest.raises(ConfigError):
-            SweepPlan(chain={"n": 2}, times=(0.0, float("nan")))
-
-    def test_valid_plan(self):
-        plan = SweepPlan(
-            chain={"n": 2, "g": 1.0, "J": 1.0},
-            axes=(SweepAxis("g", 0.5, 1.5, 11),),
-            times=(0.0, 1.0),
-            partitions=("1|2",),
-        )
-        assert plan.axes[0].steps == 11
-
-
 class TestFormatting:
     def test_float_17_digits(self):
         assert format_value(1.0 / 3.0) == "0.33333333333333331"
@@ -102,6 +78,12 @@ class TestTrajectoryErrors:
     def test_unsorted_times_propagate(self):
         with pytest.raises(UnsortedTimes):
             entanglement_trajectory({"n": 2, "J": 1.0}, [1.0, 0.5], [])
+
+    def test_non_finite_time_rejected_before_truncation(self):
+        # the overflow guard would truncate at t = 75; the bad sample behind
+        # it must still be reported as an input error
+        with pytest.raises(ConfigError, match="finite"):
+            entanglement_trajectory({"n": 2, "eta": 5.0}, [0.0, 75.0, float("nan")], [])
 
 
 def test_fig2_matches_closed_form_without_sms():
