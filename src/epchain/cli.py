@@ -74,7 +74,10 @@ def _times_from(rest: dict) -> list[float]:
         axis = SweepAxis.from_config("t", {**times, "steps": times.get("steps", 51)})
         return [float(t) for t in axis.values()]
     if isinstance(times, list):
-        return [float(t) for t in times]
+        try:
+            return [float(t) for t in times]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'times' entries must be numbers: {exc}") from exc
     raise ConfigError("'times' must be a list or {start, stop, steps}")
 
 
@@ -224,8 +227,6 @@ def _cmd_fig3(args) -> int:
         n_values = tuple(int(tok) for tok in args.ns.split(",") if tok)
     except ValueError as exc:
         raise ConfigError(f"--ns must be comma-separated integers: {exc}") from exc
-    if any(n < 2 for n in n_values):
-        raise ConfigError("--ns entries must be at least 2")
     if args.fit_max_n < 4:
         # the fit a*exp(b*N)+c needs at least three sizes, N = 2..4
         raise ConfigError("--fit-max-n must be at least 4")

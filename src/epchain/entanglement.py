@@ -9,13 +9,13 @@ eigenvalues below 1 quantifies the violation.
 
 Besides the numeric pipeline (build the chain, transport the vacuum
 covariance, partial-transpose, eigensolve; ``witness_stack`` is its batched
-form for a stack of covariances, which the sweeps use for every preset,
-fig3's ``bkc_nu_minus`` and ``enhancement_ratio`` cells included), the
-module carries closed-form
-witnesses for three reference families: the two-mode chain without on-site
-squeezing, the uniform chain at g = J with an arbitrary hopping phase (whose
-invariant is a polynomial in t with exact, phase-independent coefficients),
-and the three-mode chain on its coalescence surface.
+form for a stack of covariances, which the fig2, fig4 and entangle sweeps
+use), the module carries closed-form witnesses for three reference
+families: the two-mode chain without on-site squeezing, the uniform chain
+at g = J with an arbitrary hopping phase (whose invariant is a polynomial
+in t with exact, phase-independent coefficients; fig3 and its ratio fit
+are computed from it alone), and the three-mode chain on its coalescence
+surface.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ class Bipartition:
 
     @classmethod
     def from_label(cls, label: str, n_modes: int) -> "Bipartition":
+        if not isinstance(label, str):
+            raise InvalidBipartition(f"label {label!r} must be a string like '13|2'")
         parts = label.split("|")
         if len(parts) != 2:
             raise InvalidBipartition(f"label {label!r} must contain exactly one '|'")
@@ -282,13 +284,27 @@ def nu_from_xi(xi: float) -> float:
 
     Evaluated as 1/sqrt(xi + sqrt(xi^2 - 1)), which is exact in the same
     arithmetic but immune to the cancellation that the textbook form suffers
-    for large xi.
+    for large xi.  Where xi^2 overflows (xi > ~1.3e154) the inner root is xi
+    itself, and nu = 1/sqrt(2 xi) is evaluated with the same two roundings
+    as below that point, so nu stays positive and monotone up to the
+    largest float.
+
+    Raises
+    ------
+    OutOfRange
+        If xi is NaN, infinite, or below 1 by more than 1e-12.
     """
+    if not math.isfinite(xi):
+        raise OutOfRange(f"xi must be finite, got {xi}")
     if xi < 1.0:
         if xi < 1.0 - 1e-12:
             raise OutOfRange(f"xi must be at least 1, got {xi}")
         xi = 1.0
-    return 1.0 / math.sqrt(xi + math.sqrt(xi * xi - 1.0))
+    square = xi * xi
+    if math.isinf(square):
+        # 0.5 / sqrt(xi / 2) is 1 / sqrt(2 xi) scaled by powers of 2, exactly
+        return 0.5 / math.sqrt(0.5 * xi)
+    return 1.0 / math.sqrt(xi + math.sqrt(square - 1.0))
 
 
 def xi_from_nu(nu: float) -> float:
@@ -393,14 +409,9 @@ def enhancement_ratio(
         If the reference witness nu_-(0, t) equals 1, as at t = 0.
     """
     fn = nu_fn if nu_fn is not None else bkc_nu_minus
-    reference = _ratio_reference(fn(n_modes, 0.0, t))
-    return math.log(fn(n_modes, math.pi / 2, t)) / math.log(reference)
-
-
-def _ratio_reference(reference: float) -> float:
-    """The reference witness of ``enhancement_ratio``, if the ratio is defined there."""
+    reference = fn(n_modes, 0.0, t)
     if reference >= 1.0:
         raise DivisionByZeroLog(
             f"reference witness is {reference}; the ratio is undefined there"
         )
-    return reference
+    return math.log(fn(n_modes, math.pi / 2, t)) / math.log(reference)

@@ -29,6 +29,7 @@ from .dynamics import evolve, initial_state, propagator
 from .entanglement import (
     Bipartition,
     entanglement_result,
+    nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
     nu_closed_form_two_mode,
     nu_from_xi,
@@ -222,6 +223,21 @@ def run_selftest(
                 ),
             )
     record("three_mode_surface_closed_form", worst_nid, 1e-6)
+
+    # the coalescence-point series that fig3 prints, against the numeric pipeline
+    record(
+        "bkc_ep_closed_form",
+        _worst(
+            abs(
+                chain_nu_minus(ChainSpec.uniform(n, g=1.0, j=1.0, phi=phi), float(t))
+                - nu_closed_form_bkc_ep(n, phi, float(t))
+            )
+            for n in (3, 4, 6)
+            for phi in (0.0, 0.7, math.pi / 2, 2.9)
+            for t in np.linspace(0.0, 3.5, 8)
+        ),
+        1e-7,
+    )
 
     worst_vac = 0.0
     for spec in specs:

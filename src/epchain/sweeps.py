@@ -1,20 +1,21 @@
 """Experiment sweeps and machine-readable output writers.
 
 Every bundled experiment reduces to evaluating the chain pipeline over a
-parameter grid and emitting rows.  fig2, fig3 and fig4 build the matrices
-of all their chains as one stack (``bdg_stack`` or ``uniform_bdg_stack``,
-then ``generator_stack``), and every witness preset (fig2, fig3, fig4 and
-its arc, entangle) runs one batched kernel: ``evolve_grid`` transports the
+parameter grid and emitting rows.  fig2 and fig4 build the matrices of all
+their chains as one stack (``bdg_stack`` or ``uniform_bdg_stack``, then
+``generator_stack``), and the numeric witness presets (fig2, fig4 and its
+arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
 ``witness_stack`` evaluates nu_- and E_N per cut.  Both do the scalar
 pipeline's arithmetic, so every value equals what ``evolve`` and
-``entanglement_result`` (in fig3: ``bkc_nu_minus`` and
-``enhancement_ratio``) give for that cell bit for bit, and a failing check
+``entanglement_result`` give for that cell bit for bit, and a failing check
 raises the error the scalar loop would raise first.  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
 stays flat on large grids; with ``threads > 1`` the chunks are mapped over
 a pool of spawned processes (a script calling these functions with
-``threads > 1`` needs an ``if __name__ == "__main__"`` guard).  Rows are
+``threads > 1`` needs an ``if __name__ == "__main__"`` guard).  fig3 needs
+no kernel: at g = J its witness is the exact coalescence-point series
+``nu_closed_form_bkc_ep``.  Rows are
 assembled strictly by grid index and written with a pinned float format of
 17 significant digits, so identical configurations produce byte-identical
 files regardless of thread count.
@@ -50,8 +51,9 @@ from .chain import (
 from .dynamics import GaussianState, _sample_times, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
-    _ratio_reference,
     _surface_hopping,
+    enhancement_ratio,
+    nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
     witness_stack,
 )
@@ -107,12 +109,16 @@ class SweepAxis:
     def from_config(cls, name: str, cfg) -> "SweepAxis":
         if isinstance(cfg, dict):
             try:
-                return cls(name, float(cfg["start"]), float(cfg["stop"]), int(cfg["steps"]))
+                cfg = [cfg["start"], cfg["stop"], cfg["steps"]]
             except KeyError as exc:
                 raise ConfigError(f"axis {name!r} config needs start/stop/steps") from exc
-        if isinstance(cfg, (list, tuple)) and len(cfg) == 3:
-            return cls(name, float(cfg[0]), float(cfg[1]), int(cfg[2]))
-        raise ConfigError(f"axis {name!r} config must be [start, stop, steps] or a mapping")
+        if not (isinstance(cfg, (list, tuple)) and len(cfg) == 3):
+            raise ConfigError(f"axis {name!r} config must be [start, stop, steps] or a mapping")
+        try:
+            start, stop, steps = float(cfg[0]), float(cfg[1]), int(cfg[2])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"axis {name!r} start/stop/steps must be numbers: {exc}") from exc
+        return cls(name, start, stop, steps)
 
 
 def format_value(value) -> str:
@@ -221,10 +227,6 @@ def _witness_map(
     leading cells that passed every check, their covariances when
     ``keep_cm``, and the error of the first failing cell (None if none).
     """
-    if not (len(k) and len(times)):
-        empty = np.empty(0)
-        cms = np.empty((0,) + k.shape[1:]) if keep_cm else None
-        return [(empty, empty)] * len(parts), cms, None
     per_chunk = max(1, _CHUNK_ENTRIES // (2 * state0.n_modes) ** 2)
     if len(times) >= per_chunk:
         blocks = [(k[g : g + 1], times[i : i + per_chunk])
@@ -412,48 +414,6 @@ def fig2_grid(
     return header, rows, extras
 
 
-def _bkc_nu(
-    n: int, phis: Sequence[float], times: Sequence[float]
-) -> tuple[np.ndarray, EpchainError | None]:
-    """``bkc_nu_minus(n, phi, t)`` for every (phi, t) cell, phase-major, on the kernel.
-
-    Returns nu_- over the leading cells that passed and the error of the
-    first failing cell (None if none).
-    """
-    k = generator_stack(uniform_bdg_stack(n, g=1.0, j=1.0, phi=phis))
-    part = Bipartition.one_vs_rest(n)
-    [(nu, _)], _, error = _witness_map(initial_state(n), k, np.asarray(times, dtype=float), [part])
-    return nu, error
-
-
-def _enhancement_ratios(n: int, times: Sequence[float]) -> list[float]:
-    """``enhancement_ratio(n, t)`` for each t, on one phase-{0, pi/2} stack.
-
-    Raises what a loop of ``enhancement_ratio`` calls over the times raises
-    first: at each time the phase-0 cell, then the reference check, then the
-    phase-pi/2 cell.
-    """
-    times = list(times)
-    nu, error = _bkc_nu(n, (0.0, math.pi / 2), times)
-    reference, half = nu[: len(times)].tolist(), nu[len(times):].tolist()
-    if error is not None and len(reference) < len(times):
-        # the phase-0 row failed; the loop meets the phase-pi/2 cells of the
-        # earlier times before that failure
-        nu, half_error = _bkc_nu(n, (math.pi / 2,), times[: len(reference)])
-        half = nu.tolist()
-        if half_error is not None:
-            error = half_error
-    ratios = []
-    for i in range(len(times)):
-        if i == len(reference):
-            raise error
-        _ratio_reference(reference[i])
-        if i == len(half):
-            raise error
-        ratios.append(math.log(half[i]) / math.log(reference[i]))
-    return ratios
-
-
 def fig3_tables(
     n_values: Sequence[int] = (2, 3, 4, 5, 6),
     phi_steps: int = 65,
@@ -466,32 +426,35 @@ def fig3_tables(
     Returns (witness table, ratio table, extras).  The witness table runs
     phi over [0, pi] (symmetry about pi/2 is reported in the extras); the
     ratio table gives R(N, t); the extras carry the exponential fit
-    a*exp(b*N)+c of R(N) at the fixed time over N = 2..fit_max_n.  Every
-    chain size runs its cells as one stack on the kernel, with the values
-    and errors of ``bkc_nu_minus`` and ``enhancement_ratio``.
+    a*exp(b*N)+c of R(N) at the fixed time over N = 2..fit_max_n.  At
+    g = J the witness is the exact coalescence-point series, so every value
+    comes from ``nu_closed_form_bkc_ep`` and every ratio from
+    ``enhancement_ratio`` on it; no covariance is transported, and only an
+    xi past the float range (``OutOfRange``) or a reference witness of 1
+    (``DivisionByZeroLog``, as at t = 0) fails.
     """
-    phis = np.linspace(0.0, math.pi, phi_steps)
+    if any(n < 2 for n in n_values):
+        raise ConfigError(f"chain sizes must be at least 2, got {list(n_values)}")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ConfigError(f"time must be finite, got {t}")
+    phis = np.linspace(0.0, math.pi, phi_steps).tolist()
     witness_rows = []
     asymmetry = 0.0
     for n in n_values:
-        nu, error = _bkc_nu(int(n), phis, [float(t)])
-        if error is not None:
-            raise error
-        asymmetry = max(asymmetry, float(np.abs(nu - nu[::-1]).max(initial=0.0)))
-        for phi, value in zip(phis.tolist(), nu.tolist()):
-            witness_rows.append([int(n), phi, value, -math.log(value) if value > 0 else math.inf])
+        nu = [nu_closed_form_bkc_ep(int(n), phi, t) for phi in phis]
+        asymmetry = max([asymmetry] + [abs(a - b) for a, b in zip(nu, nu[::-1])])
+        witness_rows += [[int(n), phi, value, -math.log(value)] for phi, value in zip(phis, nu)]
     witness = (["N", "phi", "nu_minus", "neg_log_nu"], witness_rows)
 
-    ratio_rows = []
-    for n in n_values:
-        if n < 2:
-            continue
-        times = [float(rt) for rt in ratio_times]
-        ratio_rows += [[int(n), rt, r] for rt, r in zip(times, _enhancement_ratios(int(n), times))]
+    ratio_rows = [
+        [int(n), float(rt), enhancement_ratio(int(n), float(rt), nu_fn=nu_closed_form_bkc_ep)]
+        for n in n_values for rt in ratio_times
+    ]
     ratio = (["N", "t", "ratio"], ratio_rows)
 
     fit_ns = np.arange(2, fit_max_n + 1)
-    fit_rs = np.array([_enhancement_ratios(int(n), [float(t)])[0] for n in fit_ns])
+    fit_rs = np.array([enhancement_ratio(int(n), t, nu_fn=nu_closed_form_bkc_ep) for n in fit_ns])
     with warnings.catch_warnings():
         # tiny fit ranges can make the parameter covariance singular; only
         # the point estimate is used
@@ -504,7 +467,7 @@ def fig3_tables(
             maxfev=20000,
         )
     extras = {
-        "t": float(t),
+        "t": t,
         "phi_symmetry_residual": asymmetry,
         "ratio_fit": {"a": float(popt[0]), "b": float(popt[1]), "c": float(popt[2])},
         "ratio_fit_n_range": [2, int(fit_max_n)],

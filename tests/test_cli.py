@@ -121,6 +121,19 @@ class TestEntangleCommand:
         assert "config error: times must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"partitions": [12]}, "label 12 must be a string"),
+        ({"times": [0, "x"]}, "'times' entries must be numbers"),
+        ({"times": {"start": 0, "stop": 1, "steps": "x"}},
+         "axis 't' start/stop/steps must be numbers"),
+    ], ids=["partition", "time", "steps"])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, extra, message):
+        cfg = write_json(tmp_path / "bad.json", {"n": 3, **extra})
+        out = tmp_path / "bad.csv"
+        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "o.json", {
             "n": 2, "eta": 5.0, "times": [0.0, 25.0, 50.0, 75.0, 100.0],
@@ -168,6 +181,26 @@ class TestFigureCommands:
         fit = manifest["extras"]["ratio_fit"]
         assert fit["c"] == pytest.approx(2.5, abs=0.3)
         assert manifest["extras"]["phi_symmetry_residual"] <= 1e-9
+
+    def test_fig3_long_time(self, tmp_path):
+        # xi^2 overflows at N = 30 in the fit; the witness stays positive
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--ns", "2,6", "--phi-steps", "5", "--t", "1e4",
+                     "--out", str(out)]) == 0
+        for path in (out, tmp_path / "fig3_ratio.csv"):
+            _, rows = read_csv(path)
+            assert rows and all(0.0 < float(r[2]) < math.inf for r in rows)
+
+    @pytest.mark.parametrize("t, code, message", [
+        ("1e7", 3, "numeric failure: OutOfRange: xi must be finite"),
+        ("nan", 2, "config error: time must be finite"),
+        ("inf", 2, "config error: time must be finite"),
+    ], ids=["1e7", "nan", "inf"])
+    def test_fig3_bad_time(self, tmp_path, capsys, t, code, message):
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--ns", "2", "--phi-steps", "3", "--t", t, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fit_max_n", ["1", "3"])
     def test_fig3_fit_needs_three_sizes(self, tmp_path, capsys, fit_max_n):
@@ -253,6 +286,7 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+        assert "PASS  bkc_ep_closed_form" in out
 
     def test_injected_fault_fails(self, capsys):
         assert main(["selftest", "--draws", "8", "--inject-fault", "omega"]) == 1

@@ -1,6 +1,7 @@
 """Partial-transpose witnesses, closed forms, and series coefficients."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,17 @@ from epchain.errors import (
     InvalidBipartition,
     OutOfRange,
 )
+
+
+# hopping phases with rational (cos phi, sin phi), the last two at phi = pi/2
+# and 0; the series law in sin^2(phi) is checked exactly at each of them
+PYTHAGOREAN_PHASES = [
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(4, 5), Fraction(3, 5)),
+    (Fraction(-3, 5), Fraction(4, 5)),
+    (Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(1)),
+]
 
 
 def two_mode_squeezed_cm(r):
@@ -198,14 +210,24 @@ class TestXiMaps:
             xi_from_nu(0.0)
         with pytest.raises(OutOfRange):
             xi_from_nu(1.5)
-        with pytest.raises(OutOfRange):
-            nu_from_xi(0.5)
+        for xi in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfRange):
+                nu_from_xi(xi)
 
     def test_large_xi_is_stable(self):
         # the naive sqrt(xi - sqrt(xi^2-1)) loses half the digits here
         xi = 2.0e7
         nu = nu_from_xi(xi)
         assert xi_from_nu(nu) == pytest.approx(xi, rel=1e-12)
+
+    @pytest.mark.parametrize("xi", [1e20, 1e100, 1e150, 1.3e154, 1e160, 1e300, sys.float_info.max])
+    def test_huge_xi(self, xi):
+        # nu = 1/sqrt(2 xi) with the same two roundings on both sides of the
+        # point where xi^2 overflows (about 1.34e154), and never 0
+        nu = nu_from_xi(xi)
+        assert nu == 0.5 / math.sqrt(0.5 * xi)
+        assert nu == pytest.approx(math.sqrt(0.5 / xi), rel=1e-15)
+        assert nu > 0.0
 
 
 class TestTwoModeClosedForm:
@@ -274,43 +296,54 @@ class TestSeriesCoefficients:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_exact_propagator(self, n):
-        # at g = J = 1, phi = pi/2 the generator K has integer entries and is
-        # nilpotent, so S(t) = sum_k (K t)^k / k! is a polynomial with
-        # rational coefficients; for the vacuum and the 1|rest cut,
+        # at g = J = 1 and a hopping phase with rational (cos phi, sin phi)
+        # the generator K has entries on the grid 1/25 and is nilpotent, so
+        # S(t) = sum_k (K t)^k / k! is a polynomial with rational
+        # coefficients; for the vacuum and the 1|rest cut,
         # xi = 2 det(sigma_1) - 1 with sigma_1 the first mode's 2x2 block of
-        # S S^T.  Build that polynomial exactly and compare term by term.
-        k = quadrature_generator(
-            build_bdg_matrix(ChainSpec.uniform(n, g=1.0, j=1.0, phi=math.pi / 2))
-        ).data
-        k_int = np.rint(k)
-        assert np.abs(k - k_int).max() <= 1e-12
-        k_int = k_int.astype(int).astype(object)
-        # rows[p][a][c] is the t^p coefficient of S[a][c], for a in {0, 1}
-        rows, power = [], np.eye(2 * n, dtype=int).astype(object)[:2]
-        while power.any():
-            assert len(rows) < 2 * n, "K is not nilpotent"
-            rows.append([[Fraction(int(v), math.factorial(len(rows))) for v in r] for r in power])
-            power = power.dot(k_int)
+        # S S^T.  Build that polynomial exactly and compare term by term with
+        # 1 + sum_j c_j sin^(2 (j - 1))(phi) t^(2 j).
+        phases = PYTHAGOREAN_PHASES if n <= 8 else [(Fraction(0), Fraction(1))]
+        for cos, sin in phases:
+            phi = math.atan2(sin, cos)
+            k = quadrature_generator(
+                build_bdg_matrix(ChainSpec.uniform(n, g=1.0, j=1.0, phi=phi))
+            ).data
+            k_grid = np.rint(25 * k)
+            assert np.abs(25 * k - k_grid).max() <= 25e-12
+            k_exact = np.array(
+                [[Fraction(int(v), 25) for v in row] for row in k_grid], dtype=object
+            )
+            # rows[p][a][c] is the t^p coefficient of S[a][c], for a in {0, 1}
+            rows = []
+            power = np.array(
+                [[Fraction(int(a == c)) for c in range(2 * n)] for a in (0, 1)], dtype=object
+            )
+            while any(v != 0 for v in power.ravel()):
+                assert len(rows) < 2 * n, "K is not nilpotent"
+                rows.append([[v / math.factorial(len(rows)) for v in r] for r in power])
+                power = power.dot(k_exact)
 
-        def block(a, b):
-            poly = [Fraction(0)] * (2 * len(rows) - 1)
-            for p, row_p in enumerate(rows):
-                for q, row_q in enumerate(rows):
-                    poly[p + q] += sum(x * y for x, y in zip(row_p[a], row_q[b]))
-            return poly
+            def block(a, b):
+                poly = [Fraction(0)] * (2 * len(rows) - 1)
+                for p, row_p in enumerate(rows):
+                    for q, row_q in enumerate(rows):
+                        poly[p + q] += sum(x * y for x, y in zip(row_p[a], row_q[b]))
+                return poly
 
-        s00, s01, s11 = block(0, 0), block(0, 1), block(1, 1)
-        det = [Fraction(0)] * (2 * len(s00) - 1)
-        for p in range(len(s00)):
-            for q in range(len(s00)):
-                det[p + q] += s00[p] * s11[q] - s01[p] * s01[q]
-        xi = [2 * d for d in det]
-        xi[0] -= 1
-        want = [Fraction(0)] * len(xi)
-        want[0] = Fraction(1)
-        for j in range(1, n):
-            want[2 * j] = Fraction(2 * 4**j, math.factorial(j) ** 2)
-        assert xi == want
+            s00, s01, s11 = block(0, 0), block(0, 1), block(1, 1)
+            det = [Fraction(0)] * (2 * len(s00) - 1)
+            for p in range(len(s00)):
+                for q in range(len(s00)):
+                    det[p + q] += s00[p] * s11[q] - s01[p] * s01[q]
+            # K^p vanishes from a lower power where some sin(phi) = 0
+            xi = [2 * d for d in det] + [Fraction(0)] * (2 * n - 1 - len(det))
+            xi[0] -= 1
+            want = [Fraction(0)] * len(xi)
+            want[0] = Fraction(1)
+            for j in range(1, n):
+                want[2 * j] = Fraction(2 * 4**j, math.factorial(j) ** 2) * (sin * sin) ** (j - 1)
+            assert xi == want, (cos, sin)
         assert xi_series_coefficients(n) == tuple(float(c) for c in want[2::2][:n - 1])
 
 

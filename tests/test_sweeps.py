@@ -101,15 +101,23 @@ def test_fig2_matches_closed_form_without_sms():
 
 
 def test_fig3_ratio_rows_match_direct_call():
-    from epchain import enhancement_ratio
+    from epchain import enhancement_ratio, nu_closed_form_bkc_ep
 
     (_, _), (rheader, rrows), extras = fig3_tables(
         n_values=(3,), phi_steps=3, t=1.5, ratio_times=(1.0, 1.5), fit_max_n=5
     )
     assert rheader == ["N", "t", "ratio"]
     for n, t, ratio in rrows:
-        assert ratio == pytest.approx(enhancement_ratio(n, t), rel=1e-12)
+        assert ratio == enhancement_ratio(n, t, nu_fn=nu_closed_form_bkc_ep)
+        assert ratio == pytest.approx(enhancement_ratio(n, t), rel=1e-7)
     assert extras["phi_symmetry_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("n_values", [(1, 2), (2, 0)])
+def test_fig3_needs_two_modes(n_values):
+    # the 1|rest cut needs a second mode; the closed form alone would give 1
+    with pytest.raises(ConfigError, match="chain sizes must be at least 2"):
+        fig3_tables(n_values=n_values, phi_steps=3, fit_max_n=4)
 
 
 def test_symplectic_eigenvalues_singular_matrix():
