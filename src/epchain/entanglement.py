@@ -33,6 +33,7 @@ from .errors import (
     DivisionByZeroLog,
     InvalidBipartition,
     OutOfRange,
+    PrecisionLoss,
 )
 
 __all__ = [
@@ -184,9 +185,20 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return values[n:]
 
 
+_PRECISION_LOSS = (
+    "a partial-transpose symplectic eigenvalue is not positive: the witness has lost "
+    "all precision"
+)
+
+
 def entanglement_result(state: GaussianState, part: Bipartition) -> EntanglementResult:
-    """Partial-transpose spectrum, nu_-, and logarithmic negativity in one pass."""
+    """Partial-transpose spectrum, nu_-, and logarithmic negativity in one pass.
+
+    Raises ``PrecisionLoss`` if a symplectic eigenvalue is not positive.
+    """
     values = symplectic_eigenvalues(partial_transpose(state, part))
+    if (values <= 0.0).any():
+        raise PrecisionLoss(_PRECISION_LOSS)
     neg = float(-np.sum(np.log(values[values < 1.0]))) if np.any(values < 1.0) else 0.0
     return EntanglementResult(
         partition=part,
@@ -204,7 +216,9 @@ def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.nd
     and the eigenvalues of i L^T Omega L, so each value equals
     ``entanglement_result`` bit for bit.  If any matrix of the stack is not
     positive definite, the stack is evaluated matrix by matrix through
-    ``symplectic_eigenvalues``.  Returns (nu_minus, log_negativity) arrays.
+    ``symplectic_eigenvalues``.  Returns (nu_minus, log_negativity) arrays;
+    raises ``PrecisionLoss``, as ``entanglement_result`` does, if any
+    symplectic eigenvalue of the stack is not positive.
     """
     cms = np.asarray(cms, dtype=float)
     n = part.n_modes
@@ -228,6 +242,8 @@ def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.nd
     else:
         omega = symplectic_form(n)
         values = np.linalg.eigvalsh(1j * (chol.transpose(0, 2, 1) @ omega @ chol))[:, n:]
+    if (values <= 0.0).any():
+        raise PrecisionLoss(_PRECISION_LOSS)
     # E_N sums the logs of each row's values below 1 as one contiguous run,
     # so numpy's pairwise summation groups them as in entanglement_result
     below = values < 1.0

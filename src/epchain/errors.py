@@ -95,5 +95,13 @@ class OutOfRange(EpchainError, ValueError):
     """A scalar argument lies outside its admissible interval."""
 
 
+class PrecisionLoss(EpchainError, ArithmeticError):
+    """A partial-transpose symplectic eigenvalue came out zero or negative.
+
+    The witness then has no significant digit left and its logarithm is
+    undefined, so it is refused rather than reported as nu_- = 0, E_N = inf.
+    """
+
+
 class DivisionByZeroLog(EpchainError, ZeroDivisionError):
     """The enhancement ratio is undefined when the reference witness is 1."""

@@ -18,7 +18,10 @@ no kernel: at g = J its witness is the exact coalescence-point series
 ``nu_closed_form_bkc_ep``.  Rows are
 assembled strictly by grid index and written with a pinned float format of
 17 significant digits, so identical configurations produce byte-identical
-files regardless of thread count.
+files regardless of thread count.  ``format_value`` is the one-value
+reference for that text; ``write_rows`` gives the same bytes but formats a
+whole row with one %-template, built once per distinct tuple of cell types,
+so only bool and text cells are handled value by value.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
 configuration and the tool version.
 """
@@ -26,6 +29,7 @@ configuration and the tool version.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -57,7 +61,7 @@ from .entanglement import (
     nu_closed_form_three_mode_nonuniform,
     witness_stack,
 )
-from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk
+from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, PrecisionLoss
 from .spectral import (
     DEFAULT_RANK_TOL,
     DEFAULT_REGION_TOL,
@@ -118,6 +122,8 @@ class SweepAxis:
             start, stop, steps = float(cfg[0]), float(cfg[1]), int(cfg[2])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"axis {name!r} start/stop/steps must be numbers: {exc}") from exc
+        if isinstance(cfg[2], bool) or (isinstance(cfg[2], float) and steps != cfg[2]):
+            raise ConfigError(f"axis {name!r} steps must be a whole number, got {cfg[2]!r}")
         return cls(name, start, stop, steps)
 
 
@@ -132,22 +138,87 @@ def format_value(value) -> str:
     return str(value)
 
 
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _csv_text(text: str) -> str:
+    """One cell as ``csv.writer`` quotes it (excel dialect, ``\\n`` line ends)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cell_format(cls: type, text) -> tuple[str, object, bool]:
+    """A cell type's %-spec, its preprocessing (or None) and whether it is escaped text.
+
+    Mirrors ``format_value``: floats and ints go into the template as they
+    are, a bool becomes its lowercase name, and anything else becomes
+    ``text(str(value))``, escaped for the output format.
+    """
+    if issubclass(cls, (bool, np.bool_)):
+        return "%s", _BOOL_TEXT.__getitem__, False
+    if issubclass(cls, (float, np.floating)):
+        return "%.17g", None, False
+    if issubclass(cls, (int, np.integer)):
+        return "%d", None, False
+    return "%s", (text if cls is str else lambda value: text(str(value))), True
+
+
+def _row_template(types: tuple[type, ...], fmt: str, text) -> tuple[str, list]:
+    """The %-template of a row with these cell types, and its (index, preprocessing) pairs."""
+    cells = [_cell_format(cls, text) for cls in types]
+    fixes = [(i, fix) for i, (_, fix, _) in enumerate(cells) if fix is not None]
+    if fmt == "csv":
+        if len(cells) == 1 and cells[0][2]:
+            # csv quotes a row's only cell when it is empty
+            fixes = [(0, lambda value, fix=fixes[0][1]: fix(value) or '""')]
+        return ",".join(spec for spec, _, _ in cells) + "\n", fixes
+    if not cells:
+        return "  []", fixes
+    items = ",\n".join(f"   {spec}" if escaped else f'   "{spec}"' for spec, _, escaped in cells)
+    return f"  [\n{items}\n  ]", fixes
+
+
+def _formatted_rows(rows: Iterable[Sequence], fmt: str, text) -> Iterable[str]:
+    """Each row as text, through one %-template per distinct tuple of cell types."""
+    templates: dict = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        try:
+            template, fixes = templates[types]
+        except KeyError:
+            template, fixes = templates[types] = _row_template(types, fmt, text)
+        if fixes:
+            cells = list(row)
+            for i, fix in fixes:
+                cells[i] = fix(cells[i])
+            row = tuple(cells)
+        yield template % row
+
+
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> Path:
-    """Write a table as CSV or JSON with deterministic formatting."""
+    """Write a table as CSV or JSON with deterministic formatting.
+
+    Every cell reads as ``format_value`` writes it, quoted as ``csv.writer``
+    quotes it or laid out as ``json.dumps({"columns": header, "rows":
+    rows}, indent=1, sort_keys=True)`` lays it out.  A row is formatted by
+    one %-template, built once per distinct tuple of cell types, so only
+    bool and text cells pass through Python code one by one, and each
+    distinct text is escaped once.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([format_value(v) for v in row])
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.writelines(_formatted_rows(rows, fmt, functools.cache(_csv_text)))
     elif fmt == "json":
-        payload = {
-            "columns": list(header),
-            "rows": [[format_value(v) for v in row] for row in rows],
-        }
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        body = ",\n".join(_formatted_rows(rows, fmt, functools.cache(json.dumps)))
+        head = json.dumps({"columns": list(header), "rows": []}, indent=1, sort_keys=True)
+        with path.open("w") as fh:
+            # the head ends in '"rows": []\n}'; the rows go between the brackets
+            fh.writelines([head[:-4], "[\n", body, "\n ]\n}\n"] if body else [head, "\n"])
     else:
         raise ConfigError(f"output format must be csv or json, got {fmt!r}")
     return path
@@ -209,7 +280,14 @@ def _map_in_order(fn, tasks: list, threads: int) -> list:
 def _witness_chunk(args: tuple) -> tuple[list, np.ndarray | None, EpchainError | None]:
     state0, k, times, parts, keep_cm = args
     cms, error = evolve_grid(state0, k, times)
-    witnesses = [witness_stack(cms, part) for part in parts]
+    try:
+        witnesses = [witness_stack(cms, part) for part in parts]
+    except PrecisionLoss as exc:
+        # a refused cell comes before any cell evolve_grid stopped at; it is
+        # returned, not raised, so the first failing chunk decides at any
+        # thread count, and the chunk keeps no cell
+        cms, error = cms[:0], exc
+        witnesses = [(np.empty(0), np.empty(0)) for _ in parts]
     return witnesses, (cms if keep_cm else None), error
 
 
@@ -324,7 +402,7 @@ def entanglement_trajectory(
     times: Sequence[float],
     partitions: Sequence[str],
     include_cm: bool = False,
-) -> tuple[list[str], list[list], dict]:
+) -> tuple[list[str], list[Sequence], dict]:
     """nu_- and logarithmic negativity per time per partition.
 
     If the overflow guard trips at some time, remaining samples are dropped
@@ -353,7 +431,7 @@ def entanglement_trajectory(
         columns += [nu.tolist(), logneg.tolist()]
     if include_cm:
         columns += cms[:, upper[0], upper[1]].T.tolist()
-    rows: list[list] = [list(row) for row in zip(*columns)]
+    rows: list[Sequence] = list(zip(*columns))
     extras: dict = {}
     if isinstance(error, OverflowRisk):
         t = float(ts[len(rows)])
@@ -374,7 +452,7 @@ def fig2_grid(
     t_axis: SweepAxis | None = None,
     tol: float = DEFAULT_REGION_TOL,
     threads: int = 1,
-) -> tuple[list[str], list[list], dict]:
+) -> tuple[list[str], list[Sequence], dict]:
     """Two-mode witness map over hopping strength and time.
 
     Default grid: 301 hopping values on [0.5, 1.5] by 501 times on [0, 5],
@@ -394,11 +472,10 @@ def fig2_grid(
         raise error
     header = ["g", "t", "region", "nu_minus", "log_negativity"]
     n_times = len(times)
-    cells = zip(
+    rows = list(zip(
         np.repeat(g_values, n_times).tolist(), np.tile(times, len(g_values)).tolist(),
         np.repeat(regions, n_times).tolist(), nu.tolist(), logneg.tolist(),
-    )
-    rows = [list(cell) for cell in cells]
+    ))
     extras = {"eta": eta, "g_steps": g_axis.steps, "t_steps": t_axis.steps}
     try:
         extras["transitions"] = list(

@@ -25,6 +25,7 @@ from epchain import (
     bdg_stack,
     bkc_nu_minus,
     build_bdg_matrix,
+    chain_nu_minus,
     enhancement_ratio,
     entanglement_result,
     evolve,
@@ -43,6 +44,7 @@ from epchain.errors import (
     EpchainError,
     ImaginaryResidual,
     OverflowRisk,
+    PrecisionLoss,
 )
 from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_tables, fig4_grid
 
@@ -60,10 +62,11 @@ def scalar_cells(state0, generators, times, parts):
         for t in times:
             try:
                 state = evolve(state0, RealGenerator(k), float(t))
+                cell = [entanglement_result(state, part) for part in parts]
             except EpchainError as exc:
                 return cms, results, exc
             cms.append(state.cm)
-            results.append([entanglement_result(state, part) for part in parts])
+            results.append(cell)
     return cms, results, None
 
 
@@ -71,6 +74,13 @@ def assert_kernel_matches_scalar(state0, generators, times, parts):
     generators = np.asarray(generators, dtype=float)
     ref_cms, ref_results, ref_error = scalar_cells(state0, generators, times, parts)
     cms, error = evolve_grid(state0, generators, times)
+    try:
+        for part in parts:
+            witness_stack(cms, part)
+    except PrecisionLoss as exc:
+        # a refused cell ends the scalar loop before any later evolution error
+        assert type(ref_error) is PrecisionLoss and str(exc) == str(ref_error)
+        return cms, exc
     assert len(cms) == len(ref_cms), (error, ref_error)
     assert bits(cms) == bits(ref_cms)
     if ref_error is None:
@@ -180,6 +190,19 @@ class TestKernelFailures:
         )
         assert type(error) is ConfigError and 0 < len(cms) < len(times)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_precision_loss(self):
+        # at g = 0.5, J = 1, eta = 0 the smallest partial-transpose symplectic
+        # eigenvalue rounds to 0.0 by t = 20: refused before any log is taken
+        spec = ChainSpec.uniform(2, g=0.5, j=1.0)
+        k = quadrature_generator(build_bdg_matrix(spec)).data
+        _, error = assert_kernel_matches_scalar(
+            initial_state(2), [k], [5.0, 20.0, 25.0], [Bipartition.one_vs_rest(2)]
+        )
+        assert type(error) is PrecisionLoss
+        with pytest.raises(PrecisionLoss, match="not positive"):
+            chain_nu_minus(spec, 20.0)
+
 
 class TestSweepsThroughKernel:
     def test_entangle_truncation_matches_scalar(self):
@@ -215,6 +238,21 @@ class TestSweepsThroughKernel:
             with pytest.raises(OverflowRisk) as excinfo:
                 fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=threads)
             messages.append((str(excinfo.value), excinfo.value.exponent))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g_start, error_type", [(0.5, PrecisionLoss), (1.5, OverflowRisk)])
+    def test_pool_reports_first_refused_cell(self, monkeypatch, g_start, error_type):
+        # g = 0.5 loses the witness at t = 20, g = 1.5 trips the growth cap at
+        # t = 140: whichever generator comes first decides, at any thread count
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 5)
+        g_axis = SweepAxis("g", g_start, 2.0 - g_start, 2)
+        t_axis = SweepAxis("t", 0.0, 400.0, 21)
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(error_type) as excinfo:
+                fig2_grid(eta=0.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+            messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -134,6 +135,17 @@ class TestEntangleCommand:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lost_witness_exits_3(self, tmp_path, capsys):
+        # nu_- rounds to 0.0 at g = 0.5, eta = 0, t = 20: no log(0), no E_N = inf
+        cfg = write_json(tmp_path / "lost.json", {
+            "n": 2, "g": 0.5, "J": 1.0, "eta": 0.0, "times": [20.0],
+        })
+        out = tmp_path / "lost.csv"
+        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 3
+        assert "numeric failure: PrecisionLoss" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "o.json", {
             "n": 2, "eta": 5.0, "times": [0.0, 25.0, 50.0, 75.0, 100.0],
@@ -145,6 +157,26 @@ class TestEntangleCommand:
         assert "overflow" in capsys.readouterr().err.lower()
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["extras"]["truncated_at"] == 75.0
+
+
+@pytest.mark.parametrize("command, config", [
+    ("entangle", {"n": 2, "times": {"start": 0, "stop": 1, "steps": 2.5}}),
+    ("spectrum", {"n": 2, "sweep": {"axis": "g", "start": 0.5, "stop": 1.5, "steps": 2.5}}),
+    ("es-scan", {"g1": [0.5, 1.5, 2.5]}),
+])
+def test_fractional_steps_exit_2(tmp_path, capsys, command, config):
+    out = tmp_path / "frac.csv"
+    assert main([command, "--config", write_json(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 2
+    assert "steps must be a whole number, got 2.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_steps_accepted(tmp_path):
+    cfg = write_json(tmp_path / "c.json", {"n": 2, "times": {"start": 0, "stop": 1, "steps": 3.0}})
+    out = tmp_path / "whole.csv"
+    assert main(["entangle", "--config", cfg, "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 3
 
 
 class TestFigureCommands:
@@ -317,3 +349,54 @@ def test_float_formatting_17_digits(tmp_path):
     # e^{-2} printed at full precision round-trips exactly
     assert float(rows[0][1]) == pytest.approx(math.exp(-2.0), abs=1e-9)
     assert len(rows[0][1].split(".")[-1]) >= 15
+
+
+# sha256 of small outputs of every preset, recorded with the per-value writer
+# (one ``format_value`` call per cell, ``csv.writer`` and ``json.dumps``)
+# before the per-row template writer replaced it.  They pin the formatting,
+# quoting and JSON layout, and the numbers' bits on this numeric stack
+# (numpy 2.4, scipy 1.17 with OpenBLAS); re-record them only when the
+# numbers move on purpose.
+GOLDEN_SHA256 = {
+    "ent.json": "ad513755c1f1d2b64a9f8864d776317337adc0d8e5343a22c7ba231b75d0502a",
+    "fig2.csv": "63c2999c785f1d3d1210b76cc90eedaf736a243201f5d34196f8c26a85cecb88",
+    "fig3.csv": "a3a4f32f26e5d35f2141ef56b42fcc7230b7673bc0fe1aeecc3aa7468278e4dc",
+    "fig3_ratio.csv": "226cb8682ddd020de1d8ca300c3f8e5899562d48bf749c84f23073a0b9b8c5c5",
+    "fig4.csv": "804bb8b8166baa60f90f2e48028329cc5f8cf991e6e594b6e09cb1d042e65e24",
+    "fig4_arc.csv": "45f4b64873bfdfa00c00ec3ce21c9685f4bb6ff144af686c8206965574fc3163",
+    "trunc.csv": "ec37e86a23fbe86dfb65ddc4a54d8f1f7bd7fc5209c92b9ffc2994d0763f9b8a",
+    "trunc.json": "f9f42c9c189303546b2ff6a5323644652c1f77ce151aa8808837ed6ff5d1dac8",
+}
+
+
+def golden_outputs(tmp_path):
+    """Run the golden commands; return {output file name: sha256 of its bytes}."""
+    ent = write_json(tmp_path / "ent_cfg.json", {
+        "n": 3, "g": 1.0, "J": 1.0, "eta": 0.2, "phi": 0.7, "times": [0.0, 0.5, 1.5],
+        "partitions": ["1|23", "13|2"],
+    })
+    trunc = write_json(tmp_path / "trunc_cfg.json", {
+        "n": 10, "eta": 5.0, "times": [0.0, 1.0, 25.0, 50.0, 75.0],
+    })
+    cut = "1,2|3,4,5,6,7,8,9,10"
+    runs = [
+        ["fig2", "--g-steps", "3", "--t-steps", "4", "--threads", "1", "--out", "fig2.csv"],
+        ["fig4", "--g-steps", "3", "--arc-steps", "3", "--threads", "1", "--out", "fig4.csv"],
+        ["fig3", "--ns", "2,3", "--phi-steps", "3", "--fit-max-n", "5", "--out", "fig3.csv"],
+        ["entangle", "--config", ent, "--include-cm", "--format", "json", "--out", "ent.json"],
+        ["entangle", "--config", trunc, "--partition", cut, "--out", "trunc.csv"],
+        ["entangle", "--config", trunc, "--partition", cut, "--format", "json",
+         "--out", "trunc.json"],
+    ]
+    out_dir = tmp_path / "out"
+    for argv in runs:
+        argv[-1] = str(out_dir / argv[-1])
+        assert main(argv) == 0, argv
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir()) if not path.name.endswith(".manifest.json")
+    }
+
+
+def test_golden_output_bytes(tmp_path):
+    assert golden_outputs(tmp_path) == GOLDEN_SHA256

@@ -1,9 +1,13 @@
 """Sweep axes, writers, and the figure-grid helpers."""
 
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epchain import symplectic_eigenvalues
 from epchain.errors import ConfigError, UnsortedTimes
@@ -42,6 +46,14 @@ class TestSweepAxis:
         axis = SweepAxis.from_config("g1", [0.0, 2.0, 5])
         assert (axis.start, axis.stop, axis.steps) == (0.0, 2.0, 5)
 
+    @pytest.mark.parametrize("steps", [2.5, True, False])
+    def test_from_config_rejects_fractional_or_bool_steps(self, steps):
+        with pytest.raises(ConfigError, match="steps must be a whole number"):
+            SweepAxis.from_config("t", {"start": 0.0, "stop": 1.0, "steps": steps})
+
+    def test_from_config_integral_float_steps(self):
+        assert SweepAxis.from_config("t", [0.0, 1.0, 3.0]).steps == 3
+
     def test_from_config_mapping_missing_key(self):
         with pytest.raises(ConfigError):
             SweepAxis.from_config("g", {"start": 0.0, "steps": 5})
@@ -62,6 +74,72 @@ class TestFormatting:
     def test_write_rows_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             write_rows(tmp_path / "x.dat", ["a"], [[1.0]], fmt="xml")
+
+
+def reference_write_rows(path, header, rows, fmt):
+    """The per-value writer that write_rows replaced: one format_value call per cell."""
+    if fmt == "csv":
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([format_value(v) for v in row])
+    else:
+        payload = {"columns": list(header), "rows": [[format_value(v) for v in row] for row in rows]}
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+TEXT = st.text(st.sampled_from(list('ab ,"\r\n\t%\\') + ["\u00e9", "\u20ac", "\U0001f600"]))
+CELLS = {
+    "float": st.floats(allow_subnormal=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-308]),
+    "float32": st.floats(width=32).map(np.float32),
+    "float64": st.floats().map(np.float64),
+    "int": st.integers(),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "bool_": st.booleans().map(np.bool_),
+    "str": TEXT,
+}
+
+
+@st.composite
+def tables(draw):
+    """A header and rows; most rows repeat the column types, some mix them."""
+    width = draw(st.integers(0, 5))
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=width, max_size=width))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        mixed = draw(st.booleans())
+        row = [draw(CELLS[draw(st.sampled_from(sorted(CELLS)))] if mixed else CELLS[kind])
+               for kind in kinds]
+        rows.append(tuple(row) if draw(st.booleans()) else row)
+    return header, rows
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(table=tables())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_per_value_writer(self, tmp_path_factory, fmt, table):
+        header, rows = table
+        out = tmp_path_factory.mktemp("w")
+        write_rows(out / "new", header, rows, fmt)
+        reference_write_rows(out / "ref", header, rows, fmt)
+        assert (out / "new").read_bytes() == (out / "ref").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("header, rows", [
+        ([], []),
+        (["a,b", 'q"'], []),
+        (["only"], [[""], [" "], ['"']]),
+        (["x", "y"], [[], [1.5, "ok"], ("", "")]),
+    ], ids=["empty", "header-only", "one-cell", "ragged"])
+    def test_edge_tables(self, tmp_path, fmt, header, rows):
+        write_rows(tmp_path / "new", header, rows, fmt)
+        reference_write_rows(tmp_path / "ref", header, rows, fmt)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
 class TestSpectrumSweepErrors:
