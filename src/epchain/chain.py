@@ -13,8 +13,8 @@ This module validates parameter records, builds M, and converts it to the
 real generator K of the quadrature dynamics d/dt beta = K beta in the
 interleaved ordering beta = (X1, P1, ..., XN, PN).  ``bdg_stack`` and
 ``generator_stack`` build M and K for a whole stack of same-size chains at
-once; ``build_bdg_matrix`` and ``quadrature_generator`` are their one-slice
-case.
+once, and ``spec_bdg_stack`` feeds ``bdg_stack`` a sequence of specs;
+``build_bdg_matrix`` and ``quadrature_generator`` are their one-slice case.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import cmath
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "build_bdg_matrix",
     "quadrature_generator",
     "bdg_stack",
+    "spec_bdg_stack",
     "uniform_bdg_stack",
     "generator_stack",
     "chain_spec_to_config",
@@ -319,12 +320,17 @@ def uniform_bdg_stack(n_modes: int, g=0.0, j=0.0, eta=0.0, phi=0.0) -> np.ndarra
     return bdg_stack(np.repeat(hop[:, None], n - 1, axis=1), j[:, None], eta[:, None])
 
 
+def spec_bdg_stack(specs: Sequence[ChainSpec]) -> np.ndarray:
+    """``bdg_stack`` of a sequence of same-size chain specs, in order."""
+    return bdg_stack([s.hopping for s in specs], [s.pairing for s in specs], [s.sms for s in specs])
+
+
 def build_bdg_matrix(spec: ChainSpec) -> BdgMatrix:
     """Assemble the dynamical matrix of the chain's Heisenberg equations.
 
-    The one-chain case of :func:`bdg_stack`, which gives the entries.
+    The one-chain case of :func:`spec_bdg_stack`.
     """
-    return BdgMatrix(data=bdg_stack([spec.hopping], [spec.pairing], [spec.sms])[0])
+    return BdgMatrix(data=spec_bdg_stack([spec])[0])
 
 
 @dataclass(frozen=True)

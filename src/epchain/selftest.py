@@ -20,10 +20,12 @@ from scipy.optimize import linear_sum_assignment
 
 from .chain import (
     ChainSpec,
+    bdg_stack,
     build_bdg_matrix,
     particle_hole_residual,
     quadrature_generator,
     symplectic_form,
+    uniform_bdg_stack,
 )
 from .dynamics import evolve, initial_state, propagator
 from .entanglement import (
@@ -38,7 +40,7 @@ from .entanglement import (
     xi_from_nu,
 )
 from .errors import NoTransition
-from .spectral import Region, classify_region, detect_eps, eigenspectrum, locate_ep_1d
+from .spectral import Region, detect_eps, eigenspectrum, locate_ep_1d, spectrum_stack
 
 __all__ = ["CheckResult", "run_selftest", "SELFTEST_SEED"]
 
@@ -284,11 +286,8 @@ def run_selftest(
         worst_split = math.inf
     record("two_mode_ep_splitting", worst_split, 1e-6)
 
-    never_real = all(
-        classify_region(eigenspectrum(build_bdg_matrix(ChainSpec.uniform(3, g=g, j=1.0, eta=0.2))))
-        is not Region.PURELY_REAL
-        for g in np.linspace(0.0, 3.0, 61)
-    )
+    m = uniform_bdg_stack(3, g=np.linspace(0.0, 3.0, 61), j=1.0, eta=0.2)
+    never_real = Region.PURELY_REAL not in spectrum_stack(m)[1]
     results.append(
         CheckResult(
             name="odd_chain_never_purely_real",
@@ -297,13 +296,9 @@ def run_selftest(
         )
     )
 
-    worst_zero = 0.0
-    for _ in range(30):
-        g1, g2, j1, j2 = rng.uniform(0.1, 2.0, 4)
-        spec = ChainSpec(3, hopping=(complex(g1), complex(g2)), pairing=(j1, j2), sms=0)
-        vals = np.sort(np.abs(eigenspectrum(build_bdg_matrix(spec))))
-        worst_zero = max(worst_zero, float(vals[1]))
-    record("three_mode_permanent_zero_pair", worst_zero, 1e-9)
+    rates = rng.uniform(0.1, 2.0, (30, 4))  # g1, g2, J1, J2 per chain
+    vals = np.sort(np.abs(spectrum_stack(bdg_stack(rates[:, :2], rates[:, 2:], 0.0))[0]), axis=-1)
+    record("three_mode_permanent_zero_pair", float(vals[:, 1].max()), 1e-9)
 
     worst_count = 0
     for spec in specs:

@@ -3,30 +3,34 @@
 The dynamical matrix of a chain with squeezing interactions is non-Hermitian
 even though the underlying Hamiltonian is Hermitian.  Its 2N eigenvalues are
 closed under lambda -> -conj(lambda) and fall into three regimes: purely
-imaginary, purely real, or mixed.  Where eigenvalues and eigenvectors
-coalesce the matrix acquires nontrivial Jordan blocks; this module computes
-those block structures numerically (rank staircase of matrix powers with
-singular-value thresholding), groups eigenvalues into exceptional-point
-clusters, locates spectral transitions along 1-d parameter families, and
-scans the exceptional surface of three-mode chains.
+imaginary, purely real, or mixed.  ``spectrum_stack`` labels a whole stack
+of matrices with one eigensolve; ``spectrum_report`` is its one-slice case.
+Where eigenvalues and eigenvectors coalesce the matrix acquires nontrivial
+Jordan blocks; this module computes those block structures numerically
+(rank staircase of matrix powers with singular-value thresholding), groups
+eigenvalues into exceptional-point clusters, locates spectral transitions
+along 1-d parameter families, and scans the exceptional surface of
+three-mode chains.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .chain import BdgMatrix, ChainSpec, build_bdg_matrix
-from .errors import EigensolverFailure, NoTransition, RankAmbiguity
+from .chain import BdgMatrix, ChainSpec, build_bdg_matrix, spec_bdg_stack
+from .errors import ConfigError, EigensolverFailure, NoTransition, RankAmbiguity
 
 __all__ = [
     "Region",
     "SpectrumReport",
     "EpCluster",
     "EsPoint",
+    "spectrum_stack",
     "eigenspectrum",
     "classify_region",
     "spectrum_report",
@@ -47,6 +51,9 @@ class Region(enum.Enum):
     PURELY_IMAGINARY = "purely_imaginary"
     PURELY_REAL = "purely_real"
     MIXED = "mixed"
+
+
+_REGIONS = tuple(Region)  # region codes index this
 
 
 @dataclass(frozen=True)
@@ -86,57 +93,62 @@ class EpCluster:
         return len(self.jordan_blocks)
 
 
-def eigenspectrum(m: BdgMatrix) -> np.ndarray:
-    """Eigenvalues of the dynamical matrix, sorted by (real, imaginary) part."""
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _label_rows(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Region codes (indices into ``_REGIONS``) and on-real, on-imaginary masks of eigenvalue rows.
+
+    The rule is documented on ``spectrum_stack``.
+    """
+    threshold = np.maximum(tol * np.abs(values).max(axis=-1, initial=0.0), 1e-12)[:, None]
+    on_real = np.abs(values.imag) <= threshold
+    on_imag = np.abs(values.real) <= threshold
+    return np.where(on_imag.all(axis=-1), 0, np.where(on_real.all(axis=-1), 1, 2)), on_real, on_imag
+
+
+def spectrum_stack(m, tol: float = DEFAULT_REGION_TOL) -> tuple[np.ndarray, list[Region], np.ndarray]:
+    """Eigensolve and label a (P, 2N, 2N) stack of dynamical matrices.
+
+    An eigenvalue is on the real (imaginary) axis when its imaginary (real)
+    part is at most ``tol`` times the largest magnitude in its row, with an
+    absolute floor of 1e-12; a slice is purely imaginary (real) when all its
+    eigenvalues are.  Zero eigenvalues lie on both axes, so they never force
+    MIXED, and an all-zero spectrum is purely imaginary.
+
+    Returns the (P, 2N) eigenvalues, each row sorted by (real, imaginary)
+    part, the region of each slice, and its boundary flag: set when the
+    label at ``tol / 2`` or ``2 * tol`` differs from the label at ``tol``,
+    which flags slices sitting on a spectral transition.
+    """
+    _check_tol(tol)
     try:
-        values = np.linalg.eigvals(m.data)
+        values = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
+    values = np.take_along_axis(values, np.lexsort((values.imag, values.real), axis=-1), axis=-1)
+    codes, halved, doubled = (_label_rows(values, t)[0] for t in (tol, tol / 2, tol * 2))
+    return values, [_REGIONS[c] for c in codes.tolist()], (halved != codes) | (doubled != codes)
 
 
-def _region_threshold(eigenvalues: np.ndarray, tol: float) -> float:
-    scale = float(np.abs(eigenvalues).max()) if len(eigenvalues) else 0.0
-    return max(tol * scale, 1e-12)
-
-
-def _label(eigenvalues: np.ndarray, threshold: float) -> Region:
-    # Zero eigenvalues satisfy both conditions, so they never force MIXED;
-    # an all-zero spectrum is labelled purely imaginary.
-    if np.all(np.abs(eigenvalues.real) <= threshold):
-        return Region.PURELY_IMAGINARY
-    if np.all(np.abs(eigenvalues.imag) <= threshold):
-        return Region.PURELY_REAL
-    return Region.MIXED
+def eigenspectrum(m: BdgMatrix) -> np.ndarray:
+    """Eigenvalues of the dynamical matrix, sorted by (real, imaginary) part."""
+    return spectrum_stack(m.data[None])[0][0]
 
 
 def classify_region(eigenvalues: Sequence[complex], tol: float = DEFAULT_REGION_TOL) -> Region:
-    """Classify a spectrum as purely imaginary, purely real, or mixed.
-
-    The threshold is ``tol`` relative to the largest eigenvalue magnitude,
-    with an absolute floor of 1e-12.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    values = np.asarray(eigenvalues, dtype=complex)
-    return _label(values, _region_threshold(values, tol))
+    """Classify a spectrum as purely imaginary, purely real, or mixed (see ``spectrum_stack``)."""
+    _check_tol(tol)
+    codes, _, _ = _label_rows(np.asarray(eigenvalues, dtype=complex).reshape(1, -1), tol)
+    return _REGIONS[int(codes[0])]
 
 
 def spectrum_report(m: BdgMatrix, tol: float = DEFAULT_REGION_TOL) -> SpectrumReport:
     """Eigensolve plus region classification, with a boundary-stability flag."""
-    values = eigenspectrum(m)
-    region = _label(values, _region_threshold(values, tol))
-    boundary = (
-        _label(values, _region_threshold(values, tol / 2)) != region
-        or _label(values, _region_threshold(values, tol * 2)) != region
-    )
-    return SpectrumReport(
-        eigenvalues=tuple(values.tolist()),
-        region=region,
-        tolerance=tol,
-        boundary=boundary,
-    )
+    values, (region,), boundary = spectrum_stack(m.data[None], tol)
+    return SpectrumReport(tuple(values[0].tolist()), region, tol, bool(boundary[0]))
 
 
 def jordan_structure(m: BdgMatrix, center: complex, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
@@ -160,8 +172,7 @@ def jordan_structure(m: BdgMatrix, center: complex, tol: float = DEFAULT_RANK_TO
         in which case the rank (and hence the block structure) cannot be
         trusted at this tolerance.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     size = m.size
     shifted = m.data - complex(center) * np.eye(size)
     s1 = float(np.linalg.norm(shifted, 2))
@@ -268,20 +279,18 @@ def detect_eps(
     return tuple(clusters)
 
 
-def _signature(spec: ChainSpec, tol: float) -> tuple[Region, int, int]:
-    """Region label plus counts of real-axis and imaginary-axis eigenvalues.
+def _signatures(m: np.ndarray, tol: float) -> list[tuple[Region, int, int]]:
+    """Region label plus counts of real-axis and imaginary-axis eigenvalues, per slice.
 
     The counts change whenever an eigenvalue pair collides and leaves one of
     the axes, so they see transitions interior to the mixed region that the
     three-way label alone cannot.
     """
-    values = eigenspectrum(build_bdg_matrix(spec))
-    threshold = _region_threshold(values, tol)
-    on_real = np.abs(values.imag) <= threshold
-    on_imag = np.abs(values.real) <= threshold
-    n_real = int(np.sum(on_real & ~on_imag))
-    n_imag = int(np.sum(on_imag & ~on_real))
-    return _label(values, threshold), n_real, n_imag
+    values, regions, _ = spectrum_stack(m, tol)
+    _, on_real, on_imag = _label_rows(values, tol)
+    n_real = (on_real & ~on_imag).sum(axis=-1).tolist()
+    n_imag = (on_imag & ~on_real).sum(axis=-1).tolist()
+    return list(zip(regions, n_real, n_imag))
 
 
 def locate_ep_1d(
@@ -294,11 +303,11 @@ def locate_ep_1d(
 ) -> tuple[float, ...]:
     """Locate spectral transition points of a one-parameter chain family.
 
-    Scans ``grid_points`` values of the parameter on [lo, hi], computing for
-    each the spectral signature (region label, number of real-axis
-    eigenvalues, number of imaginary-axis eigenvalues), then bisects every
-    signature change down to an interval of width ``tol`` and returns the
-    sorted midpoints.  Results closer than twice ``tol`` are merged: a grid
+    Labels ``grid_points`` values of the parameter on [lo, hi] as one stack,
+    computing for each the spectral signature (region label, number of
+    real-axis eigenvalues, number of imaginary-axis eigenvalues), then
+    bisects every signature change down to an interval of width ``tol``
+    and returns the sorted midpoints.  Results closer than twice ``tol`` are merged: a grid
     point landing exactly on a transition produces a zero-width signature
     plateau whose two edges are the same physical point.
 
@@ -312,7 +321,7 @@ def locate_ep_1d(
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     grid = np.linspace(lo, hi, grid_points)
-    signatures = [_signature(family(float(x)), region_tol) for x in grid]
+    signatures = _signatures(spec_bdg_stack([family(float(x)) for x in grid]), region_tol)
     found: list[float] = []
     for a, b, sig_a, sig_b in zip(grid, grid[1:], signatures, signatures[1:]):
         if sig_a == sig_b:
@@ -321,7 +330,7 @@ def locate_ep_1d(
         left_sig = sig_a
         while right - left > tol:
             mid = 0.5 * (left + right)
-            mid_sig = _signature(family(mid), region_tol)
+            (mid_sig,) = _signatures(spec_bdg_stack([family(mid)]), region_tol)
             if mid_sig == left_sig:
                 left = mid
             else:
@@ -373,34 +382,31 @@ def scan_exceptional_surface(
     points, order-2 coalescences on the line g1 = J1, g2 = J2 are arc points.
     """
     points: list[EsPoint] = []
-    for g1 in g1_values:
-        for g2 in g2_values:
-            for j1 in j1_values:
-                for j2 in j2_values:
-                    residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
-                    on_surface = residual <= tol
-                    order = 0
-                    blocks: tuple[int, ...] = ()
-                    kind = ""
-                    if on_surface or detect_everywhere:
-                        spec = ChainSpec(
-                            n_modes=3, hopping=(complex(g1), complex(g2)),
-                            pairing=(float(j1), float(j2)), sms=0,
-                        )
-                        eps = detect_eps(build_bdg_matrix(spec), cluster_tol, rank_tol)
-                        if eps:
-                            best = max(eps, key=lambda c: c.order)
-                            order = best.order
-                            blocks = best.jordan_blocks
-                    if order >= 3:
-                        kind = "ep3_surface"
-                    elif order == 2 and abs(g1 - j1) <= tol and abs(g2 - j2) <= tol:
-                        kind = "ep2_arc"
-                    points.append(
-                        EsPoint(
-                            g1=float(g1), g2=float(g2), j1=float(j1), j2=float(j2),
-                            residual=float(residual), on_surface=bool(on_surface),
-                            ep_order=order, block_sizes=blocks, kind=kind,
-                        )
-                    )
+    for g1, g2, j1, j2 in itertools.product(g1_values, g2_values, j1_values, j2_values):
+        residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
+        on_surface = residual <= tol
+        order = 0
+        blocks: tuple[int, ...] = ()
+        kind = ""
+        if on_surface or detect_everywhere:
+            spec = ChainSpec(
+                n_modes=3, hopping=(complex(g1), complex(g2)),
+                pairing=(float(j1), float(j2)), sms=0,
+            )
+            eps = detect_eps(build_bdg_matrix(spec), cluster_tol, rank_tol)
+            if eps:
+                best = max(eps, key=lambda c: c.order)
+                order = best.order
+                blocks = best.jordan_blocks
+        if order >= 3:
+            kind = "ep3_surface"
+        elif order == 2 and abs(g1 - j1) <= tol and abs(g2 - j2) <= tol:
+            kind = "ep2_arc"
+        points.append(
+            EsPoint(
+                g1=float(g1), g2=float(g2), j1=float(j1), j2=float(j2),
+                residual=float(residual), on_surface=bool(on_surface),
+                ep_order=order, block_sizes=blocks, kind=kind,
+            )
+        )
     return points

@@ -1,9 +1,11 @@
 """Experiment sweeps and machine-readable output writers.
 
 Every bundled experiment reduces to evaluating the chain pipeline over a
-parameter grid and emitting rows.  fig2 and fig4 build the matrices of all
-their chains as one stack (``bdg_stack`` or ``uniform_bdg_stack``, then
-``generator_stack``), and the numeric witness presets (fig2, fig4 and its
+parameter grid and emitting rows.  fig2, fig4 and spectrum sweeps build the
+matrices of all their chains as one stack (``bdg_stack``,
+``uniform_bdg_stack`` or ``spec_bdg_stack``) and label it with one
+``spectrum_stack`` call; fig2 and fig4 turn it into generators with
+``generator_stack``, and the numeric witness presets (fig2, fig4 and its
 arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
 ``witness_stack`` evaluates nu_- and E_N per cut.  Both do the scalar
@@ -11,9 +13,10 @@ pipeline's arithmetic, so every value equals what ``evolve`` and
 ``entanglement_result`` give for that cell bit for bit, and a failing check
 raises the error the scalar loop would raise first.  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
-stays flat on large grids; with ``threads > 1`` the chunks are mapped over
-a pool of spawned processes (a script calling these functions with
-``threads > 1`` needs an ``if __name__ == "__main__"`` guard).  fig3 needs
+stays flat on large grids, and stops at the first chunk with an error;
+with ``threads > 1`` the chunks are mapped over a pool of spawned processes
+(a script calling these functions with ``threads > 1`` needs an
+``if __name__ == "__main__"`` guard).  fig3 needs
 no kernel: at g = J its witness is the exact coalescence-point series
 ``nu_closed_form_bkc_ep``.  Rows are
 assembled strictly by grid index and written with a pinned float format of
@@ -28,6 +31,7 @@ configuration and the tool version.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -37,7 +41,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
@@ -50,6 +54,7 @@ from .chain import (
     build_chain_spec,
     generator_stack,
     quadrature_generator,
+    spec_bdg_stack,
     uniform_bdg_stack,
 )
 from .dynamics import GaussianState, _sample_times, evolve_grid, initial_state
@@ -68,7 +73,7 @@ from .spectral import (
     detect_eps,
     locate_ep_1d,
     scan_exceptional_surface,
-    spectrum_report,
+    spectrum_stack,
 )
 
 __all__ = [
@@ -252,8 +257,11 @@ _CHUNK_ENTRIES = 1 << 15
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _map_in_order(fn, tasks: list, threads: int) -> list:
-    """``[fn(task) for task in tasks]``, over a process pool when threads > 1.
+def _map_in_order(fn, tasks: list, threads: int) -> Iterator:
+    """``map(fn, tasks)``, lazily and in order, over a process pool when threads > 1.
+
+    Closing the iterator early leaves the tasks not yet reached undone: in
+    process they are never run, and the pool is terminated.
 
     Workers are spawned with one BLAS thread each: the kernel's matrices are
     small, and BLAS threads on top of the workers oversubscribe the cores.
@@ -262,7 +270,8 @@ def _map_in_order(fn, tasks: list, threads: int) -> list:
     """
     workers = min(threads, len(tasks))
     if workers <= 1:
-        return [fn(task) for task in tasks]
+        yield from map(fn, tasks)
+        return
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
     try:
@@ -274,7 +283,7 @@ def _map_in_order(fn, tasks: list, threads: int) -> list:
             else:
                 os.environ[name] = value
     with pool:
-        return pool.map(fn, tasks, chunksize=1)
+        yield from pool.imap(fn, tasks)
 
 
 def _witness_chunk(args: tuple) -> tuple[list, np.ndarray | None, EpchainError | None]:
@@ -314,11 +323,12 @@ def _witness_map(
         blocks = [(k[g : g + step], times) for g in range(0, len(k), step)]
     tasks = [(state0, kb, tb, tuple(parts), keep_cm) for kb, tb in blocks]
     witnesses, cms, error = [], [], None
-    for chunk_witnesses, chunk_cms, error in _map_in_order(_witness_chunk, tasks, threads):
-        witnesses.append(chunk_witnesses)
-        cms.append(chunk_cms)
-        if error is not None:
-            break
+    with contextlib.closing(_map_in_order(_witness_chunk, tasks, threads)) as chunks:
+        for chunk_witnesses, chunk_cms, error in chunks:
+            witnesses.append(chunk_witnesses)
+            cms.append(chunk_cms)
+            if error is not None:
+                break
     per_cut = [
         tuple(np.concatenate([chunk[p][i] for chunk in witnesses]) for i in (0, 1))
         for p in range(len(parts))
@@ -329,10 +339,12 @@ def _witness_map(
 # ---------------------------------------------------------------------------
 # spectrum and trajectory commands
 
-def _apply_axis(chain: dict, axis_name: str, value: float) -> dict:
-    cfg = dict(chain)
-    cfg[axis_name] = value
-    return cfg
+def _transitions(family, axis: SweepAxis, tol: float) -> list[float]:
+    """The located spectral transitions of a family over the axis range; [] if none."""
+    try:
+        return list(locate_ep_1d(family, float(axis.start), float(axis.stop), region_tol=tol))
+    except NoTransition:
+        return []
 
 
 def spectrum_sweep(
@@ -347,53 +359,40 @@ def spectrum_sweep(
     Returns (header, rows, extras); extras carries the located transition
     points of the swept family and any detected exceptional points.
     """
-    base_spec = build_chain_spec(chain)
-    size = 2 * base_spec.n_modes
+    specs = [build_chain_spec(chain)]
     header = ["index", "region", "boundary"]
+    lead = [[0]]
     if axis is not None:
         if axis.name not in ("g", "J", "eta", "phi"):
             raise ConfigError(f"spectrum sweeps support uniform axes g/J/eta/phi, not {axis.name!r}")
         header = ["index", axis.name, "region", "boundary"]
+        family = lambda v: build_chain_spec({**chain, axis.name: v})
+        lead = [[idx, value] for idx, value in enumerate(axis.values().tolist())]
+        specs = [family(value) for _, value in lead]
+    size = 2 * specs[0].n_modes
     header += [f"re_{i+1}" for i in range(size)] + [f"im_{i+1}" for i in range(size)]
 
-    rows: list[list] = []
+    m = spec_bdg_stack(specs)
+    values, regions, boundary = spectrum_stack(m, tol)
+    rows = [
+        key + [region.value, flag] + re + im
+        for key, region, flag, re, im in zip(
+            lead, regions, boundary.tolist(), values.real.tolist(), values.imag.tolist())
+    ]
     extras: dict = {}
-    points = axis.values() if axis is not None else [None]
-    ep_rows = []
-    for idx, value in enumerate(points):
-        cfg = chain if value is None else _apply_axis(chain, axis.name, float(value))
-        m = build_bdg_matrix(build_chain_spec(cfg))
-        report = spectrum_report(m, tol)
-        row: list = [idx]
-        if value is not None:
-            row.append(float(value))
-        row += [report.region.value, report.boundary]
-        row += [v.real for v in report.eigenvalues]
-        row += [v.imag for v in report.eigenvalues]
-        rows.append(row)
-        if detect:
-            for cluster in detect_eps(m, rank_tol=rank_tol):
-                ep_rows.append(
-                    {
-                        "index": idx,
-                        "center": [cluster.center.real, cluster.center.imag],
-                        "multiplicity": cluster.algebraic_multiplicity,
-                        "blocks": list(cluster.jordan_blocks),
-                    }
-                )
     if detect:
-        extras["exceptional_points"] = ep_rows
+        extras["exceptional_points"] = [
+            {
+                "index": idx,
+                "center": [cluster.center.real, cluster.center.imag],
+                "multiplicity": cluster.algebraic_multiplicity,
+                "blocks": list(cluster.jordan_blocks),
+            }
+            for idx, cell in enumerate(m)
+            for cluster in detect_eps(BdgMatrix(cell), rank_tol=rank_tol)
+        ]
     if axis is not None and axis.steps > 1:
-        try:
-            transitions = locate_ep_1d(
-                lambda v: build_chain_spec(_apply_axis(chain, axis.name, v)),
-                float(axis.start),
-                float(axis.stop),
-                region_tol=tol,
-            )
-            extras["transitions"] = list(transitions)
-        except NoTransition:
-            extras["transitions"] = []
+        extras["transitions"] = _transitions(family, axis, tol)
     return header, rows, extras
 
 
@@ -463,7 +462,7 @@ def fig2_grid(
     g_values = g_axis.values().tolist()
     times = t_axis.values()
     m = uniform_bdg_stack(2, g=g_values, j=1.0, eta=eta)
-    regions = [spectrum_report(BdgMatrix(mg), tol).region.value for mg in m]
+    regions = [region.value for region in spectrum_stack(m, tol)[1]]
     k = generator_stack(m)
     [(nu, logneg)], _, error = _witness_map(
         initial_state(2), k, times, [Bipartition.one_vs_rest(2)], threads
@@ -476,18 +475,9 @@ def fig2_grid(
         np.repeat(g_values, n_times).tolist(), np.tile(times, len(g_values)).tolist(),
         np.repeat(regions, n_times).tolist(), nu.tolist(), logneg.tolist(),
     ))
-    extras = {"eta": eta, "g_steps": g_axis.steps, "t_steps": t_axis.steps}
-    try:
-        extras["transitions"] = list(
-            locate_ep_1d(
-                lambda g: ChainSpec.uniform(2, g=g, j=1.0, eta=eta),
-                float(g_axis.start),
-                float(g_axis.stop),
-                region_tol=tol,
-            )
-        )
-    except NoTransition:
-        extras["transitions"] = []
+    extras = {"eta": eta, "g_steps": g_axis.steps, "t_steps": t_axis.steps,
+              "transitions": _transitions(lambda g: ChainSpec.uniform(2, g=g, j=1.0, eta=eta),
+                                          g_axis, tol)}
     return header, rows, extras
 
 
@@ -572,6 +562,7 @@ def fig4_grid(
     g2_axis = g2_axis or SweepAxis("g2", 0.0, 2.0, 81)
     points = [(g1, g2) for g1 in g1_axis.values().tolist() for g2 in g2_axis.values().tolist()]
     m = bdg_stack(points, float(j), 0.0)
+    _, regions, _ = spectrum_stack(m, tol)
     varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps).tolist()
     arc_hopping = [_surface_hopping(varphi, j) for varphi in varphis]
     arc_m = bdg_stack(np.array(arc_hopping, dtype=complex).reshape(-1, 2), float(j), 0.0)
@@ -583,10 +574,8 @@ def fig4_grid(
     if error is not None:
         raise error
     nu = nu.tolist()
-    grid_rows = [
-        [g1, g2, spectrum_report(BdgMatrix(cell), tol).region.value, value]
-        for (g1, g2), cell, value in zip(points, m, nu)
-    ]
+    grid_rows = [[g1, g2, region.value, value]
+                 for (g1, g2), region, value in zip(points, regions, nu)]
     grid = (["g1", "g2", "region", "nu_minus_13|2"], grid_rows)
     arc_rows = [
         [varphi, g1, g2, value, nu_closed_form_three_mode_nonuniform(varphi, j, t)]

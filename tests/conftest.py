@@ -31,3 +31,11 @@ def chain_specs(draw, max_n=6, min_n=1):
     pairing = tuple(draw(positive) for _ in range(n - 1))
     sms = tuple(complex(draw(rate)) for _ in range(n))
     return ChainSpec(n_modes=n, hopping=hopping, pairing=pairing, sms=sms)
+
+
+@st.composite
+def spec_stacks(draw):
+    """Stacks of 1 to 4 random chain specifications of one size."""
+    spec = draw(chain_specs())
+    n = spec.n_modes
+    return [spec] + draw(st.lists(chain_specs(min_n=n, max_n=n), max_size=3))

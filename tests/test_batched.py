@@ -48,7 +48,7 @@ from epchain.errors import (
 )
 from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_tables, fig4_grid
 
-from conftest import chain_specs
+from conftest import chain_specs, spec_stacks
 
 
 def bits(values) -> list[int]:
@@ -240,6 +240,23 @@ class TestSweepsThroughKernel:
             messages.append((str(excinfo.value), excinfo.value.exponent))
         assert messages[0] == messages[1]
 
+    def test_map_stops_at_first_failing_chunk(self, monkeypatch):
+        # 5-cell chunks, 30 of them: g = 1.5 trips the growth cap at t = 140,
+        # in the second chunk, and no later chunk may be evaluated
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 5)
+        calls = []
+        evolve_grid = sweeps.evolve_grid
+        monkeypatch.setattr(sweeps, "evolve_grid", lambda *args: calls.append(1) or evolve_grid(*args))
+        g_axis, t_axis = SweepAxis("g", 1.5, 0.5, 6), SweepAxis("t", 0.0, 400.0, 21)
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(OverflowRisk) as excinfo:
+                fig2_grid(eta=0.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+            errors.append((type(excinfo.value), str(excinfo.value)))
+            if threads == 1:
+                assert len(calls) <= 2
+        assert errors[0] == errors[1]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("g_start, error_type", [(0.5, PrecisionLoss), (1.5, OverflowRisk)])
     def test_pool_reports_first_refused_cell(self, monkeypatch, g_start, error_type):
@@ -280,13 +297,6 @@ def reference_generator(m):
     for j in range(n):
         perm[2 * j, j] = perm[2 * j + 1, n + j] = 1.0
     return perm @ (-1j * (u @ m @ u_inv)).real @ perm.T
-
-
-@st.composite
-def spec_stacks(draw):
-    spec = draw(chain_specs())
-    n = spec.n_modes
-    return [spec] + draw(st.lists(chain_specs(min_n=n, max_n=n), max_size=3))
 
 
 class TestStackedBuilder:

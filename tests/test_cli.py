@@ -66,6 +66,19 @@ class TestSpectrumCommand:
     def test_missing_config_exits_2(self):
         assert main(["spectrum"]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command", ["spectrum", "fig2", "fig4"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol):
+        argv = [command, f"--tol={tol}", "--out", str(tmp_path / "x.csv")]
+        if command == "spectrum":
+            cfg = write_json(tmp_path / "c.json", {"n": 2, "g": 1.0, "J": 1.0})
+            argv += ["--config", cfg, "--detect-eps"]
+        else:
+            argv += ["--g-steps", "3", "--threads", "1"]
+        assert main(argv) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rank_ambiguity_exits_3(self, tmp_path, capsys):
         # a huge rank tolerance lands singular values inside the undecidable
         # window, which must surface as a numeric failure
@@ -353,7 +366,9 @@ def test_float_formatting_17_digits(tmp_path):
 
 # sha256 of small outputs of every preset, recorded with the per-value writer
 # (one ``format_value`` call per cell, ``csv.writer`` and ``json.dumps``)
-# before the per-row template writer replaced it.  They pin the formatting,
+# before the per-row template writer replaced it; the two ``spec.`` entries
+# were recorded with the per-slice labeller (one ``eigvals`` per point)
+# before the stacked ``spectrum_stack`` replaced it.  They pin the formatting,
 # quoting and JSON layout, and the numbers' bits on this numeric stack
 # (numpy 2.4, scipy 1.17 with OpenBLAS); re-record them only when the
 # numbers move on purpose.
@@ -364,6 +379,8 @@ GOLDEN_SHA256 = {
     "fig3_ratio.csv": "226cb8682ddd020de1d8ca300c3f8e5899562d48bf749c84f23073a0b9b8c5c5",
     "fig4.csv": "804bb8b8166baa60f90f2e48028329cc5f8cf991e6e594b6e09cb1d042e65e24",
     "fig4_arc.csv": "45f4b64873bfdfa00c00ec3ce21c9685f4bb6ff144af686c8206965574fc3163",
+    "spec.csv": "67865819b65e0efaf37f9c3cb963682b3362b27b0732479eb270bb5a3506ddb2",
+    "spec.csv.manifest.json": "aad49ccfb5fefd4df80566d0af184f0e1e8a9379479b982b5a2cb3f160f5b52a",
     "trunc.csv": "ec37e86a23fbe86dfb65ddc4a54d8f1f7bd7fc5209c92b9ffc2994d0763f9b8a",
     "trunc.json": "f9f42c9c189303546b2ff6a5323644652c1f77ce151aa8808837ed6ff5d1dac8",
 }
@@ -378,8 +395,15 @@ def golden_outputs(tmp_path):
     trunc = write_json(tmp_path / "trunc_cfg.json", {
         "n": 10, "eta": 5.0, "times": [0.0, 1.0, 25.0, 50.0, 75.0],
     })
+    # a g-sweep through the order-3 EP at g = J, phi = pi/2; its manifest
+    # pins the located transitions and the detected clusters
+    spec = write_json(tmp_path / "spec_cfg.json", {
+        "n": 3, "g": 1.0, "J": 1.0, "eta": 0.2, "phi": math.pi / 2,
+        "sweep": {"axis": "g", "start": 0.5, "stop": 1.5, "steps": 5},
+    })
     cut = "1,2|3,4,5,6,7,8,9,10"
     runs = [
+        ["spectrum", "--config", spec, "--detect-eps", "--out", "spec.csv"],
         ["fig2", "--g-steps", "3", "--t-steps", "4", "--threads", "1", "--out", "fig2.csv"],
         ["fig4", "--g-steps", "3", "--arc-steps", "3", "--threads", "1", "--out", "fig4.csv"],
         ["fig3", "--ns", "2,3", "--phi-steps", "3", "--fit-max-n", "5", "--out", "fig3.csv"],
@@ -394,7 +418,8 @@ def golden_outputs(tmp_path):
         assert main(argv) == 0, argv
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out_dir.iterdir()) if not path.name.endswith(".manifest.json")
+        for path in sorted(out_dir.iterdir())
+        if path.name.startswith("spec.") or not path.name.endswith(".manifest.json")
     }
 
 

@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epchain import (
     BdgMatrix,
@@ -17,14 +19,128 @@ from epchain import (
     locate_ep_1d,
     scan_exceptional_surface,
     spectrum_report,
+    spectrum_stack,
 )
-from epchain.errors import NoTransition, RankAmbiguity
+from epchain.chain import spec_bdg_stack
+from epchain.errors import ConfigError, NoTransition, RankAmbiguity
+from epchain.spectral import DEFAULT_REGION_TOL
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, spec_stacks
 
 
 def two_mode(g, j=1.0, eta=0.0):
     return build_bdg_matrix(ChainSpec.uniform(2, g=g, j=j, eta=eta))
+
+
+# The per-slice labeller that ``spectrum_stack`` replaced, kept as the
+# reference it must match bit for bit: one ``eigvals`` per matrix, a lexsort
+# by (real, imag), and the scalar threshold and three-way label.
+
+def reference_eigenspectrum(m):
+    values = np.linalg.eigvals(m)
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def reference_region_threshold(eigenvalues, tol):
+    scale = float(np.abs(eigenvalues).max()) if len(eigenvalues) else 0.0
+    return max(tol * scale, 1e-12)
+
+
+def reference_label(eigenvalues, threshold):
+    if np.all(np.abs(eigenvalues.real) <= threshold):
+        return Region.PURELY_IMAGINARY
+    if np.all(np.abs(eigenvalues.imag) <= threshold):
+        return Region.PURELY_REAL
+    return Region.MIXED
+
+
+def reference_report(m, tol):
+    values = reference_eigenspectrum(m)
+    region = reference_label(values, reference_region_threshold(values, tol))
+    boundary = (
+        reference_label(values, reference_region_threshold(values, tol / 2)) != region
+        or reference_label(values, reference_region_threshold(values, tol * 2)) != region
+    )
+    return values, region, boundary
+
+
+def reference_signature(spec, tol):
+    values = reference_eigenspectrum(build_bdg_matrix(spec).data)
+    threshold = reference_region_threshold(values, tol)
+    on_real = np.abs(values.imag) <= threshold
+    on_imag = np.abs(values.real) <= threshold
+    n_real = int(np.sum(on_real & ~on_imag))
+    n_imag = int(np.sum(on_imag & ~on_real))
+    return reference_label(values, threshold), n_real, n_imag
+
+
+def reference_locate(family, lo, hi, tol=1e-6, grid_points=129, region_tol=DEFAULT_REGION_TOL):
+    """The scan of ``locate_ep_1d`` with one scalar signature per grid point."""
+    grid = np.linspace(lo, hi, grid_points)
+    signatures = [reference_signature(family(float(x)), region_tol) for x in grid]
+    found = []
+    for a, b, sig_a, sig_b in zip(grid, grid[1:], signatures, signatures[1:]):
+        if sig_a == sig_b:
+            continue
+        left, right = float(a), float(b)
+        while right - left > tol:
+            mid = 0.5 * (left + right)
+            if reference_signature(family(mid), region_tol) == sig_a:
+                left = mid
+            else:
+                right = mid
+        found.append(0.5 * (left + right))
+    if not found:
+        raise NoTransition("no transition")
+    found.sort()
+    merged = []
+    for x in found:
+        if merged and x - merged[-1][-1] <= 2 * tol:
+            merged[-1].append(x)
+        else:
+            merged.append([x])
+    return tuple(float(np.mean(group)) for group in merged)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except NoTransition:
+        return NoTransition
+
+
+class TestSpectrumStack:
+    @given(spec_stacks(), st.sampled_from([DEFAULT_REGION_TOL, 1e-6, 1e-3]))
+    @settings(max_examples=150, deadline=None)
+    @example([ChainSpec.uniform(3, g=1.0, j=1.0, phi=np.pi / 2)], DEFAULT_REGION_TOL)
+    @example([ChainSpec.uniform(8, g=1.0, j=1.0, phi=np.pi / 2)], DEFAULT_REGION_TOL)
+    @example([ChainSpec(n_modes=1), ChainSpec(n_modes=1, sms=0.7)], DEFAULT_REGION_TOL)
+    @example([ChainSpec.uniform(2, g=1.59, j=1.0, eta=0.2)], DEFAULT_REGION_TOL)
+    def test_bit_equal_to_per_slice_reference(self, specs, tol):
+        values, regions, boundary = spectrum_stack(spec_bdg_stack(specs), tol)
+        assert values.shape == (len(specs), 2 * specs[0].n_modes)
+        assert len(regions) == len(boundary) == len(specs)
+        for spec, row, region, flag in zip(specs, values, regions, boundary):
+            ref_values, ref_region, ref_boundary = reference_report(build_bdg_matrix(spec).data, tol)
+            assert row.tobytes() == ref_values.tobytes()
+            assert region is ref_region
+            assert bool(flag) == ref_boundary
+
+    def test_one_slice_cases(self):
+        m = two_mode(1.19, eta=0.2)
+        values, (region,), (flag,) = spectrum_stack(m.data[None])
+        report = spectrum_report(m)
+        assert report.eigenvalues == tuple(values[0].tolist())
+        assert (report.region, report.boundary) == (region, flag) == (Region.MIXED, False)
+        assert eigenspectrum(m).tobytes() == values[0].tobytes()
+        assert classify_region(values[0]) is region
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_is_checked(self, tol):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            spectrum_stack(two_mode(1.0).data[None], tol)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            jordan_structure(two_mode(1.0), 0.0, tol)
 
 
 class TestEigenspectrum:
@@ -199,6 +315,18 @@ class TestLocateEp1d:
         with pytest.raises(ValueError):
             locate_ep_1d(lambda g: ChainSpec.uniform(2, g=g, j=1.0), 1.0, 1.0)
 
+    def test_fig2_family_equals_scalar_scan(self):
+        family = lambda g: ChainSpec.uniform(2, g=g, j=1.0, eta=0.2)
+        for lo, hi in ((0.5, 1.5), (0.5 + 1 / 64, 1.5 + 1 / 64)):
+            assert locate_ep_1d(family, lo, hi) == reference_locate(family, lo, hi)
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("phi", [0.0, np.pi / 2])
+    def test_ep_scan_families_equal_scalar_scan(self, n, phi):
+        family = lambda g: ChainSpec.uniform(n, g=g, j=1.0, phi=phi)
+        for lo, hi in ((0.5, 1.5), (0.52, 1.48)):
+            assert outcome(locate_ep_1d, family, lo, hi) == outcome(reference_locate, family, lo, hi)
+
 
 class TestOddChains:
     def test_never_purely_real(self):
@@ -248,6 +376,12 @@ class TestExceptionalSurface:
         for point in points:
             if not point.on_surface:
                 assert point.ep_order < 2
+
+    def test_generator_axes_keep_every_point(self):
+        axes = ([1.0, 1.1], (x for x in [1.0, 0.9]), [1.0], iter([1.0]))
+        points = scan_exceptional_surface(*axes, tol=1e-9)
+        assert [(p.g1, p.g2) for p in points] == [(1.0, 1.0), (1.0, 0.9), (1.1, 1.0), (1.1, 0.9)]
+        assert points == scan_exceptional_surface([1.0, 1.1], [1.0, 0.9], [1.0], [1.0], tol=1e-9)
 
     def test_generic_surface_points_are_order_three(self):
         for theta in (np.pi / 8, np.pi / 5):
