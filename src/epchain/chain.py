@@ -322,6 +322,11 @@ def uniform_bdg_stack(n_modes: int, g=0.0, j=0.0, eta=0.0, phi=0.0) -> np.ndarra
 
 def spec_bdg_stack(specs: Sequence[ChainSpec]) -> np.ndarray:
     """``bdg_stack`` of a sequence of same-size chain specs, in order."""
+    for spec in specs[1:]:
+        if spec.n_modes != specs[0].n_modes:
+            raise ConfigError(
+                f"chain specs must share one size, got N={specs[0].n_modes} and N={spec.n_modes}"
+            )
     return bdg_stack([s.hopping for s in specs], [s.pairing for s in specs], [s.sms for s in specs])
 
 

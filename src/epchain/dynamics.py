@@ -7,8 +7,9 @@ covariances as sigma(t) = S sigma S^T with the symplectic propagator
 S = exp(K t).  The exponential is always taken from t = 0 rather than by
 step chaining, so results stay exact at exceptional points (where S is
 polynomial times exponential in t) and no error accumulates in regimes of
-exponential growth.  ``evolve`` is the scalar reference; ``evolve_grid`` runs
-the same arithmetic and checks on a whole stack of (generator, time) cells.
+exponential growth.  ``evolve_grid`` transports a whole stack of
+(generator, time) cells; ``propagator``, ``evolve`` and ``evolve_trajectory``
+are its one-generator case, and ``GaussianState`` shares its bona fide check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     ConfigError,
     EpchainError,
     NegativeOccupancy,
+    NonFiniteParameter,
     OverflowRisk,
     UnsortedTimes,
 )
@@ -49,22 +51,28 @@ _BONA_FIDE_RTOL = 1e-8
 _SYMPLECTIC_RTOL = 1e-10
 
 
-# the errors of the checks, shared by the scalar path and evolve_grid
-def _overflow_risk(t: float, exponent: float) -> OverflowRisk:
-    return OverflowRisk(
-        f"propagation to t={t} has growth exponent {exponent:.1f} "
-        f"(cap {GROWTH_CAP:.0f}); entries would overflow double precision",
-        exponent=exponent,
-    )
+def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
+    """The stack m exactly symmetrized, once it is finite and symmetric to 1e-12 relative."""
+    norm = np.abs(m).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(norm).all():
+        raise NonFiniteParameter(f"{name} has a NaN or infinite entry")
+    asym = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(asym > _SYMMETRY_RTOL * np.maximum(1.0, norm))
+    if bad.size:
+        raise AsymmetricInput(f"{name} asymmetry {asym[bad[0]]:.3e} exceeds tolerance")
+    return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def _lost_symplecticity(residual: float, t: float) -> EpchainError:
-    return EpchainError(f"propagator lost symplecticity: residual {residual:.3e} at t={t}")
-
-
-def _not_bona_fide(lowest: float) -> ConfigError:
-    return ConfigError(
-        f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest:.3e}"
+def _bona_fide_count(cm: np.ndarray) -> tuple[int, ConfigError | None]:
+    """The count of leading bona fide matrices of the stack cm and the next one's error."""
+    norm = np.abs(cm).max(axis=(1, 2), initial=0.0)
+    lowest = np.linalg.eigvalsh(cm + 1j * symplectic_form(cm.shape[1] // 2)).min(axis=1)
+    failed = np.flatnonzero(lowest < -np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm))
+    if not failed.size:
+        return len(cm), None
+    stop = int(failed[0])
+    return stop, ConfigError(
+        f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest[stop]:.3e}"
     )
 
 
@@ -72,9 +80,9 @@ def _not_bona_fide(lowest: float) -> ConfigError:
 class GaussianState:
     """Covariance matrix of a zero-mean N-mode Gaussian state.
 
-    The matrix must be symmetric (to 1e-12 relative) and bona fide, meaning
-    sigma + i Omega is positive semidefinite up to numerical slack.  Both are
-    checked at construction; the stored matrix is exactly symmetrized.
+    The matrix must be finite, symmetric (to 1e-12 relative) and bona fide,
+    meaning sigma + i Omega is positive semidefinite up to numerical slack.
+    All are checked at construction; the stored matrix is exactly symmetrized.
     """
 
     n_modes: int
@@ -85,18 +93,11 @@ class GaussianState:
         n = self.n_modes
         if cm.shape != (2 * n, 2 * n):
             raise ConfigError(f"covariance matrix must be {2*n}x{2*n}, got {cm.shape}")
-        norm = float(np.abs(cm).max())
-        asym = float(np.abs(cm - cm.T).max())
-        if asym > _SYMMETRY_RTOL * max(norm, 1.0):
-            raise AsymmetricInput(
-                f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
-            )
-        cm = 0.5 * (cm + cm.T)
-        lowest = float(
-            np.linalg.eigvalsh(cm + 1j * symplectic_form(n)).min()
-        )
-        if lowest < -max(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm):
-            raise _not_bona_fide(lowest)
+        cm = _symmetrized(cm[None], "covariance matrix")
+        _, error = _bona_fide_count(cm)
+        if error is not None:
+            raise error
+        cm = cm[0]
         cm.setflags(write=False)
         object.__setattr__(self, "cm", cm)
 
@@ -157,37 +158,35 @@ def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
         could exceed the range of double precision; the offending growth
         exponent is attached to the error.
     """
-    if not np.isfinite(t):
-        raise ConfigError(f"time must be finite, got {t}")
-    exponent = float(np.linalg.norm(k.data, 2)) * abs(t)
-    if exponent > GROWTH_CAP:
-        raise _overflow_risk(t, exponent)
-    s = expm(k.data * t)
-    omega = symplectic_form(k.n_modes)
-    residual = float(np.abs(s @ omega @ s.T - omega).max())
-    scale = 1.0 + float(np.linalg.norm(s, 2)) ** 2
-    if residual > _SYMPLECTIC_RTOL * scale:
-        raise _lost_symplecticity(residual, t)
-    return SymplecticPropagator(s=s, t=float(t))
+    s, error = _propagators(k.data[None], np.array([t], dtype=float))
+    if error is not None:
+        raise error
+    return SymplecticPropagator(s=s[0], t=float(t))
 
 
 def evolve(state: GaussianState, k: RealGenerator, t: float) -> GaussianState:
     """Transport a covariance matrix: sigma(t) = S sigma S^T with S = exp(K t)."""
-    if k.n_modes != state.n_modes:
-        raise ConfigError(
-            f"generator is for {k.n_modes} modes but the state has {state.n_modes}"
-        )
-    s = propagator(k, t).s
-    cm = s @ state.cm @ s.T
-    cm = 0.5 * (cm + cm.T)  # suppress round-off asymmetry of the transport
-    return GaussianState(n_modes=state.n_modes, cm=cm)
+    return _evolve(state, k, [t])[0]
 
 
 def evolve_trajectory(
     state: GaussianState, k: RealGenerator, times: Sequence[float]
 ) -> list[GaussianState]:
     """Evolve the state to each sample time, each directly from t = 0."""
-    return [evolve(state, k, float(t)) for t in _sample_times(times)]
+    return _evolve(state, k, _sample_times(times))
+
+
+def _evolve(
+    state: GaussianState, k: RealGenerator, times: Sequence[float]
+) -> list[GaussianState]:
+    if k.n_modes != state.n_modes:
+        raise ConfigError(
+            f"generator is for {k.n_modes} modes but the state has {state.n_modes}"
+        )
+    cms, error = evolve_grid(state, k.data[None], times)
+    if error is not None:
+        raise error
+    return [GaussianState(n_modes=state.n_modes, cm=cm) for cm in cms]
 
 
 def _sample_times(times: Sequence[float]) -> np.ndarray:
@@ -202,32 +201,9 @@ def _sample_times(times: Sequence[float]) -> np.ndarray:
     return ts
 
 
-def evolve_grid(
-    state: GaussianState, k: np.ndarray, times: Sequence[float]
-) -> tuple[np.ndarray, EpchainError | None]:
-    """Batched ``evolve`` over a stack of generators times a set of times.
-
-    ``k`` is a (G, 2N, 2N) stack of generator matrices; the G x T cells are
-    taken generator-major, and each returned covariance equals
-    ``evolve(state, k[g], times[i]).cm`` bit for bit.  Every cell passes
-    the checks of ``propagator`` and ``GaussianState`` in the same order and
-    at the same thresholds: a finite time, the growth cap on ||K||_2 |t|,
-    scipy's stacked ``expm`` (the same scaling-and-squaring algorithm on
-    each slice), the symplectic residual, and bona-fide-ness.
-
-    Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
-    and the error ``evolve`` raises at the first cell that failed, or None
-    when all G x T cells passed.
-    """
-    k = np.asarray(k, dtype=float)
-    times = np.asarray(times, dtype=float)
-    size = 2 * state.n_modes
-    if k.ndim != 3 or k.shape[1:] != (size, size):
-        raise ConfigError(
-            f"generators must be a stack of {size}x{size} matrices, got shape {k.shape}"
-        )
-    n_times = times.size
-    # growth guard, as in propagator: finite time first, then the cap
+def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainError | None]:
+    """exp(K t) of the generator-major cells of k x times before the first that fails, in
+    order, a finite time, the growth cap and the symplectic residual; and that cell's error."""
     exponents = (np.linalg.norm(k, 2, axis=(1, 2))[:, None] * np.abs(times)).ravel()
     cell_times = np.tile(times, len(k))
     refused = np.flatnonzero(~np.isfinite(cell_times) | (exponents > GROWTH_CAP))
@@ -236,28 +212,53 @@ def evolve_grid(
     if refused.size:
         t = float(cell_times[stop])
         if np.isfinite(t):
-            error = _overflow_risk(t, float(exponents[stop]))
+            error = OverflowRisk(
+                f"propagation to t={t} has growth exponent {exponents[stop]:.1f} "
+                f"(cap {GROWTH_CAP:.0f}); entries would overflow double precision",
+                exponent=float(exponents[stop]),
+            )
         else:
             error = ConfigError(f"time must be finite, got {t}")
-    cells = np.arange(stop)
-    s = expm(k[cells // n_times] * cell_times[:stop, None, None])
-    s_t = s.transpose(0, 2, 1)
-    omega = symplectic_form(state.n_modes)
-    residual = np.abs(s @ omega @ s_t - omega).max(axis=(1, 2))
+    s = expm(k[np.arange(stop) // times.size] * cell_times[:stop, None, None])
+    omega = symplectic_form(k.shape[1] // 2)
+    residual = np.abs(s @ omega @ s.transpose(0, 2, 1) - omega).max(axis=(1, 2))
     scale = 1.0 + np.linalg.norm(s, 2, axis=(1, 2)) ** 2
+    lost = np.flatnonzero(residual > _SYMPLECTIC_RTOL * scale)
+    if lost.size:
+        stop = int(lost[0])
+        error = EpchainError(
+            f"propagator lost symplecticity: residual {residual[stop]:.3e} "
+            f"at t={float(cell_times[stop])}"
+        )
+    return s[:stop], error
+
+
+def evolve_grid(
+    state: GaussianState, k: np.ndarray, times: Sequence[float]
+) -> tuple[np.ndarray, EpchainError | None]:
+    """Transport the state over a stack of generators times a set of times.
+
+    ``k`` is a (G, 2N, 2N) stack of generator matrices; the G x T cells are
+    taken generator-major.  Every cell passes, in order, a finite time, the
+    growth cap on ||K||_2 |t|, scipy's stacked ``expm`` (the same
+    scaling-and-squaring algorithm on each slice), the symplectic residual,
+    and bona-fide-ness; ``evolve`` is the case of one generator.
+
+    Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
+    and the error of the first cell that failed, or None when all G x T
+    cells passed.
+    """
+    k = np.asarray(k, dtype=float)
+    times = np.asarray(times, dtype=float)
+    size = 2 * state.n_modes
+    if k.ndim != 3 or k.shape[1:] != (size, size):
+        raise ConfigError(
+            f"generators must be a stack of {size}x{size} matrices, got shape {k.shape}"
+        )
+    s, error = _propagators(k, times)
     # S sigma S^T with distinct operands: a shortcut such as S @ S^T for the
     # vacuum would let numpy switch to another BLAS kernel and move the bits
-    cm = s @ state.cm @ s_t
+    cm = s @ state.cm @ s.transpose(0, 2, 1)
     cm = 0.5 * (cm + cm.transpose(0, 2, 1))
-    norm = np.abs(cm).max(axis=(1, 2))
-    lowest = np.linalg.eigvalsh(cm + 1j * omega).min(axis=1)
-    unsymplectic = residual > _SYMPLECTIC_RTOL * scale
-    not_bona_fide = lowest < -np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm)
-    failed = np.flatnonzero(unsymplectic | not_bona_fide)
-    if failed.size:
-        stop = int(failed[0])
-        if unsymplectic[stop]:
-            error = _lost_symplecticity(float(residual[stop]), float(cell_times[stop]))
-        else:
-            error = _not_bona_fide(float(lowest[stop]))
-    return cm[:stop], error
+    stop, not_bona_fide = _bona_fide_count(cm)
+    return cm[:stop], not_bona_fide or error

@@ -8,9 +8,10 @@ sigma~ drops below 1.  The logarithmic negativity -sum ln(nu~_k) over the
 eigenvalues below 1 quantifies the violation.
 
 Besides the numeric pipeline (build the chain, transport the vacuum
-covariance, partial-transpose, eigensolve; ``witness_stack`` is its batched
-form for a stack of covariances, which the fig2, fig4 and entangle sweeps
-use), the module carries closed-form witnesses for three reference
+covariance, partial-transpose, eigensolve; ``witness_stack`` runs it on a
+stack of covariances for the fig2, fig4 and entangle sweeps, and
+``entanglement_result`` and ``symplectic_eigenvalues`` are its one-matrix
+case), the module carries closed-form witnesses for three reference
 families: the two-mode chain without on-site squeezing, the uniform chain
 at g = J with an arbitrary hopping phase (whose invariant is a polynomial
 in t with exact, phase-independent coefficients; fig3 and its ratio fit
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import ChainSpec, build_bdg_matrix, quadrature_generator, symplectic_form
-from .dynamics import GaussianState, evolve, initial_state
+from .dynamics import GaussianState, _symmetrized, evolve, initial_state
 from .errors import (
     AsymmetricInput,
     DivisionByZeroLog,
@@ -145,16 +146,15 @@ def partial_transpose(state: GaussianState, part: Bipartition) -> np.ndarray:
         raise InvalidBipartition(
             f"partition is for {part.n_modes} modes but the state has {state.n_modes}"
         )
-    signs = _flip_signs(part)
-    return signs[:, None] * state.cm * signs[None, :]
+    return state.cm * _flip_signs(part)
 
 
 def _flip_signs(part: Bipartition) -> np.ndarray:
-    """+1 per quadrature, -1 on the P quadratures of side B."""
+    """Theta_i Theta_j, with Theta = -1 on the P quadratures of side B, else +1."""
     signs = np.ones(2 * part.n_modes)
     for mode in part.side_b:
         signs[2 * mode + 1] = -1.0
-    return signs
+    return np.outer(signs, signs)
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
@@ -169,26 +169,40 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise AsymmetricInput(f"expected an even-sized square matrix, got {sigma.shape}")
-    asym = float(np.abs(sigma - sigma.T).max())
-    if asym > 1e-12 * max(1.0, float(np.abs(sigma).max())):
-        raise AsymmetricInput(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    n = sigma.shape[0] // 2
+    return _spectra(_symmetrized(sigma[None], "matrix"))[0]
+
+
+def _spectra(sigmas: np.ndarray) -> np.ndarray:
+    """``symplectic_eigenvalues`` of each matrix of a symmetric (C, 2N, 2N) stack."""
+    n = sigmas.shape[1] // 2
     omega = symplectic_form(n)
     try:
-        chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+        chol = np.linalg.cholesky(sigmas)
     except np.linalg.LinAlgError:
-        values = np.abs(np.linalg.eigvals(omega @ sigma))
-        values.sort()
-        return 0.5 * (values[0::2] + values[1::2])
-    hermitian = 1j * (chol.T @ omega @ chol)
-    values = np.linalg.eigvalsh(hermitian)
-    return values[n:]
+        if len(sigmas) > 1:
+            return np.concatenate([_spectra(sigma[None]) for sigma in sigmas])
+        values = np.sort(np.abs(np.linalg.eigvals(omega @ sigmas[0])))
+        return 0.5 * (values[0::2] + values[1::2])[None]
+    return np.linalg.eigvalsh(1j * (chol.transpose(0, 2, 1) @ omega @ chol))[:, n:]
 
 
-_PRECISION_LOSS = (
-    "a partial-transpose symplectic eigenvalue is not positive: the witness has lost "
-    "all precision"
-)
+def _witnesses(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic spectra and E_N of a stack of partial transposes."""
+    values = _spectra(_symmetrized(pt, "matrix"))
+    if (values <= 0.0).any():
+        raise PrecisionLoss(
+            "a partial-transpose symplectic eigenvalue is not positive: the witness has "
+            "lost all precision"
+        )
+    # E_N sums the logs of each row's values below 1 as one contiguous run,
+    # so numpy's pairwise summation groups them as for a single row
+    below = values < 1.0
+    counts = below.sum(axis=1)
+    neg = np.zeros(len(values))
+    for count in np.unique(counts[counts > 0]):
+        rows = counts == count
+        neg[rows] = -np.sum(np.log(values[rows][below[rows]].reshape(-1, count)), axis=1)
+    return values, np.where(0.0 > neg, 0.0, neg)
 
 
 def entanglement_result(state: GaussianState, part: Bipartition) -> EntanglementResult:
@@ -196,29 +210,25 @@ def entanglement_result(state: GaussianState, part: Bipartition) -> Entanglement
 
     Raises ``PrecisionLoss`` if a symplectic eigenvalue is not positive.
     """
-    values = symplectic_eigenvalues(partial_transpose(state, part))
-    if (values <= 0.0).any():
-        raise PrecisionLoss(_PRECISION_LOSS)
-    neg = float(-np.sum(np.log(values[values < 1.0]))) if np.any(values < 1.0) else 0.0
+    values, neg = _witnesses(partial_transpose(state, part)[None])
     return EntanglementResult(
         partition=part,
-        symplectic_eigenvalues_pt=tuple(values.tolist()),
-        nu_minus=float(values[0]),
-        log_negativity=max(neg, 0.0),
+        symplectic_eigenvalues_pt=tuple(values[0].tolist()),
+        nu_minus=float(values[0, 0]),
+        log_negativity=float(neg[0]),
     )
 
 
 def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``entanglement_result``: nu_- and E_N for a stack of covariances.
+    """nu_- and E_N for a stack of covariances, as ``entanglement_result``
+    gives them matrix by matrix.
 
-    Runs the same arithmetic as the scalar path on the whole (C, 2N, 2N)
-    stack: the sign-flip partial transpose, a stacked Cholesky factor L
-    and the eigenvalues of i L^T Omega L, so each value equals
-    ``entanglement_result`` bit for bit.  If any matrix of the stack is not
-    positive definite, the stack is evaluated matrix by matrix through
-    ``symplectic_eigenvalues``.  Returns (nu_minus, log_negativity) arrays;
-    raises ``PrecisionLoss``, as ``entanglement_result`` does, if any
-    symplectic eigenvalue of the stack is not positive.
+    The whole (C, 2N, 2N) stack is sign-flipped into its partial transpose
+    and goes through one stacked Cholesky factor L and the eigenvalues of
+    i L^T Omega L; if a matrix is not positive definite, the stack is
+    evaluated matrix by matrix.  Returns (nu_minus, log_negativity) arrays;
+    raises ``PrecisionLoss`` if any symplectic eigenvalue of the stack is
+    not positive.
     """
     cms = np.asarray(cms, dtype=float)
     n = part.n_modes
@@ -226,33 +236,8 @@ def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.nd
         raise InvalidBipartition(
             f"partition is for {n} modes but the covariances have shape {cms.shape}"
         )
-    asym = np.abs(cms - cms.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    bound = 1e-12 * np.maximum(1.0, np.abs(cms).max(axis=(1, 2), initial=0.0))
-    bad = np.flatnonzero(asym > bound)
-    if bad.size:
-        raise AsymmetricInput(f"matrix asymmetry {asym[bad[0]]:.3e} exceeds tolerance")
-    signs = _flip_signs(part)
-    # flipping signs is exact, so the order of the two products is immaterial
-    pt = cms * (signs[:, None] * signs[None, :])
-    pt = 0.5 * (pt + pt.transpose(0, 2, 1))
-    try:
-        chol = np.linalg.cholesky(pt)
-    except np.linalg.LinAlgError:
-        values = np.array([symplectic_eigenvalues(sigma) for sigma in pt]).reshape(-1, n)
-    else:
-        omega = symplectic_form(n)
-        values = np.linalg.eigvalsh(1j * (chol.transpose(0, 2, 1) @ omega @ chol))[:, n:]
-    if (values <= 0.0).any():
-        raise PrecisionLoss(_PRECISION_LOSS)
-    # E_N sums the logs of each row's values below 1 as one contiguous run,
-    # so numpy's pairwise summation groups them as in entanglement_result
-    below = values < 1.0
-    counts = below.sum(axis=1)
-    neg = np.zeros(len(values))
-    for count in np.unique(counts[counts > 0]):
-        rows = counts == count
-        neg[rows] = -np.sum(np.log(values[rows][below[rows]].reshape(-1, count)), axis=1)
-    return values[:, 0], np.where(0.0 > neg, 0.0, neg)
+    values, neg = _witnesses(cms * _flip_signs(part))
+    return values[:, 0], neg
 
 
 def nu_minus(state: GaussianState, part: Bipartition) -> float:

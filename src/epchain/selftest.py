@@ -39,7 +39,7 @@ from .entanglement import (
     three_mode_surface_spec,
     xi_from_nu,
 )
-from .errors import NoTransition
+from .errors import ConfigError, NoTransition
 from .spectral import Region, detect_eps, eigenspectrum, locate_ep_1d, spectrum_stack
 
 __all__ = ["CheckResult", "run_selftest", "SELFTEST_SEED"]
@@ -86,8 +86,10 @@ def run_selftest(
     draws: int = 40,
 ) -> list[CheckResult]:
     """Run every invariant check; returns one result per check."""
-    if tol_scale <= 0:
-        raise ValueError(f"tol_scale must be positive, got {tol_scale}")
+    if not 0.0 < tol_scale < math.inf:
+        raise ConfigError(f"tol_scale must be positive and finite, got {tol_scale}")
+    if draws < 1:
+        raise ConfigError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(SELFTEST_SEED)
     specs = [_random_spec(rng) for _ in range(draws)]
     matrices = [build_bdg_matrix(s) for s in specs]

@@ -8,10 +8,10 @@ matrices of all their chains as one stack (``bdg_stack``,
 ``generator_stack``, and the numeric witness presets (fig2, fig4 and its
 arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
-``witness_stack`` evaluates nu_- and E_N per cut.  Both do the scalar
-pipeline's arithmetic, so every value equals what ``evolve`` and
-``entanglement_result`` give for that cell bit for bit, and a failing check
-raises the error the scalar loop would raise first.  The kernel works
+``witness_stack`` evaluates nu_- and E_N per cut.  ``evolve`` and
+``entanglement_result`` are their one-cell case, so every value equals what
+they give for that cell, and a failing check raises the error a loop over
+the cells would raise first.  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
 stays flat on large grids, and stops at the first chunk with an error;
 with ``threads > 1`` the chunks are mapped over a pool of spawned processes

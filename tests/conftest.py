@@ -1,10 +1,19 @@
-"""Shared test helpers and hypothesis strategies."""
+"""Shared test helpers, hypothesis strategies and per-cell references."""
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from epchain import ChainSpec
+from epchain import ChainSpec, EntanglementResult, dynamics, symplectic_form
+from epchain.errors import (
+    AsymmetricInput,
+    ConfigError,
+    EpchainError,
+    InvalidBipartition,
+    OverflowRisk,
+    PrecisionLoss,
+)
 
 
 def assert_multiset_close(actual, expected, tol, label=""):
@@ -39,3 +48,92 @@ def spec_stacks(draw):
     spec = draw(chain_specs())
     n = spec.n_modes
     return [spec] + draw(st.lists(chain_specs(min_n=n, max_n=n), max_size=3))
+
+
+# ---------------------------------------------------------------------------
+# the per-cell witness pipeline, kept as an independent reference for the
+# stacked kernel that ``propagator``, ``evolve``, ``symplectic_eigenvalues``
+# and ``entanglement_result`` are the one-cell case of; the tolerances are
+# read from ``dynamics`` at call time, so a monkeypatched one applies to both
+
+
+def reference_propagator(k, t):
+    """S = exp(K t) for a RealGenerator, with the growth and symplectic checks."""
+    if not np.isfinite(t):
+        raise ConfigError(f"time must be finite, got {t}")
+    exponent = float(np.linalg.norm(k.data, 2)) * abs(t)
+    if exponent > dynamics.GROWTH_CAP:
+        raise OverflowRisk(
+            f"propagation to t={t} has growth exponent {exponent:.1f} "
+            f"(cap {dynamics.GROWTH_CAP:.0f}); entries would overflow double precision",
+            exponent=exponent,
+        )
+    s = expm(k.data * t)
+    omega = symplectic_form(k.n_modes)
+    residual = float(np.abs(s @ omega @ s.T - omega).max())
+    scale = 1.0 + float(np.linalg.norm(s, 2)) ** 2
+    if residual > dynamics._SYMPLECTIC_RTOL * scale:
+        raise EpchainError(f"propagator lost symplecticity: residual {residual:.3e} at t={t}")
+    return s
+
+
+def reference_evolve(state, k, t):
+    """The covariance S sigma S^T of a GaussianState, checked bona fide."""
+    if k.n_modes != state.n_modes:
+        raise ConfigError(
+            f"generator is for {k.n_modes} modes but the state has {state.n_modes}"
+        )
+    s = reference_propagator(k, t)
+    cm = s @ state.cm @ s.T
+    cm = 0.5 * (cm + cm.T)
+    norm = float(np.abs(cm).max())
+    lowest = float(np.linalg.eigvalsh(cm + 1j * symplectic_form(state.n_modes)).min())
+    if lowest < -max(dynamics._BONA_FIDE_ATOL, dynamics._BONA_FIDE_RTOL * norm):
+        raise ConfigError(
+            f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest:.3e}"
+        )
+    return cm
+
+
+def reference_symplectic_eigenvalues(sigma):
+    """Ascending symplectic eigenvalues of one symmetric matrix."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+        raise AsymmetricInput(f"expected an even-sized square matrix, got {sigma.shape}")
+    asym = float(np.abs(sigma - sigma.T).max())
+    if asym > 1e-12 * max(1.0, float(np.abs(sigma).max())):
+        raise AsymmetricInput(f"matrix asymmetry {asym:.3e} exceeds tolerance")
+    n = sigma.shape[0] // 2
+    omega = symplectic_form(n)
+    try:
+        chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+    except np.linalg.LinAlgError:
+        values = np.abs(np.linalg.eigvals(omega @ sigma))
+        values.sort()
+        return 0.5 * (values[0::2] + values[1::2])
+    return np.linalg.eigvalsh(1j * (chol.T @ omega @ chol))[n:]
+
+
+def reference_entanglement_result(cm, part):
+    """EntanglementResult of a covariance matrix across a bipartition."""
+    n = len(cm) // 2
+    if part.n_modes != n:
+        raise InvalidBipartition(
+            f"partition is for {part.n_modes} modes but the state has {n}"
+        )
+    signs = np.ones(2 * n)
+    for mode in part.side_b:
+        signs[2 * mode + 1] = -1.0
+    values = reference_symplectic_eigenvalues(signs[:, None] * cm * signs[None, :])
+    if (values <= 0.0).any():
+        raise PrecisionLoss(
+            "a partial-transpose symplectic eigenvalue is not positive: the witness has "
+            "lost all precision"
+        )
+    neg = float(-np.sum(np.log(values[values < 1.0]))) if np.any(values < 1.0) else 0.0
+    return EntanglementResult(
+        partition=part,
+        symplectic_eigenvalues_pt=tuple(values.tolist()),
+        nu_minus=float(values[0]),
+        log_negativity=max(neg, 0.0),
+    )

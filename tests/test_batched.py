@@ -1,12 +1,15 @@
-"""The batched kernel against the scalar pipeline it replaces.
+"""The batched kernel against the per-cell pipeline it replaces.
 
 ``bdg_stack``/``generator_stack`` promise the matrices of
 ``build_bdg_matrix``/``quadrature_generator``, and ``evolve_grid`` and
-``witness_stack`` the values of ``evolve``/``entanglement_result``: bit for
-bit, with the scalar pipeline's error at the first failing cell, so every
-comparison of the kernel here is exact.  fig3 runs no kernel: its tables
-are the closed forms ``nu_closed_form_bkc_ep``/``enhancement_ratio`` cell by
-cell, and their drift from the numeric pipeline is pinned.
+``witness_stack`` the values of the per-cell pipeline that ``evolve`` and
+``entanglement_result`` ran before they became the kernel's one-cell case
+(kept in ``conftest`` as ``reference_evolve`` and
+``reference_entanglement_result``): bit for bit, with the per-cell error at
+the first failing cell, so every comparison of the kernel here is exact.
+fig3 runs no kernel: its tables are the closed forms
+``nu_closed_form_bkc_ep``/``enhancement_ratio`` cell by cell, and their
+drift from the numeric pipeline is pinned.
 """
 
 import itertools
@@ -21,6 +24,7 @@ from epchain import (
     BdgMatrix,
     Bipartition,
     ChainSpec,
+    GaussianState,
     RealGenerator,
     bdg_stack,
     bkc_nu_minus,
@@ -30,9 +34,11 @@ from epchain import (
     entanglement_result,
     evolve,
     evolve_grid,
+    evolve_trajectory,
     generator_stack,
     initial_state,
     nu_closed_form_bkc_ep,
+    propagator,
     quadrature_generator,
     symplectic_eigenvalues,
     witness_stack,
@@ -48,7 +54,14 @@ from epchain.errors import (
 )
 from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_tables, fig4_grid
 
-from conftest import chain_specs, spec_stacks
+from conftest import (
+    chain_specs,
+    reference_entanglement_result,
+    reference_evolve,
+    reference_propagator,
+    reference_symplectic_eigenvalues,
+    spec_stacks,
+)
 
 
 def bits(values) -> list[int]:
@@ -56,16 +69,16 @@ def bits(values) -> list[int]:
 
 
 def scalar_cells(state0, generators, times, parts):
-    """Reference: evolve and entanglement_result cell by cell, generator-major."""
+    """Reference: the per-cell pipeline cell by cell, generator-major."""
     cms, results = [], []
     for k in generators:
         for t in times:
             try:
-                state = evolve(state0, RealGenerator(k), float(t))
-                cell = [entanglement_result(state, part) for part in parts]
+                cm = reference_evolve(state0, RealGenerator(k), float(t))
+                cell = [reference_entanglement_result(cm, part) for part in parts]
             except EpchainError as exc:
                 return cms, results, exc
-            cms.append(state.cm)
+            cms.append(cm)
             results.append(cell)
     return cms, results, None
 
@@ -136,7 +149,7 @@ class TestKernelMatchesScalar:
 
     def test_cholesky_fallback(self):
         # one matrix that is not positive definite sends the stack through
-        # the scalar symplectic_eigenvalues, matrix by matrix
+        # the spectrum matrix by matrix
         part = Bipartition.one_vs_rest(2)
         good = evolve(
             initial_state(2), quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.0))), 0.7
@@ -144,8 +157,73 @@ class TestKernelMatchesScalar:
         indefinite = np.diag([1.0, -0.5, 2.0, 1.0])
         nu, _ = witness_stack(np.stack([good, indefinite]), part)
         signs = np.array([1.0, 1.0, 1.0, -1.0])
-        expected = [symplectic_eigenvalues(m * np.outer(signs, signs))[0] for m in (good, indefinite)]
-        assert bits(nu) == bits(expected)
+        flipped = [m * np.outer(signs, signs) for m in (good, indefinite)]
+        assert bits(nu) == bits([reference_symplectic_eigenvalues(m)[0] for m in flipped])
+        assert bits(nu) == bits([symplectic_eigenvalues(m)[0] for m in flipped])
+
+
+def outcome(fn):
+    """The bits of fn()'s value, or the class and message of its error."""
+    try:
+        return bits(fn())
+    except EpchainError as exc:
+        return type(exc), str(exc)
+
+
+def witness_values(result):
+    return [*result.symplectic_eigenvalues_pt, result.nu_minus, result.log_negativity]
+
+
+@st.composite
+def one_cells(draw):
+    spec = draw(chain_specs())
+    n = spec.n_modes
+    times = sorted(draw(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4)))
+    occupancies = draw(st.none() | st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    side = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)) if n > 1 else None
+    part = None if side is None else Bipartition.from_sides(n, side)
+    return spec, initial_state(n, occupancies), times, part
+
+
+class TestOneCellCase:
+    """The one-cell functions against the per-cell pipeline they replaced."""
+
+    @given(one_cells())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_reference(self, cell):
+        spec, state, times, part = cell
+        k = quadrature_generator(build_bdg_matrix(spec))
+        assert outcome(lambda: [s.cm for s in evolve_trajectory(state, k, times)]) == outcome(
+            lambda: [reference_evolve(state, k, t) for t in times]
+        )
+        for t in times:
+            s = outcome(lambda: propagator(k, t).s)
+            assert s == outcome(lambda: reference_propagator(k, t))
+            evolved = outcome(lambda: evolve(state, k, t).cm)
+            assert evolved == outcome(lambda: reference_evolve(state, k, t))
+            if not isinstance(evolved, list):
+                continue
+            cm = evolve(state, k, t).cm
+            shifted = cm - (np.linalg.eigvalsh(cm).min() + 0.5) * np.eye(len(cm))
+            for sigma in (cm, shifted):
+                assert outcome(lambda: symplectic_eigenvalues(sigma)) == outcome(
+                    lambda: reference_symplectic_eigenvalues(sigma)
+                )
+            if part is not None:
+                evolved_state = GaussianState(spec.n_modes, cm)
+                assert outcome(
+                    lambda: witness_values(entanglement_result(evolved_state, part))
+                ) == outcome(lambda: witness_values(reference_entanglement_result(cm, part)))
+
+    def test_one_expm_call_per_stage(self, monkeypatch):
+        # keeps the benchmark's dynamics.expm.calls a count of stages
+        calls, expm = [], dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda a: calls.append(a.shape) or expm(a))
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.8, j=1.0)))
+        propagator(k, 1.5)
+        assert calls == [(1, 6, 6)]
+        evolve_grid(initial_state(3), np.stack([k.data, 2.0 * k.data]), [0.5, 1.0, 2.0])
+        assert calls == [(1, 6, 6), (6, 6, 6)]
 
 
 class TestKernelFailures:
@@ -213,10 +291,11 @@ class TestSweepsThroughKernel:
         k = quadrature_generator(build_bdg_matrix(spec))
         part = Bipartition.from_label("1|23", 3)
         for row in rows[:-1]:
-            result = entanglement_result(evolve(initial_state(3), k, row[0]), part)
+            cm = reference_evolve(initial_state(3), k, row[0])
+            result = reference_entanglement_result(cm, part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
         with pytest.raises(OverflowRisk):
-            evolve(initial_state(3), k, extras["truncated_at"])
+            reference_evolve(initial_state(3), k, extras["truncated_at"])
         assert rows[-1][0].startswith("warning: truncated at t=")
 
     def test_pool_chunks_do_not_change_values(self, monkeypatch):

@@ -342,6 +342,17 @@ class TestSelftestCommand:
         # impossibly tight thresholds must flip checks to FAIL
         assert main(["selftest", "--draws", "8", "--tol", "1e-30"]) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+         ["--draws", "0"], ["--draws", "-3"]],
+    )
+    def test_defeating_arguments_exit_2(self, capsys, args):
+        # an infinite scale would pass the injected fault, and no draw at
+        # all would pass every transport check without running one
+        assert main(["selftest", "--inject-fault", "omega", *args]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 def test_determinism_identical_config(tmp_path):
     cfg = write_json(tmp_path / "c.json", {

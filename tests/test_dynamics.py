@@ -20,6 +20,7 @@ from epchain.errors import (
     AsymmetricInput,
     ConfigError,
     NegativeOccupancy,
+    NonFiniteParameter,
     OverflowRisk,
     UnsortedTimes,
 )
@@ -65,6 +66,23 @@ class TestGaussianStateValidation:
     def test_vacuum_accepted(self):
         state = GaussianState(n_modes=2, cm=np.eye(4))
         assert state.purity_determinant == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteParameter, match="covariance matrix has a NaN"):
+            GaussianState(n_modes=2, cm=np.diag([bad, 1.0, 1.0, 1.0]))
+
+    def test_bona_fide_slack(self):
+        # min eig(sigma + i Omega) of a I is a - 1, against a slack of
+        # 1e-8 max|sigma| (the 1e-9 floor only matters below max|sigma| = 0.1)
+        GaussianState(n_modes=1, cm=(1.0 - 5e-9) * np.eye(2))
+        with pytest.raises(ConfigError, match="not a bona fide"):
+            GaussianState(n_modes=1, cm=(1.0 - 2e-8) * np.eye(2))
+        # diag(x, 1/x - d) has a lowest eigenvalue of about -d: the slack
+        # is 1e-5 at x = 1000
+        GaussianState(n_modes=1, cm=np.diag([1e3, 1e-3 - 5e-6]))
+        with pytest.raises(ConfigError, match="not a bona fide"):
+            GaussianState(n_modes=1, cm=np.diag([1e3, 1e-3 - 2e-5]))
 
 
 class TestPropagator:

@@ -29,6 +29,7 @@ from epchain import (
     symplectic_eigenvalues,
     symplectic_form,
     three_mode_surface_spec,
+    witness_stack,
     xi_from_nu,
     xi_series_coefficients,
 )
@@ -36,6 +37,7 @@ from epchain.errors import (
     AsymmetricInput,
     DivisionByZeroLog,
     InvalidBipartition,
+    NonFiniteParameter,
     OutOfRange,
 )
 
@@ -138,6 +140,16 @@ class TestSymplecticEigenvalues:
         bad[0, 1] = 1e-3
         with pytest.raises(AsymmetricInput):
             symplectic_eigenvalues(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # refused before any eigensolve, which would not converge on NaN
+        with pytest.raises(NonFiniteParameter, match="NaN or infinite"):
+            symplectic_eigenvalues(np.full((4, 4), bad))
+        cms = np.stack([np.eye(4), np.eye(4)])
+        cms[1, 2, 2] = bad
+        with pytest.raises(NonFiniteParameter, match="NaN or infinite"):
+            witness_stack(cms, Bipartition.one_vs_rest(2))
 
 
 class TestWitnesses:

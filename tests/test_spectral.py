@@ -315,6 +315,15 @@ class TestLocateEp1d:
         with pytest.raises(ValueError):
             locate_ep_1d(lambda g: ChainSpec.uniform(2, g=g, j=1.0), 1.0, 1.0)
 
+    def test_family_that_changes_size(self):
+        family = lambda g: ChainSpec.uniform(2 if g < 1 else 3, g=g, j=1.0, eta=0.2)
+        with pytest.raises(ConfigError, match="N=2 and N=3"):
+            locate_ep_1d(family, 0.5, 1.5)
+
+    def test_spec_stack_of_mixed_sizes(self):
+        with pytest.raises(ConfigError, match="share one size, got N=2 and N=3"):
+            spec_bdg_stack([ChainSpec.uniform(2, g=1.0), ChainSpec.uniform(3, g=1.0)])
+
     def test_fig2_family_equals_scalar_scan(self):
         family = lambda g: ChainSpec.uniform(2, g=g, j=1.0, eta=0.2)
         for lo, hi in ((0.5, 1.5), (0.5 + 1 / 64, 1.5 + 1 / 64)):
