@@ -10,6 +10,10 @@ polynomial times exponential in t) and no error accumulates in regimes of
 exponential growth.  ``evolve_grid`` transports a whole stack of
 (generator, time) cells; ``propagator``, ``evolve`` and ``evolve_trajectory``
 are its one-generator case, and ``GaussianState`` shares its bona fide check.
+The stack's exponentials come from ``expm``, which gives scipy's bits for
+every slice but runs scipy's Python slice loop as stacked numpy around
+scipy's private Pade kernels, so it is tied to the scipy release that
+``.github/constraints.txt`` pins.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .chain import RealGenerator, symplectic_form
 from .errors import (
@@ -100,6 +105,14 @@ class GaussianState:
         cm = cm[0]
         cm.setflags(write=False)
         object.__setattr__(self, "cm", cm)
+
+    @classmethod
+    def _checked(cls, n_modes: int, cm: np.ndarray) -> GaussianState:
+        """The state of a read-only cm that already passed the checks of __post_init__."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_modes", n_modes)
+        object.__setattr__(state, "cm", cm)
+        return state
 
     @property
     def purity_determinant(self) -> float:
@@ -186,7 +199,9 @@ def _evolve(
     cms, error = evolve_grid(state, k.data[None], times)
     if error is not None:
         raise error
-    return [GaussianState(n_modes=state.n_modes, cm=cm) for cm in cms]
+    # evolve_grid's covariances are exactly symmetric and checked bona fide
+    cms.setflags(write=False)
+    return [GaussianState._checked(state.n_modes, cm) for cm in cms]
 
 
 def _sample_times(times: Sequence[float]) -> np.ndarray:
@@ -199,6 +214,55 @@ def _sample_times(times: Sequence[float]) -> np.ndarray:
     if np.any(np.diff(ts) < 0):
         raise UnsortedTimes(f"times must be sorted ascending, got {ts}")
     return ts
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp of each slice of a (P, n, n) float stack, bit for bit ``scipy.linalg.expm``'s.
+
+    scipy 1.17 loops over the slices in Python; this runs the same steps with
+    the zero-pattern test and the squarings done once over the stack.  A
+    slice without off-diagonal nonzeros is exp of its diagonal; a triangular
+    one goes to scipy, whose Code Fragment 2.1 it needs; any other is
+    scaled and Pade-approximated by scipy's own C kernels (Al-Mohy & Higham
+    2009), then squared s times, in rounds over the cells still to square.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    nonzero = a != 0
+    strict_lower = np.tri(n, k=-1, dtype=bool)
+    lower = (nonzero & strict_lower).any(axis=(1, 2))
+    upper = (nonzero & strict_lower.T).any(axis=(1, 2))
+    out = np.empty_like(a)
+    diagonal = np.flatnonzero(~(lower | upper))[:, None]
+    diag = np.arange(n)
+    out[diagonal] = 0.0
+    out[diagonal, diag, diag] = np.exp(a[diagonal, diag, diag])
+    triangular = np.flatnonzero(lower ^ upper)
+    if triangular.size:
+        out[triangular] = scipy.linalg.expm(a[triangular])
+    general = np.flatnonzero(lower & upper)
+    squarings = np.empty(general.size, dtype=int)
+    work = np.empty((5, n, n))  # scipy's workspace: the kernels scale and overwrite it
+    for j, i in enumerate(general):
+        work[0] = a[i]
+        m, squarings[j] = pick_pade_structure(work)
+        if m < 0:
+            raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
+        info = pade_UV_calc(work, m)
+        if info <= -11:
+            raise MemoryError(f"expm could not allocate its workspace (error code {info})")
+        if info != 0:
+            raise RuntimeError(f"expm got an internal LAPACK error (error code {info})")
+        out[i] = work[0]
+    # most squarings first, so round r squares the leading cells with s >= r
+    order = np.argsort(-squarings, kind="stable")[: np.count_nonzero(squarings)]
+    squared = general[order]
+    block = out[squared]
+    for r in range(1, int(squarings.max(initial=0)) + 1):
+        rows = block[: np.count_nonzero(squarings >= r)]
+        rows[...] = rows @ rows
+    out[squared] = block
+    return out
 
 
 def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainError | None]:
@@ -222,7 +286,8 @@ def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainE
     s = expm(k[np.arange(stop) // times.size] * cell_times[:stop, None, None])
     omega = symplectic_form(k.shape[1] // 2)
     residual = np.abs(s @ omega @ s.transpose(0, 2, 1) - omega).max(axis=(1, 2))
-    scale = 1.0 + np.linalg.norm(s, 2, axis=(1, 2)) ** 2
+    # 1 + ||S||_2^2, the largest eigenvalue of S^T S taking the place of an SVD per cell
+    scale = 1.0 + np.linalg.eigvalsh(s.transpose(0, 2, 1) @ s)[:, -1]
     lost = np.flatnonzero(residual > _SYMPLECTIC_RTOL * scale)
     if lost.size:
         stop = int(lost[0])
@@ -240,9 +305,9 @@ def evolve_grid(
 
     ``k`` is a (G, 2N, 2N) stack of generator matrices; the G x T cells are
     taken generator-major.  Every cell passes, in order, a finite time, the
-    growth cap on ||K||_2 |t|, scipy's stacked ``expm`` (the same
-    scaling-and-squaring algorithm on each slice), the symplectic residual,
-    and bona-fide-ness; ``evolve`` is the case of one generator.
+    growth cap on ||K||_2 |t|, the stacked ``expm`` (scipy's
+    scaling-and-squaring algorithm and bits on each slice), the symplectic
+    residual, and bona-fide-ness; ``evolve`` is the case of one generator.
 
     Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
     and the error of the first cell that failed, or None when all G x T

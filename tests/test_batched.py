@@ -7,7 +7,8 @@
 (kept in ``conftest`` as ``reference_evolve`` and
 ``reference_entanglement_result``): bit for bit, with the per-cell error at
 the first failing cell, so every comparison of the kernel here is exact.
-fig3 runs no kernel: its tables are the closed forms
+The kernel's ``dynamics.expm`` promises ``scipy.linalg.expm``'s bits on
+every slice of a stack.  fig3 runs no kernel: its tables are the closed forms
 ``nu_closed_form_bkc_ep``/``enhancement_ratio`` cell by cell, and their
 drift from the numeric pipeline is pinned.
 """
@@ -17,8 +18,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from epchain import (
     BdgMatrix,
@@ -224,6 +227,83 @@ class TestOneCellCase:
         assert calls == [(1, 6, 6)]
         evolve_grid(initial_state(3), np.stack([k.data, 2.0 * k.data]), [0.5, 1.0, 2.0])
         assert calls == [(1, 6, 6), (6, 6, 6)]
+
+    def test_one_bona_fide_check_per_evolve(self, monkeypatch):
+        # the returned states are evolve_grid's checked covariances, not checked again
+        state = initial_state(3)
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.8, j=1.0)))
+        calls, count = [], dynamics._bona_fide_count
+        monkeypatch.setattr(dynamics, "_bona_fide_count", lambda cm: calls.append(len(cm)) or count(cm))
+        evolved = evolve(state, k, 1.5)
+        assert calls == [1]
+        assert not evolved.cm.flags.writeable
+        assert bits(evolved.cm) == bits(reference_evolve(state, k, 1.5))
+        trajectory = evolve_trajectory(state, k, [0.5, 1.0, 2.0])
+        assert calls == [1, 3]
+        assert not any(s.cm.flags.writeable for s in trajectory)
+
+
+KINDS = ("zero", "diagonal", "upper", "lower", "general")
+PADE_EXAMPLE = (60, ("general",) * 6 + ("zero", "diagonal", "upper", "lower"),
+                (1e-8, 1e-3, 0.1, 0.6, 2.0, 1e3, 1.0, 1.0, 50.0, 50.0), 0.1, 7)
+
+
+def expm_stack(n, kinds, norms, zero_fraction, seed):
+    """Random n x n slices of the given zero patterns, scaled to the given 1-norms.
+
+    A pattern is imposed by multiplying with a 0/1 mask, so the entries it
+    zeroes are +0.0 or -0.0; a general slice also gets -0.0 at random places.
+    """
+    rng = np.random.default_rng(seed)
+    masks = {
+        "zero": np.zeros((n, n)),
+        "diagonal": np.eye(n),
+        "upper": np.triu(np.ones((n, n))),
+        "lower": np.tril(np.ones((n, n))),
+        "general": np.ones((n, n)),
+    }
+    slices = []
+    for kind, norm in zip(kinds, norms):
+        a = rng.standard_normal((n, n)) * masks[kind]
+        if kind == "general":
+            a[rng.random((n, n)) < zero_fraction] = -0.0
+        one_norm = np.abs(a).sum(axis=0).max()
+        slices.append(a * (norm / one_norm) if one_norm else a)
+    return np.stack(slices)
+
+
+@st.composite
+def expm_stacks(draw):
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+    norms = [10.0 ** draw(st.floats(-8.0, 3.0)) for _ in kinds]
+    return (draw(st.integers(2, 60)), kinds, norms, draw(st.floats(0.0, 0.5)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestExpm:
+    """``dynamics.expm`` against ``scipy.linalg.expm`` on each slice, bit for bit.
+
+    The stacked kernel calls scipy's private Pade kernels itself, so a scipy
+    release that changes either side shows up here first.
+    """
+
+    @given(expm_stacks())
+    @example(PADE_EXAMPLE)
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_scipy(self, params):
+        stack = expm_stack(*params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [scipy.linalg.expm(a) for a in stack]
+            assert bits(dynamics.expm(stack)) == bits(expected)
+
+    def test_example_reaches_every_pade_degree(self):
+        structures = set()
+        for a in expm_stack(*PADE_EXAMPLE)[:6]:
+            work = np.empty((5, *a.shape))
+            work[0] = a
+            structures.add(pick_pade_structure(work))
+        assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
+        assert max(s for _, s in structures) >= 8
 
 
 class TestKernelFailures:
