@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .chain import _CHAIN_KEYS
 from .errors import ConfigError, EpchainError
-from .selftest import run_selftest
+from .spectral import DEFAULT_RANK_TOL, DEFAULT_REGION_TOL
 from .sweeps import (
     SweepAxis,
     entanglement_trajectory,
@@ -81,16 +81,9 @@ def _times_from(rest: dict) -> list[float]:
     raise ConfigError("'times' must be a list or {start, stop, steps}")
 
 
-def _add_common(parser: argparse.ArgumentParser, with_partition: bool = False):
-    parser.add_argument("--config", help="JSON configuration file")
+def _add_output(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="output data file")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    if with_partition:
-        parser.add_argument(
-            "--partition", action="append", default=None,
-            help="bipartition label like '13|2' (repeatable)",
-        )
 
 
 def _add_threads(parser: argparse.ArgumentParser):
@@ -105,16 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="eigenvalues and spectral regions")
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the region and rank tolerances")
     p.add_argument("--detect-eps", action="store_true", help="attach exceptional-point clusters")
 
     p = sub.add_parser("entangle", help="witness trajectory")
-    _add_common(p, with_partition=True)
+    _add_output(p)
+    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--partition", action="append", default=None,
+                   help="bipartition label like '13|2' (repeatable)")
     p.add_argument("--include-cm", action="store_true",
                    help="append flattened covariance upper triangles")
 
     p = sub.add_parser("fig2", help="two-mode witness map")
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--tol", type=float, default=None, help="override the region tolerance")
     _add_threads(p)
     p.add_argument("--eta", type=float, default=0.2)
     p.add_argument("--g-min", type=float, default=0.5)
@@ -124,14 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-steps", type=int, default=501)
 
     p = sub.add_parser("fig3", help="phase dependence and enhancement ratio")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--ns", default="2,3,4,5,6", help="comma-separated chain sizes")
     p.add_argument("--t", type=float, default=3.5)
     p.add_argument("--phi-steps", type=int, default=65)
     p.add_argument("--fit-max-n", type=int, default=30)
 
     p = sub.add_parser("fig4", help="three-mode witness map and circle cut")
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--tol", type=float, default=None, help="override the region tolerance")
     _add_threads(p)
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--t", type=float, default=5.0)
@@ -140,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc-steps", type=int, default=65)
 
     p = sub.add_parser("es-scan", help="exceptional-surface scan")
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the surface residual tolerance")
     p.add_argument("--detect-everywhere", action="store_true",
                    help="run the detector at every grid point, not only on-surface")
 
@@ -153,14 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, command: str, header, rows, config_echo: dict, extras: dict, default_name: str) -> Path:
+def _emit(args, command: str, tables: dict, config_echo: dict, extras: dict, default_name: str):
+    """Write each (header, rows) table under ``<out stem><suffix>``, each with its manifest."""
     out = Path(args.out) if args.out else Path(default_name)
     if args.fmt == "json" and out.suffix == ".csv":
         out = out.with_suffix(".json")
-    write_rows(out, header, rows, args.fmt)
-    write_manifest(out, command, config_echo, extras)
-    print(f"{command}: wrote {len(rows)} rows to {out}")
-    return out
+    for suffix, (header, rows) in tables.items():
+        path = out.with_name(out.stem + suffix + out.suffix)
+        write_rows(path, header, rows, args.fmt)
+        write_manifest(path, command, config_echo, extras)
+        print(f"{command}: wrote {len(rows)} rows to {path}")
 
 
 def _cmd_spectrum(args) -> int:
@@ -175,12 +181,12 @@ def _cmd_spectrum(args) -> int:
     unknown = set(rest) - {"tol"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    tol = args.tol if args.tol is not None else float(rest.get("tol", 1e-9))
-    rank_tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else float(rest.get("tol", DEFAULT_REGION_TOL))
+    rank_tol = args.tol if args.tol is not None else DEFAULT_RANK_TOL
     header, rows, extras = spectrum_sweep(
         chain, axis, tol=tol, detect=args.detect_eps, rank_tol=rank_tol
     )
-    _emit(args, "spectrum", header, rows, config, extras, "spectrum.csv")
+    _emit(args, "spectrum", {"": (header, rows)}, config, extras, "spectrum.csv")
     if extras.get("transitions"):
         print("transitions:", ", ".join(f"{x:.9g}" for x in extras["transitions"]))
     return 0
@@ -199,7 +205,7 @@ def _cmd_entangle(args) -> int:
     header, rows, extras = entanglement_trajectory(
         chain, times, partitions, include_cm=args.include_cm
     )
-    _emit(args, "entangle", header, rows, config, extras, "entangle.csv")
+    _emit(args, "entangle", {"": (header, rows)}, config, extras, "entangle.csv")
     if "truncated_at" in extras:
         print(f"warning: trajectory truncated at t={extras['truncated_at']:.6g} "
               "by the overflow guard", file=sys.stderr)
@@ -211,14 +217,14 @@ def _cmd_fig2(args) -> int:
         eta=args.eta,
         g_axis=SweepAxis("g", args.g_min, args.g_max, args.g_steps),
         t_axis=SweepAxis("t", 0.0, args.t_max, args.t_steps),
-        tol=args.tol if args.tol is not None else 1e-9,
+        tol=args.tol if args.tol is not None else DEFAULT_REGION_TOL,
         threads=args.threads,
     )
     config_echo = {
         "eta": args.eta, "g_min": args.g_min, "g_max": args.g_max,
         "g_steps": args.g_steps, "t_max": args.t_max, "t_steps": args.t_steps,
     }
-    _emit(args, "fig2", header, rows, config_echo, extras, "fig2.csv")
+    _emit(args, "fig2", {"": (header, rows)}, config_echo, extras, "fig2.csv")
     return 0
 
 
@@ -227,43 +233,30 @@ def _cmd_fig3(args) -> int:
         n_values = tuple(int(tok) for tok in args.ns.split(",") if tok)
     except ValueError as exc:
         raise ConfigError(f"--ns must be comma-separated integers: {exc}") from exc
-    if args.fit_max_n < 4:
-        # the fit a*exp(b*N)+c needs at least three sizes, N = 2..4
-        raise ConfigError("--fit-max-n must be at least 4")
-    if args.phi_steps < 0:
-        raise ConfigError("--phi-steps must be nonnegative")
     witness, ratio, extras = fig3_tables(
         n_values=n_values, phi_steps=args.phi_steps, t=args.t, fit_max_n=args.fit_max_n
     )
     config_echo = {"ns": list(n_values), "t": args.t, "phi_steps": args.phi_steps,
                    "fit_max_n": args.fit_max_n}
-    out = _emit(args, "fig3", witness[0], witness[1], config_echo, extras, "fig3.csv")
-    ratio_path = out.with_name(out.stem + "_ratio" + out.suffix)
-    write_rows(ratio_path, ratio[0], ratio[1], args.fmt)
-    write_manifest(ratio_path, "fig3", config_echo, extras)
+    _emit(args, "fig3", {"": witness, "_ratio": ratio}, config_echo, extras, "fig3.csv")
     fit = extras["ratio_fit"]
     print(f"ratio fit: a={fit['a']:.4f} b={fit['b']:.4f} c={fit['c']:.4f}")
     return 0
 
 
 def _cmd_fig4(args) -> int:
-    if args.arc_steps < 0:
-        raise ConfigError("--arc-steps must be nonnegative")
     grid, arc, extras = fig4_grid(
         j=args.j,
         t=args.t,
         g1_axis=SweepAxis("g1", 0.0, args.g_max, args.g_steps),
         g2_axis=SweepAxis("g2", 0.0, args.g_max, args.g_steps),
         arc_steps=args.arc_steps,
-        tol=args.tol if args.tol is not None else 1e-9,
+        tol=args.tol if args.tol is not None else DEFAULT_REGION_TOL,
         threads=args.threads,
     )
     config_echo = {"j": args.j, "t": args.t, "g_max": args.g_max,
                    "g_steps": args.g_steps, "arc_steps": args.arc_steps}
-    out = _emit(args, "fig4", grid[0], grid[1], config_echo, extras, "fig4.csv")
-    arc_path = out.with_name(out.stem + "_arc" + out.suffix)
-    write_rows(arc_path, arc[0], arc[1], args.fmt)
-    write_manifest(arc_path, "fig4", config_echo, extras)
+    _emit(args, "fig4", {"": grid, "_arc": arc}, config_echo, extras, "fig4.csv")
     return 0
 
 
@@ -276,16 +269,18 @@ def _cmd_es_scan(args) -> int:
     unknown = set(config) - {"g1", "g2", "J1", "J2", "tol"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    tol = args.tol if args.tol is not None else float(config.get("tol", 1e-9))
+    tol = args.tol if args.tol is not None else float(config.get("tol", DEFAULT_REGION_TOL))
     header, rows, extras = es_scan_table(
         axes["g1"], axes["g2"], axes["J1"], axes["J2"], tol=tol,
         detect_everywhere=args.detect_everywhere,
     )
-    _emit(args, "es-scan", header, rows, config, extras, "es_scan.csv")
+    _emit(args, "es-scan", {"": (header, rows)}, config, extras, "es_scan.csv")
     return 0
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(tol_scale=args.tol, inject_fault=args.inject_fault,
                            draws=args.draws)
     failures = [r for r in results if not r.passed]

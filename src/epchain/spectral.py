@@ -206,26 +206,22 @@ def jordan_structure(m: BdgMatrix, center: complex, tol: float = DEFAULT_RANK_TO
 
 
 def _cluster_eigenvalues(values: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Single-linkage clustering of complex values at the given radius."""
-    order = np.lexsort((values.imag, values.real))
-    parent = list(range(len(values)))
+    """Single-linkage clustering of complex values at the given radius.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[order[i]] - values[order[j]]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(len(values)):
-        groups.setdefault(find(i), []).append(order[i])
-    return [values[idx] for idx in groups.values()]
+    The groups are the connected components of the within-radius graph,
+    found by spreading the smallest (real, imaginary) rank along its edges;
+    groups and their members come in (real, imaginary) order.
+    """
+    ordered = values[np.lexsort((values.imag, values.real))]
+    n = len(ordered)
+    near = (np.abs(ordered[:, None] - ordered[None, :]) <= radius) | np.eye(n, dtype=bool)
+    labels = np.arange(n)
+    while True:
+        spread = np.where(near, labels, n).min(axis=1)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    return [ordered[labels == label] for label in np.unique(labels)]
 
 
 def detect_eps(

@@ -14,11 +14,15 @@ they give for that cell, and a failing check raises the error a loop over
 the cells would raise first.  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
 stays flat on large grids, and stops at the first chunk with an error;
-with ``threads > 1`` the chunks are mapped over a pool of spawned processes
-(a script calling these functions with ``threads > 1`` needs an
+with ``threads > 1`` the chunks are mapped over a
+``concurrent.futures.ProcessPoolExecutor`` of spawned processes, so a
+worker that dies ends the sweep with ``BrokenProcessPool`` (a script
+calling these functions with ``threads > 1`` needs an
 ``if __name__ == "__main__"`` guard).  fig3 needs
 no kernel: at g = J its witness is the exact coalescence-point series
-``nu_closed_form_bkc_ep``.  Rows are
+``nu_closed_form_bkc_ep``, and only its fit of the enhancement ratio
+imports ``scipy.optimize``.  The presets check their own arguments, so a
+library call gets the ``ConfigError`` the command line reports.  Rows are
 assembled strictly by grid index and written with a pinned float format of
 17 significant digits, so identical configurations produce byte-identical
 files regardless of thread count.  ``format_value`` is the one-value
@@ -31,6 +35,7 @@ configuration and the tool version.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import csv
 import functools
@@ -44,7 +49,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .chain import (
     BdgMatrix,
@@ -258,32 +262,44 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _map_in_order(fn, tasks: list, threads: int) -> Iterator:
-    """``map(fn, tasks)``, lazily and in order, over a process pool when threads > 1.
+    """``map(fn, tasks)``, lazily and in order, over spawned processes when threads > 1.
 
     Closing the iterator early leaves the tasks not yet reached undone: in
-    process they are never run, and the pool is terminated.
+    process they are never run, and with workers the pending ones are
+    cancelled.  A worker that dies ends the map with ``BrokenProcessPool``.
 
     Workers are spawned with one BLAS thread each: the kernel's matrices are
     small, and BLAS threads on top of the workers oversubscribe the cores.
-    The variables are set only while the workers start, since a BLAS
-    library reads them once, when the worker imports numpy.
+    The variables are set only while the tasks are submitted, since that is
+    when the executor starts its workers, and a BLAS library reads them
+    once, when the worker imports numpy.
     """
     workers = min(threads, len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return
+    pool = concurrent.futures.ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"))
+    try:
+        with _one_blas_thread():
+            results = pool.map(fn, tasks)
+        yield from results
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 for the duration of the block."""
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
     try:
-        pool = multiprocessing.get_context("spawn").Pool(workers)
+        yield
     finally:
         for name, value in saved.items():
             if value is None:
                 del os.environ[name]
             else:
                 os.environ[name] = value
-    with pool:
-        yield from pool.imap(fn, tasks)
 
 
 def _witness_chunk(args: tuple) -> tuple[list, np.ndarray | None, EpchainError | None]:
@@ -500,6 +516,13 @@ def fig3_tables(
     xi past the float range (``OutOfRange``) or a reference witness of 1
     (``DivisionByZeroLog``, as at t = 0) fails.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    if fit_max_n < 4:
+        # the fit a*exp(b*N)+c needs at least three sizes, N = 2..4
+        raise ConfigError(f"fit_max_n must be at least 4, got {fit_max_n}")
+    if phi_steps < 0:
+        raise ConfigError(f"phi_steps must be nonnegative, got {phi_steps}")
     if any(n < 2 for n in n_values):
         raise ConfigError(f"chain sizes must be at least 2, got {list(n_values)}")
     t = float(t)
@@ -558,6 +581,8 @@ def fig4_grid(
     parameterized by the angle from the arc point, with the closed-form
     witness alongside for comparison.
     """
+    if arc_steps < 0:
+        raise ConfigError(f"arc_steps must be nonnegative, got {arc_steps}")
     g1_axis = g1_axis or SweepAxis("g1", 0.0, 2.0, 81)
     g2_axis = g2_axis or SweepAxis("g2", 0.0, 2.0, 81)
     points = [(g1, g2) for g1 in g1_axis.values().tolist() for g2 in g2_axis.values().tolist()]
@@ -592,7 +617,7 @@ def es_scan_table(
     j1_axis: SweepAxis,
     j2_axis: SweepAxis,
     tol: float = 1e-9,
-    rank_tol: float = 1e-8,
+    rank_tol: float = DEFAULT_RANK_TOL,
     detect_everywhere: bool = False,
 ) -> tuple[list[str], list[list], dict]:
     """Exceptional-surface scan in the three-mode parameter space."""

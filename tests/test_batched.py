@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg._matfuncs_expm import pick_pade_structure
@@ -519,13 +520,13 @@ def fig3_closed_form_loops(n_values, phi_steps, t, ratio_times, fit_max_n):
 
 def recorded_fig3(monkeypatch, **kwargs):
     """fig3_tables' witness rows, ratio rows and the R(N) values it fits."""
-    fit_inputs, fit = [], sweeps.curve_fit
+    fit_inputs, fit = [], scipy.optimize.curve_fit
 
     def recording_fit(f, xdata, ydata, **kw):
         fit_inputs.append(ydata.tolist())
         return fit(f, xdata, ydata, **kw)
 
-    monkeypatch.setattr(sweeps, "curve_fit", recording_fit)
+    monkeypatch.setattr(scipy.optimize, "curve_fit", recording_fit)
     (_, witness), (_, ratio), _ = fig3_tables(**kwargs)
     [fit_rs] = fit_inputs
     return witness, ratio, fit_rs
@@ -603,7 +604,7 @@ class TestFig3ThroughKernel:
 
         monkeypatch.setattr(sweeps, "nu_closed_form_bkc_ep", nu)
         # the fit runs at t = times[0], which the ratio table reaches first
-        monkeypatch.setattr(sweeps, "curve_fit", lambda *args, **kw: (np.zeros(3), None))
+        monkeypatch.setattr(scipy.optimize, "curve_fit", lambda *args, **kw: (np.zeros(3), None))
         kwargs = dict(n_values=(3,), phi_steps=0, t=times[0], ratio_times=times, fit_max_n=4)
         try:
             expected = [enhancement_ratio(3, t, nu_fn=nu) for t in times]

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,7 +256,7 @@ class TestFigureCommands:
         code = main(["fig3", "--ns", "2", "--phi-steps", "3", "--fit-max-n", fit_max_n,
                      "--out", str(out)])
         assert code == 2
-        assert "config error: --fit-max-n must be at least 4" in capsys.readouterr().err
+        assert "config error: fit_max_n must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,flag", [
@@ -264,7 +267,9 @@ class TestFigureCommands:
         out = tmp_path / f"{argv[0]}.csv"
         code = main(argv + ["--out", str(out)])
         assert code == 2
-        assert f"config error: {flag} must be nonnegative" in capsys.readouterr().err
+        # the check lives in the library, so it names the parameter
+        parameter = flag[2:].replace("-", "_")
+        assert f"config error: {parameter} must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fig4_grid_and_arc(self, tmp_path):
@@ -302,6 +307,32 @@ def test_threads_only_where_used(command, capsys):
         main([command, "--threads", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("fig2", ["--config", "x.json"]),
+    ("fig3", ["--config", "x.json"]),
+    ("fig4", ["--config", "x.json"]),
+    ("entangle", ["--tol", "1e-9"]),
+    ("fig3", ["--tol", "1e-9"]),
+])
+def test_config_and_tol_only_where_used(command, option, capsys):
+    # fig2, fig3 and fig4 take their settings as options, and neither the
+    # trajectory nor fig3's exact series has a tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        main([command, *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    # selftest and fig3's fit import them when they run
+    code = ("import sys, epchain.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestEsScanCommand:

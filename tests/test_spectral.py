@@ -1,6 +1,7 @@
 """Spectrum classification, Jordan structure, and exceptional-point search."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from epchain import (
 )
 from epchain.chain import spec_bdg_stack
 from epchain.errors import ConfigError, NoTransition, RankAmbiguity
-from epchain.spectral import DEFAULT_REGION_TOL
+from epchain.spectral import DEFAULT_REGION_TOL, _cluster_eigenvalues
 
 from conftest import assert_multiset_close, spec_stacks
 
@@ -277,6 +278,45 @@ class TestDetectEps:
         m = build_bdg_matrix(ChainSpec.uniform(4, g=scale, j=scale, phi=np.pi / 2))
         (cluster,) = detect_eps(m)
         assert cluster.jordan_blocks == (4, 4)
+
+
+@st.composite
+def values_and_radius(draw):
+    """Up to 13 complex values near a grid of spacing 1, scaled, and a radius around the spacing."""
+    scale = draw(st.sampled_from([1e-9, 1e-5, 1e-2, 0.1]))
+    cell = st.integers(-4, 4).map(float) | st.floats(-4.0, 4.0)
+    points = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=13))
+    radius = draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])) * scale
+    return np.array([complex(re, im) * scale for re, im in points]), radius
+
+
+class TestClusterEigenvalues:
+    """Single-linkage groups are the connected components of the within-radius graph."""
+
+    @given(values_and_radius())
+    @settings(max_examples=300, deadline=None)
+    def test_components(self, case):
+        values, radius = case
+        groups = _cluster_eigenvalues(values, radius)
+        key = lambda z: (z.real, z.imag)
+        # every value once, groups and their members in (real, imaginary) order
+        assert sorted(map(key, np.concatenate(groups))) == sorted(map(key, values))
+        assert all(list(map(key, g)) == sorted(map(key, g)) for g in groups)
+        firsts = [key(g[0]) for g in groups]
+        assert firsts == sorted(firsts)
+        # two values within the radius share a group
+        flat = [(k, z) for k, g in enumerate(groups) for z in g]
+        for (k1, z1), (k2, z2) in itertools.combinations(flat, 2):
+            if abs(z1 - z2) <= radius:
+                assert k1 == k2
+        # no group splits into two parts farther apart than the radius
+        for group in groups:
+            reached, rest = {0}, set(range(1, len(group)))
+            while rest:
+                step = {i for i in rest if any(abs(group[i] - group[j]) <= radius for j in reached)}
+                assert step, (group, radius)
+                reached |= step
+                rest -= step
 
 
 class TestLocateEp1d:

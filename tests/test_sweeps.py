@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from epchain import symplectic_eigenvalues
 from epchain.errors import ConfigError, UnsortedTimes
 from epchain.sweeps import (
     SweepAxis,
+    _map_in_order,
     entanglement_trajectory,
     fig2_grid,
     fig3_tables,
+    fig4_grid,
     format_value,
     spectrum_sweep,
     write_rows,
@@ -196,6 +201,40 @@ def test_fig3_needs_two_modes(n_values):
     # the 1|rest cut needs a second mode; the closed form alone would give 1
     with pytest.raises(ConfigError, match="chain sizes must be at least 2"):
         fig3_tables(n_values=n_values, phi_steps=3, fit_max_n=4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fig3_tables(phi_steps=-1), "phi_steps must be nonnegative"),
+    (lambda: fig3_tables(fit_max_n=3), "fit_max_n must be at least 4"),
+    (lambda: fig4_grid(arc_steps=-2), "arc_steps must be nonnegative"),
+], ids=["phi_steps", "fit_max_n", "arc_steps"])
+def test_preset_arguments_checked_in_library(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
+def test_pool_workers_run_one_blas_thread():
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    assert list(_map_in_order(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, 2)) == ["1", "1"]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+
+
+def test_dead_pool_worker_breaks_the_map():
+    # in a fresh interpreter with a timeout, so a map that waits for a dead
+    # worker fails the test instead of hanging the suite
+    code = "\n".join([
+        "import os",
+        "from concurrent.futures.process import BrokenProcessPool",
+        "from epchain.sweeps import _map_in_order",
+        "try:",
+        "    list(_map_in_order(os._exit, [1, 1, 1], 2))",
+        "except BrokenProcessPool:",
+        "    print('broken')",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.stdout.strip() == "broken", out.stderr
 
 
 def test_symplectic_eigenvalues_singular_matrix():
