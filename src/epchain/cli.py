@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig2", help="two-mode witness map")
     _add_output(p)
-    p.add_argument("--tol", type=float, default=None, help="override the region tolerance")
     _add_threads(p)
     p.add_argument("--eta", type=float, default=0.2)
     p.add_argument("--g-min", type=float, default=0.5)
@@ -217,7 +216,6 @@ def _cmd_fig2(args) -> int:
         eta=args.eta,
         g_axis=SweepAxis("g", args.g_min, args.g_max, args.g_steps),
         t_axis=SweepAxis("t", 0.0, args.t_max, args.t_steps),
-        tol=args.tol if args.tol is not None else DEFAULT_REGION_TOL,
         threads=args.threads,
     )
     config_echo = {

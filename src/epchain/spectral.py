@@ -309,13 +309,17 @@ def locate_ep_1d(
 
     Raises
     ------
+    ConfigError
+        If [lo, hi] is not a finite interval with lo < hi, ``grid_points``
+        is below 2, or ``tol`` is not positive and finite.
     NoTransition
         If the signature is uniform across the whole scan.
     """
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
-        raise ValueError(f"bad interval [{lo}, {hi}]")
+        raise ConfigError(f"bad interval [{lo}, {hi}]")
     if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
+        raise ConfigError("grid_points must be at least 2")
+    _check_tol(tol)
     grid = np.linspace(lo, hi, grid_points)
     signatures = _signatures(spec_bdg_stack([family(float(x)) for x in grid]), region_tol)
     found: list[float] = []

@@ -3,8 +3,11 @@
 Every bundled experiment reduces to evaluating the chain pipeline over a
 parameter grid and emitting rows.  fig2, fig4 and spectrum sweeps build the
 matrices of all their chains as one stack (``bdg_stack``,
-``uniform_bdg_stack`` or ``spec_bdg_stack``) and label it with one
-``spectrum_stack`` call; fig2 and fig4 turn it into generators with
+``uniform_bdg_stack`` or ``spec_bdg_stack``); fig4 and spectrum sweeps
+label it with one ``spectrum_stack`` call, and spectrum sweeps locate their
+transitions with ``locate_ep_1d``.  fig2 needs neither: its two-mode
+spectrum and exceptional points g = +-|1 +- eta| are closed forms, labelled
+by the same rule.  fig2 and fig4 turn the stack into generators with
 ``generator_stack``, and the numeric witness presets (fig2, fig4 and its
 arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
@@ -52,7 +55,6 @@ import numpy as np
 
 from .chain import (
     BdgMatrix,
-    ChainSpec,
     bdg_stack,
     build_bdg_matrix,
     build_chain_spec,
@@ -72,8 +74,10 @@ from .entanglement import (
 )
 from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, PrecisionLoss
 from .spectral import (
+    _REGIONS,
     DEFAULT_RANK_TOL,
     DEFAULT_REGION_TOL,
+    _label_rows,
     detect_eps,
     locate_ep_1d,
     scan_exceptional_surface,
@@ -356,9 +360,10 @@ def _witness_map(
 # spectrum and trajectory commands
 
 def _transitions(family, axis: SweepAxis, tol: float) -> list[float]:
-    """The located spectral transitions of a family over the axis range; [] if none."""
+    """The located spectral transitions of a family over the axis range, in either order; [] if none."""
+    lo, hi = sorted((float(axis.start), float(axis.stop)))
     try:
-        return list(locate_ep_1d(family, float(axis.start), float(axis.stop), region_tol=tol))
+        return list(locate_ep_1d(family, lo, hi, region_tol=tol))
     except NoTransition:
         return []
 
@@ -461,24 +466,41 @@ def entanglement_trajectory(
 # ---------------------------------------------------------------------------
 # figure-style grids
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+
+
 def fig2_grid(
     eta: float = 0.2,
     g_axis: SweepAxis | None = None,
     t_axis: SweepAxis | None = None,
-    tol: float = DEFAULT_REGION_TOL,
     threads: int = 1,
 ) -> tuple[list[str], list[Sequence], dict]:
     """Two-mode witness map over hopping strength and time.
 
     Default grid: 301 hopping values on [0.5, 1.5] by 501 times on [0, 5],
     fine enough to resolve the splitting boundaries visibly.
+
+    The spectrum is exact: at J = 1 the symmetric and antisymmetric modes
+    decouple, so the eigenvalues are +-sqrt(g^2 - (1 + eta)^2) and
+    +-sqrt(g^2 - (1 - eta)^2), labelled by ``spectrum_stack``'s rule at the
+    default region tolerance.  The transitions are the exceptional points
+    g = +-|1 +- eta| other than 0 that lie strictly inside the g range, in
+    increasing order.  Only the witness runs the numeric kernel.
     """
+    _check_threads(threads)
     g_axis = g_axis or SweepAxis("g", 0.5, 1.5, 301)
     t_axis = t_axis or SweepAxis("t", 0.0, 5.0, 501)
-    g_values = g_axis.values().tolist()
+    g = g_axis.values()
     times = t_axis.values()
-    m = uniform_bdg_stack(2, g=g_values, j=1.0, eta=eta)
-    regions = [region.value for region in spectrum_stack(m, tol)[1]]
+    m = uniform_bdg_stack(2, g=g, j=1.0, eta=eta)
+    # the exceptional points on the g > 0 side; a root and its negative lie
+    # on the same axes, so the roots alone decide the label
+    ep_g = np.abs([1.0 + eta, 1.0 - eta])
+    roots = np.sqrt(((g[:, None] - ep_g) * (g[:, None] + ep_g)).astype(complex))
+    codes, _, _ = _label_rows(roots, DEFAULT_REGION_TOL)
+    regions = [_REGIONS[c].value for c in codes.tolist()]
     k = generator_stack(m)
     [(nu, logneg)], _, error = _witness_map(
         initial_state(2), k, times, [Bipartition.one_vs_rest(2)], threads
@@ -488,12 +510,13 @@ def fig2_grid(
     header = ["g", "t", "region", "nu_minus", "log_negativity"]
     n_times = len(times)
     rows = list(zip(
-        np.repeat(g_values, n_times).tolist(), np.tile(times, len(g_values)).tolist(),
+        np.repeat(g, n_times).tolist(), np.tile(times, len(g)).tolist(),
         np.repeat(regions, n_times).tolist(), nu.tolist(), logneg.tolist(),
     ))
+    lo, hi = sorted((g_axis.start, g_axis.stop))
+    transitions = sorted({x for e in ep_g.tolist() for x in (-e, e) if x != 0 and lo < x < hi})
     extras = {"eta": eta, "g_steps": g_axis.steps, "t_steps": t_axis.steps,
-              "transitions": _transitions(lambda g: ChainSpec.uniform(2, g=g, j=1.0, eta=eta),
-                                          g_axis, tol)}
+              "transitions": transitions}
     return header, rows, extras
 
 
@@ -581,6 +604,7 @@ def fig4_grid(
     parameterized by the angle from the arc point, with the closed-form
     witness alongside for comparison.
     """
+    _check_threads(threads)
     if arc_steps < 0:
         raise ConfigError(f"arc_steps must be nonnegative, got {arc_steps}")
     g1_axis = g1_axis or SweepAxis("g1", 0.0, 2.0, 81)

@@ -47,6 +47,20 @@ class TestSpectrumCommand:
         assert regions[-1] == "purely_real"
         assert "mixed" in regions
 
+    def test_descending_sweep_has_the_ascending_transitions(self, tmp_path):
+        transitions = []
+        for start, stop in ((0.5, 1.5), (1.5, 0.5)):
+            cfg = write_json(tmp_path / f"c{start}.json", {
+                "n": 2, "g": 1.0, "J": 1.0, "eta": 0.2,
+                "sweep": {"axis": "g", "start": start, "stop": stop, "steps": 21},
+            })
+            out = tmp_path / f"spec{start}.csv"
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            transitions.append(manifest["extras"]["transitions"])
+        assert transitions[1] == transitions[0]
+        assert len(transitions[0]) == 2
+
     def test_single_point_no_eps(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"n": 2, "g": 2.0, "J": 1.0})
         out = tmp_path / "point.csv"
@@ -70,7 +84,7 @@ class TestSpectrumCommand:
         assert main(["spectrum"]) == 2
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-    @pytest.mark.parametrize("command", ["spectrum", "fig2", "fig4"])
+    @pytest.mark.parametrize("command", ["spectrum", "fig4"])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol):
         argv = [command, f"--tol={tol}", "--out", str(tmp_path / "x.csv")]
         if command == "spectrum":
@@ -81,6 +95,14 @@ class TestSpectrumCommand:
         assert main(argv) == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fig2", "fig4"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, command, threads):
+        out = tmp_path / "x.csv"
+        assert main([command, "--threads", threads, "--g-steps", "2", "--out", str(out)]) == 2
+        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rank_ambiguity_exits_3(self, tmp_path, capsys):
         # a huge rank tolerance lands singular values inside the undecidable
@@ -315,10 +337,12 @@ def test_threads_only_where_used(command, capsys):
     ("fig4", ["--config", "x.json"]),
     ("entangle", ["--tol", "1e-9"]),
     ("fig3", ["--tol", "1e-9"]),
+    ("fig2", ["--tol", "1e-9"]),
 ])
 def test_config_and_tol_only_where_used(command, option, capsys):
     # fig2, fig3 and fig4 take their settings as options, and neither the
-    # trajectory nor fig3's exact series has a tolerance to set
+    # trajectory, fig2's closed-form spectrum nor fig3's exact series has a
+    # tolerance to set
     with pytest.raises(SystemExit) as exc:
         main([command, *option])
     assert exc.value.code == 2

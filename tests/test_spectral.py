@@ -355,6 +355,18 @@ class TestLocateEp1d:
         with pytest.raises(ValueError):
             locate_ep_1d(lambda g: ChainSpec.uniform(2, g=g, j=1.0), 1.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi, kwargs", [
+        (1.5, 0.5, {}),
+        (0.5, float("inf"), {}),
+        (0.5, 1.5, {"grid_points": 1}),
+        (0.5, 1.5, {"tol": 0.0}),
+        (0.5, 1.5, {"tol": float("nan")}),
+    ], ids=["reversed", "infinite", "one_grid_point", "zero_tol", "nan_tol"])
+    def test_argument_errors_are_config_errors(self, lo, hi, kwargs):
+        # a bisection width of 0 would never end
+        with pytest.raises(ConfigError):
+            locate_ep_1d(lambda g: ChainSpec.uniform(2, g=g, j=1.0, eta=0.2), lo, hi, **kwargs)
+
     def test_family_that_changes_size(self):
         family = lambda g: ChainSpec.uniform(2 if g < 1 else 3, g=g, j=1.0, eta=0.2)
         with pytest.raises(ConfigError, match="N=2 and N=3"):

@@ -9,11 +9,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epchain import symplectic_eigenvalues
-from epchain.errors import ConfigError, UnsortedTimes
+from epchain import ChainSpec, locate_ep_1d, spectrum_stack, symplectic_eigenvalues
+from epchain.chain import uniform_bdg_stack
+from epchain.errors import ConfigError, NoTransition, UnsortedTimes
 from epchain.sweeps import (
     SweepAxis,
     _map_in_order,
@@ -183,6 +184,68 @@ def test_fig2_matches_closed_form_without_sms():
     assert extras["transitions"] == pytest.approx([1.0], abs=1e-5)
 
 
+class TestFig2ClosedFormSpectrum:
+    """fig2's exact regions and exceptional points against the numeric path."""
+
+    @given(
+        eta=st.floats(-2.0, 2.0),
+        ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        steps=st.integers(2, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_eigensolve_and_ep_search(self, eta, ends, steps):
+        ep_g = [abs(1.0 + eta), abs(1.0 - eta)]
+        assume(min(ep_g) >= 1e-3)
+        lo, hi = sorted(ends)
+        assume(hi - lo >= 1e-2)
+        points = np.array([sign * e for e in ep_g for sign in (-1.0, 1.0)])
+        # locate_ep_1d resolves transitions two of its 129 grid points apart,
+        # and cannot settle one within its bisection width of a range end
+        inside = np.unique(points[(points > lo) & (points < hi)])
+        assume(np.all(np.diff(inside) > 2 * (hi - lo) / 128))
+        assume(np.abs(points[:, None] - np.array([lo, hi])).min() > 1e-5)
+
+        g_axis = SweepAxis("g", *ends, steps)
+        _, rows, extras = fig2_grid(eta, g_axis, SweepAxis("t", 0.0, 0.0, 1))
+        g = g_axis.values()
+        _, labels, _ = spectrum_stack(uniform_bdg_stack(2, g=g, j=1.0, eta=eta))
+        far = np.abs(g[:, None] - points).min(axis=1) > 1e-6
+        assert [row[2] for row, keep in zip(rows, far) if keep] == [
+            label.value for label, keep in zip(labels, far) if keep]
+
+        try:
+            found = locate_ep_1d(lambda x: ChainSpec.uniform(2, g=x, j=1.0, eta=eta), lo, hi)
+        except NoTransition:
+            found = ()
+        assert len(extras["transitions"]) == len(found)
+        np.testing.assert_allclose(extras["transitions"], found, rtol=0, atol=2e-6)
+
+    def test_calls_no_eigensolve_and_no_ep_search(self, monkeypatch):
+        calls = []
+        for module in ("epchain.spectral", "epchain.sweeps"):
+            for name in ("spectrum_stack", "locate_ep_1d"):
+                monkeypatch.setattr(f"{module}.{name}", lambda *a, name=name, **k: calls.append(name))
+        fig2_grid(g_axis=SweepAxis("g", 0.5, 1.5, 5), t_axis=SweepAxis("t", 0.0, 1.0, 3))
+        assert calls == []
+
+    def test_default_grid_labels_its_exceptional_points_exactly(self):
+        # g = 0.8 and g = 1.2 are grid points of the default axis; there one
+        # eigenvalue pair is zero and the other on one axis
+        g_axis = SweepAxis("g", 0.5, 1.5, 301)
+        _, rows, extras = fig2_grid(g_axis=g_axis, t_axis=SweepAxis("t", 0.0, 0.0, 1))
+        regions = {round(row[0], 12): row[2] for row in rows}
+        assert regions[0.8] == "purely_imaginary"
+        assert regions[1.2] == "purely_real"
+        assert extras["transitions"] == [0.8, 1.2]
+
+    def test_transitions_in_either_axis_order(self):
+        t_axis = SweepAxis("t", 0.0, 0.0, 1)
+        up = fig2_grid(0.5, SweepAxis("g", -2.0, 1.0, 3), t_axis)[2]["transitions"]
+        down = fig2_grid(0.5, SweepAxis("g", 1.0, -2.0, 3), t_axis)[2]["transitions"]
+        # of g = +-0.5 and +-1.5, only 1.5 lies outside (-2, 1)
+        assert up == down == [-1.5, -0.5, 0.5]
+
+
 def test_fig3_ratio_rows_match_direct_call():
     from epchain import enhancement_ratio, nu_closed_form_bkc_ep
 
@@ -207,7 +270,9 @@ def test_fig3_needs_two_modes(n_values):
     (lambda: fig3_tables(phi_steps=-1), "phi_steps must be nonnegative"),
     (lambda: fig3_tables(fit_max_n=3), "fit_max_n must be at least 4"),
     (lambda: fig4_grid(arc_steps=-2), "arc_steps must be nonnegative"),
-], ids=["phi_steps", "fit_max_n", "arc_steps"])
+    (lambda: fig2_grid(threads=0), "threads must be at least 1, got 0"),
+    (lambda: fig4_grid(threads=-3), "threads must be at least 1, got -3"),
+], ids=["phi_steps", "fit_max_n", "arc_steps", "fig2_threads", "fig4_threads"])
 def test_preset_arguments_checked_in_library(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
