@@ -361,20 +361,6 @@ class RealGenerator:
         return self.size // 2
 
 
-@functools.lru_cache(maxsize=None)
-def _interleave_permutation(n_modes: int) -> np.ndarray:
-    """Map the block ordering (X1..XN, P1..PN) to the interleaved (X1, P1, ...).
-
-    The matrix is cached per N and read-only, like ``symplectic_form``.
-    """
-    size = 2 * n_modes
-    perm = np.zeros((size, size))
-    rows = np.arange(size)
-    perm[rows, rows // 2 + (rows % 2) * n_modes] = 1.0
-    perm.setflags(write=False)
-    return perm
-
-
 def generator_stack(m) -> np.ndarray:
     """Real quadrature generators K of a (P, 2N, 2N) stack of dynamical matrices.
 
@@ -410,8 +396,10 @@ def generator_stack(m) -> np.ndarray:
             f"quadrature generator has imaginary residual {float(residual[p]):.3e} "
             f"(scale {float(scale[p]):.3e}); the input is not a valid dynamical matrix"
         )
-    perm = _interleave_permutation(n)
-    return perm @ k_block.real @ perm.T
+    # (X1..XN, P1..PN) read as (X1, P1, ...); + 0.0 turns -0.0 into +0.0, as a matmul does
+    r = np.arange(2 * n)
+    order = r // 2 + (r % 2) * n
+    return k_block.real[:, order[:, None], order] + 0.0
 
 
 def quadrature_generator(m: BdgMatrix) -> RealGenerator:

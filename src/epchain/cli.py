@@ -131,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig4", help="three-mode witness map and circle cut")
     _add_output(p)
-    p.add_argument("--tol", type=float, default=None, help="override the region tolerance")
     _add_threads(p)
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--t", type=float, default=5.0)
@@ -163,8 +162,11 @@ def _emit(args, command: str, tables: dict, config_echo: dict, extras: dict, def
         out = out.with_suffix(".json")
     for suffix, (header, rows) in tables.items():
         path = out.with_name(out.stem + suffix + out.suffix)
-        write_rows(path, header, rows, args.fmt)
-        write_manifest(path, command, config_echo, extras)
+        try:
+            write_rows(path, header, rows, args.fmt)
+            write_manifest(path, command, config_echo, extras)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         print(f"{command}: wrote {len(rows)} rows to {path}")
 
 
@@ -249,7 +251,6 @@ def _cmd_fig4(args) -> int:
         g1_axis=SweepAxis("g1", 0.0, args.g_max, args.g_steps),
         g2_axis=SweepAxis("g2", 0.0, args.g_max, args.g_steps),
         arc_steps=args.arc_steps,
-        tol=args.tol if args.tol is not None else DEFAULT_REGION_TOL,
         threads=args.threads,
     )
     config_echo = {"j": args.j, "t": args.t, "g_max": args.g_max,

@@ -168,8 +168,8 @@ def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
     ------
     OverflowRisk
         If ||K|| * |t| exceeds the growth cap of 300, in which case exp(K t)
-        could exceed the range of double precision; the offending growth
-        exponent is attached to the error.
+        could exceed the range of double precision; the message states the
+        offending growth exponent and the cap.
     """
     s, error = _propagators(k.data[None], np.array([t], dtype=float))
     if error is not None:
@@ -278,8 +278,7 @@ def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainE
         if np.isfinite(t):
             error = OverflowRisk(
                 f"propagation to t={t} has growth exponent {exponents[stop]:.1f} "
-                f"(cap {GROWTH_CAP:.0f}); entries would overflow double precision",
-                exponent=float(exponents[stop]),
+                f"(cap {GROWTH_CAP:.0f}); entries would overflow double precision"
             )
         else:
             error = ConfigError(f"time must be finite, got {t}")

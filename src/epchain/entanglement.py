@@ -315,24 +315,37 @@ def xi_from_nu(nu: float) -> float:
     return 0.5 * (nu * nu + 1.0 / (nu * nu))
 
 
+def _square_of(jt: float) -> float:
+    """(J t)^2; where it overflows, so does xi >= 8 (J t)^2 + 1: ``OutOfRange``."""
+    try:
+        return jt**2
+    except OverflowError as exc:  # float ** raises where numpy returns inf
+        raise OutOfRange(f"xi is past the float range: (J t)^2 overflows at J t = {jt:.6g}") from exc
+
+
 def nu_closed_form_two_mode(g: float, j: float, t: float) -> float:
     """Closed-form nu_- of the two-mode chain without on-site squeezing.
 
     The invariant is xi(t) = (g^2 - J^2 cos(4 c t)) / c^2 with
     c^2 = g^2 - J^2, evaluated on the stable branch for each sign of c^2 and
     switched to its series limit xi = 1 + 8 J^2 t^2 when |g^2 - J^2| is
-    within 1e-8 J^2 of the coalescence point.
+    within 1e-8 J^2 of the coalescence point.  A square, cosh or phase
+    4 c t past the float range raises ``OutOfRange``, as an overflowed xi does.
     """
-    g2, j2 = float(g) ** 2, float(j) ** 2
-    c2 = g2 - j2
-    if abs(c2) <= 1e-8 * j2 or (j2 == 0.0 and c2 == 0.0):
-        xi = 1.0 + 8.0 * j2 * t * t
-    elif c2 > 0:
-        c = math.sqrt(c2)
-        xi = (g2 - j2 * math.cos(4.0 * c * t)) / c2
-    else:
-        c_abs = math.sqrt(-c2)
-        xi = (j2 * math.cosh(4.0 * c_abs * t) - g2) / (-c2)
+    g, j = float(g), float(j)
+    try:
+        g2, j2 = g**2, j**2
+        c2 = g2 - j2
+        if abs(c2) <= 1e-8 * j2 or (j2 == 0.0 and c2 == 0.0):
+            xi = 1.0 + 8.0 * j2 * t * t
+        elif c2 > 0:
+            c = math.sqrt(c2)
+            xi = (g2 - j2 * math.cos(4.0 * c * t)) / c2
+        else:
+            c_abs = math.sqrt(-c2)
+            xi = (j2 * math.cosh(4.0 * c_abs * t) - g2) / (-c2)
+    except (OverflowError, ValueError) as exc:  # math.cos raises on an infinite phase
+        raise OutOfRange(f"xi cannot be evaluated in floats at g={g}, J={j}, t={t}: {exc}") from exc
     return nu_from_xi(xi)
 
 
@@ -358,9 +371,10 @@ def nu_closed_form_bkc_ep(n_modes: int, phi: float, t: float, j: float = 1.0) ->
 
     Evaluates xi = 1 + sum_j c_j (J t)^(2 j) sin(phi)^(2 (j - 1)) with the
     exact coefficients of :func:`xi_series_coefficients`, by Horner's rule
-    so that no power of J t overflows on its own for large N.
+    so that no power of J t overflows on its own for large N.  An xi past
+    the float range raises ``OutOfRange``.
     """
-    u = (j * t) ** 2
+    u = _square_of(j * t)
     step = u * math.sin(phi) ** 2
     acc = 0.0
     for c in reversed(xi_series_coefficients(n_modes) if n_modes >= 2 else ()):
@@ -374,9 +388,10 @@ def nu_closed_form_three_mode_nonuniform(varphi: float, j: float, t: float) -> f
     Along the circle g1^2 + g2^2 = J1^2 + J2^2 = 2 J^2 (with
     varphi = pi/4 - arctan(g2/g1) measuring the angle from the arc point
     g1 = g2 = J), the middle-vs-outer witness obeys
-    xi = 32 J^4 t^4 sin^2(varphi) + 16 J^2 t^2 + 1.
+    xi = 32 J^4 t^4 sin^2(varphi) + 16 J^2 t^2 + 1; an xi past the float
+    range raises ``OutOfRange``.
     """
-    u = (j * t) ** 2
+    u = _square_of(j * t)
     xi = 32.0 * u * u * math.sin(varphi) ** 2 + 16.0 * u + 1.0
     return nu_from_xi(xi)
 

@@ -65,15 +65,8 @@ class NegativeOccupancy(ConfigError):
 class OverflowRisk(EpchainError, ArithmeticError):
     """Propagating this far would overflow double precision.
 
-    Carries the predicted growth exponent in ``exponent``.
+    The message states the growth exponent ||K||_2 |t| and the cap it passed.
     """
-
-    def __init__(self, message: str, exponent: float):
-        super().__init__(message)
-        self.exponent = exponent
-
-    def __reduce__(self):
-        return type(self), (str(self), self.exponent)
 
 
 class UnsortedTimes(ConfigError):

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .chain import BdgMatrix, ChainSpec, build_bdg_matrix, spec_bdg_stack
-from .errors import ConfigError, EigensolverFailure, NoTransition, RankAmbiguity
+from .errors import ConfigError, EigensolverFailure, NoTransition, OutOfRange, RankAmbiguity
 
 __all__ = [
     "Region",
@@ -171,6 +171,8 @@ def jordan_structure(m: BdgMatrix, center: complex, tol: float = DEFAULT_RANK_TO
         If any singular value falls within a factor of 10 of the threshold,
         in which case the rank (and hence the block structure) cannot be
         trusted at this tolerance.
+    OutOfRange
+        If a threshold ``tol * s1**k`` overflows.
     """
     _check_tol(tol)
     size = m.size
@@ -179,12 +181,15 @@ def jordan_structure(m: BdgMatrix, center: complex, tol: float = DEFAULT_RANK_TO
     ranks = [size]
     power = np.eye(size, dtype=complex)
     for k in range(1, size + 1):
+        try:
+            threshold = tol * s1**k
+        except OverflowError as exc:
+            raise OutOfRange(f"rank threshold tol * s1**{k} overflows at s1 = {s1:.3e}") from exc
         power = power @ shifted
         try:
             singular = np.linalg.svd(power, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailure(f"SVD failed on power {k}: {exc}") from exc
-        threshold = tol * s1**k
         if threshold > 0:
             ambiguous = (singular > threshold / 10) & (singular < threshold * 10)
             if np.any(ambiguous):
@@ -383,7 +388,8 @@ def scan_exceptional_surface(
     """
     points: list[EsPoint] = []
     for g1, g2, j1, j2 in itertools.product(g1_values, g2_values, j1_values, j2_values):
-        residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
+        with np.errstate(over="ignore"):  # an overflowed square: an infinite residual
+            residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
         on_surface = residual <= tol
         order = 0
         blocks: tuple[int, ...] = ()

@@ -72,7 +72,7 @@ from .entanglement import (
     nu_closed_form_three_mode_nonuniform,
     witness_stack,
 )
-from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, PrecisionLoss
+from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk
 from .spectral import (
     _REGIONS,
     DEFAULT_RANK_TOL,
@@ -309,14 +309,9 @@ def _one_blas_thread():
 def _witness_chunk(args: tuple) -> tuple[list, np.ndarray | None, EpchainError | None]:
     state0, k, times, parts, keep_cm = args
     cms, error = evolve_grid(state0, k, times)
-    try:
-        witnesses = [witness_stack(cms, part) for part in parts]
-    except PrecisionLoss as exc:
-        # a refused cell comes before any cell evolve_grid stopped at; it is
-        # returned, not raised, so the first failing chunk decides at any
-        # thread count, and the chunk keeps no cell
-        cms, error = cms[:0], exc
-        witnesses = [(np.empty(0), np.empty(0)) for _ in parts]
+    # a cell witness_stack refuses comes before any evolve_grid stopped at, so it
+    # raises; the map is in order, so the first failing chunk decides at any thread count
+    witnesses = [witness_stack(cms, part) for part in parts]
     return witnesses, (cms if keep_cm else None), error
 
 
@@ -332,7 +327,8 @@ def _witness_map(
 
     Returns one (nu_minus, log_negativity) pair of arrays per cut over the
     leading cells that passed every check, their covariances when
-    ``keep_cm``, and the error of the first failing cell (None if none).
+    ``keep_cm``, and the error of the first failing cell (None if none);
+    a witness that ``witness_stack`` refuses is raised instead.
     """
     per_chunk = max(1, _CHUNK_ENTRIES // (2 * state0.n_modes) ** 2)
     if len(times) >= per_chunk:
@@ -425,8 +421,9 @@ def entanglement_trajectory(
 ) -> tuple[list[str], list[Sequence], dict]:
     """nu_- and logarithmic negativity per time per partition.
 
-    If the overflow guard trips at some time, remaining samples are dropped
-    and a final warning row records where the trajectory was truncated.
+    If the overflow guard trips at some time, the rows end before it; the
+    extras hold that time as ``truncated_at`` and the guard's message, with
+    the growth exponent and the cap, as ``truncation``.
     """
     spec = build_chain_spec(chain)
     if spec.n_modes < 2:
@@ -454,10 +451,8 @@ def entanglement_trajectory(
     rows: list[Sequence] = list(zip(*columns))
     extras: dict = {}
     if isinstance(error, OverflowRisk):
-        t = float(ts[len(rows)])
-        rows.append([f"warning: truncated at t={t:.6g}, growth exponent {error.exponent:.1f}"]
-                    + [""] * (len(header) - 1))
-        extras["truncated_at"] = t
+        extras["truncated_at"] = float(ts[len(rows)])
+        extras["truncation"] = str(error)
     elif error is not None:
         raise error
     return header, rows, extras
@@ -594,7 +589,6 @@ def fig4_grid(
     g1_axis: SweepAxis | None = None,
     g2_axis: SweepAxis | None = None,
     arc_steps: int = 65,
-    tol: float = DEFAULT_REGION_TOL,
     threads: int = 1,
 ) -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]], dict]:
     """Three-mode witness map over (g1, g2) at equal pairing, plus the arc cut.
@@ -602,7 +596,7 @@ def fig4_grid(
     The main table maps the middle-vs-outer witness at the fixed time; the
     second table cuts along the coalescence circle g1^2 + g2^2 = 2 J^2,
     parameterized by the angle from the arc point, with the closed-form
-    witness alongside for comparison.
+    witness alongside for comparison.  Regions use the default tolerance.
     """
     _check_threads(threads)
     if arc_steps < 0:
@@ -611,7 +605,7 @@ def fig4_grid(
     g2_axis = g2_axis or SweepAxis("g2", 0.0, 2.0, 81)
     points = [(g1, g2) for g1 in g1_axis.values().tolist() for g2 in g2_axis.values().tolist()]
     m = bdg_stack(points, float(j), 0.0)
-    _, regions, _ = spectrum_stack(m, tol)
+    _, regions, _ = spectrum_stack(m, DEFAULT_REGION_TOL)
     varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps).tolist()
     arc_hopping = [_surface_hopping(varphi, j) for varphi in varphis]
     arc_m = bdg_stack(np.array(arc_hopping, dtype=complex).reshape(-1, 2), float(j), 0.0)

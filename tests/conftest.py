@@ -65,8 +65,7 @@ def reference_propagator(k, t):
     if exponent > dynamics.GROWTH_CAP:
         raise OverflowRisk(
             f"propagation to t={t} has growth exponent {exponent:.1f} "
-            f"(cap {dynamics.GROWTH_CAP:.0f}); entries would overflow double precision",
-            exponent=exponent,
+            f"(cap {dynamics.GROWTH_CAP:.0f}); entries would overflow double precision"
         )
     s = expm(k.data * t)
     omega = symplectic_form(k.n_modes)

@@ -15,6 +15,7 @@ drift from the numeric pipeline is pinned.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,13 +372,17 @@ class TestSweepsThroughKernel:
         spec = ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3)
         k = quadrature_generator(build_bdg_matrix(spec))
         part = Bipartition.from_label("1|23", 3)
-        for row in rows[:-1]:
+        # every row is a numeric sample; the truncation is in the extras only
+        assert [row[0] for row in rows] == times[: len(rows)].tolist()
+        for row in rows:
+            assert all(type(value) is float for value in row)
             cm = reference_evolve(initial_state(3), k, row[0])
             result = reference_entanglement_result(cm, part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
-        with pytest.raises(OverflowRisk):
+        assert extras["truncated_at"] == times[len(rows)]
+        with pytest.raises(OverflowRisk) as excinfo:
             reference_evolve(initial_state(3), k, extras["truncated_at"])
-        assert rows[-1][0].startswith("warning: truncated at t=")
+        assert extras["truncation"] == str(excinfo.value)
 
     def test_pool_chunks_do_not_change_values(self, monkeypatch):
         # small chunks split these grids over several pool tasks
@@ -397,8 +402,11 @@ class TestSweepsThroughKernel:
         for threads in (1, 2):
             with pytest.raises(OverflowRisk) as excinfo:
                 fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=threads)
-            messages.append((str(excinfo.value), excinfo.value.exponent))
+            message = str(excinfo.value)
+            exponent = float(re.search(r"growth exponent (\S+) \(cap 300\)", message).group(1))
+            messages.append((message, exponent))
         assert messages[0] == messages[1]
+        assert messages[0][1] > dynamics.GROWTH_CAP
 
     def test_map_stops_at_first_failing_chunk(self, monkeypatch):
         # 5-cell chunks, 30 of them: g = 1.5 trips the growth cap at t = 140,

@@ -242,17 +242,3 @@ def test_symplectic_form_is_cached_and_read_only():
         with pytest.raises(ValueError):
             omega[0, 1] = 0.0
 
-
-def test_interleave_permutation_is_cached_and_read_only():
-    from epchain.chain import _interleave_permutation
-
-    for n in (1, 2, 3, 7):
-        perm = _interleave_permutation(n)
-        expected = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            expected[2 * j, j] = expected[2 * j + 1, n + j] = 1.0
-        np.testing.assert_array_equal(perm, expected)
-        assert _interleave_permutation(n) is perm
-        assert not perm.flags.writeable
-        with pytest.raises(ValueError):
-            perm[0, 0] = 1.0

@@ -84,14 +84,11 @@ class TestSpectrumCommand:
         assert main(["spectrum"]) == 2
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-    @pytest.mark.parametrize("command", ["spectrum", "fig4"])
+    @pytest.mark.parametrize("command", ["spectrum"])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tol):
-        argv = [command, f"--tol={tol}", "--out", str(tmp_path / "x.csv")]
-        if command == "spectrum":
-            cfg = write_json(tmp_path / "c.json", {"n": 2, "g": 1.0, "J": 1.0})
-            argv += ["--config", cfg, "--detect-eps"]
-        else:
-            argv += ["--g-steps", "3", "--threads", "1"]
+        cfg = write_json(tmp_path / "c.json", {"n": 2, "g": 1.0, "J": 1.0})
+        argv = [command, f"--tol={tol}", "--out", str(tmp_path / "x.csv"),
+                "--config", cfg, "--detect-eps"]
         assert main(argv) == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
@@ -112,6 +109,14 @@ class TestSpectrumCommand:
                      "--detect-eps", "--tol", "0.3"])
         assert code == 3
         assert "RankAmbiguity" in capsys.readouterr().err
+
+    def test_rank_threshold_overflow_exits_3(self, tmp_path, capsys):
+        # s1 ~ 3e200 puts tol * s1**2 past the float range
+        cfg = write_json(tmp_path / "c.json", {"n": 3, "g": 1e200, "J": 1.0})
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--detect-eps"]) == 3
+        assert "numeric failure: OutOfRange: rank threshold" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntangleCommand:
@@ -190,11 +195,14 @@ class TestEntangleCommand:
         })
         out = tmp_path / "o.csv"
         assert main(["entangle", "--config", cfg, "--out", str(out)]) == 0
-        text = out.read_text()
-        assert "warning: truncated at t=75" in text
-        assert "overflow" in capsys.readouterr().err.lower()
+        # the warning goes to stderr and the manifest; the table stays numeric
+        assert "truncated at t=75 by the overflow guard" in capsys.readouterr().err
+        _, rows = read_csv(out)
+        assert [float(row[0]) for row in rows] == [0.0, 25.0, 50.0]
+        assert all(math.isfinite(float(value)) for row in rows for value in row)
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["extras"]["truncated_at"] == 75.0
+        assert "propagation to t=75.0 has growth exponent" in manifest["extras"]["truncation"]
 
 
 @pytest.mark.parametrize("command, config", [
@@ -263,14 +271,27 @@ class TestFigureCommands:
 
     @pytest.mark.parametrize("t, code, message", [
         ("1e7", 3, "numeric failure: OutOfRange: xi must be finite"),
+        # (J t)^2 itself overflows, where Python's float ** raises
+        ("1e160", 3, "numeric failure: OutOfRange: xi is past the float range: (J t)^2 overflows"),
         ("nan", 2, "config error: time must be finite"),
         ("inf", 2, "config error: time must be finite"),
-    ], ids=["1e7", "nan", "inf"])
+    ], ids=["1e7", "1e160", "nan", "inf"])
     def test_fig3_bad_time(self, tmp_path, capsys, t, code, message):
         out = tmp_path / "fig3.csv"
         assert main(["fig3", "--ns", "2", "--phi-steps", "3", "--t", t, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--ns", "2,3", "--phi-steps", "3", "--fit-max-n", "5"],
+        ["fig4", "--g-steps", "3", "--arc-steps", "3", "--threads", "1"],
+    ], ids=["fig3", "fig4"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
+        # a file where the output directory should be
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fit_max_n", ["1", "3"])
     def test_fig3_fit_needs_three_sizes(self, tmp_path, capsys, fit_max_n):
@@ -338,11 +359,12 @@ def test_threads_only_where_used(command, capsys):
     ("entangle", ["--tol", "1e-9"]),
     ("fig3", ["--tol", "1e-9"]),
     ("fig2", ["--tol", "1e-9"]),
+    ("fig4", ["--tol", "1e-9"]),
 ])
 def test_config_and_tol_only_where_used(command, option, capsys):
-    # fig2, fig3 and fig4 take their settings as options, and neither the
+    # fig2, fig3 and fig4 take their settings as options; neither the
     # trajectory, fig2's closed-form spectrum nor fig3's exact series has a
-    # tolerance to set
+    # tolerance to set, and fig4 labels at the default region tolerance
     with pytest.raises(SystemExit) as exc:
         main([command, *option])
     assert exc.value.code == 2
@@ -378,6 +400,17 @@ class TestEsScanCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["es-scan"]) == 0
         assert (tmp_path / "es_scan.csv").exists()
+
+    def test_huge_hopping(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "es.json", {"g1": [0.5, 1e200, 3]})
+        out = tmp_path / "es.csv"
+        # off the surface the residual is infinite, and no detector runs
+        assert main(["es-scan", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [(float(row[0]), row[4], row[5]) for row in rows[10:]] == [(1e200, "inf", "false")] * 5
+        # the detector's rank threshold tol * s1**k passes the float range
+        assert main(["es-scan", "--config", cfg, "--out", str(out), "--detect-everywhere"]) == 3
+        assert "numeric failure: OutOfRange: rank threshold" in capsys.readouterr().err
 
 
 class TestSelftestCommand:
@@ -434,10 +467,12 @@ def test_float_formatting_17_digits(tmp_path):
 # (one ``format_value`` call per cell, ``csv.writer`` and ``json.dumps``)
 # before the per-row template writer replaced it; the two ``spec.`` entries
 # were recorded with the per-slice labeller (one ``eigvals`` per point)
-# before the stacked ``spectrum_stack`` replaced it.  They pin the formatting,
-# quoting and JSON layout, and the numbers' bits on this numeric stack
-# (numpy 2.4, scipy 1.17 with OpenBLAS); re-record them only when the
-# numbers move on purpose.
+# before the stacked ``spectrum_stack`` replaced it.  The two ``trunc.``
+# entries were re-recorded when the truncation left the table for the
+# manifest; the files lost only their final warning row.  They pin the
+# formatting, quoting and JSON layout, and the numbers' bits on this numeric
+# stack (numpy 2.4, scipy 1.17 with OpenBLAS); re-record them only when the
+# numbers or the layout move on purpose.
 GOLDEN_SHA256 = {
     "ent.json": "ad513755c1f1d2b64a9f8864d776317337adc0d8e5343a22c7ba231b75d0502a",
     "fig2.csv": "63c2999c785f1d3d1210b76cc90eedaf736a243201f5d34196f8c26a85cecb88",
@@ -447,8 +482,8 @@ GOLDEN_SHA256 = {
     "fig4_arc.csv": "45f4b64873bfdfa00c00ec3ce21c9685f4bb6ff144af686c8206965574fc3163",
     "spec.csv": "67865819b65e0efaf37f9c3cb963682b3362b27b0732479eb270bb5a3506ddb2",
     "spec.csv.manifest.json": "aad49ccfb5fefd4df80566d0af184f0e1e8a9379479b982b5a2cb3f160f5b52a",
-    "trunc.csv": "ec37e86a23fbe86dfb65ddc4a54d8f1f7bd7fc5209c92b9ffc2994d0763f9b8a",
-    "trunc.json": "f9f42c9c189303546b2ff6a5323644652c1f77ce151aa8808837ed6ff5d1dac8",
+    "trunc.csv": "c44ee6be421b776c8af58a638c35aa9aa12cac4ebf67dd8af091bb65f2c9c4eb",
+    "trunc.json": "6d880118687886bfea33e422454c5915d6ae2fe1909efe0b70d91cc3b55f0c94",
 }
 
 

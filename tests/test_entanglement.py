@@ -261,6 +261,15 @@ class TestTwoModeClosedForm:
     def test_no_pairing_means_no_entanglement(self):
         assert nu_closed_form_two_mode(1.3, 0.0, 2.0) == 1.0
 
+    @pytest.mark.parametrize("g, t, cause", [
+        (1e200, 1.0, "Numerical result out of range"),  # g ** 2
+        (0.5, 1000.0, "math range error"),  # cosh(4 c t)
+        (1e150, 1e160, "math domain error"),  # cos of the infinite phase 4 c t
+    ])
+    def test_overflow_is_out_of_range(self, g, t, cause):
+        with pytest.raises(OutOfRange, match=f"xi cannot be evaluated in floats.*{cause}"):
+            nu_closed_form_two_mode(g, 1.0, t)
+
     @pytest.mark.parametrize("g", [0.5, 0.9, 0.99, 1.0, 1.01, 1.5])
     def test_matches_numeric_pipeline(self, g):
         spec = ChainSpec.uniform(2, g=g, j=1.0)
@@ -369,6 +378,10 @@ class TestBkcEpClosedForm:
     def test_initial_value(self):
         assert nu_closed_form_bkc_ep(4, 0.7, 0.0) == 1.0
 
+    def test_overflow_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match=r"\(J t\)\^2 overflows at J t = 1e\+160"):
+            nu_closed_form_bkc_ep(2, 0.3, 1e160)
+
     def test_higher_order_beats_second_order(self):
         t = 3.5
         assert nu_closed_form_bkc_ep(3, np.pi / 2, t) < nu_closed_form_bkc_ep(3, 0.0, t)
@@ -392,6 +405,10 @@ class TestThreeModeClosedForm:
 
     def test_initial_value(self):
         assert nu_closed_form_three_mode_nonuniform(0.5, 1.0, 0.0) == 1.0
+
+    def test_overflow_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match=r"\(J t\)\^2 overflows at J t = 1e\+160"):
+            nu_closed_form_three_mode_nonuniform(0.1, 1.0, 1e160)
 
     def test_angle_increases_entanglement(self):
         t = 2.0

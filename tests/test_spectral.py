@@ -23,7 +23,7 @@ from epchain import (
     spectrum_stack,
 )
 from epchain.chain import spec_bdg_stack
-from epchain.errors import ConfigError, NoTransition, RankAmbiguity
+from epchain.errors import ConfigError, NoTransition, OutOfRange, RankAmbiguity
 from epchain.spectral import DEFAULT_REGION_TOL, _cluster_eigenvalues
 
 from conftest import assert_multiset_close, spec_stacks
@@ -220,6 +220,12 @@ class TestJordanStructure:
         bogus = BdgMatrix(data=np.diag([1.0, 4e-8]).astype(complex))
         with pytest.raises(RankAmbiguity):
             jordan_structure(bogus, 0.0, tol=1e-8)
+
+    def test_threshold_overflow_is_out_of_range(self):
+        # tol * s1**2 is past the float range at s1 = 1e200
+        m = BdgMatrix(data=np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(OutOfRange, match=r"tol \* s1\*\*2 overflows at s1 = 1\.000e\+200"):
+            jordan_structure(m, 0.0)
 
     def test_blocks_sum_to_multiplicity(self):
         for phi in (0.0, np.pi / 2, 0.7):
