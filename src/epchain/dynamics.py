@@ -10,6 +10,12 @@ polynomial times exponential in t) and no error accumulates in regimes of
 exponential growth.  ``evolve_grid`` transports a whole stack of
 (generator, time) cells; ``propagator``, ``evolve`` and ``evolve_trajectory``
 are its one-generator case, and ``GaussianState`` shares its bona fide check.
+Each guard checks a certificate first, over the whole stack, and runs the
+exact eigensolve or SVD only for cells it cannot clear: the growth cap bounds
+||K||_2 by ||K||_F, the symplectic residual's scale bounds ||S||_2^2 below by
+the largest squared column norm, and one Cholesky of sigma + i Omega plus
+half the slack clears bona-fide-ness.  A certificate clears only cells that
+the exact test passes, so the decisions and messages are the exact tests'.
 The stack's exponentials come from ``expm``, which gives scipy's bits for
 every slice but runs scipy's Python slice loop as stacked numpy around
 scipy's private Pade kernels, so it is tied to the scipy release that
@@ -54,6 +60,8 @@ _SYMMETRY_RTOL = 1e-12
 _BONA_FIDE_ATOL = 1e-9
 _BONA_FIDE_RTOL = 1e-8
 _SYMPLECTIC_RTOL = 1e-10
+# the largest 2N for which a Cholesky certifies bona-fide-ness (see _cholesky_clears)
+_CHOLESKY_CLEARS_SIZE = 78
 
 
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
@@ -71,14 +79,42 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
 def _bona_fide_count(cm: np.ndarray) -> tuple[int, ConfigError | None]:
     """The count of leading bona fide matrices of the stack cm and the next one's error."""
     norm = np.abs(cm).max(axis=(1, 2), initial=0.0)
-    lowest = np.linalg.eigvalsh(cm + 1j * symplectic_form(cm.shape[1] // 2)).min(axis=1)
-    failed = np.flatnonzero(lowest < -np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm))
+    slack = np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm)
+    pencil = cm + 1j * symplectic_form(cm.shape[1] // 2)
+    if _cholesky_clears(pencil, slack):
+        return len(cm), None
+    lowest = np.linalg.eigvalsh(pencil).min(axis=1)
+    failed = np.flatnonzero(lowest < -slack)
     if not failed.size:
         return len(cm), None
     stop = int(failed[0])
     return stop, ConfigError(
         f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest[stop]:.3e}"
     )
+
+
+def _cholesky_clears(pencil: np.ndarray, slack: np.ndarray) -> bool:
+    """Whether one Cholesky of pencil + (slack / 2) I proves eigvalsh(pencil) >= -slack per slice.
+
+    Let n = 2N, m = max|sigma| and u = 2**-53.  A Cholesky that completes on
+    B = fl(pencil + slack/2 I) is exact for B + dB with ||dB||_2 <= c n (n + 1)
+    u ||B||_2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 10.5; c = 8 covers complex arithmetic and LAPACK's blocking),
+    forming B costs u (m + slack/2), and eigvalsh's lowest eigenvalue is
+    exact for a perturbation of norm at most c n u ||pencil||_2.  With both
+    norms at most n (m + 1 + slack/2), the computed lowest eigenvalue is
+    then at least -slack/2 - n (c n (n + 1) + c n + 1) u (m + 1 + slack/2),
+    which is >= -slack for every m >= 0 while that factor n (...) u stays
+    below 4.5e-10: for 2N <= 78.  A larger size, a failed factorization or
+    a non-finite factor clears nothing, and the stack is eigensolved.
+    """
+    if pencil.shape[1] > _CHOLESKY_CLEARS_SIZE:
+        return False
+    try:
+        factor = np.linalg.cholesky(pencil + 0.5 * slack[:, None, None] * np.eye(pencil.shape[1]))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 @dataclass(frozen=True)
@@ -268,7 +304,13 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainError | None]:
     """exp(K t) of the generator-major cells of k x times before the first that fails, in
     order, a finite time, the growth cap and the symplectic residual; and that cell's error."""
-    exponents = (np.linalg.norm(k, 2, axis=(1, 2))[:, None] * np.abs(times)).ravel()
+    # ||K||_2 <= ||K||_F: a generator whose Frobenius bound keeps every time
+    # within half the cap is cleared, and only the rest get the exact SVD
+    norms = np.linalg.norm(k, axis=(1, 2))
+    unclear = np.flatnonzero(~(norms * np.abs(times).max(initial=0.0) <= 0.5 * GROWTH_CAP))
+    if unclear.size:
+        norms[unclear] = np.linalg.norm(k[unclear], 2, axis=(1, 2))
+    exponents = (norms[:, None] * np.abs(times)).ravel()
     cell_times = np.tile(times, len(k))
     refused = np.flatnonzero(~np.isfinite(cell_times) | (exponents > GROWTH_CAP))
     stop = int(refused[0]) if refused.size else cell_times.size
@@ -285,9 +327,14 @@ def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainE
     s = expm(k[np.arange(stop) // times.size] * cell_times[:stop, None, None])
     omega = symplectic_form(k.shape[1] // 2)
     residual = np.abs(s @ omega @ s.transpose(0, 2, 1) - omega).max(axis=(1, 2))
-    # 1 + ||S||_2^2, the largest eigenvalue of S^T S taking the place of an SVD per cell
-    scale = 1.0 + np.linalg.eigvalsh(s.transpose(0, 2, 1) @ s)[:, -1]
-    lost = np.flatnonzero(residual > _SYMPLECTIC_RTOL * scale)
+    # ||S||_2^2 is at least the largest squared column norm: a residual within
+    # half of that scale passes with room for rounding, and only the rest are
+    # tested exactly, with 1 + ||S||_2^2 the largest eigenvalue of S^T S
+    columns = np.einsum("cij,cij->cj", s, s).max(axis=1, initial=0.0)
+    lost = np.flatnonzero(~(residual <= _SYMPLECTIC_RTOL * (1.0 + 0.5 * columns)))
+    if lost.size:
+        scale = 1.0 + np.linalg.eigvalsh(s[lost].transpose(0, 2, 1) @ s[lost])[:, -1]
+        lost = lost[residual[lost] > _SYMPLECTIC_RTOL * scale]
     if lost.size:
         stop = int(lost[0])
         error = EpchainError(
@@ -307,6 +354,8 @@ def evolve_grid(
     growth cap on ||K||_2 |t|, the stacked ``expm`` (scipy's
     scaling-and-squaring algorithm and bits on each slice), the symplectic
     residual, and bona-fide-ness; ``evolve`` is the case of one generator.
+    Each guard is certificate first, exact eigensolve (or SVD) only for the
+    cells its certificate cannot clear, so it decides as the exact test does.
 
     Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
     and the error of the first cell that failed, or None when all G x T

@@ -323,6 +323,13 @@ def _square_of(jt: float) -> float:
         raise OutOfRange(f"xi is past the float range: (J t)^2 overflows at J t = {jt:.6g}") from exc
 
 
+def _sin_squared(phase: float, name: str) -> float:
+    """sin(phase)^2; a non-finite phase is ``OutOfRange``, as a non-finite t or xi is."""
+    if not math.isfinite(phase):
+        raise OutOfRange(f"{name} must be finite, got {phase}")
+    return math.sin(phase) ** 2
+
+
 def nu_closed_form_two_mode(g: float, j: float, t: float) -> float:
     """Closed-form nu_- of the two-mode chain without on-site squeezing.
 
@@ -372,10 +379,10 @@ def nu_closed_form_bkc_ep(n_modes: int, phi: float, t: float, j: float = 1.0) ->
     Evaluates xi = 1 + sum_j c_j (J t)^(2 j) sin(phi)^(2 (j - 1)) with the
     exact coefficients of :func:`xi_series_coefficients`, by Horner's rule
     so that no power of J t overflows on its own for large N.  An xi past
-    the float range raises ``OutOfRange``.
+    the float range or a non-finite phi raises ``OutOfRange``.
     """
     u = _square_of(j * t)
-    step = u * math.sin(phi) ** 2
+    step = u * _sin_squared(phi, "phi")
     acc = 0.0
     for c in reversed(xi_series_coefficients(n_modes) if n_modes >= 2 else ()):
         acc = c + step * acc
@@ -389,10 +396,10 @@ def nu_closed_form_three_mode_nonuniform(varphi: float, j: float, t: float) -> f
     varphi = pi/4 - arctan(g2/g1) measuring the angle from the arc point
     g1 = g2 = J), the middle-vs-outer witness obeys
     xi = 32 J^4 t^4 sin^2(varphi) + 16 J^2 t^2 + 1; an xi past the float
-    range raises ``OutOfRange``.
+    range or a non-finite varphi raises ``OutOfRange``.
     """
     u = _square_of(j * t)
-    xi = 32.0 * u * u * math.sin(varphi) ** 2 + 16.0 * u + 1.0
+    xi = 32.0 * u * u * _sin_squared(varphi, "varphi") + 16.0 * u + 1.0
     return nu_from_xi(xi)
 
 

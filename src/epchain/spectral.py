@@ -386,8 +386,11 @@ def scan_exceptional_surface(
     chain are detected and classified: order-3 coalescences are surface
     points, order-2 coalescences on the line g1 = J1, g2 = J2 are arc points.
     """
+    # float64 axes: a square past the float range is inf here, not an OverflowError
+    axes = [np.asarray(list(values), dtype=np.float64)
+            for values in (g1_values, g2_values, j1_values, j2_values)]
     points: list[EsPoint] = []
-    for g1, g2, j1, j2 in itertools.product(g1_values, g2_values, j1_values, j2_values):
+    for g1, g2, j1, j2 in itertools.product(*axes):
         with np.errstate(over="ignore"):  # an overflowed square: an infinite residual
             residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
         on_surface = residual <= tol

@@ -46,6 +46,8 @@ from epchain import (
     propagator,
     quadrature_generator,
     symplectic_eigenvalues,
+    symplectic_form,
+    uniform_bdg_stack,
     witness_stack,
 )
 from epchain import dynamics, sweeps
@@ -61,9 +63,11 @@ from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_t
 
 from conftest import (
     chain_specs,
+    reference_bona_fide_check,
     reference_entanglement_result,
     reference_evolve,
     reference_propagator,
+    reference_symplectic_check,
     reference_symplectic_eigenvalues,
     spec_stacks,
 )
@@ -243,6 +247,138 @@ class TestOneCellCase:
         trajectory = evolve_trajectory(state, k, [0.5, 1.0, 2.0])
         assert calls == [1, 3]
         assert not any(s.cm.flags.writeable for s in trajectory)
+
+
+def guard_outcome(result):
+    """The bits of a guard's leading cells and the class and message of its error, if any."""
+    cells, error = result
+    return bits(cells), None if error is None else (type(error), str(error))
+
+
+def reference_guard(check, cells):
+    """The leading cells check passes and the class and message of the first it refuses."""
+    passed = []
+    for cell in cells:
+        try:
+            passed.append(check(*cell))
+        except EpchainError as exc:
+            return bits(passed), (type(exc), str(exc))
+    return bits(passed), None
+
+
+# multiples of each guard's threshold, straddling it and its certificate's
+multiples = st.lists(
+    st.floats(0.05, 1.6) | st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5]),
+    min_size=1, max_size=6,
+)
+
+
+class TestCertifiedGuards:
+    """Each guard's certificate against the exact eigvalsh or SVD test it goes before.
+
+    The references in ``conftest`` run the exact test on every cell; the
+    draws put cells on both sides of each threshold and of its certificate.
+    """
+
+    @given(chain_specs(), st.floats(0.0, 8.0), multiples)
+    @settings(max_examples=60, deadline=None)
+    def test_bona_fide_matches_eigvalsh(self, spec, t, shifts):
+        # evolved vacuum is pure, min eig(sigma + i Omega) = 0: sigma - f tau I straddles the slack
+        k = quadrature_generator(build_bdg_matrix(spec))
+        try:
+            cm = reference_evolve(initial_state(spec.n_modes), k, t)
+        except EpchainError:
+            return
+        tau = max(dynamics._BONA_FIDE_ATOL, dynamics._BONA_FIDE_RTOL * float(np.abs(cm).max()))
+        stack = np.stack([cm] + [cm - f * tau * np.eye(len(cm)) for f in shifts])
+        count, error = dynamics._bona_fide_count(stack)
+        assert guard_outcome((stack[:count], error)) == reference_guard(
+            reference_bona_fide_check, [(m,) for m in stack]
+        )
+        for m in stack:
+            assert outcome(lambda: GaussianState(spec.n_modes, m).cm) == outcome(
+                lambda: reference_bona_fide_check(m)
+            )
+
+    @given(spec_stacks(), st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3), multiples,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_symplectic_residual_matches_svd(self, specs, times, sizes, seed):
+        # each S gets one entry moved so that its residual is f (1 + ||S||_2^2) 1e-10
+        k = np.stack([quadrature_generator(build_bdg_matrix(spec)).data for spec in specs])
+        times = np.array(sorted(times))
+        cells = [(kg, t) for kg in k for t in times]
+        rng = np.random.default_rng(seed)
+        omega = symplectic_form(k.shape[1] // 2)
+        size = k.shape[1]
+        units = np.eye(size * size).reshape(-1, size, size)
+        kicks = np.zeros((len(cells), size, size))
+        for c, (kg, t) in enumerate(cells):
+            s = scipy.linalg.expm(kg * t)
+            # the residual's first-order change per unit kick; some kicks leave it unchanged
+            linear = np.abs(units @ omega @ s.T + s @ omega @ units.transpose(0, 2, 1))
+            linear = linear.max(axis=(1, 2))
+            entry = rng.choice(np.flatnonzero(linear >= 0.5 * linear.max()))
+            target = dynamics._SYMPLECTIC_RTOL * (1.0 + np.linalg.norm(s, 2) ** 2)
+            kicks[c] = sizes[c % len(sizes)] * target / linear[entry] * units[entry]
+        expm = dynamics.expm
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "expm", lambda a: expm(a) + kicks[: len(a)])
+            got = guard_outcome(dynamics._propagators(k, times))
+        assert got == reference_guard(
+            lambda kg, t, kick: reference_symplectic_check(scipy.linalg.expm(kg * t) + kick, t),
+            [(kg, t, kick) for (kg, t), kick in zip(cells, kicks)],
+        )
+
+    @given(spec_stacks(), multiples)
+    @settings(max_examples=60, deadline=None)
+    def test_growth_cap_matches_svd(self, specs, exponents):
+        # times putting ||K||_2 t at f GROWTH_CAP for the stack's first generator
+        k = np.stack([quadrature_generator(build_bdg_matrix(spec)).data for spec in specs])
+        norm = np.linalg.norm(k[0], 2)
+        if norm == 0.0:
+            return
+        times = np.array(sorted(f * dynamics.GROWTH_CAP / norm for f in exponents))
+        assert guard_outcome(dynamics._propagators(k, times)) == reference_guard(
+            lambda kg, t: reference_propagator(RealGenerator(kg), t),
+            [(kg, float(t)) for kg in k for t in times],
+        )
+
+    def test_clean_stacks_run_no_eigensolve(self, monkeypatch):
+        # fig2- and fig4-sized stacks as the benchmark's small_maps runs them
+        calls = []
+        eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+        monkeypatch.setattr(  # the spectral norm is an SVD per matrix
+            np.linalg, "norm",
+            lambda x, ord=None, axis=None: (ord == 2 and calls.append("svd")) or norm(x, ord, axis),
+        )
+        g = SweepAxis("g", 0.5, 1.5, 9).values()
+        k2 = generator_stack(uniform_bdg_stack(2, g=g, j=1.0, eta=0.2))
+        cms, error = evolve_grid(initial_state(2), k2, SweepAxis("t", 0.0, 5.0, 201).values())
+        assert error is None and len(cms) == 9 * 201
+        grid = SweepAxis("g1", 0.0, 2.0, 21).values().tolist()
+        k4 = generator_stack(bdg_stack([(g1, g2) for g1 in grid for g2 in grid], 1.0, 0.0))
+        cms, error = evolve_grid(initial_state(3), k4, [5.0])
+        assert error is None and len(cms) == 21 * 21
+        assert calls == []
+        # the exact tests still run where a certificate cannot clear
+        evolve_grid(initial_state(2), k2, [0.0, 1e3])
+        dynamics._bona_fide_count((1.0 - 1e-6) * np.eye(4)[None])
+        assert calls == ["svd", "eigvalsh"]
+
+    def test_cholesky_certificate_size(self, monkeypatch):
+        # n (8 n (n + 1) + 8 n + 1) u stays below 4.5e-10 up to 2N = 78, not beyond
+        def factor(n):
+            return n * (8 * n * (n + 1) + 8 * n + 1) * 2.0**-53
+
+        size = dynamics._CHOLESKY_CLEARS_SIZE
+        assert factor(size) < 4.5e-10 <= factor(size + 2)
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        initial_state(size // 2)
+        initial_state(size // 2 + 1)
+        assert calls == [(1, size + 2, size + 2)]
 
 
 KINDS = ("zero", "diagonal", "upper", "lower", "general")

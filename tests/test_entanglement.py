@@ -382,6 +382,11 @@ class TestBkcEpClosedForm:
         with pytest.raises(OutOfRange, match=r"\(J t\)\^2 overflows at J t = 1e\+160"):
             nu_closed_form_bkc_ep(2, 0.3, 1e160)
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase_is_out_of_range(self, phi):
+        with pytest.raises(OutOfRange, match=r"^phi must be finite, got"):
+            nu_closed_form_bkc_ep(3, phi, 1.0)
+
     def test_higher_order_beats_second_order(self):
         t = 3.5
         assert nu_closed_form_bkc_ep(3, np.pi / 2, t) < nu_closed_form_bkc_ep(3, 0.0, t)
@@ -409,6 +414,11 @@ class TestThreeModeClosedForm:
     def test_overflow_is_out_of_range(self):
         with pytest.raises(OutOfRange, match=r"\(J t\)\^2 overflows at J t = 1e\+160"):
             nu_closed_form_three_mode_nonuniform(0.1, 1.0, 1e160)
+
+    @pytest.mark.parametrize("varphi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_is_out_of_range(self, varphi):
+        with pytest.raises(OutOfRange, match=r"^varphi must be finite, got"):
+            nu_closed_form_three_mode_nonuniform(varphi, 1.0, 1.0)
 
     def test_angle_increases_entanglement(self):
         t = 2.0

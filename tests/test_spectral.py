@@ -450,6 +450,12 @@ class TestExceptionalSurface:
         assert [(p.g1, p.g2) for p in points] == [(1.0, 1.0), (1.0, 0.9), (1.1, 1.0), (1.1, 0.9)]
         assert points == scan_exceptional_surface([1.0, 1.1], [1.0, 0.9], [1.0], [1.0], tol=1e-9)
 
+    def test_overflowing_square_is_off_surface_for_python_and_numpy_floats(self):
+        for g1 in (1e200, np.float64(1e200)):
+            (point,) = scan_exceptional_surface([g1], [1.0], [1.0], [1.0])
+            assert point.residual == np.inf
+            assert not point.on_surface and point.ep_order == 0
+
     def test_generic_surface_points_are_order_three(self):
         for theta in (np.pi / 8, np.pi / 5):
             g1 = np.sqrt(2.0) * np.cos(theta)
