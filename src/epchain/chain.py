@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -47,9 +46,6 @@ __all__ = [
     "spec_bdg_stack",
     "uniform_bdg_stack",
     "generator_stack",
-    "chain_spec_to_config",
-    "chain_spec_to_json",
-    "chain_spec_from_json",
     "particle_hole_residual",
 ]
 
@@ -175,42 +171,6 @@ def build_chain_spec(config: Mapping) -> ChainSpec:
     sms = _as_tuple(config.get("eta", 0.0), n, "eta", complex)
     hopping = tuple(gv * cmath.exp(1j * pv) for gv, pv in zip(g, phi))
     return ChainSpec(n_modes=n, hopping=hopping, pairing=pairing, sms=sms)
-
-
-def chain_spec_to_config(spec: ChainSpec) -> dict:
-    """Serialize a spec back to the plain-number parameter record."""
-    if any(e.imag != 0 for e in spec.sms):
-        eta = [[e.real, e.imag] for e in spec.sms]
-    else:
-        eta = [e.real for e in spec.sms]
-    return {
-        "n": spec.n_modes,
-        "g": [abs(h) for h in spec.hopping],
-        "phi": [cmath.phase(h) if h != 0 else 0.0 for h in spec.hopping],
-        "J": list(spec.pairing),
-        "eta": eta,
-    }
-
-
-def chain_spec_to_json(spec: ChainSpec) -> str:
-    return json.dumps(chain_spec_to_config(spec))
-
-
-def chain_spec_from_json(text: str) -> ChainSpec:
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON chain description: {exc}") from exc
-    if isinstance(config, Mapping) and isinstance(config.get("eta"), list):
-        eta = config["eta"]
-        if any(isinstance(e, list) for e in eta):
-            try:
-                eta = [complex(*e) if isinstance(e, list) else complex(e) for e in eta]
-            except TypeError as exc:
-                raise ConfigError(f"bad complex eta encoding: {exc}") from exc
-            config = dict(config)
-            config["eta"] = eta
-    return build_chain_spec(config)
 
 
 @dataclass(frozen=True)

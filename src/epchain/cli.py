@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--tol", type=float, default=None,
-                   help="override the region and rank tolerances")
+                   help=f"region and rank tolerance (default: {DEFAULT_REGION_TOL:g} "
+                        f"and {DEFAULT_RANK_TOL:g})")
     p.add_argument("--detect-eps", action="store_true", help="attach exceptional-point clusters")
 
     p = sub.add_parser("entangle", help="witness trajectory")
@@ -141,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("es-scan", help="exceptional-surface scan")
     _add_output(p)
     p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the surface residual tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_REGION_TOL,
+                   help="surface residual tolerance (default: %(default)g)")
     p.add_argument("--detect-everywhere", action="store_true",
                    help="run the detector at every grid point, not only on-surface")
 
@@ -150,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1.0,
                    help="uniform scale applied to every check threshold")
     p.add_argument("--draws", type=int, default=40)
-    p.add_argument("--inject-fault", choices=("omega",), default=None,
-                   help=argparse.SUPPRESS)
     return parser
 
 
@@ -179,15 +178,15 @@ def _cmd_spectrum(args) -> int:
         if not isinstance(sweep, dict) or "axis" not in sweep:
             raise ConfigError("'sweep' must be a mapping with an 'axis' name")
         axis = SweepAxis.from_config(sweep["axis"], sweep)
-    unknown = set(rest) - {"tol"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    tol = args.tol if args.tol is not None else float(rest.get("tol", DEFAULT_REGION_TOL))
+    if rest:
+        raise ConfigError(f"unknown config keys: {sorted(rest)}")
+    tol = args.tol if args.tol is not None else DEFAULT_REGION_TOL
     rank_tol = args.tol if args.tol is not None else DEFAULT_RANK_TOL
     header, rows, extras = spectrum_sweep(
         chain, axis, tol=tol, detect=args.detect_eps, rank_tol=rank_tol
     )
-    _emit(args, "spectrum", {"": (header, rows)}, config, extras, "spectrum.csv")
+    config_echo = {**config, "tol": tol, "rank_tol": rank_tol, "detect_eps": args.detect_eps}
+    _emit(args, "spectrum", {"": (header, rows)}, config_echo, extras, "spectrum.csv")
     if extras.get("transitions"):
         print("transitions:", ", ".join(f"{x:.9g}" for x in extras["transitions"]))
     return 0
@@ -197,16 +196,16 @@ def _cmd_entangle(args) -> int:
     config = _load_config(args.config)
     chain, rest = _split_chain(config)
     times = _times_from(rest)
-    partitions = args.partition or rest.get("partitions") or []
-    if isinstance(partitions, str):
-        partitions = [partitions]
-    unknown = set(rest) - {"times", "partitions"}
+    unknown = set(rest) - {"times"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     header, rows, extras = entanglement_trajectory(
-        chain, times, partitions, include_cm=args.include_cm
+        chain, times, args.partition or [], include_cm=args.include_cm
     )
-    _emit(args, "entangle", {"": (header, rows)}, config, extras, "entangle.csv")
+    # the cuts as the table names them, the default 1|rest included
+    partitions = [name[len("nu_minus_"):] for name in header if name.startswith("nu_minus_")]
+    config_echo = {**config, "partitions": partitions, "include_cm": args.include_cm}
+    _emit(args, "entangle", {"": (header, rows)}, config_echo, extras, "entangle.csv")
     if "truncated_at" in extras:
         print(f"warning: trajectory truncated at t={extras['truncated_at']:.6g} "
               "by the overflow guard", file=sys.stderr)
@@ -248,8 +247,7 @@ def _cmd_fig4(args) -> int:
     grid, arc, extras = fig4_grid(
         j=args.j,
         t=args.t,
-        g1_axis=SweepAxis("g1", 0.0, args.g_max, args.g_steps),
-        g2_axis=SweepAxis("g2", 0.0, args.g_max, args.g_steps),
+        g_axis=SweepAxis("g", 0.0, args.g_max, args.g_steps),
         arc_steps=args.arc_steps,
         threads=args.threads,
     )
@@ -265,23 +263,22 @@ def _cmd_es_scan(args) -> int:
     for name, default in (("g1", [0.5, 1.5, 5]), ("g2", [0.5, 1.5, 5]),
                           ("J1", [1.0, 1.0, 1]), ("J2", [1.0, 1.0, 1])):
         axes[name] = SweepAxis.from_config(name, config.get(name, default))
-    unknown = set(config) - {"g1", "g2", "J1", "J2", "tol"}
+    unknown = set(config) - set(axes)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    tol = args.tol if args.tol is not None else float(config.get("tol", DEFAULT_REGION_TOL))
     header, rows, extras = es_scan_table(
-        axes["g1"], axes["g2"], axes["J1"], axes["J2"], tol=tol,
+        axes["g1"], axes["g2"], axes["J1"], axes["J2"], tol=args.tol,
         detect_everywhere=args.detect_everywhere,
     )
-    _emit(args, "es-scan", {"": (header, rows)}, config, extras, "es_scan.csv")
+    config_echo = {**config, "tol": args.tol, "detect_everywhere": args.detect_everywhere}
+    _emit(args, "es-scan", {"": (header, rows)}, config_echo, extras, "es_scan.csv")
     return 0
 
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    results = run_selftest(tol_scale=args.tol, inject_fault=args.inject_fault,
-                           draws=args.draws)
+    results = run_selftest(tol_scale=args.tol, draws=args.draws)
     failures = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")

@@ -353,7 +353,9 @@ def evolve_grid(
     taken generator-major.  Every cell passes, in order, a finite time, the
     growth cap on ||K||_2 |t|, the stacked ``expm`` (scipy's
     scaling-and-squaring algorithm and bits on each slice), the symplectic
-    residual, and bona-fide-ness; ``evolve`` is the case of one generator.
+    residual, a finite covariance (``OverflowRisk`` otherwise: the cap
+    bounds S, but S sigma S^T of a large sigma can still overflow), and
+    bona-fide-ness; ``evolve`` is the case of one generator.
     Each guard is certificate first, exact eigensolve (or SVD) only for the
     cells its certificate cannot clear, so it decides as the exact test does.
 
@@ -371,7 +373,15 @@ def evolve_grid(
     s, error = _propagators(k, times)
     # S sigma S^T with distinct operands: a shortcut such as S @ S^T for the
     # vacuum would let numpy switch to another BLAS kernel and move the bits
-    cm = s @ state.cm @ s.transpose(0, 2, 1)
-    cm = 0.5 * (cm + cm.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cm = s @ state.cm @ s.transpose(0, 2, 1)
+        cm = 0.5 * (cm + cm.transpose(0, 2, 1))
+    overflowed = np.flatnonzero(~np.isfinite(cm).all(axis=(1, 2)))
+    if overflowed.size:
+        cm = cm[: overflowed[0]]
+        error = OverflowRisk(
+            f"covariance at t={float(times[overflowed[0] % times.size])} "
+            "overflows double precision"
+        )
     stop, not_bona_fide = _bona_fide_count(cm)
     return cm[:stop], not_bona_fide or error

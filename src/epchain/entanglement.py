@@ -271,9 +271,9 @@ def chain_nu_minus(
     return nu_minus(evolve(state, k, t), part)
 
 
-def bkc_nu_minus(n_modes: int, phi: float, t: float, g: float = 1.0, j: float = 1.0) -> float:
-    """nu_- of the uniform chain (no on-site squeezing) at hopping phase phi."""
-    spec = ChainSpec.uniform(n_modes, g=g, j=j, eta=0.0, phi=phi)
+def bkc_nu_minus(n_modes: int, phi: float, t: float) -> float:
+    """nu_- of the uniform chain at g = J = 1, no on-site squeezing, hopping phase phi."""
+    spec = ChainSpec.uniform(n_modes, g=1.0, j=1.0, eta=0.0, phi=phi)
     return chain_nu_minus(spec, t)
 
 
@@ -423,7 +423,7 @@ def enhancement_ratio(
     """Witness gain of the phase-pi/2 coalescence over the phase-0 one.
 
     Computes R = ln(nu_-(pi/2, t)) / ln(nu_-(0, t)) for the uniform chain at
-    g = J via the numeric pipeline (or a supplied nu(N, phi, t) callable).
+    g = J = 1 via the numeric pipeline (or a supplied nu(N, phi, t) callable).
     The ratio is independent of the logarithm base.
 
     Raises

@@ -65,7 +65,8 @@ class NegativeOccupancy(ConfigError):
 class OverflowRisk(EpchainError, ArithmeticError):
     """Propagating this far would overflow double precision.
 
-    The message states the growth exponent ||K||_2 |t| and the cap it passed.
+    The message states the growth exponent ||K||_2 |t| and the cap it passed,
+    or the time at which the transported covariance overflowed.
     """
 
 

@@ -4,8 +4,7 @@ Each check draws from a fixed seed, evaluates one structural invariant of
 the package (symmetries of the dynamical matrix, symplecticity and purity of
 the transport, agreement of independent computation routes, closed-form
 oracles), and reports a pass/fail with the worst observed residual.
-Thresholds can be scaled uniformly through ``tol_scale``; ``inject_fault``
-deliberately corrupts one check's reference to prove the harness can fail.
+Thresholds can be scaled uniformly through ``tol_scale``.
 """
 
 from __future__ import annotations
@@ -80,12 +79,12 @@ def _worst(pairs: Iterator[float]) -> float:
     return max(pairs, default=0.0)
 
 
-def run_selftest(
-    tol_scale: float = 1.0,
-    inject_fault: str | None = None,
-    draws: int = 40,
-) -> list[CheckResult]:
-    """Run every invariant check; returns one result per check."""
+def run_selftest(tol_scale: float = 1.0, draws: int = 40) -> list[CheckResult]:
+    """Run every invariant check; returns one result per check.
+
+    ``tol_scale`` multiplies every threshold and must be positive and
+    finite; ``draws`` random chains (at least 1) feed the transport checks.
+    """
     if not 0.0 < tol_scale < math.inf:
         raise ConfigError(f"tol_scale must be positive and finite, got {tol_scale}")
     if draws < 1:
@@ -156,9 +155,6 @@ def run_selftest(
     for spec, m, t in zip(specs, matrices, times):
         k = quadrature_generator(m)
         omega = symplectic_form(spec.n_modes)
-        if inject_fault == "omega":
-            omega = omega.copy()
-            omega[0, 1] = -omega[0, 1]  # deliberate corruption for harness testing
         s = propagator(k, float(t)).s
         scale = 1.0 + float(np.linalg.norm(s, 2)) ** 2
         worst_sympl = max(worst_sympl, float(np.abs(s @ omega @ s.T - omega).max()) / scale)

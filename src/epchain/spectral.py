@@ -43,6 +43,8 @@ __all__ = [
 DEFAULT_REGION_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_CLUSTER_TOL = 1e-7
+# parameter values that locate_ep_1d labels before it bisects
+_LOCATE_GRID_POINTS = 129
 
 
 class Region(enum.Enum):
@@ -229,29 +231,26 @@ def _cluster_eigenvalues(values: np.ndarray, radius: float) -> list[np.ndarray]:
     return [ordered[labels == label] for label in np.unique(labels)]
 
 
-def detect_eps(
-    m: BdgMatrix,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> tuple[EpCluster, ...]:
+def detect_eps(m: BdgMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[EpCluster, ...]:
     """Find exceptional points: eigenvalue clusters with Jordan order >= 2.
 
     Eigenvalues are grouped by single-linkage at radius
-    ``max(cluster_tol, (2N eps)^(1/2N)) * max(1, ||M||)``.  The second term
-    accounts for finite-precision scatter: a Jordan block of size k responds
-    to perturbations of size eps by spreading its eigenvalue over a disk of
-    radius eps^(1/k), so high-order coalescences always appear as clusters
-    far wider than machine precision.  Over-grouping is harmless because the
+    ``max(DEFAULT_CLUSTER_TOL, (2N eps)^(1/2N)) * max(1, ||M||)``.  The
+    second term accounts for finite-precision scatter: a Jordan block of
+    size k responds to perturbations of size eps by spreading its eigenvalue
+    over a disk of radius eps^(1/k), so high-order coalescences always
+    appear as clusters far wider than machine precision.  Over-grouping is harmless because the
     rank staircase is the arbiter: a group whose block sizes do not add up to
-    its multiplicity is re-split at the bare ``cluster_tol`` radius, and
-    groups that end up diagonalizable are dropped.
+    its multiplicity is re-split at the bare ``DEFAULT_CLUSTER_TOL`` radius,
+    and groups that end up diagonalizable are dropped.  Ranks are thresholded
+    at ``rank_tol`` (see ``jordan_structure``).
     """
     values = eigenspectrum(m)
     size = m.size
     scale = max(1.0, float(np.linalg.norm(m.data, 2)))
     debris = float(size * np.finfo(float).eps) ** (1.0 / size)
-    wide = max(cluster_tol, debris) * scale
-    tight = cluster_tol * scale
+    wide = max(DEFAULT_CLUSTER_TOL, debris) * scale
+    tight = DEFAULT_CLUSTER_TOL * scale
 
     clusters: list[EpCluster] = []
     pending = _cluster_eigenvalues(values, wide)
@@ -299,33 +298,31 @@ def locate_ep_1d(
     lo: float,
     hi: float,
     tol: float = 1e-6,
-    grid_points: int = 129,
     region_tol: float = DEFAULT_REGION_TOL,
 ) -> tuple[float, ...]:
     """Locate spectral transition points of a one-parameter chain family.
 
-    Labels ``grid_points`` values of the parameter on [lo, hi] as one stack,
-    computing for each the spectral signature (region label, number of
-    real-axis eigenvalues, number of imaginary-axis eigenvalues), then
-    bisects every signature change down to an interval of width ``tol``
-    and returns the sorted midpoints.  Results closer than twice ``tol`` are merged: a grid
-    point landing exactly on a transition produces a zero-width signature
-    plateau whose two edges are the same physical point.
+    Labels 129 evenly spaced values of the parameter on [lo, hi], ends
+    included, as one stack, computing for each the spectral signature
+    (region label, number of real-axis eigenvalues, number of
+    imaginary-axis eigenvalues), then bisects every signature change down
+    to an interval of width ``tol`` and returns the sorted midpoints.
+    Results closer than twice ``tol`` are merged: a grid point landing
+    exactly on a transition produces a zero-width signature plateau whose
+    two edges are the same physical point.
 
     Raises
     ------
     ConfigError
-        If [lo, hi] is not a finite interval with lo < hi, ``grid_points``
-        is below 2, or ``tol`` is not positive and finite.
+        If [lo, hi] is not a finite interval with lo < hi, or ``tol`` is
+        not positive and finite.
     NoTransition
         If the signature is uniform across the whole scan.
     """
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
         raise ConfigError(f"bad interval [{lo}, {hi}]")
-    if grid_points < 2:
-        raise ConfigError("grid_points must be at least 2")
     _check_tol(tol)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _LOCATE_GRID_POINTS)
     signatures = _signatures(spec_bdg_stack([family(float(x)) for x in grid]), region_tol)
     found: list[float] = []
     for a, b, sig_a, sig_b in zip(grid, grid[1:], signatures, signatures[1:]):
@@ -365,7 +362,6 @@ class EsPoint:
     on_surface: bool
     ep_order: int
     block_sizes: tuple[int, ...]
-    kind: str  # "ep3_surface", "ep2_arc", or ""
 
 
 def scan_exceptional_surface(
@@ -374,17 +370,16 @@ def scan_exceptional_surface(
     j1_values: Iterable[float],
     j2_values: Iterable[float],
     tol: float = 1e-9,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
     detect_everywhere: bool = False,
 ) -> list[EsPoint]:
     """Scan three-mode chains for the coalescence surface g1^2+g2^2 = J1^2+J2^2.
 
     For every grid combination the analytic condition residual
     ``|g1^2 + g2^2 - J1^2 - J2^2|`` is evaluated; where it is at most ``tol``
-    (or always, with ``detect_everywhere``) the exceptional points of the
-    chain are detected and classified: order-3 coalescences are surface
-    points, order-2 coalescences on the line g1 = J1, g2 = J2 are arc points.
+    (or always, with ``detect_everywhere``) ``detect_eps`` runs at its
+    default rank tolerance, and the point records the highest Jordan order
+    found and that cluster's block sizes: order 3 on the surface proper,
+    order 2 at the arc point g1 = J1, g2 = J2.
     """
     # float64 axes: a square past the float range is inf here, not an OverflowError
     axes = [np.asarray(list(values), dtype=np.float64)
@@ -396,26 +391,21 @@ def scan_exceptional_surface(
         on_surface = residual <= tol
         order = 0
         blocks: tuple[int, ...] = ()
-        kind = ""
         if on_surface or detect_everywhere:
             spec = ChainSpec(
                 n_modes=3, hopping=(complex(g1), complex(g2)),
                 pairing=(float(j1), float(j2)), sms=0,
             )
-            eps = detect_eps(build_bdg_matrix(spec), cluster_tol, rank_tol)
+            eps = detect_eps(build_bdg_matrix(spec))
             if eps:
                 best = max(eps, key=lambda c: c.order)
                 order = best.order
                 blocks = best.jordan_blocks
-        if order >= 3:
-            kind = "ep3_surface"
-        elif order == 2 and abs(g1 - j1) <= tol and abs(g2 - j2) <= tol:
-            kind = "ep2_arc"
         points.append(
             EsPoint(
                 g1=float(g1), g2=float(g2), j1=float(j1), j2=float(j2),
                 residual=float(residual), on_surface=bool(on_surface),
-                ep_order=order, block_sizes=blocks, kind=kind,
+                ep_order=order, block_sizes=blocks,
             )
         )
     return points

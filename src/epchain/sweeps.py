@@ -33,7 +33,8 @@ reference for that text; ``write_rows`` gives the same bytes but formats a
 whole row with one %-template, built once per distinct tuple of cell types,
 so only bool and text cells are handled value by value.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
-configuration and the tool version.
+configuration (the config file's keys and the value of every option that
+changes the data) and the tool version.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ __all__ = [
     "es_scan_table",
 ]
 
-AXIS_NAMES = ("g", "J", "eta", "phi", "g1", "g2", "J1", "J2", "t", "N")
+AXIS_NAMES = ("g", "J", "eta", "phi", "g1", "g2", "J1", "J2", "t")
+# the times of fig3's enhancement-ratio table
+_RATIO_TIMES = tuple(np.linspace(0.25, 3.5, 14).tolist())
 
 
 @dataclass(frozen=True)
@@ -519,20 +522,20 @@ def fig3_tables(
     n_values: Sequence[int] = (2, 3, 4, 5, 6),
     phi_steps: int = 65,
     t: float = 3.5,
-    ratio_times: Sequence[float] = tuple(np.linspace(0.25, 3.5, 14)),
     fit_max_n: int = 30,
 ) -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]], dict]:
     """Uniform-chain witness versus hopping phase, plus enhancement ratios.
 
     Returns (witness table, ratio table, extras).  The witness table runs
     phi over [0, pi] (symmetry about pi/2 is reported in the extras); the
-    ratio table gives R(N, t); the extras carry the exponential fit
-    a*exp(b*N)+c of R(N) at the fixed time over N = 2..fit_max_n.  At
-    g = J the witness is the exact coalescence-point series, so every value
-    comes from ``nu_closed_form_bkc_ep`` and every ratio from
-    ``enhancement_ratio`` on it; no covariance is transported, and only an
-    xi past the float range (``OutOfRange``) or a reference witness of 1
-    (``DivisionByZeroLog``, as at t = 0) fails.
+    ratio table gives R(N, t) at 14 times evenly spaced on [0.25, 3.5];
+    the extras carry the exponential fit a*exp(b*N)+c of R(N) at the
+    fixed time over N = 2..fit_max_n.  At g = J the witness is the exact
+    coalescence-point series, so every value comes from
+    ``nu_closed_form_bkc_ep`` and every ratio from ``enhancement_ratio`` on
+    it; no covariance is transported, and only an xi past the float range
+    (``OutOfRange``) or a reference witness of 1 (``DivisionByZeroLog``, as
+    at t = 0) fails.
     """
     from scipy.optimize import OptimizeWarning, curve_fit
 
@@ -557,7 +560,7 @@ def fig3_tables(
 
     ratio_rows = [
         [int(n), float(rt), enhancement_ratio(int(n), float(rt), nu_fn=nu_closed_form_bkc_ep)]
-        for n in n_values for rt in ratio_times
+        for n in n_values for rt in _RATIO_TIMES
     ]
     ratio = (["N", "t", "ratio"], ratio_rows)
 
@@ -586,24 +589,24 @@ def fig3_tables(
 def fig4_grid(
     j: float = 1.0,
     t: float = 5.0,
-    g1_axis: SweepAxis | None = None,
-    g2_axis: SweepAxis | None = None,
+    g_axis: SweepAxis | None = None,
     arc_steps: int = 65,
     threads: int = 1,
 ) -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]], dict]:
     """Three-mode witness map over (g1, g2) at equal pairing, plus the arc cut.
 
-    The main table maps the middle-vs-outer witness at the fixed time; the
-    second table cuts along the coalescence circle g1^2 + g2^2 = 2 J^2,
-    parameterized by the angle from the arc point, with the closed-form
-    witness alongside for comparison.  Regions use the default tolerance.
+    The main table maps the middle-vs-outer witness at the fixed time over
+    the square grid g1, g2 in ``g_axis`` (default: 81 values on [0, 2]),
+    g1-major; the second table cuts along the coalescence circle
+    g1^2 + g2^2 = 2 J^2, parameterized by the angle from the arc point, with
+    the closed-form witness alongside for comparison.  Regions use the
+    default tolerance.
     """
     _check_threads(threads)
     if arc_steps < 0:
         raise ConfigError(f"arc_steps must be nonnegative, got {arc_steps}")
-    g1_axis = g1_axis or SweepAxis("g1", 0.0, 2.0, 81)
-    g2_axis = g2_axis or SweepAxis("g2", 0.0, 2.0, 81)
-    points = [(g1, g2) for g1 in g1_axis.values().tolist() for g2 in g2_axis.values().tolist()]
+    g = (g_axis or SweepAxis("g", 0.0, 2.0, 81)).values().tolist()
+    points = [(g1, g2) for g1 in g for g2 in g]
     m = bdg_stack(points, float(j), 0.0)
     _, regions, _ = spectrum_stack(m, DEFAULT_REGION_TOL)
     varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps).tolist()
@@ -635,7 +638,6 @@ def es_scan_table(
     j1_axis: SweepAxis,
     j2_axis: SweepAxis,
     tol: float = 1e-9,
-    rank_tol: float = DEFAULT_RANK_TOL,
     detect_everywhere: bool = False,
 ) -> tuple[list[str], list[list], dict]:
     """Exceptional-surface scan in the three-mode parameter space."""
@@ -645,7 +647,6 @@ def es_scan_table(
         j1_axis.values(),
         j2_axis.values(),
         tol=tol,
-        rank_tol=rank_tol,
         detect_everywhere=detect_everywhere,
     )
     header = ["g1", "g2", "J1", "J2", "residual", "on_surface", "ep_order", "block_sizes"]

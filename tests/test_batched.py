@@ -527,8 +527,7 @@ class TestSweepsThroughKernel:
         assert fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=2) == fig2_grid(
             g_axis=g_axis, t_axis=t_axis, threads=1
         )
-        axis = SweepAxis("g1", 0.0, 2.0, 4)
-        kwargs = dict(g1_axis=axis, g2_axis=SweepAxis("g2", 0.0, 2.0, 4), arc_steps=5)
+        kwargs = dict(g_axis=SweepAxis("g", 0.0, 2.0, 4), arc_steps=5)
         assert fig4_grid(threads=2, **kwargs) == fig4_grid(threads=1, **kwargs)
 
     def test_pool_reports_first_failing_cell(self, monkeypatch):
@@ -689,13 +688,16 @@ class TestFig3ThroughKernel:
     the ids of the tests that carried over stay stable.
     """
 
-    kwargs = dict(n_values=(2, 3, 4), phi_steps=5, ratio_times=(0.5, 1.0, 3.5), fit_max_n=6)
+    kwargs = dict(n_values=(2, 3, 4), phi_steps=5, fit_max_n=6)
+    # the ratio table's times are a module constant; these tests set their own
+    ratio_times = (0.5, 1.0, 3.5)
 
     @pytest.mark.parametrize("phi_steps, ratio_times", [(5, (0.5, 1.0, 3.5)), (0, ())])
     def test_tables_equal_scalar_loops(self, monkeypatch, phi_steps, ratio_times):
-        kwargs = dict(self.kwargs, phi_steps=phi_steps, ratio_times=ratio_times)
+        monkeypatch.setattr(sweeps, "_RATIO_TIMES", ratio_times)
+        kwargs = dict(self.kwargs, phi_steps=phi_steps)
         got = recorded_fig3(monkeypatch, t=3.5, **kwargs)
-        assert repr(got) == repr(fig3_closed_form_loops(t=3.5, **kwargs))
+        assert repr(got) == repr(fig3_closed_form_loops(t=3.5, ratio_times=ratio_times, **kwargs))
 
     def test_drift_from_numeric_pipeline(self, monkeypatch):
         # the fig3 inputs of the long_chain benchmark: every value within
@@ -726,10 +728,10 @@ class TestFig3ThroughKernel:
             (3.5, (0.5, 0.0, 160.0), DivisionByZeroLog),
         ],
     )
-    def test_errors_equal_scalar_loops(self, t, ratio_times, expected):
-        kwargs = dict(self.kwargs, ratio_times=ratio_times)
-        error = raised(fig3_tables, t=t, **kwargs)
-        assert error == raised(fig3_closed_form_loops, t=t, **kwargs)
+    def test_errors_equal_scalar_loops(self, monkeypatch, t, ratio_times, expected):
+        monkeypatch.setattr(sweeps, "_RATIO_TIMES", ratio_times)
+        error = raised(fig3_tables, t=t, **self.kwargs)
+        assert error == raised(fig3_closed_form_loops, t=t, ratio_times=ratio_times, **self.kwargs)
         assert error[0] is expected
 
     @pytest.mark.parametrize("outcomes", list(itertools.product(("low", "one", "fail"), repeat=4)))
@@ -749,7 +751,8 @@ class TestFig3ThroughKernel:
         monkeypatch.setattr(sweeps, "nu_closed_form_bkc_ep", nu)
         # the fit runs at t = times[0], which the ratio table reaches first
         monkeypatch.setattr(scipy.optimize, "curve_fit", lambda *args, **kw: (np.zeros(3), None))
-        kwargs = dict(n_values=(3,), phi_steps=0, t=times[0], ratio_times=times, fit_max_n=4)
+        monkeypatch.setattr(sweeps, "_RATIO_TIMES", times)
+        kwargs = dict(n_values=(3,), phi_steps=0, t=times[0], fit_max_n=4)
         try:
             expected = [enhancement_ratio(3, t, nu_fn=nu) for t in times]
         except EpchainError:
@@ -764,8 +767,10 @@ class TestFig3ThroughKernel:
         # the series has no such limit
         with pytest.raises(OverflowRisk):
             bkc_nu_minus(3, 0.0, 120.0)
+        monkeypatch.setattr(sweeps, "_RATIO_TIMES", self.ratio_times)
         got = recorded_fig3(monkeypatch, t=120.0, **self.kwargs)
-        assert repr(got) == repr(fig3_closed_form_loops(t=120.0, **self.kwargs))
+        loops = fig3_closed_form_loops(t=120.0, ratio_times=self.ratio_times, **self.kwargs)
+        assert repr(got) == repr(loops)
         witness, ratio, fit_rs = got
         values = [row[2] for row in witness + ratio] + fit_rs
         assert all(math.isfinite(v) and v > 0 for v in values)

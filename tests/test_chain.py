@@ -11,8 +11,6 @@ from epchain import (
     ChainSpec,
     build_bdg_matrix,
     build_chain_spec,
-    chain_spec_from_json,
-    chain_spec_to_json,
     eigenspectrum,
     particle_hole_residual,
     quadrature_generator,
@@ -81,31 +79,11 @@ class TestBuildChainSpec:
         with pytest.raises(ConfigError):
             build_chain_spec({"g": 1.0})
 
-
-class TestJsonRoundTrip:
-    def test_round_trip(self):
-        spec = build_chain_spec(
-            {"n": 3, "g": [0.5, 1.5], "phi": [0.1, 0.2], "J": [1, 2], "eta": [0, 0.3, 0]}
-        )
-        again = chain_spec_from_json(chain_spec_to_json(spec))
-        assert again.n_modes == spec.n_modes
-        np.testing.assert_allclose(again.hopping, spec.hopping, atol=1e-15)
-        assert again.pairing == spec.pairing
-        np.testing.assert_allclose(again.sms, spec.sms, atol=1e-15)
-
-    def test_complex_eta_round_trip(self):
-        spec = ChainSpec(n_modes=2, hopping=(1.0,), pairing=(0.5,), sms=(0.2 + 0.1j, 0.0))
-        again = chain_spec_from_json(chain_spec_to_json(spec))
-        np.testing.assert_allclose(again.sms, spec.sms, atol=1e-15)
-
     def test_scalar_broadcast_from_json(self):
-        spec = chain_spec_from_json(json.dumps({"n": 4, "g": 1.0, "J": 0.5}))
+        # the chain keys of a command's JSON config file
+        spec = build_chain_spec(json.loads('{"n": 4, "g": 1.0, "J": 0.5}'))
         assert spec.hopping == (1 + 0j,) * 3
         assert spec.pairing == (0.5,) * 3
-
-    def test_malformed_json(self):
-        with pytest.raises(ConfigError):
-            chain_spec_from_json("{not json")
 
 
 class TestBuildBdgMatrix:

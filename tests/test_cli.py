@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from epchain.cli import main
+from epchain.chain import symplectic_form
+from epchain.cli import build_parser, main
 
 
 def write_json(path, payload):
@@ -165,16 +167,16 @@ class TestEntangleCommand:
         assert "config error: times must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra, message", [
-        ({"partitions": [12]}, "label 12 must be a string"),
-        ({"times": [0, "x"]}, "'times' entries must be numbers"),
-        ({"times": {"start": 0, "stop": 1, "steps": "x"}},
+    @pytest.mark.parametrize("extra, options, message", [
+        ({}, ["--partition", "1|4"], "label '1|4' is out of range for N=3"),
+        ({"times": [0, "x"]}, [], "'times' entries must be numbers"),
+        ({"times": {"start": 0, "stop": 1, "steps": "x"}}, [],
          "axis 't' start/stop/steps must be numbers"),
     ], ids=["partition", "time", "steps"])
-    def test_malformed_values_exit_2(self, tmp_path, capsys, extra, message):
+    def test_malformed_values_exit_2(self, tmp_path, capsys, extra, options, message):
         cfg = write_json(tmp_path / "bad.json", {"n": 3, **extra})
         out = tmp_path / "bad.csv"
-        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["entangle", "--config", cfg, *options, "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -371,6 +373,73 @@ def test_config_and_tol_only_where_used(command, option, capsys):
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+# every value the command line can set, by command: --tol and --partition
+# are the only source of the tolerances and cuts, which no config file sets
+SETTABLE_VALUES = {
+    "spectrum": ["out", "fmt", "config", "tol", "detect_eps"],
+    "entangle": ["out", "fmt", "config", "partition", "include_cm"],
+    "fig2": ["out", "fmt", "threads", "eta", "g_min", "g_max", "g_steps", "t_max", "t_steps"],
+    "fig3": ["out", "fmt", "ns", "t", "phi_steps", "fit_max_n"],
+    "fig4": ["out", "fmt", "threads", "j", "t", "g_max", "g_steps", "arc_steps"],
+    "es-scan": ["out", "fmt", "config", "tol", "detect_everywhere"],
+    "selftest": ["tol", "draws"],
+}
+
+# a config holding every key its command accepts (test_manifest_echoes_options
+# runs each); any other key is refused
+FULL_CONFIGS = {
+    "spectrum": {"n": 2, "g": 1.0, "phi": 0.3, "J": 1.0, "eta": 0.2,
+                 "sweep": {"axis": "g", "start": 0.5, "stop": 1.5, "steps": 3}},
+    "entangle": {"n": 2, "g": 1.0, "phi": 0.3, "J": 1.0, "eta": 0.2, "times": [0.0, 1.0]},
+    "es-scan": {"g1": [1.0, 1.0, 1], "g2": [1.0, 1.0, 1], "J1": [1.0, 1.0, 1],
+                "J2": [1.0, 1.0, 1]},
+}
+
+
+def test_settable_values_census():
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    census = {
+        name: [action.dest for action in sub._actions
+               if not isinstance(action, argparse._HelpAction)]
+        for name, sub in commands.choices.items()
+    }
+    assert census == SETTABLE_VALUES
+    assert sum(map(len, census.values())) == 40
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("spectrum", "tol", 1e-9),
+    ("es-scan", "tol", 1e-9),
+    ("entangle", "partitions", ["1|2"]),
+])
+def test_option_values_are_not_config_keys(tmp_path, capsys, command, key, value):
+    cfg = write_json(tmp_path / "c.json", {**FULL_CONFIGS[command], key: value})
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options, echoed", [
+    ("spectrum", [], {"tol": 1e-9, "rank_tol": 1e-8, "detect_eps": False}),
+    ("spectrum", ["--tol", "1e-7", "--detect-eps"],
+     {"tol": 1e-7, "rank_tol": 1e-7, "detect_eps": True}),
+    ("entangle", [], {"partitions": ["1|2"], "include_cm": False}),
+    ("entangle", ["--partition", "2|1", "--partition", "1|2", "--include-cm"],
+     {"partitions": ["2|1", "1|2"], "include_cm": True}),
+    ("es-scan", [], {"tol": 1e-9, "detect_everywhere": False}),
+    ("es-scan", ["--tol", "1e-6", "--detect-everywhere"],
+     {"tol": 1e-6, "detect_everywhere": True}),
+])
+def test_manifest_echoes_options(tmp_path, command, options, echoed):
+    cfg = write_json(tmp_path / "c.json", FULL_CONFIGS[command])
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, *options, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert manifest["config"] == {**FULL_CONFIGS[command], **echoed}
+
+
 def test_cli_import_leaves_out_integrate_and_optimize():
     # selftest and fig3's fit import them when they run
     code = ("import sys, epchain.cli; "
@@ -421,8 +490,17 @@ class TestSelftestCommand:
         assert "FAIL" not in out
         assert "PASS  bkc_ep_closed_form" in out
 
-    def test_injected_fault_fails(self, capsys):
-        assert main(["selftest", "--draws", "8", "--inject-fault", "omega"]) == 1
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        # a sign flip in the suite's reference Omega: S Omega S^T = Omega fails
+        from epchain import selftest
+
+        def corrupted(n_modes):
+            omega = symplectic_form(n_modes).copy()
+            omega[0, 1] = -omega[0, 1]
+            return omega
+
+        monkeypatch.setattr(selftest, "symplectic_form", corrupted)
+        assert main(["selftest", "--draws", "8"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  propagator_symplectic" in out
 
@@ -436,9 +514,9 @@ class TestSelftestCommand:
          ["--draws", "0"], ["--draws", "-3"]],
     )
     def test_defeating_arguments_exit_2(self, capsys, args):
-        # an infinite scale would pass the injected fault, and no draw at
-        # all would pass every transport check without running one
-        assert main(["selftest", "--inject-fault", "omega", *args]) == 2
+        # an infinite scale would pass any fault, and no draw at all would
+        # pass every transport check without running one
+        assert main(["selftest", *args]) == 2
         assert "config error" in capsys.readouterr().err
 
 
@@ -469,7 +547,9 @@ def test_float_formatting_17_digits(tmp_path):
 # were recorded with the per-slice labeller (one ``eigvals`` per point)
 # before the stacked ``spectrum_stack`` replaced it.  The two ``trunc.``
 # entries were re-recorded when the truncation left the table for the
-# manifest; the files lost only their final warning row.  They pin the
+# manifest; the files lost only their final warning row.  The spec manifest
+# was re-recorded when manifests began to echo the option values (tol,
+# rank_tol, detect_eps) beside the config file's keys.  They pin the
 # formatting, quoting and JSON layout, and the numbers' bits on this numeric
 # stack (numpy 2.4, scipy 1.17 with OpenBLAS); re-record them only when the
 # numbers or the layout move on purpose.
@@ -481,7 +561,7 @@ GOLDEN_SHA256 = {
     "fig4.csv": "804bb8b8166baa60f90f2e48028329cc5f8cf991e6e594b6e09cb1d042e65e24",
     "fig4_arc.csv": "45f4b64873bfdfa00c00ec3ce21c9685f4bb6ff144af686c8206965574fc3163",
     "spec.csv": "67865819b65e0efaf37f9c3cb963682b3362b27b0732479eb270bb5a3506ddb2",
-    "spec.csv.manifest.json": "aad49ccfb5fefd4df80566d0af184f0e1e8a9379479b982b5a2cb3f160f5b52a",
+    "spec.csv.manifest.json": "b2859d148e37412a330c856d5566dda8b6960a5dac21614162a40e27be32e201",
     "trunc.csv": "c44ee6be421b776c8af58a638c35aa9aa12cac4ebf67dd8af091bb65f2c9c4eb",
     "trunc.json": "6d880118687886bfea33e422454c5915d6ae2fe1909efe0b70d91cc3b55f0c94",
 }
@@ -491,7 +571,6 @@ def golden_outputs(tmp_path):
     """Run the golden commands; return {output file name: sha256 of its bytes}."""
     ent = write_json(tmp_path / "ent_cfg.json", {
         "n": 3, "g": 1.0, "J": 1.0, "eta": 0.2, "phi": 0.7, "times": [0.0, 0.5, 1.5],
-        "partitions": ["1|23", "13|2"],
     })
     trunc = write_json(tmp_path / "trunc_cfg.json", {
         "n": 10, "eta": 5.0, "times": [0.0, 1.0, 25.0, 50.0, 75.0],
@@ -508,7 +587,8 @@ def golden_outputs(tmp_path):
         ["fig2", "--g-steps", "3", "--t-steps", "4", "--threads", "1", "--out", "fig2.csv"],
         ["fig4", "--g-steps", "3", "--arc-steps", "3", "--threads", "1", "--out", "fig4.csv"],
         ["fig3", "--ns", "2,3", "--phi-steps", "3", "--fit-max-n", "5", "--out", "fig3.csv"],
-        ["entangle", "--config", ent, "--include-cm", "--format", "json", "--out", "ent.json"],
+        ["entangle", "--config", ent, "--partition", "1|23", "--partition", "13|2",
+         "--include-cm", "--format", "json", "--out", "ent.json"],
         ["entangle", "--config", trunc, "--partition", cut, "--out", "trunc.csv"],
         ["entangle", "--config", trunc, "--partition", cut, "--format", "json",
          "--out", "trunc.json"],

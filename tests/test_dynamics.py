@@ -12,6 +12,7 @@ from epchain import (
     GaussianState,
     build_bdg_matrix,
     evolve,
+    evolve_grid,
     evolve_trajectory,
     initial_state,
     propagator,
@@ -27,7 +28,7 @@ from epchain.errors import (
     UnsortedTimes,
 )
 
-from conftest import chain_specs
+from conftest import chain_specs, reference_evolve
 
 
 def generator(spec):
@@ -161,6 +162,27 @@ class TestEvolve:
         omega = symplectic_form(spec.n_modes)
         lowest = float(np.linalg.eigvalsh(state.cm + 1j * omega).min())
         assert lowest >= -1e-8
+
+    def test_overflowing_covariance_is_overflow_risk(self):
+        # ||K||_2 t = 299 passes the growth cap, which bounds S; S sigma S^T of
+        # a state of 1e104 thermal quanta passes the float range all the same
+        k = generator(ChainSpec.uniform(2, g=0.2, j=1.0))
+        t = 299 / np.linalg.norm(k.data, 2)
+        with pytest.raises(OverflowRisk, match=re.escape(f"covariance at t={t} overflows")):
+            evolve(initial_state(2, 1e104), k, t)
+
+    def test_grid_stops_at_first_overflowing_cell(self):
+        state = initial_state(2, 1e104)
+        k = generator(ChainSpec.uniform(2, g=0.2, j=1.0))
+        t = 299 / np.linalg.norm(k.data, 2)
+        stack = np.stack([k.data, generator(ChainSpec.uniform(2, g=1.5, j=1.0)).data])
+        # generator-major: the cell (0.2, t) overflows, and no later cell is returned
+        cms, error = evolve_grid(state, stack, [0.0, 1.0, t])
+        assert isinstance(error, OverflowRisk)
+        assert str(error) == f"covariance at t={t} overflows double precision"
+        assert len(cms) == 2
+        for cm, t_cell in zip(cms, [0.0, 1.0]):
+            assert cm.tobytes() == reference_evolve(state, k, t_cell).tobytes()
 
     def test_ode_route_agrees(self):
         # independent route: adaptive integration of d sigma/dt = K sigma + sigma K^T

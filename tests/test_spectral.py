@@ -75,9 +75,9 @@ def reference_signature(spec, tol):
     return reference_label(values, threshold), n_real, n_imag
 
 
-def reference_locate(family, lo, hi, tol=1e-6, grid_points=129, region_tol=DEFAULT_REGION_TOL):
+def reference_locate(family, lo, hi, tol=1e-6, region_tol=DEFAULT_REGION_TOL):
     """The scan of ``locate_ep_1d`` with one scalar signature per grid point."""
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 129)
     signatures = [reference_signature(family(float(x)), region_tol) for x in grid]
     found = []
     for a, b, sig_a, sig_b in zip(grid, grid[1:], signatures, signatures[1:]):
@@ -364,10 +364,9 @@ class TestLocateEp1d:
     @pytest.mark.parametrize("lo, hi, kwargs", [
         (1.5, 0.5, {}),
         (0.5, float("inf"), {}),
-        (0.5, 1.5, {"grid_points": 1}),
         (0.5, 1.5, {"tol": 0.0}),
         (0.5, 1.5, {"tol": float("nan")}),
-    ], ids=["reversed", "infinite", "one_grid_point", "zero_tol", "nan_tol"])
+    ], ids=["reversed", "infinite", "zero_tol", "nan_tol"])
     def test_argument_errors_are_config_errors(self, lo, hi, kwargs):
         # a bisection width of 0 would never end
         with pytest.raises(ConfigError):
@@ -418,7 +417,6 @@ class TestExceptionalSurface:
         points = scan_exceptional_surface([1.0], [1.0], [1.0], [1.0], tol=1e-9)
         (point,) = points
         assert point.on_surface
-        assert point.kind == "ep2_arc"
         assert point.ep_order == 2
         assert point.block_sizes == (2, 2, 1, 1)
 
@@ -426,7 +424,7 @@ class TestExceptionalSurface:
         points = scan_exceptional_surface([np.sqrt(2.0)], [0.0], [1.0], [1.0], tol=1e-9)
         (point,) = points
         assert point.on_surface
-        assert point.kind == "ep3_surface"
+        assert point.ep_order == 3
         assert point.block_sizes == (3, 3)
 
     def test_off_surface(self):

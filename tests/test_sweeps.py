@@ -249,10 +249,9 @@ class TestFig2ClosedFormSpectrum:
 def test_fig3_ratio_rows_match_direct_call():
     from epchain import enhancement_ratio, nu_closed_form_bkc_ep
 
-    (_, _), (rheader, rrows), extras = fig3_tables(
-        n_values=(3,), phi_steps=3, t=1.5, ratio_times=(1.0, 1.5), fit_max_n=5
-    )
+    (_, _), (rheader, rrows), extras = fig3_tables(n_values=(3,), phi_steps=3, t=1.5, fit_max_n=5)
     assert rheader == ["N", "t", "ratio"]
+    assert [t for _, t, _ in rrows] == np.linspace(0.25, 3.5, 14).tolist()
     for n, t, ratio in rrows:
         assert ratio == enhancement_ratio(n, t, nu_fn=nu_closed_form_bkc_ep)
         assert ratio == pytest.approx(enhancement_ratio(n, t), rel=1e-7)
