@@ -304,13 +304,16 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainError | None]:
     """exp(K t) of the generator-major cells of k x times before the first that fails, in
     order, a finite time, the growth cap and the symplectic residual; and that cell's error."""
-    # ||K||_2 <= ||K||_F: a generator whose Frobenius bound keeps every time
-    # within half the cap is cleared, and only the rest get the exact SVD
-    norms = np.linalg.norm(k, axis=(1, 2))
-    unclear = np.flatnonzero(~(norms * np.abs(times).max(initial=0.0) <= 0.5 * GROWTH_CAP))
+    # ||K||_2 <= ||K||_F, taken of K over its largest entry so that no square
+    # underflows: a generator whose bound keeps every finite time within half
+    # the cap is cleared, and only the rest get the exact SVD
+    spans = np.abs(np.where(np.isfinite(times), times, 0.0))  # no 0 * inf; refused below
+    peak = np.abs(k).max(axis=(1, 2), initial=0.0)
+    norms = peak * np.linalg.norm(k / np.where(peak > 0.0, peak, 1.0)[:, None, None], axis=(1, 2))
+    unclear = np.flatnonzero(~(norms * spans.max(initial=0.0) <= 0.5 * GROWTH_CAP))
     if unclear.size:
         norms[unclear] = np.linalg.norm(k[unclear], 2, axis=(1, 2))
-    exponents = (norms[:, None] * np.abs(times)).ravel()
+    exponents = (norms[:, None] * spans).ravel()
     cell_times = np.tile(times, len(k))
     refused = np.flatnonzero(~np.isfinite(cell_times) | (exponents > GROWTH_CAP))
     stop = int(refused[0]) if refused.size else cell_times.size
@@ -329,11 +332,11 @@ def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainE
     residual = np.abs(s @ omega @ s.transpose(0, 2, 1) - omega).max(axis=(1, 2))
     # ||S||_2^2 is at least the largest squared column norm: a residual within
     # half of that scale passes with room for rounding, and only the rest are
-    # tested exactly, with 1 + ||S||_2^2 the largest eigenvalue of S^T S
+    # tested exactly, with ||S||_2 from the SVD
     columns = np.einsum("cij,cij->cj", s, s).max(axis=1, initial=0.0)
     lost = np.flatnonzero(~(residual <= _SYMPLECTIC_RTOL * (1.0 + 0.5 * columns)))
     if lost.size:
-        scale = 1.0 + np.linalg.eigvalsh(s[lost].transpose(0, 2, 1) @ s[lost])[:, -1]
+        scale = 1.0 + np.linalg.norm(s[lost], 2, axis=(1, 2)) ** 2
         lost = lost[residual[lost] > _SYMPLECTIC_RTOL * scale]
     if lost.size:
         stop = int(lost[0])

@@ -8,15 +8,15 @@ sigma~ drops below 1.  The logarithmic negativity -sum ln(nu~_k) over the
 eigenvalues below 1 quantifies the violation.
 
 Besides the numeric pipeline (build the chain, transport the vacuum
-covariance, partial-transpose, eigensolve; ``witness_stack`` runs it on a
-stack of covariances for the fig2, fig4 and entangle sweeps, and
-``entanglement_result`` and ``symplectic_eigenvalues`` are its one-matrix
-case), the module carries closed-form witnesses for three reference
-families: the two-mode chain without on-site squeezing, the uniform chain
-at g = J with an arbitrary hopping phase (whose invariant is a polynomial
-in t with exact, phase-independent coefficients; fig3 and its ratio fit
-are computed from it alone), and the three-mode chain on its coalescence
-surface.
+covariance, partial-transpose, Cholesky-factor (or refuse), eigensolve;
+``witness_stack`` runs it on a stack of covariances for the fig2, fig4 and
+entangle sweeps, and ``entanglement_result`` and ``symplectic_eigenvalues``
+are its one-matrix case), the module carries closed-form witnesses for
+three reference families: the two-mode chain without on-site squeezing,
+the uniform chain at g = J with an arbitrary hopping phase (whose invariant
+is a polynomial in t with exact, phase-independent coefficients; fig3 and
+its ratio fit are computed from it alone), and the three-mode chain on its
+coalescence surface.
 """
 
 from __future__ import annotations
@@ -158,13 +158,12 @@ def _flip_signs(part: Bipartition) -> np.ndarray:
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
-    """The N nonnegative symplectic eigenvalues of a symmetric matrix, ascending.
+    """The N symplectic eigenvalues of a symmetric positive-definite matrix, ascending.
 
-    The eigenvalues of i Omega sigma come in +/- pairs; this returns the
-    nonnegative member of each pair.  Positive-definite input goes through a
-    Cholesky factor L and the Hermitian matrix i L^T Omega L, which is both
-    stable and accurate; otherwise the pairs are read off a general
-    eigensolve of Omega sigma.
+    Williamson's theorem (Am. J. Math. 58, 141 (1936)) gives such a sigma N
+    positive ones: the upper half of the spectrum of the Hermitian matrix
+    i L^T Omega L, L the Cholesky factor of sigma.  A matrix Cholesky cannot
+    factor, or a value that comes out not positive, raises ``PrecisionLoss``.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
@@ -175,25 +174,21 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
 def _spectra(sigmas: np.ndarray) -> np.ndarray:
     """``symplectic_eigenvalues`` of each matrix of a symmetric (C, 2N, 2N) stack."""
     n = sigmas.shape[1] // 2
-    omega = symplectic_form(n)
     try:
         chol = np.linalg.cholesky(sigmas)
     except np.linalg.LinAlgError:
-        if len(sigmas) > 1:
-            return np.concatenate([_spectra(sigma[None]) for sigma in sigmas])
-        values = np.sort(np.abs(np.linalg.eigvals(omega @ sigmas[0])))
-        return 0.5 * (values[0::2] + values[1::2])[None]
-    return np.linalg.eigvalsh(1j * (chol.transpose(0, 2, 1) @ omega @ chol))[:, n:]
+        values = None
+    else:
+        values = np.linalg.eigvalsh(1j * (chol.transpose(0, 2, 1) @ symplectic_form(n) @ chol))[:, n:]
+    if values is None or (values <= 0.0).any():
+        raise PrecisionLoss("a matrix is not positive definite in floating point: "
+                            "the witness has lost all precision")
+    return values
 
 
 def _witnesses(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic spectra and E_N of a stack of partial transposes."""
     values = _spectra(_symmetrized(pt, "matrix"))
-    if (values <= 0.0).any():
-        raise PrecisionLoss(
-            "a partial-transpose symplectic eigenvalue is not positive: the witness has "
-            "lost all precision"
-        )
     # E_N sums the logs of each row's values below 1 as one contiguous run,
     # so numpy's pairwise summation groups them as for a single row
     below = values < 1.0
@@ -208,7 +203,7 @@ def _witnesses(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def entanglement_result(state: GaussianState, part: Bipartition) -> EntanglementResult:
     """Partial-transpose spectrum, nu_-, and logarithmic negativity in one pass.
 
-    Raises ``PrecisionLoss`` if a symplectic eigenvalue is not positive.
+    Raises ``PrecisionLoss`` where the partial transpose is not positive definite.
     """
     values, neg = _witnesses(partial_transpose(state, part)[None])
     return EntanglementResult(
@@ -225,10 +220,9 @@ def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.nd
 
     The whole (C, 2N, 2N) stack is sign-flipped into its partial transpose
     and goes through one stacked Cholesky factor L and the eigenvalues of
-    i L^T Omega L; if a matrix is not positive definite, the stack is
-    evaluated matrix by matrix.  Returns (nu_minus, log_negativity) arrays;
-    raises ``PrecisionLoss`` if any symplectic eigenvalue of the stack is
-    not positive.
+    i L^T Omega L.  Returns (nu_minus, log_negativity) arrays; raises
+    ``PrecisionLoss`` if any matrix of the stack has no Cholesky factor or a
+    symplectic eigenvalue that is not positive.
     """
     cms = np.asarray(cms, dtype=float)
     n = part.n_modes

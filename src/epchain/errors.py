@@ -90,10 +90,10 @@ class OutOfRange(EpchainError, ValueError):
 
 
 class PrecisionLoss(EpchainError, ArithmeticError):
-    """A partial-transpose symplectic eigenvalue came out zero or negative.
+    """A partial transpose is not positive definite in floating point.
 
-    The witness then has no significant digit left and its logarithm is
-    undefined, so it is refused rather than reported as nu_- = 0, E_N = inf.
+    Cholesky cannot factor it, or a symplectic eigenvalue comes out <= 0: the
+    witness has no significant digit left, so it is refused, not eigensolved.
     """
 
 

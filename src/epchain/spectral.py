@@ -374,13 +374,15 @@ def scan_exceptional_surface(
 ) -> list[EsPoint]:
     """Scan three-mode chains for the coalescence surface g1^2+g2^2 = J1^2+J2^2.
 
-    For every grid combination the analytic condition residual
-    ``|g1^2 + g2^2 - J1^2 - J2^2|`` is evaluated; where it is at most ``tol``
-    (or always, with ``detect_everywhere``) ``detect_eps`` runs at its
-    default rank tolerance, and the point records the highest Jordan order
-    found and that cluster's block sizes: order 3 on the surface proper,
-    order 2 at the arc point g1 = J1, g2 = J2.
+    For every grid combination the residual ``|g1^2 + g2^2 - J1^2 - J2^2|``
+    is evaluated; where it is at most ``tol`` (finite and nonnegative, else
+    ``ConfigError``), or always with ``detect_everywhere``, ``detect_eps``
+    runs at its default rank tolerance, and the point records the highest
+    Jordan order found and that cluster's block sizes: order 3 on the
+    surface proper, order 2 at the arc point g1 = J1, g2 = J2.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"surface tolerance must be nonnegative and finite, got {tol}")
     # float64 axes: a square past the float range is inf here, not an OverflowError
     axes = [np.asarray(list(values), dtype=np.float64)
             for values in (g1_values, g2_values, j1_values, j2_values)]

@@ -103,7 +103,7 @@ def reference_bona_fide_check(cm):
 
 
 def reference_symplectic_eigenvalues(sigma):
-    """Ascending symplectic eigenvalues of one symmetric matrix."""
+    """Ascending symplectic eigenvalues of one symmetric positive-definite matrix."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise AsymmetricInput(f"expected an even-sized square matrix, got {sigma.shape}")
@@ -114,11 +114,13 @@ def reference_symplectic_eigenvalues(sigma):
     omega = symplectic_form(n)
     try:
         chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+        values = np.linalg.eigvalsh(1j * (chol.T @ omega @ chol))[n:]
     except np.linalg.LinAlgError:
-        values = np.abs(np.linalg.eigvals(omega @ sigma))
-        values.sort()
-        return 0.5 * (values[0::2] + values[1::2])
-    return np.linalg.eigvalsh(1j * (chol.T @ omega @ chol))[n:]
+        values = np.zeros(n)
+    if (values <= 0.0).any():
+        raise PrecisionLoss("a matrix is not positive definite in floating point: "
+                            "the witness has lost all precision")
+    return values
 
 
 def reference_entanglement_result(cm, part):
@@ -132,11 +134,6 @@ def reference_entanglement_result(cm, part):
     for mode in part.side_b:
         signs[2 * mode + 1] = -1.0
     values = reference_symplectic_eigenvalues(signs[:, None] * cm * signs[None, :])
-    if (values <= 0.0).any():
-        raise PrecisionLoss(
-            "a partial-transpose symplectic eigenvalue is not positive: the witness has "
-            "lost all precision"
-        )
     neg = float(-np.sum(np.log(values[values < 1.0]))) if np.any(values < 1.0) else 0.0
     return EntanglementResult(
         partition=part,

@@ -157,18 +157,22 @@ class TestKernelMatchesScalar:
         assert sum(v < 1.0 for v in result.symplectic_eigenvalues_pt) >= 8
 
     def test_cholesky_fallback(self):
-        # one matrix that is not positive definite sends the stack through
-        # the spectrum matrix by matrix
+        # a stack with one matrix that Cholesky cannot factor is refused as a
+        # whole, as the per-cell reference refuses that matrix: no second route
         part = Bipartition.one_vs_rest(2)
         good = evolve(
             initial_state(2), quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.0))), 0.7
         ).cm
         indefinite = np.diag([1.0, -0.5, 2.0, 1.0])
-        nu, _ = witness_stack(np.stack([good, indefinite]), part)
+        with pytest.raises(PrecisionLoss, match="not positive definite") as excinfo:
+            witness_stack(np.stack([good, indefinite]), part)
+        refused = (PrecisionLoss, str(excinfo.value))
         signs = np.array([1.0, 1.0, 1.0, -1.0])
         flipped = [m * np.outer(signs, signs) for m in (good, indefinite)]
-        assert bits(nu) == bits([reference_symplectic_eigenvalues(m)[0] for m in flipped])
-        assert bits(nu) == bits([symplectic_eigenvalues(m)[0] for m in flipped])
+        assert outcome(lambda: reference_symplectic_eigenvalues(flipped[1])) == refused
+        assert outcome(lambda: symplectic_eigenvalues(flipped[1])) == refused
+        nu, _ = witness_stack(good[None], part)
+        assert bits(nu) == bits([reference_symplectic_eigenvalues(flipped[0])[0]])
 
 
 def outcome(fn):
@@ -302,6 +306,9 @@ class TestCertifiedGuards:
 
     @given(spec_stacks(), st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3), multiples,
            st.integers(0, 2**32 - 1))
+    @example(  # a residual on the threshold to the last bit: the exact test must be the SVD's
+        [ChainSpec(n_modes=2, hopping=(0j,), pairing=(0.0,), sms=(0j, 1 + 0j))], [0.0, 1.75], [1.0], 2
+    )
     @settings(max_examples=60, deadline=None)
     def test_symplectic_residual_matches_svd(self, specs, times, sizes, seed):
         # each S gets one entry moved so that its residual is f (1 + ||S||_2^2) 1e-10
@@ -331,6 +338,11 @@ class TestCertifiedGuards:
         )
 
     @given(spec_stacks(), multiples)
+    # entries whose squares underflow: the Frobenius bound must not read 0
+    @example([ChainSpec(n_modes=1, hopping=(), pairing=(), sms=(3.13464800985606e-250 + 0j,))], [1.125])
+    # an infinite time next to a zero generator: no 0 * inf
+    @example([ChainSpec(n_modes=1, hopping=(), pairing=(), sms=(2.225073858507e-311 + 0j,)),
+              ChainSpec(n_modes=1, hopping=(), pairing=(), sms=(0j,))], [1.0])
     @settings(max_examples=60, deadline=None)
     def test_growth_cap_matches_svd(self, specs, exponents):
         # times putting ||K||_2 t at f GROWTH_CAP for the stack's first generator
@@ -338,7 +350,8 @@ class TestCertifiedGuards:
         norm = np.linalg.norm(k[0], 2)
         if norm == 0.0:
             return
-        times = np.array(sorted(f * dynamics.GROWTH_CAP / norm for f in exponents))
+        with np.errstate(over="ignore"):  # a subnormal norm puts t past the float range
+            times = np.array(sorted(f * dynamics.GROWTH_CAP / norm for f in exponents))
         assert guard_outcome(dynamics._propagators(k, times)) == reference_guard(
             lambda kg, t: reference_propagator(RealGenerator(kg), t),
             [(kg, float(t)) for kg in k for t in times],
@@ -448,12 +461,19 @@ class TestKernelFailures:
     """Forced failures inside a batch: same error, same first cell as the scalar loop."""
 
     def test_overflow(self):
-        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3))).data
-        times = np.linspace(0.0, 400.0, 81)
+        # a bounded chain runs into the growth cap at t = 112
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.5, j=1.0, eta=0.2))).data
+        times = np.linspace(0.0, 400.0, 401)
         cms, error = assert_kernel_matches_scalar(
-            initial_state(3), [k], times, [Bipartition.one_vs_rest(3)]
+            initial_state(2), [k], times, [Bipartition.one_vs_rest(2)]
         )
-        assert isinstance(error, OverflowRisk) and 0 < len(cms) < len(times)
+        assert isinstance(error, OverflowRisk) and times[len(cms)] == 112.0
+        # a growing chain loses its witness to rounding long before the cap
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3))).data
+        _, error = assert_kernel_matches_scalar(
+            initial_state(3), [k], np.linspace(0.0, 400.0, 81), [Bipartition.one_vs_rest(3)]
+        )
+        assert type(error) is PrecisionLoss
 
     def test_non_finite_time(self):
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.0))).data
@@ -488,37 +508,49 @@ class TestKernelFailures:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_precision_loss(self):
-        # at g = 0.5, J = 1, eta = 0 the smallest partial-transpose symplectic
-        # eigenvalue rounds to 0.0 by t = 20: refused before any log is taken
+        # at g = 0.5, J = 1, eta = 0 the rounded partial transpose has no
+        # Cholesky factor by t = 20: refused before any log is taken
         spec = ChainSpec.uniform(2, g=0.5, j=1.0)
         k = quadrature_generator(build_bdg_matrix(spec)).data
         _, error = assert_kernel_matches_scalar(
             initial_state(2), [k], [5.0, 20.0, 25.0], [Bipartition.one_vs_rest(2)]
         )
         assert type(error) is PrecisionLoss
-        with pytest.raises(PrecisionLoss, match="not positive"):
+        with pytest.raises(PrecisionLoss, match="not positive definite"):
             chain_nu_minus(spec, 20.0)
 
 
 class TestSweepsThroughKernel:
     def test_entangle_truncation_matches_scalar(self):
-        chain = {"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}
-        times = np.linspace(0.0, 400.0, 81)
-        _, rows, extras = entanglement_trajectory(chain, times, ["1|23"])
-        spec = ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3)
+        # a bounded chain runs into the growth cap at t = 112
+        chain = {"n": 2, "g": 1.5, "J": 1.0, "eta": 0.2}
+        times = np.linspace(0.0, 400.0, 401)
+        _, rows, extras = entanglement_trajectory(chain, times, ["1|2"])
+        spec = ChainSpec.uniform(2, g=1.5, j=1.0, eta=0.2)
         k = quadrature_generator(build_bdg_matrix(spec))
-        part = Bipartition.from_label("1|23", 3)
+        part = Bipartition.from_label("1|2", 2)
         # every row is a numeric sample; the truncation is in the extras only
         assert [row[0] for row in rows] == times[: len(rows)].tolist()
         for row in rows:
             assert all(type(value) is float for value in row)
-            cm = reference_evolve(initial_state(3), k, row[0])
+            cm = reference_evolve(initial_state(2), k, row[0])
             result = reference_entanglement_result(cm, part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
-        assert extras["truncated_at"] == times[len(rows)]
+        assert extras["truncated_at"] == times[len(rows)] == 112.0
         with pytest.raises(OverflowRisk) as excinfo:
-            reference_evolve(initial_state(3), k, extras["truncated_at"])
+            reference_evolve(initial_state(2), k, extras["truncated_at"])
         assert extras["truncation"] == str(excinfo.value)
+        # a growing chain loses its witness to rounding before the cap: the
+        # trajectory fails as the per-cell reference does at its first refused cell
+        times = np.linspace(0.0, 400.0, 81)
+        with pytest.raises(PrecisionLoss) as excinfo:
+            entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, times, ["1|23"])
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3)))
+        part = Bipartition.from_label("1|23", 3)
+        with pytest.raises(PrecisionLoss) as reference:
+            for t in times:
+                reference_entanglement_result(reference_evolve(initial_state(3), k, t), part)
+        assert str(excinfo.value) == str(reference.value)
 
     def test_pool_chunks_do_not_change_values(self, monkeypatch):
         # small chunks split these grids over several pool tasks

@@ -182,14 +182,18 @@ class TestEntangleCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lost_witness_exits_3(self, tmp_path, capsys):
-        # nu_- rounds to 0.0 at g = 0.5, eta = 0, t = 20: no log(0), no E_N = inf
-        cfg = write_json(tmp_path / "lost.json", {
-            "n": 2, "g": 0.5, "J": 1.0, "eta": 0.0, "times": [20.0],
-        })
-        out = tmp_path / "lost.csv"
-        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 3
-        assert "numeric failure: PrecisionLoss" in capsys.readouterr().err
-        assert not out.exists()
+        # at g = 0.5, eta = 0 the closed form is 7.8e-16 at t = 20 and 1.4e-19
+        # at t = 25, and the rounded partial transpose has no Cholesky factor:
+        # refused, with no log(0), E_N = inf or eigensolve of the rounded matrix
+        for t in (20.0, 25.0):
+            cfg = write_json(tmp_path / "lost.json", {
+                "n": 2, "g": 0.5, "J": 1.0, "eta": 0.0, "times": [t],
+            })
+            out = tmp_path / "lost.csv"
+            assert main(["entangle", "--config", cfg, "--out", str(out)]) == 3
+            assert ("numeric failure: PrecisionLoss: a matrix is not positive definite"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "o.json", {
@@ -470,6 +474,21 @@ class TestEsScanCommand:
         assert main(["es-scan"]) == 0
         assert (tmp_path / "es_scan.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "es.csv"
+        assert main(["es-scan", f"--tol={tol}", "--out", str(out)]) == 2
+        assert "surface tolerance must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tolerance_keeps_exact_zeros(self, tmp_path):
+        # the default grid's (1, 1) point has residual exactly 0
+        out = tmp_path / "es.csv"
+        assert main(["es-scan", "--tol", "0", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 25
+        assert [(row[0], row[1]) for row in rows if row[5] == "true"] == [("1", "1")]
+
     def test_huge_hopping(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "es.json", {"g1": [0.5, 1e200, 3]})
         out = tmp_path / "es.csv"
@@ -547,7 +566,10 @@ def test_float_formatting_17_digits(tmp_path):
 # were recorded with the per-slice labeller (one ``eigvals`` per point)
 # before the stacked ``spectrum_stack`` replaced it.  The two ``trunc.``
 # entries were re-recorded when the truncation left the table for the
-# manifest; the files lost only their final warning row.  The spec manifest
+# manifest (the files lost only their final warning row), and again when
+# the run moved to a bounded chain: the old product of squeezers printed
+# nu_- = 1.3e92 at t = 25 from the eigensolve that replaced a failed Cholesky
+# factor, where the exact value is 1.  The spec manifest
 # was re-recorded when manifests began to echo the option values (tol,
 # rank_tol, detect_eps) beside the config file's keys.  They pin the
 # formatting, quoting and JSON layout, and the numbers' bits on this numeric
@@ -562,8 +584,8 @@ GOLDEN_SHA256 = {
     "fig4_arc.csv": "45f4b64873bfdfa00c00ec3ce21c9685f4bb6ff144af686c8206965574fc3163",
     "spec.csv": "67865819b65e0efaf37f9c3cb963682b3362b27b0732479eb270bb5a3506ddb2",
     "spec.csv.manifest.json": "b2859d148e37412a330c856d5566dda8b6960a5dac21614162a40e27be32e201",
-    "trunc.csv": "c44ee6be421b776c8af58a638c35aa9aa12cac4ebf67dd8af091bb65f2c9c4eb",
-    "trunc.json": "6d880118687886bfea33e422454c5915d6ae2fe1909efe0b70d91cc3b55f0c94",
+    "trunc.csv": "0a0c1cf391feac84689bcfbc024d6b15c46ccd73f07d390b38319d0b110a45ec",
+    "trunc.json": "adc4c08b5e9e25c1fc25261732eb2cfbc8ab5a60970e8fa7b900aafda72e51d2",
 }
 
 
@@ -572,8 +594,9 @@ def golden_outputs(tmp_path):
     ent = write_json(tmp_path / "ent_cfg.json", {
         "n": 3, "g": 1.0, "J": 1.0, "eta": 0.2, "phi": 0.7, "times": [0.0, 0.5, 1.5],
     })
+    # a bounded chain whose growth cap trips at t = 75, after finite witnesses
     trunc = write_json(tmp_path / "trunc_cfg.json", {
-        "n": 10, "eta": 5.0, "times": [0.0, 1.0, 25.0, 50.0, 75.0],
+        "n": 10, "g": 1.5, "J": 1.0, "times": [0.0, 1.0, 25.0, 50.0, 75.0],
     })
     # a g-sweep through the order-3 EP at g = J, phi = pi/2; its manifest
     # pins the located transitions and the detected clusters

@@ -39,6 +39,8 @@ from epchain.errors import (
     InvalidBipartition,
     NonFiniteParameter,
     OutOfRange,
+    OverflowRisk,
+    PrecisionLoss,
 )
 
 
@@ -277,6 +279,36 @@ class TestTwoModeClosedForm:
             assert chain_nu_minus(spec, float(t)) == pytest.approx(
                 nu_closed_form_two_mode(g, 1.0, float(t)), abs=1e-8
             )
+
+
+# in the growing regime (g < J) the Cholesky route still factors some rounded
+# partial transposes past its accuracy floor and reports an entangled state
+# as separable: first at g = 0.5, t = 23 (nu_- = 1.89 against 4.3e-18) and at
+# g = 0.8, t = 31; a refusal there needs the floor nu_- >= C eps max|sigma|
+SILENT_FLIP = pytest.mark.xfail(
+    strict=True, reason="the Cholesky route has no accuracy floor yet"
+)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(0.5, marks=SILENT_FLIP),
+    pytest.param(0.8, marks=SILENT_FLIP),
+    1.2,
+    1.7,
+])
+def test_no_verdict_flips_silently(g):
+    # each cell is refused, or it is entangled exactly when the closed form is
+    spec = ChainSpec.uniform(2, g=g, j=1.0)
+    flips = []
+    for t in 0.5 * np.arange(201):
+        try:
+            nu = chain_nu_minus(spec, float(t))
+        except (PrecisionLoss, OverflowRisk):
+            continue
+        exact = nu_closed_form_two_mode(g, 1.0, float(t))
+        if abs(exact - 1.0) > 1e-6 and (nu < 1.0) != (exact < 1.0):
+            flips.append((float(t), nu, exact))
+    assert not flips
 
 
 class TestSeriesCoefficients:

@@ -448,6 +448,11 @@ class TestExceptionalSurface:
         assert [(p.g1, p.g2) for p in points] == [(1.0, 1.0), (1.0, 0.9), (1.1, 1.0), (1.1, 0.9)]
         assert points == scan_exceptional_surface([1.0, 1.1], [1.0, 0.9], [1.0], [1.0], tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(ConfigError, match="surface tolerance must be nonnegative and finite"):
+            scan_exceptional_surface([1.0], [1.0], [1.0], [1.0], tol=tol)
+
     def test_overflowing_square_is_off_surface_for_python_and_numpy_floats(self):
         for g1 in (1e200, np.float64(1e200)):
             (point,) = scan_exceptional_surface([g1], [1.0], [1.0], [1.0])

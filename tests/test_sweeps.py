@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from epchain import ChainSpec, locate_ep_1d, spectrum_stack, symplectic_eigenvalues
 from epchain.chain import uniform_bdg_stack
-from epchain.errors import ConfigError, NoTransition, UnsortedTimes
+from epchain.errors import ConfigError, NoTransition, PrecisionLoss, UnsortedTimes
 from epchain.sweeps import (
     SweepAxis,
     _map_in_order,
@@ -302,6 +302,6 @@ def test_dead_pool_worker_breaks_the_map():
 
 
 def test_symplectic_eigenvalues_singular_matrix():
-    # positive-semidefinite input exercises the non-Cholesky fallback
-    values = symplectic_eigenvalues(np.diag([0.0, 0.0, 1.0, 1.0]))
-    np.testing.assert_allclose(values, [0.0, 1.0], atol=1e-12)
+    # positive-semidefinite input has no Cholesky factor: refused, not eigensolved
+    with pytest.raises(PrecisionLoss, match="not positive definite"):
+        symplectic_eigenvalues(np.diag([0.0, 0.0, 1.0, 1.0]))
