@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .chain import RealGenerator, symplectic_form
 from .errors import (
@@ -261,7 +259,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     one goes to scipy, whose Code Fragment 2.1 it needs; any other is
     scaled and Pade-approximated by scipy's own C kernels (Al-Mohy & Higham
     2009), then squared s times, in rounds over the cells still to square.
+    scipy is imported here, so commands that transport no covariance skip it.
     """
+    import scipy.linalg
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     nonzero = a != 0

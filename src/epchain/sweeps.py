@@ -16,12 +16,14 @@ initial covariance for all (generator, time) cells at once and
 they give for that cell, and a failing check raises the error a loop over
 the cells would raise first.  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
-stays flat on large grids, and stops at the first chunk with an error;
-with ``threads > 1`` the chunks are mapped over a
-``concurrent.futures.ProcessPoolExecutor`` of spawned processes, so a
-worker that dies ends the sweep with ``BrokenProcessPool`` (a script
-calling these functions with ``threads > 1`` needs an
-``if __name__ == "__main__"`` guard).  fig3 needs
+stays flat on large grids (but of at least 512 witness values, so that
+numpy's stacked eigensolve releases the GIL), and stops at the first chunk
+with an error.
+The calling thread evolves the chunks in order; with ``threads > 1``
+(fig2, fig4 and entangle take it) each chunk's cuts go to a
+``concurrent.futures.ThreadPoolExecutor`` of that many worker threads
+while the next chunk evolves, and their results are collected in order, so
+values and errors are the same at any thread count.  fig3 needs
 no kernel: at g = J its witness is the exact coalescence-point series
 ``nu_closed_form_bkc_ep``, and only its fit of the enhancement ratio
 imports ``scipy.optimize``.  The presets check their own arguments, so a
@@ -39,18 +41,16 @@ changes the data) and the tool version.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
-import contextlib
 import csv
 import functools
 import json
 import math
-import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -265,57 +265,6 @@ def write_manifest(data_path: str | Path, command: str, config: dict, extras: di
 # matrix entries per stacked matrix in one chunk: the cells per chunk shrink
 # with the chain size, so a chunk's working set stays near a few MB
 _CHUNK_ENTRIES = 1 << 15
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _map_in_order(fn, tasks: list, threads: int) -> Iterator:
-    """``map(fn, tasks)``, lazily and in order, over spawned processes when threads > 1.
-
-    Closing the iterator early leaves the tasks not yet reached undone: in
-    process they are never run, and with workers the pending ones are
-    cancelled.  A worker that dies ends the map with ``BrokenProcessPool``.
-
-    Workers are spawned with one BLAS thread each: the kernel's matrices are
-    small, and BLAS threads on top of the workers oversubscribe the cores.
-    The variables are set only while the tasks are submitted, since that is
-    when the executor starts its workers, and a BLAS library reads them
-    once, when the worker imports numpy.
-    """
-    workers = min(threads, len(tasks))
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
-    pool = concurrent.futures.ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"))
-    try:
-        with _one_blas_thread():
-            results = pool.map(fn, tasks)
-        yield from results
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread variables to 1 for the duration of the block."""
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
-
-
-def _witness_chunk(args: tuple) -> tuple[list, np.ndarray | None, EpchainError | None]:
-    state0, k, times, parts, keep_cm = args
-    cms, error = evolve_grid(state0, k, times)
-    # a cell witness_stack refuses comes before any evolve_grid stopped at, so it
-    # raises; the map is in order, so the first failing chunk decides at any thread count
-    witnesses = [witness_stack(cms, part) for part in parts]
-    return witnesses, (cms if keep_cm else None), error
 
 
 def _witness_map(
@@ -332,22 +281,52 @@ def _witness_map(
     leading cells that passed every check, their covariances when
     ``keep_cm``, and the error of the first failing cell (None if none);
     a witness that ``witness_stack`` refuses is raised instead.
+
+    The calling thread evolves the chunks in order and stops at the first
+    with an error.  With ``threads > 1`` it hands each chunk's cuts to that
+    many worker threads and goes on to the next chunk while they run (the
+    witness's stacked eigensolve releases the GIL); results are collected
+    in chunk and cut order, so the first refused witness is raised as the
+    serial loop raises it, and unless ``keep_cm``, at most ``threads + 1``
+    chunks' covariances are alive at once.
     """
-    per_chunk = max(1, _CHUNK_ENTRIES // (2 * state0.n_modes) ** 2)
+    size = 2 * state0.n_modes
+    # _CHUNK_ENTRIES entries per matrix stack, but at least _CHUNK_ENTRIES / 64
+    # = 512 witness values: numpy runs a stacked eigvalsh without the GIL only
+    # when it returns more than 500, which the first bound misses for N > 30
+    per_chunk = max(_CHUNK_ENTRIES // size**2, math.ceil(_CHUNK_ENTRIES / 64 / size))
     if len(times) >= per_chunk:
         blocks = [(k[g : g + 1], times[i : i + per_chunk])
                   for g in range(len(k)) for i in range(0, len(times), per_chunk)]
     else:
         step = per_chunk // len(times)
         blocks = [(k[g : g + step], times) for g in range(0, len(k), step)]
-    tasks = [(state0, kb, tb, tuple(parts), keep_cm) for kb, tb in blocks]
     witnesses, cms, error = [], [], None
-    with contextlib.closing(_map_in_order(_witness_chunk, tasks, threads)) as chunks:
-        for chunk_witnesses, chunk_cms, error in chunks:
-            witnesses.append(chunk_witnesses)
-            cms.append(chunk_cms)
+    pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 else None
+    pending = collections.deque()
+
+    def collect():
+        witnesses.append([future.result() for future in pending.popleft()])
+
+    try:
+        for kb, tb in blocks:
+            chunk, error = evolve_grid(state0, kb, tb)
+            if keep_cm:
+                cms.append(chunk)
+            if pool is None:
+                # a cell witness_stack refuses comes before any evolve_grid stopped at, so it raises
+                witnesses.append([witness_stack(chunk, part) for part in parts])
+            else:
+                pending.append([pool.submit(witness_stack, chunk, part) for part in parts])
+                if len(pending) > threads:
+                    collect()
             if error is not None:
                 break
+        while pending:
+            collect()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     per_cut = [
         tuple(np.concatenate([chunk[p][i] for chunk in witnesses]) for i in (0, 1))
         for p in range(len(parts))
@@ -421,6 +400,7 @@ def entanglement_trajectory(
     times: Sequence[float],
     partitions: Sequence[str],
     include_cm: bool = False,
+    threads: int = 1,
 ) -> tuple[list[str], list[Sequence], dict]:
     """nu_- and logarithmic negativity per time per partition.
 
@@ -428,6 +408,7 @@ def entanglement_trajectory(
     extras hold that time as ``truncated_at`` and the guard's message, with
     the growth exponent and the cap, as ``truncation``.
     """
+    _check_threads(threads)
     spec = build_chain_spec(chain)
     if spec.n_modes < 2:
         raise ConfigError("entanglement requires at least two modes")
@@ -444,7 +425,7 @@ def entanglement_trajectory(
     if include_cm:
         header += [f"cm_{i+1}_{j+1}" for i, j in zip(*upper)]
     witnesses, cms, error = _witness_map(
-        initial_state(spec.n_modes), k.data[None], ts, parts, keep_cm=include_cm
+        initial_state(spec.n_modes), k.data[None], ts, parts, threads, include_cm
     )
     columns = [ts[: len(witnesses[0][0])].tolist()]
     for nu, logneg in witnesses:

@@ -585,12 +585,29 @@ class TestSweepsThroughKernel:
         g_axis, t_axis = SweepAxis("g", 1.5, 0.5, 6), SweepAxis("t", 0.0, 400.0, 21)
         errors = []
         for threads in (1, 2):
+            calls.clear()
             with pytest.raises(OverflowRisk) as excinfo:
                 fig2_grid(eta=0.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
             errors.append((type(excinfo.value), str(excinfo.value)))
-            if threads == 1:
-                assert len(calls) <= 2
+            assert len(calls) <= 2
         assert errors[0] == errors[1]
+
+    def test_trajectory_same_at_any_thread_count(self, monkeypatch):
+        # 2-cell chunks at N = 3: 23 times are 12 chunks, each with three cuts
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 36 * 2)
+        chain, times = {"n": 3, "g": 1.2, "J": 1.0, "eta": 0.1}, np.linspace(0.0, 5.0, 23)
+        cuts = ["1|23", "2|13", "3|12"]
+        assert entanglement_trajectory(chain, times, cuts, include_cm=True, threads=2) == (
+            entanglement_trajectory(chain, times, cuts, include_cm=True, threads=1)
+        )
+        # the growing chain's refused witness, in its second chunk, with later ones evolved
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(PrecisionLoss) as excinfo:
+                entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3},
+                                        np.linspace(0.0, 400.0, 81), ["1|23"], threads=threads)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("g_start, error_type", [(0.5, PrecisionLoss), (1.5, OverflowRisk)])

@@ -349,9 +349,9 @@ class TestFigureCommands:
         assert len(payload["rows"]) == 3
 
 
-@pytest.mark.parametrize("command", ["spectrum", "entangle", "fig3", "es-scan"])
+@pytest.mark.parametrize("command", ["spectrum", "fig3", "es-scan"])
 def test_threads_only_where_used(command, capsys):
-    # only fig2 and fig4 spread their kernel over worker processes
+    # only fig2, fig4 and entangle run the witness kernel on worker threads
     with pytest.raises(SystemExit) as exc:
         main([command, "--threads", "1"])
     assert exc.value.code == 2
@@ -381,7 +381,7 @@ def test_config_and_tol_only_where_used(command, option, capsys):
 # are the only source of the tolerances and cuts, which no config file sets
 SETTABLE_VALUES = {
     "spectrum": ["out", "fmt", "config", "tol", "detect_eps"],
-    "entangle": ["out", "fmt", "config", "partition", "include_cm"],
+    "entangle": ["out", "fmt", "threads", "config", "partition", "include_cm"],
     "fig2": ["out", "fmt", "threads", "eta", "g_min", "g_max", "g_steps", "t_max", "t_steps"],
     "fig3": ["out", "fmt", "ns", "t", "phi_steps", "fit_max_n"],
     "fig4": ["out", "fmt", "threads", "j", "t", "g_max", "g_steps", "arc_steps"],
@@ -409,7 +409,7 @@ def test_settable_values_census():
         for name, sub in commands.choices.items()
     }
     assert census == SETTABLE_VALUES
-    assert sum(map(len, census.values())) == 40
+    assert sum(map(len, census.values())) == 41
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -445,9 +445,9 @@ def test_manifest_echoes_options(tmp_path, command, options, echoed):
 
 
 def test_cli_import_leaves_out_integrate_and_optimize():
-    # selftest and fig3's fit import them when they run
+    # selftest, fig3's fit and the kernel's expm import them when they run
     code = ("import sys, epchain.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+            "print(sorted({'scipy.integrate', 'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)

@@ -17,7 +17,6 @@ from epchain.chain import uniform_bdg_stack
 from epchain.errors import ConfigError, NoTransition, PrecisionLoss, UnsortedTimes
 from epchain.sweeps import (
     SweepAxis,
-    _map_in_order,
     entanglement_trajectory,
     fig2_grid,
     fig3_tables,
@@ -271,34 +270,32 @@ def test_fig3_needs_two_modes(n_values):
     (lambda: fig4_grid(arc_steps=-2), "arc_steps must be nonnegative"),
     (lambda: fig2_grid(threads=0), "threads must be at least 1, got 0"),
     (lambda: fig4_grid(threads=-3), "threads must be at least 1, got -3"),
-], ids=["phi_steps", "fit_max_n", "arc_steps", "fig2_threads", "fig4_threads"])
+    (lambda: entanglement_trajectory({"n": 2}, [0.0], [], threads=0),
+     "threads must be at least 1, got 0"),
+], ids=["phi_steps", "fit_max_n", "arc_steps", "fig2_threads", "fig4_threads",
+        "entangle_threads"])
 def test_preset_arguments_checked_in_library(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
 
 
-def test_pool_workers_run_one_blas_thread():
-    before = os.environ.get("OPENBLAS_NUM_THREADS")
-    assert list(_map_in_order(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, 2)) == ["1", "1"]
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
-
-
-def test_dead_pool_worker_breaks_the_map():
-    # in a fresh interpreter with a timeout, so a map that waits for a dead
-    # worker fails the test instead of hanging the suite
-    code = "\n".join([
-        "import os",
-        "from concurrent.futures.process import BrokenProcessPool",
-        "from epchain.sweeps import _map_in_order",
-        "try:",
-        "    list(_map_in_order(os._exit, [1, 1, 1], 2))",
-        "except BrokenProcessPool:",
-        "    print('broken')",
-    ])
+def test_threads_need_no_main_guard(tmp_path):
+    # a script without an ``if __name__ == "__main__"`` guard, in a fresh
+    # interpreter: the worker threads start no new process
+    script = tmp_path / "script.py"
+    script.write_text("\n".join([
+        "from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid",
+        "# 5 x 501 cells are two kernel chunks, 120 times at N = 12 are three",
+        "fig2_grid(g_axis=SweepAxis('g', 0.5, 1.5, 5), threads=2)",
+        "chain = {'n': 12, 'g': 1.0, 'J': 1.0}",
+        "times = [0.025 * i for i in range(120)]",
+        "entanglement_trajectory(chain, times, ['1|2,3,4,5,6,7,8,9,10,11,12'], threads=2)",
+        "print('done')",
+    ]) + "\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60)
-    assert out.stdout.strip() == "broken", out.stderr
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (out.returncode, out.stdout.strip()) == (0, "done"), out.stderr
 
 
 def test_symplectic_eigenvalues_singular_matrix():
