@@ -86,10 +86,13 @@ def _add_output(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
 
-def _add_threads(parser: argparse.ArgumentParser):
+def _usable_cores() -> int:
     # the cores this process may run on, which an affinity mask can make fewer than the CPU count
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    parser.add_argument("--threads", type=int, default=usable,
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _add_threads(parser: argparse.ArgumentParser):
+    parser.add_argument("--threads", type=int, default=_usable_cores(),
                         help="worker threads for the witness kernel")
 
 
@@ -109,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entangle", help="witness trajectory")
     _add_output(p)
-    _add_threads(p)
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--partition", action="append", default=None,
                    help="bipartition label like '13|2' (repeatable)")
@@ -203,7 +205,7 @@ def _cmd_entangle(args) -> int:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     header, rows, extras = entanglement_trajectory(
-        chain, times, args.partition or [], include_cm=args.include_cm, threads=args.threads
+        chain, times, args.partition or [], include_cm=args.include_cm, threads=_usable_cores()
     )
     # the cuts as the table names them, the default 1|rest included
     partitions = [name[len("nu_minus_"):] for name in header if name.startswith("nu_minus_")]

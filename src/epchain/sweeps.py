@@ -20,7 +20,7 @@ stays flat on large grids (but of at least 512 witness values, so that
 numpy's stacked eigensolve releases the GIL), and stops at the first chunk
 with an error.
 The calling thread evolves the chunks in order; with ``threads > 1``
-(fig2, fig4 and entangle take it) each chunk's cuts go to a
+(the three witness presets take it) each chunk's cuts go to a
 ``concurrent.futures.ThreadPoolExecutor`` of that many worker threads
 while the next chunk evolves, and their results are collected in order, so
 values and errors are the same at any thread count.  fig3 needs
@@ -283,12 +283,13 @@ def _witness_map(
     a witness that ``witness_stack`` refuses is raised instead.
 
     The calling thread evolves the chunks in order and stops at the first
-    with an error.  With ``threads > 1`` it hands each chunk's cuts to that
-    many worker threads and goes on to the next chunk while they run (the
-    witness's stacked eigensolve releases the GIL); results are collected
-    in chunk and cut order, so the first refused witness is raised as the
-    serial loop raises it, and unless ``keep_cm``, at most ``threads + 1``
-    chunks' covariances are alive at once.
+    with an error.  With ``threads > 1`` and more than one chunk it hands
+    each chunk's cuts to that many worker threads and goes on to the next
+    chunk while they run (the witness's stacked eigensolve releases the
+    GIL); results are collected in chunk and cut order, so the first
+    refused witness is raised as the serial loop raises it, and unless
+    ``keep_cm``, at most ``threads + 1`` chunks' covariances are alive at
+    once.
     """
     size = 2 * state0.n_modes
     # _CHUNK_ENTRIES entries per matrix stack, but at least _CHUNK_ENTRIES / 64
@@ -302,7 +303,7 @@ def _witness_map(
         step = per_chunk // len(times)
         blocks = [(k[g : g + step], times) for g in range(0, len(k), step)]
     witnesses, cms, error = [], [], None
-    pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 else None
+    pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 and len(blocks) > 1 else None
     pending = collections.deque()
 
     def collect():
@@ -310,7 +311,13 @@ def _witness_map(
 
     try:
         for kb, tb in blocks:
-            chunk, error = evolve_grid(state0, kb, tb)
+            try:
+                chunk, error = evolve_grid(state0, kb, tb)
+            except Exception:
+                # a witness refused in an earlier chunk wins, as in the serial loop
+                while pending:
+                    collect()
+                raise
             if keep_cm:
                 cms.append(chunk)
             if pool is None:

@@ -16,6 +16,7 @@ drift from the numeric pipeline is pinned.
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -592,22 +593,66 @@ class TestSweepsThroughKernel:
             assert len(calls) <= 2
         assert errors[0] == errors[1]
 
-    def test_trajectory_same_at_any_thread_count(self, monkeypatch):
+    @pytest.mark.parametrize("chunk_entries, chain, times, cuts", [
         # 2-cell chunks at N = 3: 23 times are 12 chunks, each with three cuts
-        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 36 * 2)
-        chain, times = {"n": 3, "g": 1.2, "J": 1.0, "eta": 0.1}, np.linspace(0.0, 5.0, 23)
-        cuts = ["1|23", "2|13", "3|12"]
+        (36 * 2, {"n": 3, "g": 1.2, "J": 1.0, "eta": 0.1}, np.linspace(0.0, 5.0, 23),
+         ["1|23", "2|13", "3|12"]),
+        # N = 30 with 31 times is 4 chunks of at most 9 cells; three cuts make 12 witness tasks
+        (sweeps._CHUNK_ENTRIES, {"n": 30, "g": 1.0, "J": 1.0, "phi": math.pi / 2},
+         np.linspace(0.0, 3.0, 31),
+         ["1|" + ",".join(map(str, range(2, 31))),
+          ",".join(map(str, range(1, 16))) + "|" + ",".join(map(str, range(16, 31))),
+          ",".join(map(str, range(1, 31, 2))) + "|" + ",".join(map(str, range(2, 31, 2)))]),
+    ], ids=["n3_small_chunks", "n30"])
+    def test_trajectory_same_at_any_thread_count(self, monkeypatch, chunk_entries, chain, times, cuts):
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", chunk_entries)
         assert entanglement_trajectory(chain, times, cuts, include_cm=True, threads=2) == (
             entanglement_trajectory(chain, times, cuts, include_cm=True, threads=1)
         )
-        # the growing chain's refused witness, in its second chunk, with later ones evolved
+
+    @pytest.mark.parametrize("failing_call", [None, 3])
+    def test_first_refusal_at_any_thread_count(self, monkeypatch, failing_call):
+        # the growing chain's witness is refused in its second 2-cell chunk, and
+        # threads evolve later chunks before they collect it; an evolve_grid
+        # that raises on the third chunk must not hide the refusal either
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 36 * 2)
+        calls = []
+        evolve_grid = sweeps.evolve_grid
+
+        def counted(*args):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise MemoryError("third chunk")
+            return evolve_grid(*args)
+
+        monkeypatch.setattr(sweeps, "evolve_grid", counted)
         messages = []
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
+            calls.clear()
             with pytest.raises(PrecisionLoss) as excinfo:
                 entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3},
                                         np.linspace(0.0, 400.0, 81), ["1|23"], threads=threads)
             messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
+            if failing_call:
+                assert len(calls) == (2 if threads == 1 else 3)
+        assert messages == [messages[0]] * 3 and "not positive definite" in messages[0]
+
+    def test_chunks_clear_the_gil_release_size(self, monkeypatch):
+        # numpy runs a loop without the GIL only above 500 values, and worker
+        # threads gain only if a chunk's stacked eigvalsh, 2N values per cell,
+        # clears that; past N = 30 the entry budget alone falls short of it
+        header = Path(np.get_include(), "numpy", "ndarraytypes.h").read_text()
+        assert re.search(r"NPY_BEGIN_THREADS_THRESHOLDED\(loop_size\) do \{ if \(\(loop_size\) > 500\)",
+                         header)
+        lengths = []
+        evolve_grid = sweeps.evolve_grid
+        monkeypatch.setattr(sweeps, "evolve_grid",
+                            lambda state0, k, t: lengths.append(len(k) * len(t)) or evolve_grid(state0, k, t))
+        for n in (30, 31, 40, 64):
+            lengths.clear()
+            entanglement_trajectory({"n": n, "g": 1.0, "J": 1.0}, np.linspace(0.0, 1.0, 12), [])
+            assert lengths[0] * 2 * n > 500 and sum(lengths) == 12
+        assert sweeps._CHUNK_ENTRIES // 80**2 * 80 <= 500  # N = 40: the budget alone gives 5 cells
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("g_start, error_type", [(0.5, PrecisionLoss), (1.5, OverflowRisk)])

@@ -349,9 +349,9 @@ class TestFigureCommands:
         assert len(payload["rows"]) == 3
 
 
-@pytest.mark.parametrize("command", ["spectrum", "fig3", "es-scan"])
+@pytest.mark.parametrize("command", ["spectrum", "entangle", "fig3", "es-scan"])
 def test_threads_only_where_used(command, capsys):
-    # only fig2, fig4 and entangle run the witness kernel on worker threads
+    # only fig2 and fig4 set the witness kernel's worker threads; entangle uses the usable cores
     with pytest.raises(SystemExit) as exc:
         main([command, "--threads", "1"])
     assert exc.value.code == 2
@@ -381,7 +381,7 @@ def test_config_and_tol_only_where_used(command, option, capsys):
 # are the only source of the tolerances and cuts, which no config file sets
 SETTABLE_VALUES = {
     "spectrum": ["out", "fmt", "config", "tol", "detect_eps"],
-    "entangle": ["out", "fmt", "threads", "config", "partition", "include_cm"],
+    "entangle": ["out", "fmt", "config", "partition", "include_cm"],
     "fig2": ["out", "fmt", "threads", "eta", "g_min", "g_max", "g_steps", "t_max", "t_steps"],
     "fig3": ["out", "fmt", "ns", "t", "phi_steps", "fit_max_n"],
     "fig4": ["out", "fmt", "threads", "j", "t", "g_max", "g_steps", "arc_steps"],
@@ -409,7 +409,7 @@ def test_settable_values_census():
         for name, sub in commands.choices.items()
     }
     assert census == SETTABLE_VALUES
-    assert sum(map(len, census.values())) == 41
+    assert sum(map(len, census.values())) == 40
 
 
 @pytest.mark.parametrize("command, key, value", [
