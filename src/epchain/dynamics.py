@@ -10,12 +10,12 @@ polynomial times exponential in t) and no error accumulates in regimes of
 exponential growth.  ``evolve_grid`` transports a whole stack of
 (generator, time) cells; ``propagator``, ``evolve`` and ``evolve_trajectory``
 are its one-generator case, and ``GaussianState`` shares its bona fide check.
-Each guard checks a certificate first, over the whole stack, and runs the
-exact eigensolve or SVD only for cells it cannot clear: the growth cap bounds
-||K||_2 by ||K||_F, the symplectic residual's scale bounds ||S||_2^2 below by
-the largest squared column norm, and one Cholesky of sigma + i Omega plus
-half the slack clears bona-fide-ness.  A certificate clears only cells that
-the exact test passes, so the decisions and messages are the exact tests'.
+Growth stops a cell only where its K t, S, S Omega S^T or covariance is
+not finite (``OverflowRisk``).  The other guards check a certificate first,
+over the whole stack, and run the exact SVD or eigensolve only for cells it
+cannot clear: the symplectic residual's scale bounds ||S||_2^2 below by the
+largest squared column norm, and one Cholesky of sigma + i Omega plus half
+the slack clears bona-fide-ness, so both decide as the exact tests do.
 The stack's exponentials come from ``expm``, which gives scipy's bits for
 every slice but runs scipy's Python slice loop as stacked numpy around
 scipy's private Pade kernels, so it is tied to the scipy release that
@@ -48,11 +48,7 @@ __all__ = [
     "evolve",
     "evolve_trajectory",
     "evolve_grid",
-    "GROWTH_CAP",
 ]
-
-# ||K t|| above this would push exp(K t) toward the double-precision ceiling
-GROWTH_CAP = 300.0
 
 _SYMMETRY_RTOL = 1e-12
 _BONA_FIDE_ATOL = 1e-9
@@ -201,9 +197,8 @@ def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
     Raises
     ------
     OverflowRisk
-        If ||K|| * |t| exceeds the growth cap of 300, in which case exp(K t)
-        could exceed the range of double precision; the message states the
-        offending growth exponent and the cap.
+        If K t, exp(K t) or S Omega S^T is not finite: the propagator has left
+        the range of double precision at t.
     """
     s, error = _propagators(k.data[None], np.array([t], dtype=float))
     if error is not None:
@@ -305,48 +300,36 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainError | None]:
     """exp(K t) of the generator-major cells of k x times before the first that fails, in
-    order, a finite time, the growth cap and the symplectic residual; and that cell's error."""
-    # ||K||_2 <= ||K||_F, taken of K over its largest entry so that no square
-    # underflows: a generator whose bound keeps every finite time within half
-    # the cap is cleared, and only the rest get the exact SVD
-    spans = np.abs(np.where(np.isfinite(times), times, 0.0))  # no 0 * inf; refused below
-    peak = np.abs(k).max(axis=(1, 2), initial=0.0)
-    norms = peak * np.linalg.norm(k / np.where(peak > 0.0, peak, 1.0)[:, None, None], axis=(1, 2))
-    unclear = np.flatnonzero(~(norms * spans.max(initial=0.0) <= 0.5 * GROWTH_CAP))
-    if unclear.size:
-        norms[unclear] = np.linalg.norm(k[unclear], 2, axis=(1, 2))
-    exponents = (norms[:, None] * spans).ravel()
+    order, a finite time, K t, S and S Omega S^T, and the symplectic residual; and its error."""
     cell_times = np.tile(times, len(k))
-    refused = np.flatnonzero(~np.isfinite(cell_times) | (exponents > GROWTH_CAP))
-    stop = int(refused[0]) if refused.size else cell_times.size
-    error: EpchainError | None = None
-    if refused.size:
-        t = float(cell_times[stop])
-        if np.isfinite(t):
-            error = OverflowRisk(
-                f"propagation to t={t} has growth exponent {exponents[stop]:.1f} "
-                f"(cap {GROWTH_CAP:.0f}); entries would overflow double precision"
-            )
-        else:
-            error = ConfigError(f"time must be finite, got {t}")
-    s = expm(k[np.arange(stop) // times.size] * cell_times[:stop, None, None])
     omega = symplectic_form(k.shape[1] // 2)
-    residual = np.abs(s @ omega @ s.transpose(0, 2, 1) - omega).max(axis=(1, 2))
-    # ||S||_2^2 is at least the largest squared column norm: a residual within
-    # half of that scale passes with room for rounding, and only the rest are
-    # tested exactly, with ||S||_2 from the SVD
-    columns = np.einsum("cij,cij->cj", s, s).max(axis=1, initial=0.0)
-    lost = np.flatnonzero(~(residual <= _SYMPLECTIC_RTOL * (1.0 + 0.5 * columns)))
-    if lost.size:
-        scale = 1.0 + np.linalg.norm(s[lost], 2, axis=(1, 2)) ** 2
-        lost = lost[residual[lost] > _SYMPLECTIC_RTOL * scale]
-    if lost.size:
-        stop = int(lost[0])
-        error = EpchainError(
-            f"propagator lost symplecticity: residual {residual[stop]:.3e} "
-            f"at t={float(cell_times[stop])}"
-        )
-    return s[:stop], error
+    # a growing S leaves the float range here; each cell is tested for that, so nothing warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        kt = k[np.arange(cell_times.size) // times.size] * cell_times[:, None, None]
+        refused = np.flatnonzero(~np.isfinite(kt).all(axis=(1, 2)))
+        stop = int(refused[0]) if refused.size else cell_times.size
+        s = expm(kt[:stop])
+        residual = np.abs(s @ omega @ s.transpose(0, 2, 1) - omega).max(axis=(1, 2), initial=0.0)
+        # ||S||_2^2 is at least the largest squared column norm: a residual within
+        # half of that scale passes with room for rounding, and only the rest are
+        # tested exactly, with ||S||_2 from the SVD
+        columns = np.einsum("cij,cij->cj", s, s).max(axis=1, initial=0.0)
+        finite = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(residual)
+        lost = np.flatnonzero(finite & ~(residual <= _SYMPLECTIC_RTOL * (1.0 + 0.5 * columns)))
+        if lost.size:
+            scale = 1.0 + np.linalg.norm(s[lost], 2, axis=(1, 2)) ** 2
+            lost = lost[residual[lost] > _SYMPLECTIC_RTOL * scale]
+    failed = np.union1d(np.flatnonzero(~finite), lost)
+    stop = int(failed[0]) if failed.size else stop
+    if stop == cell_times.size:
+        return s, None
+    t = float(cell_times[stop])
+    if not np.isfinite(t):
+        return s[:stop], ConfigError(f"time must be finite, got {t}")
+    if stop == len(s) or not finite[stop]:
+        return s[:stop], OverflowRisk(f"propagator at t={t} overflows double precision")
+    return s[:stop], EpchainError(
+        f"propagator lost symplecticity: residual {residual[stop]:.3e} at t={t}")
 
 
 def evolve_grid(
@@ -355,14 +338,12 @@ def evolve_grid(
     """Transport the state over a stack of generators times a set of times.
 
     ``k`` is a (G, 2N, 2N) stack of generator matrices; the G x T cells are
-    taken generator-major.  Every cell passes, in order, a finite time, the
-    growth cap on ||K||_2 |t|, the stacked ``expm`` (scipy's
-    scaling-and-squaring algorithm and bits on each slice), the symplectic
-    residual, a finite covariance (``OverflowRisk`` otherwise: the cap
-    bounds S, but S sigma S^T of a large sigma can still overflow), and
-    bona-fide-ness; ``evolve`` is the case of one generator.
-    Each guard is certificate first, exact eigensolve (or SVD) only for the
-    cells its certificate cannot clear, so it decides as the exact test does.
+    taken generator-major.  Every cell passes, in order, a finite time, a
+    finite K t, the stacked ``expm`` (scipy's scaling-and-squaring algorithm
+    and bits on each slice), a finite S and S Omega S^T, the symplectic
+    residual, a finite covariance (``OverflowRisk`` where a value is not),
+    and bona-fide-ness; ``evolve`` is the case of one generator.  The last
+    two checks are certificate first, as the exact tests decide.
 
     Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
     and the error of the first cell that failed, or None when all G x T
@@ -384,9 +365,7 @@ def evolve_grid(
     overflowed = np.flatnonzero(~np.isfinite(cm).all(axis=(1, 2)))
     if overflowed.size:
         cm = cm[: overflowed[0]]
-        error = OverflowRisk(
-            f"covariance at t={float(times[overflowed[0] % times.size])} "
-            "overflows double precision"
-        )
+        t = float(times[overflowed[0] % times.size])
+        error = OverflowRisk(f"covariance at t={t} overflows double precision")
     stop, not_bona_fide = _bona_fide_count(cm)
     return cm[:stop], not_bona_fide or error

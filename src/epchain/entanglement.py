@@ -17,6 +17,10 @@ the uniform chain at g = J with an arbitrary hopping phase (whose invariant
 is a polynomial in t with exact, phase-independent coefficients; fig3 and
 its ratio fit are computed from it alone), and the three-mode chain on its
 coalescence surface.
+
+det S = 1 gives every cut of a transported state prod nu~_k =
+sqrt(det sigma_0); ``witness_stack`` and ``chain_nu_minus`` refuse a
+spectrum off it (``PrecisionLoss``), where rounding has eaten the witness.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ __all__ = [
     "three_mode_surface_spec",
     "enhancement_ratio",
 ]
+
+# |sum ln nu~_k - 1/2 ln det sigma_0| that refuses a witness; presets stay within 1.1e-4
+_INVARIANT_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -186,9 +193,16 @@ def _spectra(sigmas: np.ndarray) -> np.ndarray:
     return values
 
 
-def _witnesses(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic spectra and E_N of a stack of partial transposes."""
+def _witnesses(pt: np.ndarray, half_log_det: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic spectra and E_N of a stack of partial transposes (refused off half_log_det)."""
     values = _spectra(_symmetrized(pt, "matrix"))
+    if half_log_det is not None:
+        drift = np.abs(np.sum(np.log(values), axis=1) - half_log_det)
+        broken = drift[~(drift <= _INVARIANT_TOL)]
+        if broken.size:
+            raise PrecisionLoss(
+                f"the symplectic eigenvalues break det S = 1: their logs sum {broken[0]:.3g} off "
+                "1/2 ln det sigma_0; the witness has lost precision")
     # E_N sums the logs of each row's values below 1 as one contiguous run,
     # so numpy's pairwise summation groups them as for a single row
     below = values < 1.0
@@ -214,15 +228,18 @@ def entanglement_result(state: GaussianState, part: Bipartition) -> Entanglement
     )
 
 
-def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """nu_- and E_N for a stack of covariances, as ``entanglement_result``
-    gives them matrix by matrix.
+def witness_stack(
+    cms: np.ndarray, part: Bipartition, half_log_det: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """nu_- and E_N for a stack of covariances transported from one sigma_0,
+    as ``entanglement_result`` gives them matrix by matrix.
 
     The whole (C, 2N, 2N) stack is sign-flipped into its partial transpose
     and goes through one stacked Cholesky factor L and the eigenvalues of
     i L^T Omega L.  Returns (nu_minus, log_negativity) arrays; raises
     ``PrecisionLoss`` if any matrix of the stack has no Cholesky factor or a
-    symplectic eigenvalue that is not positive.
+    symplectic eigenvalue that is not positive, or else at the first whose
+    logs sum more than 1e-2 off ``half_log_det`` = 1/2 ln det sigma_0.
     """
     cms = np.asarray(cms, dtype=float)
     n = part.n_modes
@@ -230,7 +247,7 @@ def witness_stack(cms: np.ndarray, part: Bipartition) -> tuple[np.ndarray, np.nd
         raise InvalidBipartition(
             f"partition is for {n} modes but the covariances have shape {cms.shape}"
         )
-    values, neg = _witnesses(cms * _flip_signs(part))
+    values, neg = _witnesses(cms * _flip_signs(part), half_log_det)
     return values[:, 0], neg
 
 
@@ -262,7 +279,9 @@ def chain_nu_minus(
     if state is None:
         state = initial_state(spec.n_modes)
     k = quadrature_generator(build_bdg_matrix(spec))
-    return nu_minus(evolve(state, k, t), part)
+    pt = partial_transpose(evolve(state, k, t), part)
+    values, _ = _witnesses(pt[None], 0.5 * np.linalg.slogdet(state.cm)[1])
+    return float(values[0, 0])
 
 
 def bkc_nu_minus(n_modes: int, phi: float, t: float) -> float:

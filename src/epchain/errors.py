@@ -63,10 +63,10 @@ class NegativeOccupancy(ConfigError):
 
 
 class OverflowRisk(EpchainError, ArithmeticError):
-    """Propagating this far would overflow double precision.
+    """Propagating this far overflows double precision.
 
-    The message states the growth exponent ||K||_2 |t| and the cap it passed,
-    or the time at which the transported covariance overflowed.
+    The message states the time at which K t, the propagator or the
+    transported covariance stopped being finite.
     """
 
 

@@ -302,6 +302,7 @@ def _witness_map(
     else:
         step = per_chunk // len(times)
         blocks = [(k[g : g + step], times) for g in range(0, len(k), step)]
+    half_log_det = 0.5 * np.linalg.slogdet(state0.cm)[1]
     witnesses, cms, error = [], [], None
     pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 and len(blocks) > 1 else None
     pending = collections.deque()
@@ -322,9 +323,10 @@ def _witness_map(
                 cms.append(chunk)
             if pool is None:
                 # a cell witness_stack refuses comes before any evolve_grid stopped at, so it raises
-                witnesses.append([witness_stack(chunk, part) for part in parts])
+                witnesses.append([witness_stack(chunk, part, half_log_det) for part in parts])
             else:
-                pending.append([pool.submit(witness_stack, chunk, part) for part in parts])
+                pending.append(
+                    [pool.submit(witness_stack, chunk, part, half_log_det) for part in parts])
                 if len(pending) > threads:
                     collect()
             if error is not None:
@@ -411,9 +413,9 @@ def entanglement_trajectory(
 ) -> tuple[list[str], list[Sequence], dict]:
     """nu_- and logarithmic negativity per time per partition.
 
-    If the overflow guard trips at some time, the rows end before it; the
-    extras hold that time as ``truncated_at`` and the guard's message, with
-    the growth exponent and the cap, as ``truncation``.
+    If the propagator or the covariance overflows at some time, the rows end
+    before it; the extras hold that time as ``truncated_at`` and the guard's
+    message as ``truncation``.
     """
     _check_threads(threads)
     spec = build_chain_spec(chain)

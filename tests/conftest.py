@@ -1,11 +1,13 @@
 """Shared test helpers, hypothesis strategies and per-cell references."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from epchain import ChainSpec, EntanglementResult, dynamics, symplectic_form
+from epchain import ChainSpec, EntanglementResult, dynamics, entanglement, symplectic_form
 from epchain.errors import (
     AsymmetricInput,
     ConfigError,
@@ -54,20 +56,21 @@ def spec_stacks(draw):
 # the per-cell witness pipeline, kept as an independent reference for the
 # stacked kernel that ``propagator``, ``evolve``, ``symplectic_eigenvalues``
 # and ``entanglement_result`` are the one-cell case of; the tolerances are
-# read from ``dynamics`` at call time, so a monkeypatched one applies to both
+# read from ``dynamics`` and ``entanglement`` at call time, so a
+# monkeypatched one applies to both
 
 
 def reference_propagator(k, t):
-    """S = exp(K t) for a RealGenerator, with the growth and symplectic checks."""
+    """S = exp(K t) for a RealGenerator, with the overflow and symplectic checks."""
     if not np.isfinite(t):
         raise ConfigError(f"time must be finite, got {t}")
-    exponent = float(np.linalg.norm(k.data, 2)) * abs(t)
-    if exponent > dynamics.GROWTH_CAP:
-        raise OverflowRisk(
-            f"propagation to t={t} has growth exponent {exponent:.1f} "
-            f"(cap {dynamics.GROWTH_CAP:.0f}); entries would overflow double precision"
-        )
-    return reference_symplectic_check(expm(k.data * t), t)
+    omega = symplectic_form(k.n_modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kt = k.data * t
+        s = expm(kt) if np.isfinite(kt).all() else None
+        if s is None or not (np.isfinite(s).all() and np.isfinite(s @ omega @ s.T).all()):
+            raise OverflowRisk(f"propagator at t={t} overflows double precision")
+    return reference_symplectic_check(s, t)
 
 
 def reference_symplectic_check(s, t):
@@ -87,8 +90,17 @@ def reference_evolve(state, k, t):
             f"generator is for {k.n_modes} modes but the state has {state.n_modes}"
         )
     s = reference_propagator(k, t)
-    cm = s @ state.cm @ s.T
-    return reference_bona_fide_check(0.5 * (cm + cm.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cm = s @ state.cm @ s.T
+        cm = 0.5 * (cm + cm.T)
+    if not np.isfinite(cm).all():
+        raise OverflowRisk(f"covariance at t={t} overflows double precision")
+    return reference_bona_fide_check(cm)
+
+
+def reference_half_log_det(state):
+    """1/2 ln det sigma_0 from the eigenvalues of the initial covariance."""
+    return 0.5 * math.fsum(math.log(v) for v in np.linalg.eigvalsh(state.cm))
 
 
 def reference_bona_fide_check(cm):
@@ -123,8 +135,12 @@ def reference_symplectic_eigenvalues(sigma):
     return values
 
 
-def reference_entanglement_result(cm, part):
-    """EntanglementResult of a covariance matrix across a bipartition."""
+def reference_entanglement_result(cm, part, half_log_det=None):
+    """EntanglementResult of a covariance matrix across a bipartition.
+
+    With the initial state's half_log_det, a spectrum whose logs sum further
+    than the witness's bound from it is refused, as det S = 1 forbids it.
+    """
     n = len(cm) // 2
     if part.n_modes != n:
         raise InvalidBipartition(
@@ -134,6 +150,13 @@ def reference_entanglement_result(cm, part):
     for mode in part.side_b:
         signs[2 * mode + 1] = -1.0
     values = reference_symplectic_eigenvalues(signs[:, None] * cm * signs[None, :])
+    if half_log_det is not None:
+        drift = abs(math.fsum(math.log(v) for v in values) - half_log_det)
+        if not drift <= entanglement._INVARIANT_TOL:
+            raise PrecisionLoss(
+                f"the symplectic eigenvalues break det S = 1: their logs sum {drift:.3g} off "
+                "1/2 ln det sigma_0; the witness has lost precision"
+            )
     neg = float(-np.sum(np.log(values[values < 1.0]))) if np.any(values < 1.0) else 0.0
     return EntanglementResult(
         partition=part,

@@ -44,6 +44,7 @@ from epchain import (
     generator_stack,
     initial_state,
     nu_closed_form_bkc_ep,
+    nu_closed_form_two_mode,
     propagator,
     quadrature_generator,
     symplectic_eigenvalues,
@@ -67,6 +68,7 @@ from conftest import (
     reference_bona_fide_check,
     reference_entanglement_result,
     reference_evolve,
+    reference_half_log_det,
     reference_propagator,
     reference_symplectic_check,
     reference_symplectic_eigenvalues,
@@ -79,31 +81,45 @@ def bits(values) -> list[int]:
 
 
 def scalar_cells(state0, generators, times, parts):
-    """Reference: the per-cell pipeline cell by cell, generator-major."""
-    cms, results = [], []
-    for k in generators:
-        for t in times:
-            try:
-                cm = reference_evolve(state0, RealGenerator(k), float(t))
-                cell = [reference_entanglement_result(cm, part) for part in parts]
-            except EpchainError as exc:
-                return cms, results, exc
-            cms.append(cm)
-            results.append(cell)
-    return cms, results, None
+    """Reference: the per-cell pipeline cell by cell, generator-major.
+
+    Returns the covariances before the first cell that fails to evolve, that
+    cell's error (None if none), and per cut each covariance's
+    EntanglementResult or the PrecisionLoss that refuses it.
+    """
+    cms, error = [], None
+    for k, t in itertools.product(generators, times):
+        try:
+            cms.append(reference_evolve(state0, RealGenerator(k), float(t)))
+        except EpchainError as exc:
+            error = exc
+            break
+    half_log_det = reference_half_log_det(state0)
+
+    def witness(cm, part):
+        try:
+            return reference_entanglement_result(cm, part, half_log_det)
+        except PrecisionLoss as exc:
+            return exc
+
+    return cms, error, [[witness(cm, part) for cm in cms] for part in parts]
+
+
+def stack_refusal(results):
+    """The PrecisionLoss that refuses a stack with these per-cell outcomes, or None.
+
+    A matrix that Cholesky cannot factor refuses the whole stack first, then
+    the first spectrum whose logs sum off 1/2 ln det sigma_0.
+    """
+    refusals = [r for r in results if isinstance(r, PrecisionLoss)]
+    unfactored = [r for r in refusals if "not positive definite" in str(r)]
+    return (unfactored + refusals + [None])[0]
 
 
 def assert_kernel_matches_scalar(state0, generators, times, parts):
     generators = np.asarray(generators, dtype=float)
-    ref_cms, ref_results, ref_error = scalar_cells(state0, generators, times, parts)
+    ref_cms, ref_error, ref_results = scalar_cells(state0, generators, times, parts)
     cms, error = evolve_grid(state0, generators, times)
-    try:
-        for part in parts:
-            witness_stack(cms, part)
-    except PrecisionLoss as exc:
-        # a refused cell ends the scalar loop before any later evolution error
-        assert type(ref_error) is PrecisionLoss and str(exc) == str(ref_error)
-        return cms, exc
     assert len(cms) == len(ref_cms), (error, ref_error)
     assert bits(cms) == bits(ref_cms)
     if ref_error is None:
@@ -111,10 +127,18 @@ def assert_kernel_matches_scalar(state0, generators, times, parts):
     else:
         assert type(error) is type(ref_error)
         assert str(error) == str(ref_error)
-    for p, part in enumerate(parts):
-        nu, logneg = witness_stack(cms, part)
-        assert bits(nu) == bits([cell[p].nu_minus for cell in ref_results])
-        assert bits(logneg) == bits([cell[p].log_negativity for cell in ref_results])
+    half_log_det = 0.5 * np.linalg.slogdet(state0.cm)[1]
+    for part, results in zip(parts, ref_results):
+        refusal = stack_refusal(results)
+        if refusal is not None:
+            # the cuts are evaluated in order, each over the whole stack
+            with pytest.raises(PrecisionLoss) as excinfo:
+                witness_stack(cms, part, half_log_det)
+            assert str(excinfo.value) == str(refusal)
+            return cms, excinfo.value
+        nu, logneg = witness_stack(cms, part, half_log_det)
+        assert bits(nu) == bits([result.nu_minus for result in results])
+        assert bits(logneg) == bits([result.log_negativity for result in results])
     return cms, error
 
 
@@ -166,13 +190,13 @@ class TestKernelMatchesScalar:
         ).cm
         indefinite = np.diag([1.0, -0.5, 2.0, 1.0])
         with pytest.raises(PrecisionLoss, match="not positive definite") as excinfo:
-            witness_stack(np.stack([good, indefinite]), part)
+            witness_stack(np.stack([good, indefinite]), part, 0.0)
         refused = (PrecisionLoss, str(excinfo.value))
         signs = np.array([1.0, 1.0, 1.0, -1.0])
         flipped = [m * np.outer(signs, signs) for m in (good, indefinite)]
         assert outcome(lambda: reference_symplectic_eigenvalues(flipped[1])) == refused
         assert outcome(lambda: symplectic_eigenvalues(flipped[1])) == refused
-        nu, _ = witness_stack(good[None], part)
+        nu, _ = witness_stack(good[None], part, 0.0)
         assert bits(nu) == bits([reference_symplectic_eigenvalues(flipped[0])[0]])
 
 
@@ -338,26 +362,6 @@ class TestCertifiedGuards:
             [(kg, t, kick) for (kg, t), kick in zip(cells, kicks)],
         )
 
-    @given(spec_stacks(), multiples)
-    # entries whose squares underflow: the Frobenius bound must not read 0
-    @example([ChainSpec(n_modes=1, hopping=(), pairing=(), sms=(3.13464800985606e-250 + 0j,))], [1.125])
-    # an infinite time next to a zero generator: no 0 * inf
-    @example([ChainSpec(n_modes=1, hopping=(), pairing=(), sms=(2.225073858507e-311 + 0j,)),
-              ChainSpec(n_modes=1, hopping=(), pairing=(), sms=(0j,))], [1.0])
-    @settings(max_examples=60, deadline=None)
-    def test_growth_cap_matches_svd(self, specs, exponents):
-        # times putting ||K||_2 t at f GROWTH_CAP for the stack's first generator
-        k = np.stack([quadrature_generator(build_bdg_matrix(spec)).data for spec in specs])
-        norm = np.linalg.norm(k[0], 2)
-        if norm == 0.0:
-            return
-        with np.errstate(over="ignore"):  # a subnormal norm puts t past the float range
-            times = np.array(sorted(f * dynamics.GROWTH_CAP / norm for f in exponents))
-        assert guard_outcome(dynamics._propagators(k, times)) == reference_guard(
-            lambda kg, t: reference_propagator(RealGenerator(kg), t),
-            [(kg, float(t)) for kg in k for t in times],
-        )
-
     def test_clean_stacks_run_no_eigensolve(self, monkeypatch):
         # fig2- and fig4-sized stacks as the benchmark's small_maps runs them
         calls = []
@@ -376,8 +380,10 @@ class TestCertifiedGuards:
         cms, error = evolve_grid(initial_state(3), k4, [5.0])
         assert error is None and len(cms) == 21 * 21
         assert calls == []
-        # the exact tests still run where a certificate cannot clear
-        evolve_grid(initial_state(2), k2, [0.0, 1e3])
+        # the exact tests still run where a certificate cannot clear: exp((K + lam I) t)
+        # of the bounded g = 1.5 chain has a symplectic residual of about 2 lam t
+        _, error = evolve_grid(initial_state(2), k2[-1:] + 1e-12 * np.eye(4), [1e3])
+        assert type(error) is EpchainError
         dynamics._bona_fide_count((1.0 - 1e-6) * np.eye(4)[None])
         assert calls == ["svd", "eigvalsh"]
 
@@ -462,14 +468,21 @@ class TestKernelFailures:
     """Forced failures inside a batch: same error, same first cell as the scalar loop."""
 
     def test_overflow(self):
-        # a bounded chain runs into the growth cap at t = 112
+        # a bounded chain runs to t = 400 with no refusal
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.5, j=1.0, eta=0.2))).data
         times = np.linspace(0.0, 400.0, 401)
         cms, error = assert_kernel_matches_scalar(
             initial_state(2), [k], times, [Bipartition.one_vs_rest(2)]
         )
-        assert isinstance(error, OverflowRisk) and times[len(cms)] == 112.0
-        # a growing chain loses its witness to rounding long before the cap
+        assert error is None and len(cms) == len(times)
+        # a product of squeezers overflows for real: S Omega S^T at t = 75
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, eta=5.0))).data
+        times = [0.0, 0.5, 1.0, 75.0, 100.0]
+        cms, error = assert_kernel_matches_scalar(
+            initial_state(2), [k], times, [Bipartition.one_vs_rest(2)]
+        )
+        assert len(cms) == 3 and str(error) == "propagator at t=75.0 overflows double precision"
+        # a growing chain loses its witness to rounding long before it overflows
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3))).data
         _, error = assert_kernel_matches_scalar(
             initial_state(3), [k], np.linspace(0.0, 400.0, 81), [Bipartition.one_vs_rest(3)]
@@ -523,35 +536,41 @@ class TestKernelFailures:
 
 class TestSweepsThroughKernel:
     def test_entangle_truncation_matches_scalar(self):
-        # a bounded chain runs into the growth cap at t = 112
+        # a bounded chain runs to t = 400 untruncated: every row is the per-cell reference's
         chain = {"n": 2, "g": 1.5, "J": 1.0, "eta": 0.2}
         times = np.linspace(0.0, 400.0, 401)
         _, rows, extras = entanglement_trajectory(chain, times, ["1|2"])
-        spec = ChainSpec.uniform(2, g=1.5, j=1.0, eta=0.2)
-        k = quadrature_generator(build_bdg_matrix(spec))
+        assert extras == {} and [row[0] for row in rows] == times.tolist()
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.5, j=1.0, eta=0.2)))
         part = Bipartition.from_label("1|2", 2)
-        # every row is a numeric sample; the truncation is in the extras only
-        assert [row[0] for row in rows] == times[: len(rows)].tolist()
         for row in rows:
-            assert all(type(value) is float for value in row)
-            cm = reference_evolve(initial_state(2), k, row[0])
-            result = reference_entanglement_result(cm, part)
+            result = reference_entanglement_result(reference_evolve(initial_state(2), k, row[0]), part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
-        assert extras["truncated_at"] == times[len(rows)] == 112.0
+        # without on-site squeezing it is the closed form's
+        _, rows, extras = entanglement_trajectory({"n": 2, "g": 1.5, "J": 1.0}, times, ["1|2"])
+        assert extras == {} and len(rows) == len(times)
+        for t, nu, _ in rows:
+            assert abs(nu - nu_closed_form_two_mode(1.5, 1.0, t)) <= 1e-9
+        # a product of squeezers overflows at t = 75: the rows end before it,
+        # and the extras hold the reference's refusal
+        times = [0.0, 0.5, 1.0, 75.0, 100.0]
+        _, rows, extras = entanglement_trajectory({"n": 2, "eta": 5.0}, times, ["1|2"])
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, eta=5.0)))
+        for row in rows:
+            result = reference_entanglement_result(reference_evolve(initial_state(2), k, row[0]), part)
+            assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
+        assert extras["truncated_at"] == times[len(rows)] == 75.0
         with pytest.raises(OverflowRisk) as excinfo:
             reference_evolve(initial_state(2), k, extras["truncated_at"])
         assert extras["truncation"] == str(excinfo.value)
-        # a growing chain loses its witness to rounding before the cap: the
-        # trajectory fails as the per-cell reference does at its first refused cell
+        # a growing chain loses its witness to rounding: the trajectory's one
+        # chunk is refused as the per-cell reference refuses it
         times = np.linspace(0.0, 400.0, 81)
         with pytest.raises(PrecisionLoss) as excinfo:
             entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, times, ["1|23"])
-        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3)))
-        part = Bipartition.from_label("1|23", 3)
-        with pytest.raises(PrecisionLoss) as reference:
-            for t in times:
-                reference_entanglement_result(reference_evolve(initial_state(3), k, t), part)
-        assert str(excinfo.value) == str(reference.value)
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3))).data
+        _, _, [results] = scalar_cells(initial_state(3), [k], times, [Bipartition.from_label("1|23", 3)])
+        assert str(excinfo.value) == str(stack_refusal(results))
 
     def test_pool_chunks_do_not_change_values(self, monkeypatch):
         # small chunks split these grids over several pool tasks
@@ -564,33 +583,36 @@ class TestSweepsThroughKernel:
         assert fig4_grid(threads=2, **kwargs) == fig4_grid(threads=1, **kwargs)
 
     def test_pool_reports_first_failing_cell(self, monkeypatch):
+        # at eta = 5 the g = 7 chain is bounded and its 9 cells fill two 5-cell
+        # chunks; the g = 1 chain overflows at t = 75, in the third chunk
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 5)
-        g_axis, t_axis = SweepAxis("g", 1.5, 2.0, 3), SweepAxis("t", 0.0, 400.0, 9)
+        g_axis, t_axis = SweepAxis("g", 7.0, 1.0, 2), SweepAxis("t", 0.0, 600.0, 9)
         messages = []
         for threads in (1, 2):
             with pytest.raises(OverflowRisk) as excinfo:
-                fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=threads)
-            message = str(excinfo.value)
-            exponent = float(re.search(r"growth exponent (\S+) \(cap 300\)", message).group(1))
-            messages.append((message, exponent))
-        assert messages[0] == messages[1]
-        assert messages[0][1] > dynamics.GROWTH_CAP
+                fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+            messages.append(str(excinfo.value))
+        k = generator_stack(uniform_bdg_stack(2, g=g_axis.values(), j=1.0, eta=5.0))
+        _, error, _ = scalar_cells(initial_state(2), k, t_axis.values(), [])
+        assert messages == [str(error)] * 2
+        assert str(error) == "propagator at t=75.0 overflows double precision"
 
     def test_map_stops_at_first_failing_chunk(self, monkeypatch):
-        # 5-cell chunks, 30 of them: g = 1.5 trips the growth cap at t = 140,
-        # in the second chunk, and no later chunk may be evaluated
+        # 2-cell chunks of two generators each at two times: at eta = 5, g = 10
+        # and 7 are bounded, g = 4 overflows at t = 100, in the second chunk,
+        # and no later chunk may be evaluated
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 5)
         calls = []
         evolve_grid = sweeps.evolve_grid
         monkeypatch.setattr(sweeps, "evolve_grid", lambda *args: calls.append(1) or evolve_grid(*args))
-        g_axis, t_axis = SweepAxis("g", 1.5, 0.5, 6), SweepAxis("t", 0.0, 400.0, 21)
+        g_axis, t_axis = SweepAxis("g", 10.0, -5.0, 6), SweepAxis("t", 0.0, 100.0, 2)
         errors = []
         for threads in (1, 2):
             calls.clear()
             with pytest.raises(OverflowRisk) as excinfo:
-                fig2_grid(eta=0.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+                fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
             errors.append((type(excinfo.value), str(excinfo.value)))
-            assert len(calls) <= 2
+            assert len(calls) == 2
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("chunk_entries, chain, times, cuts", [
@@ -655,17 +677,18 @@ class TestSweepsThroughKernel:
         assert sweeps._CHUNK_ENTRIES // 80**2 * 80 <= 500  # N = 40: the budget alone gives 5 cells
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("g_start, error_type", [(0.5, PrecisionLoss), (1.5, OverflowRisk)])
+    @pytest.mark.parametrize("g_start, error_type", [(5.0, PrecisionLoss), (1.0, OverflowRisk)])
     def test_pool_reports_first_refused_cell(self, monkeypatch, g_start, error_type):
-        # g = 0.5 loses the witness at t = 20, g = 1.5 trips the growth cap at
-        # t = 140: whichever generator comes first decides, at any thread count
-        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 5)
-        g_axis = SweepAxis("g", g_start, 2.0 - g_start, 2)
-        t_axis = SweepAxis("t", 0.0, 400.0, 21)
+        # at eta = 5 and t = 100, g = 5 loses the witness and g = 1 overflows:
+        # whichever generator, each a chunk of its own, comes first decides, at
+        # any thread count
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 2)
+        g_axis = SweepAxis("g", g_start, 6.0 - g_start, 2)
+        t_axis = SweepAxis("t", 0.0, 100.0, 2)
         messages = []
         for threads in (1, 2):
             with pytest.raises(error_type) as excinfo:
-                fig2_grid(eta=0.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+                fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
@@ -857,10 +880,9 @@ class TestFig3ThroughKernel:
             assert [row[2] for row in ratio] == expected
 
     def test_long_time_is_exact(self, monkeypatch):
-        # the kernel refused t = 120 (||K|| t past the growth cap at N = 3);
-        # the series has no such limit
-        with pytest.raises(OverflowRisk):
-            bkc_nu_minus(3, 0.0, 120.0)
+        # at N = 3, t = 120 (||K||_2 t = 339, S bounded by a polynomial in t) the
+        # kernel agrees with the series, which has no limit short of the float range
+        assert bkc_nu_minus(3, 0.0, 120.0) == pytest.approx(nu_closed_form_bkc_ep(3, 0.0, 120.0), rel=1e-9)
         monkeypatch.setattr(sweeps, "_RATIO_TIMES", self.ratio_times)
         got = recorded_fig3(monkeypatch, t=120.0, **self.kwargs)
         loops = fig3_closed_form_loops(t=120.0, ratio_times=self.ratio_times, **self.kwargs)

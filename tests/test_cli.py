@@ -197,18 +197,18 @@ class TestEntangleCommand:
 
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "o.json", {
-            "n": 2, "eta": 5.0, "times": [0.0, 25.0, 50.0, 75.0, 100.0],
+            "n": 2, "eta": 5.0, "times": [0.0, 0.5, 1.0, 75.0, 100.0],
         })
         out = tmp_path / "o.csv"
         assert main(["entangle", "--config", cfg, "--out", str(out)]) == 0
         # the warning goes to stderr and the manifest; the table stays numeric
         assert "truncated at t=75 by the overflow guard" in capsys.readouterr().err
         _, rows = read_csv(out)
-        assert [float(row[0]) for row in rows] == [0.0, 25.0, 50.0]
+        assert [float(row[0]) for row in rows] == [0.0, 0.5, 1.0]
         assert all(math.isfinite(float(value)) for row in rows for value in row)
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["extras"]["truncated_at"] == 75.0
-        assert "propagation to t=75.0 has growth exponent" in manifest["extras"]["truncation"]
+        assert manifest["extras"]["truncation"] == "propagator at t=75.0 overflows double precision"
 
 
 @pytest.mark.parametrize("command, config", [
@@ -566,10 +566,12 @@ def test_float_formatting_17_digits(tmp_path):
 # were recorded with the per-slice labeller (one ``eigvals`` per point)
 # before the stacked ``spectrum_stack`` replaced it.  The two ``trunc.``
 # entries were re-recorded when the truncation left the table for the
-# manifest (the files lost only their final warning row), and again when
+# manifest (the files lost only their final warning row), again when
 # the run moved to a bounded chain: the old product of squeezers printed
 # nu_- = 1.3e92 at t = 25 from the eigensolve that replaced a failed Cholesky
-# factor, where the exact value is 1.  The spec manifest
+# factor, where the exact value is 1, and again when the ||K|| t cap that
+# truncated that bounded chain went: the run now stops where a growing
+# chain's propagator overflows.  The spec manifest
 # was re-recorded when manifests began to echo the option values (tol,
 # rank_tol, detect_eps) beside the config file's keys.  They pin the
 # formatting, quoting and JSON layout, and the numbers' bits on this numeric
@@ -584,8 +586,8 @@ GOLDEN_SHA256 = {
     "fig4_arc.csv": "45f4b64873bfdfa00c00ec3ce21c9685f4bb6ff144af686c8206965574fc3163",
     "spec.csv": "67865819b65e0efaf37f9c3cb963682b3362b27b0732479eb270bb5a3506ddb2",
     "spec.csv.manifest.json": "b2859d148e37412a330c856d5566dda8b6960a5dac21614162a40e27be32e201",
-    "trunc.csv": "0a0c1cf391feac84689bcfbc024d6b15c46ccd73f07d390b38319d0b110a45ec",
-    "trunc.json": "adc4c08b5e9e25c1fc25261732eb2cfbc8ab5a60970e8fa7b900aafda72e51d2",
+    "trunc.csv": "bb14da94d709a3dd2019bdb09f27496fd831226edac9bcc25fdd5eefd2eb9edc",
+    "trunc.json": "e65af17aaeed3c90260c1b6efc17411a8a5d683e78046cd0c8f880db492c902f",
 }
 
 
@@ -594,9 +596,9 @@ def golden_outputs(tmp_path):
     ent = write_json(tmp_path / "ent_cfg.json", {
         "n": 3, "g": 1.0, "J": 1.0, "eta": 0.2, "phi": 0.7, "times": [0.0, 0.5, 1.5],
     })
-    # a bounded chain whose growth cap trips at t = 75, after finite witnesses
+    # a growing chain whose propagator overflows at t = 75, after finite witnesses
     trunc = write_json(tmp_path / "trunc_cfg.json", {
-        "n": 10, "g": 1.5, "J": 1.0, "times": [0.0, 1.0, 25.0, 50.0, 75.0],
+        "n": 10, "g": 1.5, "J": 1.0, "eta": 5.0, "times": [0.0, 0.5, 1.0, 75.0, 100.0],
     })
     # a g-sweep through the order-3 EP at g = J, phi = pi/2; its manifest
     # pins the located transitions and the detected clusters

@@ -168,6 +168,14 @@ class TestTrajectoryErrors:
         with pytest.raises(ConfigError, match="finite"):
             entanglement_trajectory({"n": 2, "eta": 5.0}, [0.0, 75.0, float("nan")], [])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_time_past_the_float_range_truncates(self):
+        # K t overflows at t = 1e308: the trajectory stops there, with no RuntimeWarning
+        _, rows, extras = entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [0.0, 1e308], [])
+        assert rows == [(0.0, 1.0, 0.0)]
+        assert extras == {"truncated_at": 1e308,
+                          "truncation": "propagator at t=1e+308 overflows double precision"}
+
 
 def test_fig2_matches_closed_form_without_sms():
     # with eta = 0 the map must collapse onto the two-mode closed form
