@@ -343,30 +343,46 @@ def _sin_squared(phase: float, name: str) -> float:
     return math.sin(phase) ** 2
 
 
+def _nu_from_excess(y: float) -> float:
+    """nu from y = xi - 1 >= 0: 1/sqrt(1 + y + sqrt(y (y + 2))).
+
+    The same inversion as ``nu_from_xi``, but where nu is near 1 and xi
+    rounds to 1 it keeps every digit: sqrt(xi^2 - 1) = sqrt(y (y + 2)) is
+    formed from y itself.  Where y (y + 2) overflows, nu = 1/sqrt(2 xi) as in
+    ``nu_from_xi``.
+    """
+    if not math.isfinite(y):
+        raise OutOfRange(f"xi must be finite, got {1.0 + y}")
+    square = y * (y + 2.0)
+    if math.isinf(square):
+        return 0.5 / math.sqrt(0.5 * (1.0 + y))
+    return 1.0 / math.sqrt(1.0 + y + math.sqrt(square))
+
+
 def nu_closed_form_two_mode(g: float, j: float, t: float) -> float:
     """Closed-form nu_- of the two-mode chain without on-site squeezing.
 
     The invariant is xi(t) = (g^2 - J^2 cos(4 c t)) / c^2 with
-    c^2 = g^2 - J^2, evaluated on the stable branch for each sign of c^2 and
-    switched to its series limit xi = 1 + 8 J^2 t^2 when |g^2 - J^2| is
-    within 1e-8 J^2 of the coalescence point.  A square, cosh or phase
-    4 c t past the float range raises ``OutOfRange``, as an overflowed xi does.
+    c^2 = g^2 - J^2.  Its excess y = xi - 1 is evaluated directly, so nu
+    keeps its digits where it is near 1: 2 J^2 sin^2(2 c t) / c^2 when
+    oscillatory, 2 J^2 sinh^2(2 |c| t) / (J^2 - g^2) when growing, and the
+    series limit 8 J^2 t^2 when |g^2 - J^2| is within 1e-8 J^2 of the
+    coalescence point.  A square, sinh or phase 2 c t past the float range
+    raises ``OutOfRange``, as an overflowed xi does.
     """
     g, j = float(g), float(j)
     try:
         g2, j2 = g**2, j**2
         c2 = g2 - j2
         if abs(c2) <= 1e-8 * j2 or (j2 == 0.0 and c2 == 0.0):
-            xi = 1.0 + 8.0 * j2 * t * t
+            y = 8.0 * j2 * t * t
         elif c2 > 0:
-            c = math.sqrt(c2)
-            xi = (g2 - j2 * math.cos(4.0 * c * t)) / c2
+            y = 2.0 * j2 * math.sin(2.0 * math.sqrt(c2) * t) ** 2 / c2
         else:
-            c_abs = math.sqrt(-c2)
-            xi = (j2 * math.cosh(4.0 * c_abs * t) - g2) / (-c2)
-    except (OverflowError, ValueError) as exc:  # math.cos raises on an infinite phase
+            y = 2.0 * j2 * math.sinh(2.0 * math.sqrt(-c2) * t) ** 2 / (-c2)
+    except (OverflowError, ValueError) as exc:  # math.sin raises on an infinite phase
         raise OutOfRange(f"xi cannot be evaluated in floats at g={g}, J={j}, t={t}: {exc}") from exc
-    return nu_from_xi(xi)
+    return _nu_from_excess(y)
 
 
 def xi_series_coefficients(max_n: int) -> tuple[float, ...]:

@@ -31,9 +31,14 @@ library call gets the ``ConfigError`` the command line reports.  Rows are
 assembled strictly by grid index and written with a pinned float format of
 17 significant digits, so identical configurations produce byte-identical
 files regardless of thread count.  ``format_value`` is the one-value
-reference for that text; ``write_rows`` gives the same bytes but formats a
-whole row with one %-template, built once per distinct tuple of cell types,
-so only bool and text cells are handled value by value.
+reference for that text; ``write_rows`` gives the same bytes.  It takes
+consecutive rows with one tuple of cell types together, about 4096 float
+cells at a time, and makes the text of their float cells in numpy with
+``floattext.float_texts``, which leaves to Python's own '%.17g' only the
+cells it cannot certify (rounding ties, non-finite values, magnitudes
+outside [1e-280, 1e280]).  Each row is then one %-template, built once per
+distinct tuple of cell types, so only bool and text cells are mapped value
+by value.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
 configuration (the config file's keys and the value of every option that
 changes the data) and the tool version.
@@ -45,8 +50,10 @@ import collections
 import concurrent.futures
 import csv
 import functools
+import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +71,7 @@ from .chain import (
     spec_bdg_stack,
     uniform_bdg_stack,
 )
-from .dynamics import GaussianState, _sample_times, evolve_grid, initial_state
+from .dynamics import GaussianState, _sample_times, evolve, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
     _surface_hopping,
@@ -73,7 +80,8 @@ from .entanglement import (
     nu_closed_form_three_mode_nonuniform,
     witness_stack,
 )
-from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk
+from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, PrecisionLoss
+from .floattext import BLOCK_CELLS, float_texts
 from .spectral import (
     _REGIONS,
     DEFAULT_RANK_TOL,
@@ -156,7 +164,6 @@ def format_value(value) -> str:
 
 _BOOL_TEXT = {True: "true", False: "false"}
 
-
 def _csv_text(text: str) -> str:
     """One cell as ``csv.writer`` quotes it (excel dialect, ``\\n`` line ends)."""
     if "," in text or '"' in text or "\n" in text:
@@ -165,52 +172,77 @@ def _csv_text(text: str) -> str:
 
 
 def _cell_format(cls: type, text) -> tuple[str, object, bool]:
-    """A cell type's %-spec, its preprocessing (or None) and whether it is escaped text.
+    """A non-float cell type's %-spec, its preprocessing (or None) and whether it is escaped text.
 
-    Mirrors ``format_value``: floats and ints go into the template as they
-    are, a bool becomes its lowercase name, and anything else becomes
+    Mirrors ``format_value``: ints go into the template as they are, a bool
+    becomes its lowercase name, and anything else becomes
     ``text(str(value))``, escaped for the output format.
     """
     if issubclass(cls, (bool, np.bool_)):
         return "%s", _BOOL_TEXT.__getitem__, False
-    if issubclass(cls, (float, np.floating)):
-        return "%.17g", None, False
     if issubclass(cls, (int, np.integer)):
         return "%d", None, False
     return "%s", (text if cls is str else lambda value: text(str(value))), True
 
 
-def _row_template(types: tuple[type, ...], fmt: str, text) -> tuple[str, list]:
-    """The %-template of a row with these cell types, and its (index, preprocessing) pairs."""
-    cells = [_cell_format(cls, text) for cls in types]
+def _row_template(types: tuple[type, ...], fmt: str, text) -> tuple[str, list, list]:
+    """The %-template of a row with these cell types, its (index, preprocessing)
+    pairs and the indices of its float cells."""
+    is_float = [issubclass(cls, (float, np.floating)) for cls in types]
+    cells = [("%s", None, False) if flag else _cell_format(cls, text)
+             for cls, flag in zip(types, is_float)]
+    floats = [i for i, flag in enumerate(is_float) if flag]
     fixes = [(i, fix) for i, (_, fix, _) in enumerate(cells) if fix is not None]
     if fmt == "csv":
         if len(cells) == 1 and cells[0][2]:
             # csv quotes a row's only cell when it is empty
             fixes = [(0, lambda value, fix=fixes[0][1]: fix(value) or '""')]
-        return ",".join(spec for spec, _, _ in cells) + "\n", fixes
+        return ",".join(spec for spec, _, _ in cells) + "\n", fixes, floats
     if not cells:
-        return "  []", fixes
+        return "  []", fixes, floats
     items = ",\n".join(f"   {spec}" if escaped else f'   "{spec}"' for spec, _, escaped in cells)
-    return f"  [\n{items}\n  ]", fixes
+    return f"  [\n{items}\n  ]", fixes, floats
 
 
 def _formatted_rows(rows: Iterable[Sequence], fmt: str, text) -> Iterable[str]:
-    """Each row as text, through one %-template per distinct tuple of cell types."""
+    """Each row as text, through one %-template per distinct tuple of cell types.
+
+    Consecutive rows with the same cell types go through their template
+    together, about ``BLOCK_CELLS`` float cells at a time, and their float
+    cells become text in one ``float_texts`` call.  Rows of floats alone
+    are cut back into rows from that text; other rows are transposed into
+    columns, their float columns replaced by the text, their bool and text
+    columns mapped through the preprocessing, and zipped back into rows.
+    """
     templates: dict = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
+    rows = list(map(tuple, rows))
+    start = 0
+    for types, run in itertools.groupby(map(tuple, map(functools.partial(map, type), rows))):
         try:
-            template, fixes = templates[types]
+            template, fixes, floats = templates[types]
         except KeyError:
-            template, fixes = templates[types] = _row_template(types, fmt, text)
-        if fixes:
-            cells = list(row)
-            for i, fix in fixes:
-                cells[i] = fix(cells[i])
-            row = tuple(cells)
-        yield template % row
+            template, fixes, floats = templates[types] = _row_template(types, fmt, text)
+        stop = start + len(list(run))
+        step = max(1, BLOCK_CELLS // max(1, len(floats)))
+        for first in range(start, stop, step):
+            chunk = rows[first : min(first + step, stop)]
+            if not (floats or fixes):
+                yield from map(template.__mod__, chunk)
+                continue
+            if len(floats) == len(types):
+                args = zip(*[iter(float_texts(np.array(chunk, dtype=float).ravel()))] * len(types))
+            else:
+                columns = list(zip(*chunk))
+                if floats:
+                    cells = map(operator.itemgetter(*floats), chunk)
+                    texts = float_texts(np.array(list(cells), dtype=float).ravel())
+                    for k, i in enumerate(floats):
+                        columns[i] = texts[k :: len(floats)]
+                for i, fix in fixes:
+                    columns[i] = map(fix, columns[i])
+                args = zip(*columns)
+            yield from map(template.__mod__, args)
+        start = stop
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> Path:
@@ -218,10 +250,18 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
     Every cell reads as ``format_value`` writes it, quoted as ``csv.writer``
     quotes it or laid out as ``json.dumps({"columns": header, "rows":
-    rows}, indent=1, sort_keys=True)`` lays it out.  A row is formatted by
-    one %-template, built once per distinct tuple of cell types, so only
-    bool and text cells pass through Python code one by one, and each
-    distinct text is escaped once.
+    rows}, indent=1, sort_keys=True)`` lays it out.  Rows are formatted in
+    chunks of consecutive rows with one tuple of cell types and about
+    ``BLOCK_CELLS`` = 4096 float cells: the chunk's float cells are
+    gathered into one float64 array and become '%.17g' text in numpy
+    (``floattext.float_texts``), so the layout's temporaries stay near
+    1 MB.  The vectorised text is certified for |x| in [1e-280, 1e280] away
+    from a rounding tie (within 1e-9 of a half unit, against an arithmetic
+    error of a few 1e-15 units); ties, non-finite cells and cells outside
+    the band take Python's own '%.17g'.  Each row is then formatted by one
+    %-template, built once per distinct tuple of cell types; bool and text
+    cells are mapped through their preprocessing, and each distinct text is
+    escaped once.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -415,7 +455,9 @@ def entanglement_trajectory(
 
     If the propagator or the covariance overflows at some time, the rows end
     before it; the extras hold that time as ``truncated_at`` and the guard's
-    message as ``truncation``.
+    message as ``truncation``.  A witness that ``witness_stack`` refuses
+    raises its ``PrecisionLoss`` with the first refused time and cut
+    appended, as "(t=25.0, cut 1|2)".
     """
     _check_threads(threads)
     spec = build_chain_spec(chain)
@@ -433,9 +475,14 @@ def entanglement_trajectory(
     upper = np.triu_indices(n2)
     if include_cm:
         header += [f"cm_{i+1}_{j+1}" for i, j in zip(*upper)]
-    witnesses, cms, error = _witness_map(
-        initial_state(spec.n_modes), k.data[None], ts, parts, threads, include_cm
-    )
+    state0 = initial_state(spec.n_modes)
+    try:
+        witnesses, cms, error = _witness_map(state0, k.data[None], ts, parts, threads, include_cm)
+    except PrecisionLoss as exc:
+        where = _first_refusal(state0, k, ts, parts)
+        if where is None:
+            raise
+        raise PrecisionLoss(f"{exc} ({where})") from exc
     columns = [ts[: len(witnesses[0][0])].tolist()]
     for nu, logneg in witnesses:
         columns += [nu.tolist(), logneg.tolist()]
@@ -449,6 +496,24 @@ def entanglement_trajectory(
     elif error is not None:
         raise error
     return header, rows, extras
+
+
+def _first_refusal(state0: GaussianState, k, times: np.ndarray, parts: Sequence[Bipartition]) -> str | None:
+    """'t=..., cut ...' of the first (time, cut) cell, times first, that the
+    one-cell pipeline refuses; None if it refuses none.
+
+    The kernel raises a refusal only for cells before the first one that
+    fails to evolve, so every cell up to the refused one evolves here.
+    """
+    half_log_det = 0.5 * np.linalg.slogdet(state0.cm)[1]
+    for t in times.tolist():
+        cm = evolve(state0, k, t).cm[None]
+        for part in parts:
+            try:
+                witness_stack(cm, part, half_log_det)
+            except PrecisionLoss:
+                return f"t={t}, cut {part.label}"
+    return None
 
 
 # ---------------------------------------------------------------------------

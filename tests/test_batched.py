@@ -564,13 +564,16 @@ class TestSweepsThroughKernel:
             reference_evolve(initial_state(2), k, extras["truncated_at"])
         assert extras["truncation"] == str(excinfo.value)
         # a growing chain loses its witness to rounding: the trajectory's one
-        # chunk is refused as the per-cell reference refuses it
+        # chunk is refused as the per-cell reference refuses it, and the
+        # message names the first cell the reference refuses
         times = np.linspace(0.0, 400.0, 81)
         with pytest.raises(PrecisionLoss) as excinfo:
             entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, times, ["1|23"])
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3))).data
         _, _, [results] = scalar_cells(initial_state(3), [k], times, [Bipartition.from_label("1|23", 3)])
-        assert str(excinfo.value) == str(stack_refusal(results))
+        first = next(i for i, result in enumerate(results) if isinstance(result, PrecisionLoss))
+        assert first == 2
+        assert str(excinfo.value) == f"{stack_refusal(results)} (t={times[first]}, cut 1|23)"
 
     def test_pool_chunks_do_not_change_values(self, monkeypatch):
         # small chunks split these grids over several pool tasks

@@ -191,8 +191,9 @@ class TestEntangleCommand:
             })
             out = tmp_path / "lost.csv"
             assert main(["entangle", "--config", cfg, "--out", str(out)]) == 3
-            assert ("numeric failure: PrecisionLoss: a matrix is not positive definite"
-                    in capsys.readouterr().err)
+            err = capsys.readouterr().err
+            assert "numeric failure: PrecisionLoss: a matrix is not positive definite" in err
+            assert err.rstrip().endswith(f"(t={t}, cut 1|2)")
             assert not out.exists()
 
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):

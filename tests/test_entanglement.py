@@ -266,10 +266,25 @@ class TestTwoModeClosedForm:
     def test_no_pairing_means_no_entanglement(self):
         assert nu_closed_form_two_mode(1.3, 0.0, 2.0) == 1.0
 
+    def test_keeps_its_digits_near_one(self):
+        # xi = 1 + 8e-18 rounds to 1; its excess y = xi - 1 does not
+        assert abs(nu_closed_form_two_mode(2.0, 1.0, 1e-9) - 0.999999998000000002) <= 1e-15
+        with mpmath.workdps(40):
+            for g, t in [(2.0, 1e-7), (2.0, 2.0), (0.5, 1e-6), (0.5, 1.0), (1.0, 1e-8), (1.0, 0.3)]:
+                c2 = mpmath.mpf(g) ** 2 - 1
+                if c2 == 0:
+                    y = 8 * mpmath.mpf(t) ** 2
+                elif c2 > 0:
+                    y = 2 * mpmath.sin(2 * mpmath.sqrt(c2) * t) ** 2 / c2
+                else:
+                    y = 2 * mpmath.sinh(2 * mpmath.sqrt(-c2) * t) ** 2 / -c2
+                exact = 1 / mpmath.sqrt(1 + y + mpmath.sqrt(y * (y + 2)))
+                assert abs(nu_closed_form_two_mode(g, 1.0, t) - float(exact)) <= 4e-16
+
     @pytest.mark.parametrize("g, t, cause", [
         (1e200, 1.0, "Numerical result out of range"),  # g ** 2
-        (0.5, 1000.0, "math range error"),  # cosh(4 c t)
-        (1e150, 1e160, "math domain error"),  # cos of the infinite phase 4 c t
+        (0.5, 1000.0, "math range error"),  # sinh(2 |c| t)
+        (1e150, 1e160, "math domain error"),  # sin of the infinite phase 2 c t
     ])
     def test_overflow_is_out_of_range(self, g, t, cause):
         with pytest.raises(OutOfRange, match=f"xi cannot be evaluated in floats.*{cause}"):
@@ -308,12 +323,7 @@ def test_oscillatory_chains_are_never_refused(j, ratio, fraction):
     spec = ChainSpec.uniform(2, g=ratio * j, j=j)
     t = fraction * 3000.0 / np.linalg.norm(quadrature_generator(build_bdg_matrix(spec)).data, 2)
     nu, exact = chain_nu_minus(spec, t), nu_closed_form_two_mode(ratio * j, j, t)
-    if exact < 1.0 - 1e-6:
-        assert abs(nu - exact) <= 1e-9
-    else:
-        # near nu = 1 the closed form rounds xi = 1 + O((J t)^2) and keeps only
-        # about sqrt(eps) of nu (1.0 against 1 - 2e-9 at t = 1e-9): compare xi
-        assert abs(0.5 * (nu**2 + nu**-2) - 0.5 * (exact**2 + exact**-2)) <= 1e-12
+    assert abs(nu - exact) <= 1e-9
 
 
 def oracle_nu_minus(spec, t, part):

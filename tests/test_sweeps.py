@@ -1,4 +1,4 @@
-"""Sweep axes, writers, and the figure-grid helpers."""
+"""Sweep axes, writers and the text of their float cells, and the figure-grid helpers."""
 
 import csv
 import json
@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epchain import ChainSpec, locate_ep_1d, spectrum_stack, symplectic_eigenvalues
+from epchain import ChainSpec, floattext, locate_ep_1d, spectrum_stack, symplectic_eigenvalues
 from epchain.chain import uniform_bdg_stack
 from epchain.errors import ConfigError, NoTransition, PrecisionLoss, UnsortedTimes
 from epchain.sweeps import (
@@ -145,6 +146,96 @@ class TestWriterBytes:
         write_rows(tmp_path / "new", header, rows, fmt)
         reference_write_rows(tmp_path / "ref", header, rows, fmt)
         assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+
+def python_texts(values):
+    return ["%.17g" % float(value) for value in values]
+
+
+def count_fallbacks(monkeypatch):
+    """Count the cells the vectorised formatter leaves to Python's '%.17g'."""
+    calls = []
+    fallback = floattext._python_text
+    monkeypatch.setattr(floattext, "_python_text", lambda value: calls.append(value) or fallback(value))
+    return calls
+
+
+def in_band(values):
+    """Nonzero finite values inside the formatter's certified band [1e-280, 1e280]."""
+    a = np.abs(np.asarray(values, dtype=float))
+    return (a >= 1e-280) & (a <= 1e280)
+
+
+def near_tie(value):
+    """Whether 17 significant digits of the value lie within 1e-9 units of a half unit."""
+    scaled = abs(Fraction(value)) * Fraction(10) ** (16 - math.floor(math.log10(abs(value))))
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10**9)
+
+
+BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+FLOAT_CELLS = (
+    st.floats(allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 2.0**-25])
+    | BITS
+    | st.floats(width=32).map(np.float32)
+    | st.floats().map(np.float64)
+)
+
+
+class TestFloatTexts:
+    @given(values=st.lists(FLOAT_CELLS, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python(self, values):
+        assert floattext.float_texts(np.array(values, dtype=float)) == python_texts(values)
+
+    def test_edge_values(self):
+        k = np.arange(-1074, 1024)
+        powers = np.ldexp(1.0, k)
+        tens = np.array([float(f"1e{j}") for j in range(-300, 301)])
+        switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = np.concatenate([
+            powers, 3.0 * powers[:-1],  # 2**-25 = 2.98023223876953125e-08 is an exact decimal tie
+            tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+            switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf),
+            # 17 digits round up into the next decade: 1e-243 is below 10^-243
+            [9.9999999999999999e16, 1e-243, 1e-176, 1e-79, 0.0, -0.0, math.nan, math.inf],
+        ])
+        assert Fraction(1e-243) < Fraction(1, 10**243)
+        values = np.concatenate([values, -values])
+        assert floattext.float_texts(values) == python_texts(values)
+
+    def test_random_bit_patterns(self, monkeypatch):
+        values = np.random.default_rng(20261019).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+        fallbacks = count_fallbacks(monkeypatch)
+        assert floattext.float_texts(values) == python_texts(values)
+        # the cells outside the band and the non-finite ones, and in the band
+        # only decimal ties: 17 digits of 1234567890123456.25 end in a half
+        outside = ~in_band(fallbacks)
+        assert np.count_nonzero(outside) == np.count_nonzero(~in_band(values) & (values != 0.0)) > 0
+        ties = np.array(fallbacks)[~outside].tolist()
+        assert all(near_tie(value) for value in ties) and 0 < len(ties) < 1e-3 * len(values)
+
+    def test_subnormals_take_the_fallback(self, monkeypatch):
+        subnormals = np.array([5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300])
+        normals = np.array([1e-280, 0.5, -3.25, 1.2345678901234567e279, 1e280, 0.0, -0.0])
+        fallbacks = count_fallbacks(monkeypatch)
+        assert floattext.float_texts(normals) == python_texts(normals)
+        assert fallbacks == []
+        assert floattext.float_texts(subnormals) == python_texts(subnormals)
+        assert fallbacks == subnormals.tolist()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_chain_table_bytes(self, tmp_path, monkeypatch, fmt):
+        # entangle --include-cm at N = 30: a t = 1e-310 row holds subnormal covariances
+        fallbacks = count_fallbacks(monkeypatch)
+        header, rows, _ = entanglement_trajectory(
+            {"n": 30, "g": 1.0, "J": 1.0, "phi": 0.0}, [0.0, 1e-310, 0.5, 1.5, 3.0], [],
+            include_cm=True)
+        write_rows(tmp_path / "new", header, rows, fmt)
+        reference_write_rows(tmp_path / "ref", header, rows, fmt)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+        cells = np.array([value for row in rows for value in row])
+        assert len(fallbacks) == np.count_nonzero(~in_band(cells) & (cells != 0.0)) > 0
 
 
 class TestSpectrumSweepErrors:
