@@ -160,18 +160,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, command: str, tables: dict, config_echo: dict, extras: dict, default_name: str):
-    """Write each (header, rows) table under ``<out stem><suffix>``, each with its manifest."""
+    """Write each (header, columns) table under ``<out stem><suffix>``, each with its manifest."""
     out = Path(args.out) if args.out else Path(default_name)
     if args.fmt == "json" and out.suffix == ".csv":
         out = out.with_suffix(".json")
-    for suffix, (header, rows) in tables.items():
+    for suffix, (header, columns) in tables.items():
         path = out.with_name(out.stem + suffix + out.suffix)
         try:
-            write_rows(path, header, rows, args.fmt)
+            write_rows(path, header, columns, args.fmt)
             write_manifest(path, command, config_echo, extras)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
-        print(f"{command}: wrote {len(rows)} rows to {path}")
+        print(f"{command}: wrote {len(columns[0])} rows to {path}")
 
 
 def _cmd_spectrum(args) -> int:
@@ -182,16 +182,16 @@ def _cmd_spectrum(args) -> int:
         sweep = rest.pop("sweep")
         if not isinstance(sweep, dict) or "axis" not in sweep:
             raise ConfigError("'sweep' must be a mapping with an 'axis' name")
-        axis = SweepAxis.from_config(sweep["axis"], sweep)
+        axis = SweepAxis.from_config(sweep["axis"], {k: v for k, v in sweep.items() if k != "axis"})
     if rest:
         raise ConfigError(f"unknown config keys: {sorted(rest)}")
     tol = args.tol if args.tol is not None else DEFAULT_REGION_TOL
     rank_tol = args.tol if args.tol is not None else DEFAULT_RANK_TOL
-    header, rows, extras = spectrum_sweep(
+    header, columns, extras = spectrum_sweep(
         chain, axis, tol=tol, detect=args.detect_eps, rank_tol=rank_tol
     )
     config_echo = {**config, "tol": tol, "rank_tol": rank_tol, "detect_eps": args.detect_eps}
-    _emit(args, "spectrum", {"": (header, rows)}, config_echo, extras, "spectrum.csv")
+    _emit(args, "spectrum", {"": (header, columns)}, config_echo, extras, "spectrum.csv")
     if extras.get("transitions"):
         print("transitions:", ", ".join(f"{x:.9g}" for x in extras["transitions"]))
     return 0
@@ -204,13 +204,13 @@ def _cmd_entangle(args) -> int:
     unknown = set(rest) - {"times"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    header, rows, extras = entanglement_trajectory(
+    header, columns, extras = entanglement_trajectory(
         chain, times, args.partition or [], include_cm=args.include_cm, threads=_usable_cores()
     )
     # the cuts as the table names them, the default 1|rest included
     partitions = [name[len("nu_minus_"):] for name in header if name.startswith("nu_minus_")]
     config_echo = {**config, "partitions": partitions, "include_cm": args.include_cm}
-    _emit(args, "entangle", {"": (header, rows)}, config_echo, extras, "entangle.csv")
+    _emit(args, "entangle", {"": (header, columns)}, config_echo, extras, "entangle.csv")
     if "truncated_at" in extras:
         print(f"warning: trajectory truncated at t={extras['truncated_at']:.6g} "
               "by the overflow guard", file=sys.stderr)
@@ -218,7 +218,7 @@ def _cmd_entangle(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    header, rows, extras = fig2_grid(
+    header, columns, extras = fig2_grid(
         eta=args.eta,
         g_axis=SweepAxis("g", args.g_min, args.g_max, args.g_steps),
         t_axis=SweepAxis("t", 0.0, args.t_max, args.t_steps),
@@ -228,7 +228,7 @@ def _cmd_fig2(args) -> int:
         "eta": args.eta, "g_min": args.g_min, "g_max": args.g_max,
         "g_steps": args.g_steps, "t_max": args.t_max, "t_steps": args.t_steps,
     }
-    _emit(args, "fig2", {"": (header, rows)}, config_echo, extras, "fig2.csv")
+    _emit(args, "fig2", {"": (header, columns)}, config_echo, extras, "fig2.csv")
     return 0
 
 
@@ -271,12 +271,12 @@ def _cmd_es_scan(args) -> int:
     unknown = set(config) - set(axes)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    header, rows, extras = es_scan_table(
+    header, columns, extras = es_scan_table(
         axes["g1"], axes["g2"], axes["J1"], axes["J2"], tol=args.tol,
         detect_everywhere=args.detect_everywhere,
     )
     config_echo = {**config, "tol": args.tol, "detect_everywhere": args.detect_everywhere}
-    _emit(args, "es-scan", {"": (header, rows)}, config_echo, extras, "es_scan.csv")
+    _emit(args, "es-scan", {"": (header, columns)}, config_echo, extras, "es_scan.csv")
     return 0
 
 

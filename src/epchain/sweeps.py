@@ -1,7 +1,7 @@
 """Experiment sweeps and machine-readable output writers.
 
 Every bundled experiment reduces to evaluating the chain pipeline over a
-parameter grid and emitting rows.  fig2, fig4 and spectrum sweeps build the
+parameter grid and emitting tables.  fig2, fig4 and spectrum sweeps build the
 matrices of all their chains as one stack (``bdg_stack``,
 ``uniform_bdg_stack`` or ``spec_bdg_stack``); fig4 and spectrum sweeps
 label it with one ``spectrum_stack`` call, and spectrum sweeps locate their
@@ -27,18 +27,19 @@ values and errors are the same at any thread count.  fig3 needs
 no kernel: at g = J its witness is the exact coalescence-point series
 ``nu_closed_form_bkc_ep``, and only its fit of the enhancement ratio
 imports ``scipy.optimize``.  The presets check their own arguments, so a
-library call gets the ``ConfigError`` the command line reports.  Rows are
-assembled strictly by grid index and written with a pinned float format of
-17 significant digits, so identical configurations produce byte-identical
-files regardless of thread count.  ``format_value`` is the one-value
-reference for that text; ``write_rows`` gives the same bytes.  It takes
-consecutive rows with one tuple of cell types together, about 4096 float
-cells at a time, and makes the text of their float cells in numpy with
-``floattext.float_texts``, which leaves to Python's own '%.17g' only the
-cells it cannot certify (rounding ties, non-finite values, magnitudes
-outside [1e-280, 1e280]).  Each row is then one %-template, built once per
-distinct tuple of cell types, so only bool and text cells are mapped value
-by value.
+library call gets the ``ConfigError`` the command line reports.
+
+Every builder returns its tables as columns, one per header name and in
+grid-index order: numeric columns are numpy arrays (float64 for floats),
+text columns lists of ``str``.  ``write_rows`` formats each column once, by
+its dtype, with a pinned float format of 17 significant digits, so
+identical configurations produce byte-identical files regardless of thread
+count.  ``format_value`` is the one-value reference for that text, and
+``write_rows`` gives the same bytes: the float columns are stacked into one
+float64 array whose text ``floattext.float_texts`` makes in numpy, leaving
+to Python's own '%.17g' only the cells it cannot certify (rounding ties,
+non-finite values, magnitudes outside [1e-280, 1e280]), and each row is
+one %-template, built once per table.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
 configuration (the config file's keys and the value of every option that
 changes the data) and the tool version.
@@ -50,10 +51,8 @@ import collections
 import concurrent.futures
 import csv
 import functools
-import itertools
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,6 +135,10 @@ class SweepAxis:
     @classmethod
     def from_config(cls, name: str, cfg) -> "SweepAxis":
         if isinstance(cfg, dict):
+            unknown = sorted(set(cfg) - {"start", "stop", "steps"}, key=str)
+            if unknown:
+                raise ConfigError(f"axis {name!r} config has unknown keys {unknown}; "
+                                  "expected start/stop/steps")
             try:
                 cfg = [cfg["start"], cfg["stop"], cfg["steps"]]
             except KeyError as exc:
@@ -171,112 +174,108 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _cell_format(cls: type, text) -> tuple[str, object, bool]:
-    """A non-float cell type's %-spec, its preprocessing (or None) and whether it is escaped text.
+def _table_template(
+    header: Sequence[str], columns: Sequence[Sequence], fmt: str, text
+) -> tuple[str, list, np.ndarray]:
+    """The table's row %-template, its columns as template arguments and its
+    float columns stacked as one (rows, k) float64 array.
 
-    Mirrors ``format_value``: ints go into the template as they are, a bool
-    becomes its lowercase name, and anything else becomes
-    ``text(str(value))``, escaped for the output format.
+    A float array's arguments are None (its text is made from the stack), an
+    int array's are its Python ints, a bool array's its lowercase names, and
+    any other column's the ``format_value`` text of each cell, escaped.
     """
-    if issubclass(cls, (bool, np.bool_)):
-        return "%s", _BOOL_TEXT.__getitem__, False
-    if issubclass(cls, (int, np.integer)):
-        return "%d", None, False
-    return "%s", (text if cls is str else lambda value: text(str(value))), True
-
-
-def _row_template(types: tuple[type, ...], fmt: str, text) -> tuple[str, list, list]:
-    """The %-template of a row with these cell types, its (index, preprocessing)
-    pairs and the indices of its float cells."""
-    is_float = [issubclass(cls, (float, np.floating)) for cls in types]
-    cells = [("%s", None, False) if flag else _cell_format(cls, text)
-             for cls, flag in zip(types, is_float)]
-    floats = [i for i, flag in enumerate(is_float) if flag]
-    fixes = [(i, fix) for i, (_, fix, _) in enumerate(cells) if fix is not None]
+    if len(columns) != len(header):
+        raise ConfigError(f"table has {len(header)} header names but {len(columns)} columns")
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ConfigError(f"table columns differ in length: {[len(column) for column in columns]}")
+    specs, cells, floats = [], [], []
+    for column in columns:
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+        if kind == "f":
+            specs.append(("%s", False))
+            cells.append(None)
+            floats.append(column)
+        elif kind in ("i", "u"):
+            specs.append(("%d", False))
+            cells.append(column.tolist())
+        elif kind == "b":
+            specs.append(("%s", False))
+            cells.append(list(map(_BOOL_TEXT.__getitem__, column.tolist())))
+        else:
+            # not np.asarray: numpy coerces a mixed list, 1e-05 beside text to '1e-05'
+            specs.append(("%s", True))
+            cells.append(list(map(text, map(format_value, column))))
+    stacked = np.empty((lengths.pop() if lengths else 0, len(floats)))
+    for j, column in enumerate(floats):
+        stacked[:, j] = column
     if fmt == "csv":
-        if len(cells) == 1 and cells[0][2]:
+        if specs == [("%s", True)]:
             # csv quotes a row's only cell when it is empty
-            fixes = [(0, lambda value, fix=fixes[0][1]: fix(value) or '""')]
-        return ",".join(spec for spec, _, _ in cells) + "\n", fixes, floats
-    if not cells:
-        return "  []", fixes, floats
-    items = ",\n".join(f"   {spec}" if escaped else f'   "{spec}"' for spec, _, escaped in cells)
-    return f"  [\n{items}\n  ]", fixes, floats
+            cells[0] = [cell or '""' for cell in cells[0]]
+        return ",".join(spec for spec, _ in specs) + "\n", cells, stacked
+    items = ",\n".join(f"   {spec}" if escaped else f'   "{spec}"' for spec, escaped in specs)
+    return f"  [\n{items}\n  ]", cells, stacked
 
 
-def _formatted_rows(rows: Iterable[Sequence], fmt: str, text) -> Iterable[str]:
-    """Each row as text, through one %-template per distinct tuple of cell types.
+def _formatted_rows(template: str, cells: list, stacked: np.ndarray) -> Iterable[str]:
+    """Each row of the table as text.
 
-    Consecutive rows with the same cell types go through their template
-    together, about ``BLOCK_CELLS`` float cells at a time, and their float
-    cells become text in one ``float_texts`` call.  Rows of floats alone
-    are cut back into rows from that text; other rows are transposed into
-    columns, their float columns replaced by the text, their bool and text
-    columns mapped through the preprocessing, and zipped back into rows.
+    ``float_texts`` makes the text of the stacked float columns about
+    ``BLOCK_CELLS`` cells at a time.  A table of floats alone is cut into
+    rows straight from that text; any other zips each float column's text
+    with the other columns' arguments.
     """
-    templates: dict = {}
-    rows = list(map(tuple, rows))
-    start = 0
-    for types, run in itertools.groupby(map(tuple, map(functools.partial(map, type), rows))):
-        try:
-            template, fixes, floats = templates[types]
-        except KeyError:
-            template, fixes, floats = templates[types] = _row_template(types, fmt, text)
-        stop = start + len(list(run))
-        step = max(1, BLOCK_CELLS // max(1, len(floats)))
-        for first in range(start, stop, step):
-            chunk = rows[first : min(first + step, stop)]
-            if not (floats or fixes):
-                yield from map(template.__mod__, chunk)
-                continue
-            if len(floats) == len(types):
-                args = zip(*[iter(float_texts(np.array(chunk, dtype=float).ravel()))] * len(types))
-            else:
-                columns = list(zip(*chunk))
-                if floats:
-                    cells = map(operator.itemgetter(*floats), chunk)
-                    texts = float_texts(np.array(list(cells), dtype=float).ravel())
-                    for k, i in enumerate(floats):
-                        columns[i] = texts[k :: len(floats)]
-                for i, fix in fixes:
-                    columns[i] = map(fix, columns[i])
-                args = zip(*columns)
-            yield from map(template.__mod__, args)
-        start = stop
+    k = stacked.shape[1]
+    floats = [i for i, cell in enumerate(cells) if cell is None]
+    step = max(1, BLOCK_CELLS // max(1, k))
+    for first in range(0, len(stacked), step):
+        texts = float_texts(stacked[first : first + step].ravel())
+        if k == len(cells):
+            args = zip(*[iter(texts)] * k)
+        else:
+            block = [None if cell is None else cell[first : first + step] for cell in cells]
+            for j, i in enumerate(floats):
+                block[i] = texts[j::k]
+            args = zip(*block)
+        yield from map(template.__mod__, args)
 
 
-def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> Path:
-    """Write a table as CSV or JSON with deterministic formatting.
+def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequence], fmt: str = "csv") -> Path:
+    """Write a table, given as one column per header name, as CSV or JSON.
 
     Every cell reads as ``format_value`` writes it, quoted as ``csv.writer``
     quotes it or laid out as ``json.dumps({"columns": header, "rows":
-    rows}, indent=1, sort_keys=True)`` lays it out.  Rows are formatted in
-    chunks of consecutive rows with one tuple of cell types and about
-    ``BLOCK_CELLS`` = 4096 float cells: the chunk's float cells are
-    gathered into one float64 array and become '%.17g' text in numpy
-    (``floattext.float_texts``), so the layout's temporaries stay near
-    1 MB.  The vectorised text is certified for |x| in [1e-280, 1e280] away
-    from a rounding tie (within 1e-9 of a half unit, against an arithmetic
-    error of a few 1e-15 units); ties, non-finite cells and cells outside
-    the band take Python's own '%.17g'.  Each row is then formatted by one
-    %-template, built once per distinct tuple of cell types; bool and text
-    cells are mapped through their preprocessing, and each distinct text is
-    escaped once.
+    rows}, indent=1, sort_keys=True)`` lays out the rows ``zip(*columns)``.
+    Each column is formatted once, by its type: a numpy float array is cast
+    to float64 and its '%.17g' text made in numpy (``floattext.float_texts``,
+    ``BLOCK_CELLS`` = 4096 cells at a time, so the layout's temporaries stay
+    near 1 MB), an int array is written with %d and a bool array as
+    ``true``/``false``; any other column, a list or a text array, goes cell by
+    cell through ``format_value``, and each distinct text is escaped once.
+    The rows are then formatted by one %-template for the table.  A column
+    count other than the header's, or columns of unequal length, raise
+    ``ConfigError``.
     """
+    if fmt == "csv":
+        text = functools.cache(_csv_text)
+    elif fmt == "json":
+        text = functools.cache(json.dumps)
+    else:
+        raise ConfigError(f"output format must be csv or json, got {fmt!r}")
+    rows = _formatted_rows(*_table_template(header, list(columns), fmt, text))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            fh.writelines(_formatted_rows(rows, fmt, functools.cache(_csv_text)))
-    elif fmt == "json":
-        body = ",\n".join(_formatted_rows(rows, fmt, functools.cache(json.dumps)))
+            fh.writelines(rows)
+    else:
+        body = ",\n".join(rows)
         head = json.dumps({"columns": list(header), "rows": []}, indent=1, sort_keys=True)
         with path.open("w") as fh:
             # the head ends in '"rows": []\n}'; the rows go between the brackets
             fh.writelines([head[:-4], "[\n", body, "\n ]\n}\n"] if body else [head, "\n"])
-    else:
-        raise ConfigError(f"output format must be csv or json, got {fmt!r}")
     return path
 
 
@@ -401,32 +400,30 @@ def spectrum_sweep(
     tol: float = DEFAULT_REGION_TOL,
     detect: bool = False,
     rank_tol: float = DEFAULT_RANK_TOL,
-) -> tuple[list[str], list[list], dict]:
+) -> tuple[list[str], list[Sequence], dict]:
     """Eigenvalues and region labels, optionally over one swept parameter.
 
-    Returns (header, rows, extras); extras carries the located transition
+    Returns (header, columns, extras); extras carries the located transition
     points of the swept family and any detected exceptional points.
     """
     specs = [build_chain_spec(chain)]
-    header = ["index", "region", "boundary"]
-    lead = [[0]]
+    header = ["index"]
+    lead = []
     if axis is not None:
         if axis.name not in ("g", "J", "eta", "phi"):
             raise ConfigError(f"spectrum sweeps support uniform axes g/J/eta/phi, not {axis.name!r}")
-        header = ["index", axis.name, "region", "boundary"]
+        header.append(axis.name)
         family = lambda v: build_chain_spec({**chain, axis.name: v})
-        lead = [[idx, value] for idx, value in enumerate(axis.values().tolist())]
-        specs = [family(value) for _, value in lead]
+        lead = [axis.values()]
+        specs = [family(value) for value in lead[0].tolist()]
     size = 2 * specs[0].n_modes
+    header += ["region", "boundary"]
     header += [f"re_{i+1}" for i in range(size)] + [f"im_{i+1}" for i in range(size)]
 
     m = spec_bdg_stack(specs)
     values, regions, boundary = spectrum_stack(m, tol)
-    rows = [
-        key + [region.value, flag] + re + im
-        for key, region, flag, re, im in zip(
-            lead, regions, boundary.tolist(), values.real.tolist(), values.imag.tolist())
-    ]
+    columns = [np.arange(len(specs)), *lead, [region.value for region in regions], boundary,
+               *values.real.T, *values.imag.T]
     extras: dict = {}
     if detect:
         extras["exceptional_points"] = [
@@ -441,7 +438,7 @@ def spectrum_sweep(
         ]
     if axis is not None and axis.steps > 1:
         extras["transitions"] = _transitions(family, axis, tol)
-    return header, rows, extras
+    return header, columns, extras
 
 
 def entanglement_trajectory(
@@ -450,10 +447,11 @@ def entanglement_trajectory(
     partitions: Sequence[str],
     include_cm: bool = False,
     threads: int = 1,
-) -> tuple[list[str], list[Sequence], dict]:
+) -> tuple[list[str], list[np.ndarray], dict]:
     """nu_- and logarithmic negativity per time per partition.
 
-    If the propagator or the covariance overflows at some time, the rows end
+    Returns (header, columns, extras), one float64 array per column.  If the
+    propagator or the covariance overflows at some time, the columns end
     before it; the extras hold that time as ``truncated_at`` and the guard's
     message as ``truncation``.  A witness that ``witness_stack`` refuses
     raises its ``PrecisionLoss`` with the first refused time and cut
@@ -483,19 +481,19 @@ def entanglement_trajectory(
         if where is None:
             raise
         raise PrecisionLoss(f"{exc} ({where})") from exc
-    columns = [ts[: len(witnesses[0][0])].tolist()]
+    n_rows = len(witnesses[0][0])
+    columns = [ts[:n_rows]]
     for nu, logneg in witnesses:
-        columns += [nu.tolist(), logneg.tolist()]
+        columns += [nu, logneg]
     if include_cm:
-        columns += cms[:, upper[0], upper[1]].T.tolist()
-    rows: list[Sequence] = list(zip(*columns))
+        columns += list(cms[:, upper[0], upper[1]].T)
     extras: dict = {}
     if isinstance(error, OverflowRisk):
-        extras["truncated_at"] = float(ts[len(rows)])
+        extras["truncated_at"] = float(ts[n_rows])
         extras["truncation"] = str(error)
     elif error is not None:
         raise error
-    return header, rows, extras
+    return header, columns, extras
 
 
 def _first_refusal(state0: GaussianState, k, times: np.ndarray, parts: Sequence[Bipartition]) -> str | None:
@@ -530,7 +528,7 @@ def fig2_grid(
     t_axis: SweepAxis | None = None,
     threads: int = 1,
 ) -> tuple[list[str], list[Sequence], dict]:
-    """Two-mode witness map over hopping strength and time.
+    """Two-mode witness map over hopping strength and time, g-major.
 
     Default grid: 301 hopping values on [0.5, 1.5] by 501 times on [0, 5],
     fine enough to resolve the splitting boundaries visibly.
@@ -561,16 +559,13 @@ def fig2_grid(
     if error is not None:
         raise error
     header = ["g", "t", "region", "nu_minus", "log_negativity"]
-    n_times = len(times)
-    rows = list(zip(
-        np.repeat(g, n_times).tolist(), np.tile(times, len(g)).tolist(),
-        np.repeat(regions, n_times).tolist(), nu.tolist(), logneg.tolist(),
-    ))
+    columns = [np.repeat(g, len(times)), np.tile(times, len(g)),
+               [region for region in regions for _ in times], nu, logneg]
     lo, hi = sorted((g_axis.start, g_axis.stop))
     transitions = sorted({x for e in ep_g.tolist() for x in (-e, e) if x != 0 and lo < x < hi})
     extras = {"eta": eta, "g_steps": g_axis.steps, "t_steps": t_axis.steps,
               "transitions": transitions}
-    return header, rows, extras
+    return header, columns, extras
 
 
 def fig3_tables(
@@ -578,7 +573,7 @@ def fig3_tables(
     phi_steps: int = 65,
     t: float = 3.5,
     fit_max_n: int = 30,
-) -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]], dict]:
+) -> tuple[tuple[list[str], list[np.ndarray]], tuple[list[str], list[np.ndarray]], dict]:
     """Uniform-chain witness versus hopping phase, plus enhancement ratios.
 
     Returns (witness table, ratio table, extras).  The witness table runs
@@ -604,20 +599,24 @@ def fig3_tables(
     t = float(t)
     if not math.isfinite(t):
         raise ConfigError(f"time must be finite, got {t}")
-    phis = np.linspace(0.0, math.pi, phi_steps).tolist()
-    witness_rows = []
+    sizes = np.array([int(n) for n in n_values], dtype=np.int64)
+    phis = np.linspace(0.0, math.pi, phi_steps)
+    nu_values = []
     asymmetry = 0.0
-    for n in n_values:
-        nu = [nu_closed_form_bkc_ep(int(n), phi, t) for phi in phis]
+    for n in sizes.tolist():
+        nu = [nu_closed_form_bkc_ep(n, phi, t) for phi in phis.tolist()]
         asymmetry = max([asymmetry] + [abs(a - b) for a, b in zip(nu, nu[::-1])])
-        witness_rows += [[int(n), phi, value, -math.log(value)] for phi, value in zip(phis, nu)]
-    witness = (["N", "phi", "nu_minus", "neg_log_nu"], witness_rows)
+        nu_values += nu
+    # math.log per value: np.log need not give libm's bits
+    witness = (["N", "phi", "nu_minus", "neg_log_nu"],
+               [np.repeat(sizes, phi_steps), np.tile(phis, len(sizes)),
+                np.array(nu_values, dtype=float), np.array([-math.log(v) for v in nu_values])])
 
-    ratio_rows = [
-        [int(n), float(rt), enhancement_ratio(int(n), float(rt), nu_fn=nu_closed_form_bkc_ep)]
-        for n in n_values for rt in _RATIO_TIMES
-    ]
-    ratio = (["N", "t", "ratio"], ratio_rows)
+    ratio_times = np.array(_RATIO_TIMES, dtype=float)
+    ratios = [enhancement_ratio(n, rt, nu_fn=nu_closed_form_bkc_ep)
+              for n in sizes.tolist() for rt in ratio_times.tolist()]
+    ratio = (["N", "t", "ratio"], [np.repeat(sizes, len(ratio_times)),
+                                   np.tile(ratio_times, len(sizes)), np.array(ratios, dtype=float)])
 
     fit_ns = np.arange(2, fit_max_n + 1)
     fit_rs = np.array([enhancement_ratio(int(n), t, nu_fn=nu_closed_form_bkc_ep) for n in fit_ns])
@@ -647,7 +646,7 @@ def fig4_grid(
     g_axis: SweepAxis | None = None,
     arc_steps: int = 65,
     threads: int = 1,
-) -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]], dict]:
+) -> tuple[tuple[list[str], list[Sequence]], tuple[list[str], list[np.ndarray]], dict]:
     """Three-mode witness map over (g1, g2) at equal pairing, plus the arc cut.
 
     The main table maps the middle-vs-outer witness at the fixed time over
@@ -660,13 +659,14 @@ def fig4_grid(
     _check_threads(threads)
     if arc_steps < 0:
         raise ConfigError(f"arc_steps must be nonnegative, got {arc_steps}")
-    g = (g_axis or SweepAxis("g", 0.0, 2.0, 81)).values().tolist()
-    points = [(g1, g2) for g1 in g for g2 in g]
+    g = (g_axis or SweepAxis("g", 0.0, 2.0, 81)).values()
+    points = np.stack([np.repeat(g, len(g)), np.tile(g, len(g))], axis=1)
     m = bdg_stack(points, float(j), 0.0)
     _, regions, _ = spectrum_stack(m, DEFAULT_REGION_TOL)
-    varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps).tolist()
-    arc_hopping = [_surface_hopping(varphi, j) for varphi in varphis]
-    arc_m = bdg_stack(np.array(arc_hopping, dtype=complex).reshape(-1, 2), float(j), 0.0)
+    varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps)
+    arc_hopping = np.array([_surface_hopping(varphi, j) for varphi in varphis.tolist()],
+                           dtype=float).reshape(-1, 2)
+    arc_m = bdg_stack(arc_hopping, float(j), 0.0)
     # the grid and the arc share the chain size, time and cut: one stack
     k = generator_stack(np.concatenate([m, arc_m]))
     [(nu, _)], _, error = _witness_map(
@@ -674,15 +674,11 @@ def fig4_grid(
     )
     if error is not None:
         raise error
-    nu = nu.tolist()
-    grid_rows = [[g1, g2, region.value, value]
-                 for (g1, g2), region, value in zip(points, regions, nu)]
-    grid = (["g1", "g2", "region", "nu_minus_13|2"], grid_rows)
-    arc_rows = [
-        [varphi, g1, g2, value, nu_closed_form_three_mode_nonuniform(varphi, j, t)]
-        for varphi, (g1, g2), value in zip(varphis, arc_hopping, nu[len(points):])
-    ]
-    arc = (["varphi", "g1", "g2", "nu_minus_13|2", "nu_closed_form"], arc_rows)
+    grid = (["g1", "g2", "region", "nu_minus_13|2"],
+            [*points.T, [region.value for region in regions], nu[: len(points)]])
+    closed_form = [nu_closed_form_three_mode_nonuniform(varphi, j, t) for varphi in varphis.tolist()]
+    arc = (["varphi", "g1", "g2", "nu_minus_13|2", "nu_closed_form"],
+           [varphis, *arc_hopping.T, nu[len(points) :], np.array(closed_form, dtype=float)])
     extras = {"j": float(j), "t": float(t)}
     return grid, arc, extras
 
@@ -694,7 +690,7 @@ def es_scan_table(
     j2_axis: SweepAxis,
     tol: float = 1e-9,
     detect_everywhere: bool = False,
-) -> tuple[list[str], list[list], dict]:
+) -> tuple[list[str], list[Sequence], dict]:
     """Exceptional-surface scan in the three-mode parameter space."""
     points = scan_exceptional_surface(
         g1_axis.values(),
@@ -705,12 +701,11 @@ def es_scan_table(
         detect_everywhere=detect_everywhere,
     )
     header = ["g1", "g2", "J1", "J2", "residual", "on_surface", "ep_order", "block_sizes"]
-    rows = [
-        [
-            p.g1, p.g2, p.j1, p.j2, p.residual, p.on_surface, p.ep_order,
-            "+".join(str(b) for b in p.block_sizes),
-        ]
-        for p in points
+    values = np.array([(p.g1, p.g2, p.j1, p.j2, p.residual) for p in points], dtype=float)
+    on_surface = np.array([p.on_surface for p in points], dtype=bool)
+    columns = [
+        *values.reshape(-1, 5).T, on_surface,
+        np.array([p.ep_order for p in points], dtype=np.int64),
+        ["+".join(str(b) for b in p.block_sizes) for p in points],
     ]
-    n_on = sum(1 for p in points if p.on_surface)
-    return header, rows, {"points": len(points), "on_surface": n_on}
+    return header, columns, {"points": len(points), "on_surface": int(np.count_nonzero(on_surface))}

@@ -18,6 +18,20 @@ from epchain.errors import (
 )
 
 
+def table_rows(columns):
+    """A builder table's columns as rows of Python values, one list per row."""
+    return [list(row) for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))]
+
+
+def column_key(columns):
+    """Each column as (type, dtype, shape, bytes), or (type, cells) if not an array:
+    two tables' keys are equal exactly when their columns are, bit for bit."""
+    return [
+        (type(c), c.dtype.str, c.shape, c.tobytes()) if isinstance(c, np.ndarray) else (type(c), list(c))
+        for c in columns
+    ]
+
+
 def assert_multiset_close(actual, expected, tol, label=""):
     """Assert two complex multisets match under an optimal pairing."""
     a = np.asarray(actual, dtype=complex)

@@ -65,6 +65,7 @@ from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_t
 
 from conftest import (
     chain_specs,
+    column_key,
     reference_bona_fide_check,
     reference_entanglement_result,
     reference_evolve,
@@ -73,6 +74,7 @@ from conftest import (
     reference_symplectic_check,
     reference_symplectic_eigenvalues,
     spec_stacks,
+    table_rows,
 )
 
 
@@ -539,7 +541,8 @@ class TestSweepsThroughKernel:
         # a bounded chain runs to t = 400 untruncated: every row is the per-cell reference's
         chain = {"n": 2, "g": 1.5, "J": 1.0, "eta": 0.2}
         times = np.linspace(0.0, 400.0, 401)
-        _, rows, extras = entanglement_trajectory(chain, times, ["1|2"])
+        _, columns, extras = entanglement_trajectory(chain, times, ["1|2"])
+        rows = table_rows(columns)
         assert extras == {} and [row[0] for row in rows] == times.tolist()
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.5, j=1.0, eta=0.2)))
         part = Bipartition.from_label("1|2", 2)
@@ -547,14 +550,16 @@ class TestSweepsThroughKernel:
             result = reference_entanglement_result(reference_evolve(initial_state(2), k, row[0]), part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
         # without on-site squeezing it is the closed form's
-        _, rows, extras = entanglement_trajectory({"n": 2, "g": 1.5, "J": 1.0}, times, ["1|2"])
+        _, columns, extras = entanglement_trajectory({"n": 2, "g": 1.5, "J": 1.0}, times, ["1|2"])
+        rows = table_rows(columns)
         assert extras == {} and len(rows) == len(times)
         for t, nu, _ in rows:
             assert abs(nu - nu_closed_form_two_mode(1.5, 1.0, t)) <= 1e-9
         # a product of squeezers overflows at t = 75: the rows end before it,
         # and the extras hold the reference's refusal
         times = [0.0, 0.5, 1.0, 75.0, 100.0]
-        _, rows, extras = entanglement_trajectory({"n": 2, "eta": 5.0}, times, ["1|2"])
+        _, columns, extras = entanglement_trajectory({"n": 2, "eta": 5.0}, times, ["1|2"])
+        rows = table_rows(columns)
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, eta=5.0)))
         for row in rows:
             result = reference_entanglement_result(reference_evolve(initial_state(2), k, row[0]), part)
@@ -579,11 +584,13 @@ class TestSweepsThroughKernel:
         # small chunks split these grids over several pool tasks
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 5)
         g_axis, t_axis = SweepAxis("g", 0.8, 1.2, 3), SweepAxis("t", 0.0, 5.0, 7)
-        assert fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=2) == fig2_grid(
-            g_axis=g_axis, t_axis=t_axis, threads=1
-        )
+        pooled, serial = (fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=threads) for threads in (2, 1))
+        assert (pooled[0], column_key(pooled[1]), pooled[2]) == (
+            serial[0], column_key(serial[1]), serial[2])
         kwargs = dict(g_axis=SweepAxis("g", 0.0, 2.0, 4), arc_steps=5)
-        assert fig4_grid(threads=2, **kwargs) == fig4_grid(threads=1, **kwargs)
+        pooled, serial = (fig4_grid(threads=threads, **kwargs) for threads in (2, 1))
+        assert [(h, column_key(c)) for h, c in pooled[:2]] + [pooled[2]] == (
+            [(h, column_key(c)) for h, c in serial[:2]] + [serial[2]])
 
     def test_pool_reports_first_failing_cell(self, monkeypatch):
         # at eta = 5 the g = 7 chain is bounded and its 9 cells fill two 5-cell
@@ -631,9 +638,10 @@ class TestSweepsThroughKernel:
     ], ids=["n3_small_chunks", "n30"])
     def test_trajectory_same_at_any_thread_count(self, monkeypatch, chunk_entries, chain, times, cuts):
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", chunk_entries)
-        assert entanglement_trajectory(chain, times, cuts, include_cm=True, threads=2) == (
-            entanglement_trajectory(chain, times, cuts, include_cm=True, threads=1)
-        )
+        pooled, serial = (entanglement_trajectory(chain, times, cuts, include_cm=True, threads=threads)
+                          for threads in (2, 1))
+        assert (pooled[0], column_key(pooled[1]), pooled[2]) == (
+            serial[0], column_key(serial[1]), serial[2])
 
     @pytest.mark.parametrize("failing_call", [None, 3])
     def test_first_refusal_at_any_thread_count(self, monkeypatch, failing_call):
@@ -782,7 +790,10 @@ def fig3_closed_form_loops(n_values, phi_steps, t, ratio_times, fit_max_n):
 
 
 def recorded_fig3(monkeypatch, **kwargs):
-    """fig3_tables' witness rows, ratio rows and the R(N) values it fits."""
+    """fig3_tables' witness rows, ratio rows and the R(N) values it fits.
+
+    The rows hold Python ints and floats, so a repr tells an int column
+    from a float one."""
     fit_inputs, fit = [], scipy.optimize.curve_fit
 
     def recording_fit(f, xdata, ydata, **kw):
@@ -792,7 +803,7 @@ def recorded_fig3(monkeypatch, **kwargs):
     monkeypatch.setattr(scipy.optimize, "curve_fit", recording_fit)
     (_, witness), (_, ratio), _ = fig3_tables(**kwargs)
     [fit_rs] = fit_inputs
-    return witness, ratio, fit_rs
+    return table_rows(witness), table_rows(ratio), fit_rs
 
 
 def raised(fn, *args, **kwargs):
@@ -880,7 +891,7 @@ class TestFig3ThroughKernel:
             assert raised(fig3_tables, **kwargs) == expected
         else:
             _, (_, ratio), _ = fig3_tables(**kwargs)
-            assert [row[2] for row in ratio] == expected
+            assert ratio[2].tolist() == expected
 
     def test_long_time_is_exact(self, monkeypatch):
         # at N = 3, t = 120 (||K||_2 t = 339, S bounded by a polynomial in t) the

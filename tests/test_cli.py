@@ -225,6 +225,20 @@ def test_fractional_steps_exit_2(tmp_path, capsys, command, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("entangle", {"n": 2, "times": {"start": 0, "stop": 5, "step": 11}}, "step"),
+    ("spectrum", {"n": 2, "sweep": {"axis": "g", "start": 0.5, "stop": 1.5, "steps": 5,
+                                    "stesp": 9}}, "stesp"),
+    ("es-scan", {"g1": {"start": 0.5, "stop": 1.5, "steps": 3, "step": 9}}, "step"),
+])
+def test_misspelled_axis_key_exits_2(tmp_path, capsys, command, config, key):
+    out = tmp_path / "typo.csv"
+    assert main([command, "--config", write_json(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 2
+    assert f"unknown keys [{key!r}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_float_steps_accepted(tmp_path):
     cfg = write_json(tmp_path / "c.json", {"n": 2, "times": {"start": 0, "stop": 1, "steps": 3.0}})
     out = tmp_path / "whole.csv"
@@ -577,9 +591,14 @@ def test_float_formatting_17_digits(tmp_path):
 # rank_tol, detect_eps) beside the config file's keys.  They pin the
 # formatting, quoting and JSON layout, and the numbers' bits on this numeric
 # stack (numpy 2.4, scipy 1.17 with OpenBLAS); re-record them only when the
-# numbers or the layout move on purpose.
+# numbers or the layout move on purpose.  The ``es.`` entries and the
+# spectrum run's JSON were recorded with the row writer, before the
+# column writer replaced it: they pin int, bool and text columns in both
+# layouts.
 GOLDEN_SHA256 = {
     "ent.json": "ad513755c1f1d2b64a9f8864d776317337adc0d8e5343a22c7ba231b75d0502a",
+    "es.csv": "91202226cd30a298a7e0803ef728c68a74926d332722e6d472ecc930de0b0796",
+    "es.json": "d3bb95a7d407ba1c6c485f3cf94f8f0b2c3314837b5d833acac51be00ff8f0e1",
     "fig2.csv": "63c2999c785f1d3d1210b76cc90eedaf736a243201f5d34196f8c26a85cecb88",
     "fig3.csv": "a3a4f32f26e5d35f2141ef56b42fcc7230b7673bc0fe1aeecc3aa7468278e4dc",
     "fig3_ratio.csv": "226cb8682ddd020de1d8ca300c3f8e5899562d48bf749c84f23073a0b9b8c5c5",
@@ -587,6 +606,8 @@ GOLDEN_SHA256 = {
     "fig4_arc.csv": "45f4b64873bfdfa00c00ec3ce21c9685f4bb6ff144af686c8206965574fc3163",
     "spec.csv": "67865819b65e0efaf37f9c3cb963682b3362b27b0732479eb270bb5a3506ddb2",
     "spec.csv.manifest.json": "b2859d148e37412a330c856d5566dda8b6960a5dac21614162a40e27be32e201",
+    "spec.json": "d2bb8ca5f9a3312945aabc15e017ca8d21888d197656307a548add0af6d47388",
+    "spec.json.manifest.json": "72a713c14237892d477c0d307d7d382b99fbe273cc23623d461e9e892226ef79",
     "trunc.csv": "bb14da94d709a3dd2019bdb09f27496fd831226edac9bcc25fdd5eefd2eb9edc",
     "trunc.json": "e65af17aaeed3c90260c1b6efc17411a8a5d683e78046cd0c8f880db492c902f",
 }
@@ -610,6 +631,10 @@ def golden_outputs(tmp_path):
     cut = "1,2|3,4,5,6,7,8,9,10"
     runs = [
         ["spectrum", "--config", spec, "--detect-eps", "--out", "spec.csv"],
+        ["spectrum", "--config", spec, "--detect-eps", "--format", "json", "--out", "spec.json"],
+        # the default 5 x 5 grid, with its int, bool and text columns
+        ["es-scan", "--detect-everywhere", "--out", "es.csv"],
+        ["es-scan", "--detect-everywhere", "--format", "json", "--out", "es.json"],
         ["fig2", "--g-steps", "3", "--t-steps", "4", "--threads", "1", "--out", "fig2.csv"],
         ["fig4", "--g-steps", "3", "--arc-steps", "3", "--threads", "1", "--out", "fig4.csv"],
         ["fig3", "--ns", "2,3", "--phi-steps", "3", "--fit-max-n", "5", "--out", "fig3.csv"],

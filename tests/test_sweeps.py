@@ -27,6 +27,8 @@ from epchain.sweeps import (
     write_rows,
 )
 
+from conftest import column_key, table_rows
+
 
 class TestSweepAxis:
     def test_values_inclusive(self):
@@ -96,32 +98,44 @@ def reference_write_rows(path, header, rows, fmt):
 
 
 TEXT = st.text(st.sampled_from(list('ab ,"\r\n\t%\\') + ["\u00e9", "\u20ac", "\U0001f600"]))
-CELLS = {
-    "float": st.floats(allow_subnormal=True)
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-308]),
-    "float32": st.floats(width=32).map(np.float32),
-    "float64": st.floats().map(np.float64),
-    "int": st.integers(),
-    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    "bool": st.booleans(),
-    "bool_": st.booleans().map(np.bool_),
-    "str": TEXT,
+FLOAT64 = st.floats(allow_subnormal=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-308])
+INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1])
+# typed columns: a numpy array of each dtype the builders write, and of float32 and uint64
+ARRAY_CELLS = {
+    np.float64: FLOAT64,
+    np.float32: st.floats(width=32, allow_subnormal=True),
+    np.int64: INT64,
+    np.uint64: st.integers(0, 2**64 - 1),
+    np.bool_: st.booleans(),
+    np.str_: TEXT,
 }
+# a plain list may mix every kind of cell, numpy scalars and ints past int64 among them
+LIST_CELL = st.one_of(
+    FLOAT64, st.integers(-(2**80), 2**80), st.booleans(), TEXT, FLOAT64.map(np.float64),
+    st.floats(width=32).map(np.float32), INT64.map(np.int64), st.booleans().map(np.bool_),
+)
 
 
 @st.composite
 def tables(draw):
-    """A header and rows; most rows repeat the column types, some mix them."""
+    """A header and one column of one length per name, each a typed array or a mixed list."""
     width = draw(st.integers(0, 5))
+    n_rows = draw(st.integers(0, 6))
     header = draw(st.lists(TEXT, min_size=width, max_size=width))
-    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=width, max_size=width))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        mixed = draw(st.booleans())
-        row = [draw(CELLS[draw(st.sampled_from(sorted(CELLS)))] if mixed else CELLS[kind])
-               for kind in kinds]
-        rows.append(tuple(row) if draw(st.booleans()) else row)
-    return header, rows
+    columns = []
+    for _ in range(width):
+        dtype = draw(st.sampled_from([None, *ARRAY_CELLS]))
+        cells = LIST_CELL if dtype is None else ARRAY_CELLS[dtype]
+        column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(column if dtype is None else np.array(column, dtype=dtype))
+    return header, columns
+
+
+def assert_same_bytes_as_reference(tmp_path, header, columns, fmt):
+    write_rows(tmp_path / "new", header, columns, fmt)
+    reference_write_rows(tmp_path / "ref", header, zip(*columns), fmt)
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
 class TestWriterBytes:
@@ -129,23 +143,35 @@ class TestWriterBytes:
     @given(table=tables())
     @settings(max_examples=150, deadline=None)
     def test_same_bytes_as_per_value_writer(self, tmp_path_factory, fmt, table):
-        header, rows = table
-        out = tmp_path_factory.mktemp("w")
-        write_rows(out / "new", header, rows, fmt)
-        reference_write_rows(out / "ref", header, rows, fmt)
-        assert (out / "new").read_bytes() == (out / "ref").read_bytes()
+        assert_same_bytes_as_reference(tmp_path_factory.mktemp("w"), *table, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("header, rows", [
+    @pytest.mark.parametrize("header, columns", [
         ([], []),
-        (["a,b", 'q"'], []),
-        (["only"], [[""], [" "], ['"']]),
-        (["x", "y"], [[], [1.5, "ok"], ("", "")]),
-    ], ids=["empty", "header-only", "one-cell", "ragged"])
-    def test_edge_tables(self, tmp_path, fmt, header, rows):
-        write_rows(tmp_path / "new", header, rows, fmt)
-        reference_write_rows(tmp_path / "ref", header, rows, fmt)
-        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+        (["a,b", 'q"'], [[], np.array([])]),
+        (["only"], [["", " ", '"']]),
+        # numpy would coerce this list to text, 1e-05 as '1e-05'
+        (["mixed"], [[1e-05, "x"]]),
+    ], ids=["empty", "header-only", "one-cell", "float-beside-text"])
+    def test_edge_tables(self, tmp_path, fmt, header, columns):
+        assert_same_bytes_as_reference(tmp_path, header, columns, fmt)
+
+    def test_list_columns_literal_text(self, tmp_path):
+        assert write_rows(tmp_path / "m.csv", ["m"], [[1e-05, "x"]]).read_text() == (
+            "m\n1.0000000000000001e-05\nx\n")
+        # the benchmark's set-up probe: one column of one cell
+        assert write_rows(tmp_path / "x.csv", ["x"], [[0.5]]).read_text() == "x\n0.5\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("header, columns, message", [
+        (["a", "b"], [np.zeros(2)], "2 header names but 1 columns"),
+        (["a"], [[1.0], [2.0]], "1 header names but 2 columns"),
+        (["a", "b"], [np.zeros(2), [1, 2, 3]], r"differ in length: \[2, 3\]"),
+    ], ids=["too-few-columns", "too-many-columns", "unequal-lengths"])
+    def test_malformed_tables_rejected(self, tmp_path, fmt, header, columns, message):
+        with pytest.raises(ConfigError, match=message):
+            write_rows(tmp_path / "bad", header, columns, fmt)
+        assert not (tmp_path / "bad").exists()
 
 
 def python_texts(values):
@@ -228,13 +254,12 @@ class TestFloatTexts:
     def test_long_chain_table_bytes(self, tmp_path, monkeypatch, fmt):
         # entangle --include-cm at N = 30: a t = 1e-310 row holds subnormal covariances
         fallbacks = count_fallbacks(monkeypatch)
-        header, rows, _ = entanglement_trajectory(
+        header, columns, _ = entanglement_trajectory(
             {"n": 30, "g": 1.0, "J": 1.0, "phi": 0.0}, [0.0, 1e-310, 0.5, 1.5, 3.0], [],
             include_cm=True)
-        write_rows(tmp_path / "new", header, rows, fmt)
-        reference_write_rows(tmp_path / "ref", header, rows, fmt)
-        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
-        cells = np.array([value for row in rows for value in row])
+        assert all(column.dtype == np.float64 for column in columns)
+        assert_same_bytes_as_reference(tmp_path, header, columns, fmt)
+        cells = np.concatenate(columns)
         assert len(fallbacks) == np.count_nonzero(~in_band(cells) & (cells != 0.0)) > 0
 
 
@@ -262,8 +287,8 @@ class TestTrajectoryErrors:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_time_past_the_float_range_truncates(self):
         # K t overflows at t = 1e308: the trajectory stops there, with no RuntimeWarning
-        _, rows, extras = entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [0.0, 1e308], [])
-        assert rows == [(0.0, 1.0, 0.0)]
+        _, columns, extras = entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [0.0, 1e308], [])
+        assert column_key(columns) == column_key([np.array([0.0]), np.array([1.0]), np.array([0.0])])
         assert extras == {"truncated_at": 1e308,
                           "truncation": "propagator at t=1e+308 overflows double precision"}
 
@@ -272,12 +297,12 @@ def test_fig2_matches_closed_form_without_sms():
     # with eta = 0 the map must collapse onto the two-mode closed form
     from epchain import nu_closed_form_two_mode
 
-    header, rows, extras = fig2_grid(
+    header, columns, extras = fig2_grid(
         eta=0.0,
         g_axis=SweepAxis("g", 0.6, 1.4, 5),
         t_axis=SweepAxis("t", 0.0, 3.0, 4),
     )
-    for g, t, _region, nu, _logneg in rows:
+    for g, t, _region, nu, _logneg in table_rows(columns):
         assert nu == pytest.approx(nu_closed_form_two_mode(g, 1.0, t), abs=1e-9)
     assert extras["transitions"] == pytest.approx([1.0], abs=1e-5)
 
@@ -304,11 +329,11 @@ class TestFig2ClosedFormSpectrum:
         assume(np.abs(points[:, None] - np.array([lo, hi])).min() > 1e-5)
 
         g_axis = SweepAxis("g", *ends, steps)
-        _, rows, extras = fig2_grid(eta, g_axis, SweepAxis("t", 0.0, 0.0, 1))
+        _, columns, extras = fig2_grid(eta, g_axis, SweepAxis("t", 0.0, 0.0, 1))
         g = g_axis.values()
         _, labels, _ = spectrum_stack(uniform_bdg_stack(2, g=g, j=1.0, eta=eta))
         far = np.abs(g[:, None] - points).min(axis=1) > 1e-6
-        assert [row[2] for row, keep in zip(rows, far) if keep] == [
+        assert [region for region, keep in zip(columns[2], far) if keep] == [
             label.value for label, keep in zip(labels, far) if keep]
 
         try:
@@ -330,8 +355,8 @@ class TestFig2ClosedFormSpectrum:
         # g = 0.8 and g = 1.2 are grid points of the default axis; there one
         # eigenvalue pair is zero and the other on one axis
         g_axis = SweepAxis("g", 0.5, 1.5, 301)
-        _, rows, extras = fig2_grid(g_axis=g_axis, t_axis=SweepAxis("t", 0.0, 0.0, 1))
-        regions = {round(row[0], 12): row[2] for row in rows}
+        _, columns, extras = fig2_grid(g_axis=g_axis, t_axis=SweepAxis("t", 0.0, 0.0, 1))
+        regions = {round(g, 12): region for g, region in zip(columns[0].tolist(), columns[2])}
         assert regions[0.8] == "purely_imaginary"
         assert regions[1.2] == "purely_real"
         assert extras["transitions"] == [0.8, 1.2]
@@ -347,13 +372,31 @@ class TestFig2ClosedFormSpectrum:
 def test_fig3_ratio_rows_match_direct_call():
     from epchain import enhancement_ratio, nu_closed_form_bkc_ep
 
-    (_, _), (rheader, rrows), extras = fig3_tables(n_values=(3,), phi_steps=3, t=1.5, fit_max_n=5)
+    (_, _), (rheader, rcolumns), extras = fig3_tables(n_values=(3,), phi_steps=3, t=1.5, fit_max_n=5)
     assert rheader == ["N", "t", "ratio"]
+    assert [column.dtype for column in rcolumns] == [np.int64, np.float64, np.float64]
+    rrows = table_rows(rcolumns)
     assert [t for _, t, _ in rrows] == np.linspace(0.25, 3.5, 14).tolist()
     for n, t, ratio in rrows:
         assert ratio == enhancement_ratio(n, t, nu_fn=nu_closed_form_bkc_ep)
         assert ratio == pytest.approx(enhancement_ratio(n, t), rel=1e-7)
     assert extras["phi_symmetry_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", [
+    lambda: fig3_tables(n_values=(2, 3), phi_steps=0, fit_max_n=4)[0],
+    lambda: fig4_grid(g_axis=SweepAxis("g", 0.0, 2.0, 2), arc_steps=0, threads=1)[1],
+    lambda: entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [1e308], ["1|2"])[:2],
+], ids=["fig3_phi_steps_0", "fig4_arc_steps_0", "entangle_truncated_at_first_time"])
+def test_zero_row_tables_write_the_header_alone(tmp_path, fmt, table):
+    header, columns = table()
+    assert len(columns) == len(header) > 0 and all(len(column) == 0 for column in columns)
+    text = write_rows(tmp_path / "t", header, columns, fmt).read_text()
+    if fmt == "csv":
+        assert text == ",".join(header) + "\n"
+    else:
+        assert text == json.dumps({"columns": header, "rows": []}, indent=1, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("n_values", [(1, 2), (2, 0)])
