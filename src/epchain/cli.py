@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 selftest check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,8 +93,9 @@ def _usable_cores() -> int:
 
 
 def _add_threads(parser: argparse.ArgumentParser):
-    parser.add_argument("--threads", type=int, default=_usable_cores(),
-                        help="worker threads for the witness kernel")
+    # None is the usable cores, counted when the command runs
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads for the witness kernel (default: the usable cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +224,7 @@ def _cmd_fig2(args) -> int:
         eta=args.eta,
         g_axis=SweepAxis("g", args.g_min, args.g_max, args.g_steps),
         t_axis=SweepAxis("t", 0.0, args.t_max, args.t_steps),
-        threads=args.threads,
+        threads=_usable_cores() if args.threads is None else args.threads,
     )
     config_echo = {
         "eta": args.eta, "g_min": args.g_min, "g_max": args.g_max,
@@ -254,7 +256,7 @@ def _cmd_fig4(args) -> int:
         t=args.t,
         g_axis=SweepAxis("g", 0.0, args.g_max, args.g_steps),
         arc_steps=args.arc_steps,
-        threads=args.threads,
+        threads=_usable_cores() if args.threads is None else args.threads,
     )
     config_echo = {"j": args.j, "t": args.t, "g_max": args.g_max,
                    "g_steps": args.g_steps, "arc_steps": args.arc_steps}
@@ -302,9 +304,14 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except ConfigError as exc:

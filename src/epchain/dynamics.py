@@ -12,13 +12,19 @@ exponential growth.  ``evolve_grid`` transports a whole stack of
 are its one-generator case, and ``GaussianState`` shares its bona fide check.
 Growth stops a cell only where its K t, S, S Omega S^T or covariance is
 not finite (``OverflowRisk``).  The other guards check a certificate first,
-over the whole stack, and run the exact SVD or eigensolve only for cells it
-cannot clear: the symplectic residual's scale bounds ||S||_2^2 below by the
-largest squared column norm, and one Cholesky of sigma + i Omega plus half
-the slack clears bona-fide-ness, so both decide as the exact tests do.
-The stack's exponentials come from ``expm``, which gives scipy's bits for
-every slice but runs scipy's Python slice loop as stacked numpy around
-scipy's private Pade kernels, so it is tied to the scipy release that
+over the whole stack, and run the exact test only for cells it cannot
+clear, so both decide as the exact tests do.  The symplectic residual's
+scale bounds ||S||_2^2 below by the largest squared column norm, before
+any SVD.  A symplectic S maps a bona fide sigma_0 to a bona fide
+S sigma_0 S^T (sigma + i Omega >= 0 is invariant under congruence), so a
+transported covariance from a diagonal sigma_0 with entries >= 1 (every
+``initial_state``) is cleared by a bound built from S's residual and
+||S||_F alone (``_certified_count``); only from the first cell it cannot
+clear, or for another sigma_0, does one Cholesky of sigma + i Omega plus
+half the slack run, then ``eigvalsh`` where that fails.  The stack's
+exponentials come from ``expm``, which gives scipy's bits for every slice
+but runs scipy's Python slice loop as stacked numpy around scipy's private
+Pade kernels, so it is tied to the scipy release that
 ``.github/constraints.txt`` pins.
 """
 
@@ -56,6 +62,10 @@ _BONA_FIDE_RTOL = 1e-8
 _SYMPLECTIC_RTOL = 1e-10
 # the largest 2N for which a Cholesky certifies bona-fide-ness (see _cholesky_clears)
 _CHOLESKY_CLEARS_SIZE = 78
+# entries of slab 0 over one block of expm's Pade workspace, which holds five such
+# slabs (2.6 MB): 4096 cells of 4x4, 18 of 60x60
+_EXPM_BLOCK_ENTRIES = 1 << 16
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
@@ -200,7 +210,7 @@ def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
         If K t, exp(K t) or S Omega S^T is not finite: the propagator has left
         the range of double precision at t.
     """
-    s, error = _propagators(k.data[None], np.array([t], dtype=float))
+    s, _, _, error = _propagators(k.data[None], np.array([t], dtype=float))
     if error is not None:
         raise error
     return SymplecticPropagator(s=s[0], t=float(t))
@@ -254,7 +264,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     one goes to scipy, whose Code Fragment 2.1 it needs; any other is
     scaled and Pade-approximated by scipy's own C kernels (Al-Mohy & Higham
     2009), then squared s times, in rounds over the cells still to square.
-    scipy is imported here, so commands that transport no covariance skip it.
+    The kernels work in place on each cell's view of one (cells, 5, n, n)
+    workspace, filled and read back once per block of at most 2**16 / n^2
+    cells, so its memory stays near 2.6 MB for any stack.  scipy is imported
+    here, so commands that transport no covariance skip it.
     """
     import scipy.linalg
     from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
@@ -274,19 +287,26 @@ def expm(a: np.ndarray) -> np.ndarray:
     if triangular.size:
         out[triangular] = scipy.linalg.expm(a[triangular])
     general = np.flatnonzero(lower & upper)
-    squarings = np.empty(general.size, dtype=int)
-    work = np.empty((5, n, n))  # scipy's workspace: the kernels scale and overwrite it
-    for j, i in enumerate(general):
-        work[0] = a[i]
-        m, squarings[j] = pick_pade_structure(work)
-        if m < 0:
-            raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
-        info = pade_UV_calc(work, m)
-        if info <= -11:
-            raise MemoryError(f"expm could not allocate its workspace (error code {info})")
-        if info != 0:
-            raise RuntimeError(f"expm got an internal LAPACK error (error code {info})")
-        out[i] = work[0]
+    squarings = []
+    # scipy's workspace, (cells, 5, n, n): its kernels scale and overwrite each cell's slabs
+    step = max(1, _EXPM_BLOCK_ENTRIES // n**2)
+    work = np.empty((min(general.size, step), 5, n, n))
+    for first in range(0, general.size, step):
+        cells = general[first : first + step]
+        block = work[: cells.size]
+        block[:, 0] = a[cells]
+        for cell in block:
+            m, s = pick_pade_structure(cell)
+            if m < 0:
+                raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
+            info = pade_UV_calc(cell, m)
+            if info <= -11:
+                raise MemoryError(f"expm could not allocate its workspace (error code {info})")
+            if info != 0:
+                raise RuntimeError(f"expm got an internal LAPACK error (error code {info})")
+            squarings.append(s)
+        out[cells] = block[:, 0]
+    squarings = np.array(squarings, dtype=int)
     # most squarings first, so round r squares the leading cells with s >= r
     order = np.argsort(-squarings, kind="stable")[: np.count_nonzero(squarings)]
     squared = general[order]
@@ -298,9 +318,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainError | None]:
+def _propagators(
+    k: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, EpchainError | None]:
     """exp(K t) of the generator-major cells of k x times before the first that fails, in
-    order, a finite time, K t, S and S Omega S^T, and the symplectic residual; and its error."""
+    order, a finite time, K t, S and S Omega S^T, and the symplectic residual; per
+    returned cell its residual max|S Omega S^T - Omega| and ||S||_F^2; and the error."""
     cell_times = np.tile(times, len(k))
     omega = symplectic_form(k.shape[1] // 2)
     # a growing S leaves the float range here; each cell is tested for that, so nothing warns
@@ -313,23 +336,78 @@ def _propagators(k: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, EpchainE
         # ||S||_2^2 is at least the largest squared column norm: a residual within
         # half of that scale passes with room for rounding, and only the rest are
         # tested exactly, with ||S||_2 from the SVD
-        columns = np.einsum("cij,cij->cj", s, s).max(axis=1, initial=0.0)
+        squares = np.einsum("cij,cij->cj", s, s)
+        columns = squares.max(axis=1, initial=0.0)
         finite = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(residual)
         lost = np.flatnonzero(finite & ~(residual <= _SYMPLECTIC_RTOL * (1.0 + 0.5 * columns)))
         if lost.size:
             scale = 1.0 + np.linalg.norm(s[lost], 2, axis=(1, 2)) ** 2
             lost = lost[residual[lost] > _SYMPLECTIC_RTOL * scale]
+        frobenius = squares.sum(axis=1)
     failed = np.union1d(np.flatnonzero(~finite), lost)
     stop = int(failed[0]) if failed.size else stop
     if stop == cell_times.size:
-        return s, None
+        return s, residual, frobenius, None
+    passed = s[:stop], residual[:stop], frobenius[:stop]
     t = float(cell_times[stop])
     if not np.isfinite(t):
-        return s[:stop], ConfigError(f"time must be finite, got {t}")
+        return *passed, ConfigError(f"time must be finite, got {t}")
     if stop == len(s) or not finite[stop]:
-        return s[:stop], OverflowRisk(f"propagator at t={t} overflows double precision")
-    return s[:stop], EpchainError(
+        return *passed, OverflowRisk(f"propagator at t={t} overflows double precision")
+    return *passed, EpchainError(
         f"propagator lost symplecticity: residual {residual[stop]:.3e} at t={t}")
+
+
+def _certified_count(
+    sigma0: np.ndarray, cm: np.ndarray, residual: np.ndarray, frobenius: np.ndarray
+) -> int:
+    """The count of leading covariances of the stack cm that the symplectic residual
+    of their propagators proves bona fide, as ``_bona_fide_count`` would decide.
+
+    Each cm is fl(fl(S sigma0) S^T) symmetrized, for the computed S whose
+    computed residual R^ of R = S Omega S^T - Omega and ||S||_F^2 (the
+    ``_propagators`` outputs) are given.  Let n = 2N, u = 2**-53,
+    gamma = n u / (1 - n u), and m = max|sigma^| per cell.
+
+    Exactly, sigma + i Omega = S (sigma0 + i Omega) S^T - i R for
+    sigma = S sigma0 S^T.  The first term is a congruence of sigma0 + i Omega,
+    which is positive semidefinite for a diagonal sigma0 with entries >= 1
+    (per mode [[a, i], [-i, b]] with a b >= 1), so
+    lambda_min(sigma + i Omega) >= -||R||_2 (Weyl).  S Omega is exact (Omega
+    is a signed permutation) and subtracting Omega rounds one entry per row,
+    so ||R||_2 <= n max|R^| + gamma ||S||_F^2 + u max|R^|, with
+    || |S| |S|^T ||_2 <= ||S||_F^2.  fl(fl(S sigma0) S^T) is off sigma by at
+    most 2.01 gamma |S| sigma0 |S|^T entry by entry, at most
+    2.01 gamma ||S||_F^2 ||sigma0||_2 in the 2-norm, and the symmetrization
+    keeps that bound and rounds once more, at most u n m.  With c = 8,
+
+        lambda_min(sigma^ + i Omega) >= -(n max|R^| + c gamma ||S||_F^2 (1 + ||sigma0||_F)
+                                          + c u n m).
+
+    A cell clears where this bound is within half its slack.  For 2N <= 78
+    eigvalsh's own error, at most c n u ||sigma^ + i Omega||_2 <= c n^2 u (m + 1)
+    (``_cholesky_clears``), is below 5.4e-12 (m + 1), under 1/80 of the
+    other half of the slack.  That room also holds what the bound leaves
+    out, all of relative order u: the u max|R^| term, the rounding of
+    ||S||_F^2 and of the bound itself, and underflow, whose absolute errors
+    (n^2 2**-1074 per entry) are far below the slack's 1e-9 floor.  So a
+    cleared cell passes the exact test, and that test still decides and
+    reports every cell from the first one not cleared.  Any other sigma0, or
+    a larger 2N, clears no cell.
+    """
+    n = len(sigma0)
+    diagonal = sigma0.diagonal()
+    if n > _CHOLESKY_CLEARS_SIZE or np.count_nonzero(sigma0) != n or not diagonal.min() >= 1.0:
+        return 0
+    norm = np.abs(cm).max(axis=(1, 2), initial=0.0)
+    slack = np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm)
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (n * residual[: len(cm)]
+                 + 8.0 * gamma * frobenius[: len(cm)] * (1.0 + np.linalg.norm(diagonal))
+                 + 8.0 * _UNIT_ROUNDOFF * n * norm)
+    uncleared = np.flatnonzero(~(bound <= 0.5 * slack))
+    return int(uncleared[0]) if uncleared.size else len(cm)
 
 
 def evolve_grid(
@@ -343,7 +421,11 @@ def evolve_grid(
     and bits on each slice), a finite S and S Omega S^T, the symplectic
     residual, a finite covariance (``OverflowRisk`` where a value is not),
     and bona-fide-ness; ``evolve`` is the case of one generator.  The last
-    two checks are certificate first, as the exact tests decide.
+    two checks are certificate first, as the exact tests decide: where the
+    state's sigma_0 is diagonal with entries >= 1 and 2N <= 78, S's residual
+    and ||S||_F clear bona-fide-ness cell by cell (``_certified_count``),
+    and the Cholesky and ``eigvalsh`` of ``_bona_fide_count`` run only from
+    the first cell not cleared.
 
     Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
     and the error of the first cell that failed, or None when all G x T
@@ -356,7 +438,7 @@ def evolve_grid(
         raise ConfigError(
             f"generators must be a stack of {size}x{size} matrices, got shape {k.shape}"
         )
-    s, error = _propagators(k, times)
+    s, residual, frobenius, error = _propagators(k, times)
     # S sigma S^T with distinct operands: a shortcut such as S @ S^T for the
     # vacuum would let numpy switch to another BLAS kernel and move the bits
     with np.errstate(over="ignore", invalid="ignore"):
@@ -367,5 +449,8 @@ def evolve_grid(
         cm = cm[: overflowed[0]]
         t = float(times[overflowed[0] % times.size])
         error = OverflowRisk(f"covariance at t={t} overflows double precision")
-    stop, not_bona_fide = _bona_fide_count(cm)
-    return cm[:stop], not_bona_fide or error
+    cleared = _certified_count(state.cm, cm, residual, frobenius)
+    if cleared == len(cm):
+        return cm, error
+    stop, not_bona_fide = _bona_fide_count(cm[cleared:])
+    return cm[: cleared + stop], not_bona_fide or error

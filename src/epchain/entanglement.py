@@ -9,8 +9,9 @@ eigenvalues below 1 quantifies the violation.
 
 Besides the numeric pipeline (build the chain, transport the vacuum
 covariance, partial-transpose, Cholesky-factor (or refuse), eigensolve;
-``witness_stack`` runs it on a stack of covariances for the fig2, fig4 and
-entangle sweeps, and ``entanglement_result`` and ``symplectic_eigenvalues``
+``witness_stack`` runs it on a stack of covariances, the fig2, fig4 and
+entangle sweeps run its core on their own exactly symmetric stacks without
+its input checks, and ``entanglement_result`` and ``symplectic_eigenvalues``
 are its one-matrix case), the module carries closed-form witnesses for
 three reference families: the two-mode chain without on-site squeezing,
 the uniform chain at g = J with an arbitrary hopping phase (whose invariant
@@ -194,8 +195,9 @@ def _spectra(sigmas: np.ndarray) -> np.ndarray:
 
 
 def _witnesses(pt: np.ndarray, half_log_det: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic spectra and E_N of a stack of partial transposes (refused off half_log_det)."""
-    values = _spectra(_symmetrized(pt, "matrix"))
+    """Symplectic spectra and E_N of a finite, exactly symmetric stack of partial
+    transposes (refused off half_log_det)."""
+    values = _spectra(pt)
     if half_log_det is not None:
         drift = np.abs(np.sum(np.log(values), axis=1) - half_log_det)
         broken = drift[~(drift <= _INVARIANT_TOL)]
@@ -219,7 +221,7 @@ def entanglement_result(state: GaussianState, part: Bipartition) -> Entanglement
 
     Raises ``PrecisionLoss`` where the partial transpose is not positive definite.
     """
-    values, neg = _witnesses(partial_transpose(state, part)[None])
+    values, neg = _witnesses(_symmetrized(partial_transpose(state, part)[None], "matrix"))
     return EntanglementResult(
         partition=part,
         symplectic_eigenvalues_pt=tuple(values[0].tolist()),
@@ -247,6 +249,15 @@ def witness_stack(
         raise InvalidBipartition(
             f"partition is for {n} modes but the covariances have shape {cms.shape}"
         )
+    # symmetrized before the sign flips: the same bits and errors as after them
+    return _cut_witnesses(_symmetrized(cms, "matrix"), part, half_log_det)
+
+
+def _cut_witnesses(
+    cms: np.ndarray, part: Bipartition, half_log_det: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``witness_stack`` of a finite, exactly symmetric stack, such as ``evolve_grid``'s,
+    without its input checks."""
     values, neg = _witnesses(cms * _flip_signs(part), half_log_det)
     return values[:, 0], neg
 

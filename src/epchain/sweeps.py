@@ -11,7 +11,8 @@ by the same rule.  fig2 and fig4 turn the stack into generators with
 ``generator_stack``, and the numeric witness presets (fig2, fig4 and its
 arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
-``witness_stack`` evaluates nu_- and E_N per cut.  ``evolve`` and
+``witness_stack``'s core (without its input checks, which the kernel's own
+stacks pass by construction) evaluates nu_- and E_N per cut.  ``evolve`` and
 ``entanglement_result`` are their one-cell case, so every value equals what
 they give for that cell, and a failing check raises the error a loop over
 the cells would raise first.  The kernel works
@@ -73,6 +74,7 @@ from .chain import (
 from .dynamics import GaussianState, _sample_times, evolve, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
+    _cut_witnesses,
     _surface_hopping,
     enhancement_ratio,
     nu_closed_form_bkc_ep,
@@ -205,7 +207,13 @@ def _table_template(
         else:
             # not np.asarray: numpy coerces a mixed list, 1e-05 beside text to '1e-05'
             specs.append(("%s", True))
-            cells.append(list(map(text, map(format_value, column))))
+            if set(map(type, column)) <= {str}:
+                # format_value is the identity on str, and text escapes each distinct
+                # str once; no other cell skips format_value through a table keyed on
+                # values, where -0.0 == 0.0 and True == 1 would share an entry
+                cells.append(list(map(text, column)))
+            else:
+                cells.append(list(map(text, map(format_value, column))))
     stacked = np.empty((lengths.pop() if lengths else 0, len(floats)))
     for j, column in enumerate(floats):
         stacked[:, j] = column
@@ -251,8 +259,9 @@ def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequen
     to float64 and its '%.17g' text made in numpy (``floattext.float_texts``,
     ``BLOCK_CELLS`` = 4096 cells at a time, so the layout's temporaries stay
     near 1 MB), an int array is written with %d and a bool array as
-    ``true``/``false``; any other column, a list or a text array, goes cell by
-    cell through ``format_value``, and each distinct text is escaped once.
+    ``true``/``false``; a column of ``str`` cells is escaped once per
+    distinct text, and any other column, a list or a text array, goes cell
+    by cell through ``format_value`` first.
     The rows are then formatted by one %-template for the table.  A column
     count other than the header's, or columns of unequal length, raise
     ``ConfigError``.
@@ -319,7 +328,9 @@ def _witness_map(
     Returns one (nu_minus, log_negativity) pair of arrays per cut over the
     leading cells that passed every check, their covariances when
     ``keep_cm``, and the error of the first failing cell (None if none);
-    a witness that ``witness_stack`` refuses is raised instead.
+    a witness that ``witness_stack`` refuses is raised instead.  The chunks
+    come from ``evolve_grid``, exactly symmetric and finite, so they skip
+    ``witness_stack``'s input checks.
 
     The calling thread evolves the chunks in order and stops at the first
     with an error.  With ``threads > 1`` and more than one chunk it hands
@@ -362,10 +373,10 @@ def _witness_map(
                 cms.append(chunk)
             if pool is None:
                 # a cell witness_stack refuses comes before any evolve_grid stopped at, so it raises
-                witnesses.append([witness_stack(chunk, part, half_log_det) for part in parts])
+                witnesses.append([_cut_witnesses(chunk, part, half_log_det) for part in parts])
             else:
                 pending.append(
-                    [pool.submit(witness_stack, chunk, part, half_log_det) for part in parts])
+                    [pool.submit(_cut_witnesses, chunk, part, half_log_det) for part in parts])
                 if len(pending) > threads:
                     collect()
             if error is not None:
@@ -472,7 +483,8 @@ def entanglement_trajectory(
     n2 = 2 * spec.n_modes
     upper = np.triu_indices(n2)
     if include_cm:
-        header += [f"cm_{i+1}_{j+1}" for i, j in zip(*upper)]
+        # Python ints format several times faster than numpy's
+        header += [f"cm_{i+1}_{j+1}" for i, j in zip(upper[0].tolist(), upper[1].tolist())]
     state0 = initial_state(spec.n_modes)
     try:
         witnesses, cms, error = _witness_map(state0, k.data[None], ts, parts, threads, include_cm)

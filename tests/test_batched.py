@@ -266,18 +266,20 @@ class TestOneCellCase:
         assert calls == [(1, 6, 6), (6, 6, 6)]
 
     def test_one_bona_fide_check_per_evolve(self, monkeypatch):
-        # the returned states are evolve_grid's checked covariances, not checked again
-        state = initial_state(3)
+        # the returned states are evolve_grid's checked covariances, not checked
+        # again, whether its certificate cleared them (the vacuum) or its exact
+        # test (an evolved, not diagonal sigma_0)
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.8, j=1.0)))
-        calls, count = [], dynamics._bona_fide_count
-        monkeypatch.setattr(dynamics, "_bona_fide_count", lambda cm: calls.append(len(cm)) or count(cm))
-        evolved = evolve(state, k, 1.5)
-        assert calls == [1]
-        assert not evolved.cm.flags.writeable
-        assert bits(evolved.cm) == bits(reference_evolve(state, k, 1.5))
-        trajectory = evolve_trajectory(state, k, [0.5, 1.0, 2.0])
-        assert calls == [1, 3]
-        assert not any(s.cm.flags.writeable for s in trajectory)
+        states = [initial_state(3), GaussianState(3, evolve(initial_state(3), k, 0.4).cm)]
+        calls = []
+        monkeypatch.setattr(GaussianState, "__post_init__", lambda state: calls.append(state))
+        for state in states:
+            evolved = evolve(state, k, 1.5)
+            assert not evolved.cm.flags.writeable
+            assert bits(evolved.cm) == bits(reference_evolve(state, k, 1.5))
+            trajectory = evolve_trajectory(state, k, [0.5, 1.0, 2.0])
+            assert not any(s.cm.flags.writeable for s in trajectory)
+        assert calls == []
 
 
 def guard_outcome(result):
@@ -302,6 +304,41 @@ multiples = st.lists(
     st.floats(0.05, 1.6) | st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5]),
     min_size=1, max_size=6,
 )
+
+
+def residual_kicks(cells, sizes, seed):
+    """Per (K, t) cell a kick to one entry of exp(K t) that moves its symplectic
+    residual to f (1 + ||S||_2^2) 1e-10, f cycling through sizes."""
+    rng = np.random.default_rng(seed)
+    size = len(cells[0][0])
+    omega = symplectic_form(size // 2)
+    units = np.eye(size * size).reshape(-1, size, size)
+    kicks = np.zeros((len(cells), size, size))
+    for c, (kg, t) in enumerate(cells):
+        s = scipy.linalg.expm(kg * t)
+        # the residual's first-order change per unit kick; some kicks leave it unchanged
+        linear = np.abs(units @ omega @ s.T + s @ omega @ units.transpose(0, 2, 1))
+        linear = linear.max(axis=(1, 2))
+        entry = rng.choice(np.flatnonzero(linear >= 0.5 * linear.max()))
+        target = dynamics._SYMPLECTIC_RTOL * (1.0 + np.linalg.norm(s, 2) ** 2)
+        kicks[c] = sizes[c % len(sizes)] * target / linear[entry] * units[entry]
+    return kicks
+
+
+def kicked_evolve(state, kg, t, kick):
+    """``reference_evolve`` of one cell with exp(K t) + kick as its propagator."""
+    omega = symplectic_form(state.n_modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = scipy.linalg.expm(kg * t) + kick
+        if not (np.isfinite(s).all() and np.isfinite(s @ omega @ s.T).all()):
+            raise OverflowRisk(f"propagator at t={t} overflows double precision")
+    reference_symplectic_check(s, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cm = s @ state.cm @ s.T
+        cm = 0.5 * (cm + cm.T)
+    if not np.isfinite(cm).all():
+        raise OverflowRisk(f"covariance at t={t} overflows double precision")
+    return reference_bona_fide_check(cm)
 
 
 class TestCertifiedGuards:
@@ -338,56 +375,100 @@ class TestCertifiedGuards:
     )
     @settings(max_examples=60, deadline=None)
     def test_symplectic_residual_matches_svd(self, specs, times, sizes, seed):
-        # each S gets one entry moved so that its residual is f (1 + ||S||_2^2) 1e-10
         k = np.stack([quadrature_generator(build_bdg_matrix(spec)).data for spec in specs])
         times = np.array(sorted(times))
         cells = [(kg, t) for kg in k for t in times]
-        rng = np.random.default_rng(seed)
-        omega = symplectic_form(k.shape[1] // 2)
-        size = k.shape[1]
-        units = np.eye(size * size).reshape(-1, size, size)
-        kicks = np.zeros((len(cells), size, size))
-        for c, (kg, t) in enumerate(cells):
-            s = scipy.linalg.expm(kg * t)
-            # the residual's first-order change per unit kick; some kicks leave it unchanged
-            linear = np.abs(units @ omega @ s.T + s @ omega @ units.transpose(0, 2, 1))
-            linear = linear.max(axis=(1, 2))
-            entry = rng.choice(np.flatnonzero(linear >= 0.5 * linear.max()))
-            target = dynamics._SYMPLECTIC_RTOL * (1.0 + np.linalg.norm(s, 2) ** 2)
-            kicks[c] = sizes[c % len(sizes)] * target / linear[entry] * units[entry]
+        kicks = residual_kicks(cells, sizes, seed)
         expm = dynamics.expm
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "expm", lambda a: expm(a) + kicks[: len(a)])
-            got = guard_outcome(dynamics._propagators(k, times))
-        assert got == reference_guard(
+            s, _, _, error = dynamics._propagators(k, times)
+        assert guard_outcome((s, error)) == reference_guard(
             lambda kg, t, kick: reference_symplectic_check(scipy.linalg.expm(kg * t) + kick, t),
             [(kg, t, kick) for (kg, t), kick in zip(cells, kicks)],
         )
 
+    @given(spec_stacks(), st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4), multiples,
+           st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-2, 1e-3, 1e-4]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_transport_certificate_matches_eigvalsh(self, specs, times, sizes, seed, scale, data):
+        # propagators kicked as in test_symplectic_residual_matches_svd, within the
+        # residual bound and of either sign, from a thermal sigma_0 with pure modes
+        # and from one that is not diagonal; a slack cut by up to 1e4 puts kicked
+        # cells on both sides of the bona fide test, and for 2N <= 12 still leaves
+        # the certificate's room for eigvalsh's error (8 (2N)^2 u (m + 1))
+        n = specs[0].n_modes
+        k = np.stack([quadrature_generator(build_bdg_matrix(spec)).data for spec in specs])
+        times = np.array(sorted(times))
+        cells = [(kg, t) for kg in k for t in times]
+        kicks = residual_kicks(cells, [0.5 * f for f in sizes], seed)
+        kicks *= np.random.default_rng(seed).choice([-1.0, 1.0], size=len(cells))[:, None, None]
+        occupancies = st.lists(st.just(0.0) | st.floats(0.0, 2.0), min_size=n, max_size=n)
+        thermal = initial_state(n, data.draw(occupancies))
+        mixer = scipy.linalg.expm(0.3 * k[0])
+        states = [thermal, GaussianState(n, mixer @ thermal.cm @ mixer.T)]
+        expm, cholesky = dynamics.expm, np.linalg.cholesky
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_BONA_FIDE_ATOL", scale * dynamics._BONA_FIDE_ATOL)
+            patch.setattr(dynamics, "_BONA_FIDE_RTOL", scale * dynamics._BONA_FIDE_RTOL)
+            for state in states:
+                calls = []
+                with pytest.MonkeyPatch.context() as kernel:
+                    kernel.setattr(dynamics, "expm", lambda a: expm(a) + kicks[: len(a)])
+                    kernel.setattr(np.linalg, "cholesky", lambda a: calls.append(a.dtype) or cholesky(a))
+                    s, residual, frobenius, _ = dynamics._propagators(k, times)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        cm = s @ state.cm @ s.transpose(0, 2, 1)
+                        cm = 0.5 * (cm + cm.transpose(0, 2, 1))
+                    cm = cm[: np.count_nonzero(np.isfinite(cm).all(axis=(1, 2)).cumprod())]
+                    cleared = dynamics._certified_count(state.cm, cm, residual, frobenius)
+                    got = guard_outcome(evolve_grid(state, k, times))
+                for m in cm[:cleared]:
+                    reference_bona_fide_check(m)
+                assert got == reference_guard(
+                    lambda kg, t, kick: kicked_evolve(state, kg, t, kick),
+                    [(kg, t, kick) for (kg, t), kick in zip(cells, kicks)],
+                )
+                if state is not thermal and np.count_nonzero(state.cm) > 2 * n:
+                    # no certificate: the exact test runs on every cell that evolved
+                    assert cleared == 0
+                    assert len(cm) == 0 or calls == [np.dtype(complex)]
+
     def test_clean_stacks_run_no_eigensolve(self, monkeypatch):
-        # fig2- and fig4-sized stacks as the benchmark's small_maps runs them
+        # fig2-, fig4- and long_chain-sized stacks as the benchmark runs them
+        # built first: each state checks itself with one Cholesky of sigma_0 + i Omega
+        vacuum = {n: initial_state(n) for n in (2, 3, 30)}
         calls = []
-        eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+        eigvalsh, norm, cholesky = np.linalg.eigvalsh, np.linalg.norm, np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+        monkeypatch.setattr(  # the bona fide check's Cholesky of sigma + i Omega
+            np.linalg, "cholesky",
+            lambda a: (np.iscomplexobj(a) and calls.append("cholesky")) or cholesky(a),
+        )
         monkeypatch.setattr(  # the spectral norm is an SVD per matrix
             np.linalg, "norm",
             lambda x, ord=None, axis=None: (ord == 2 and calls.append("svd")) or norm(x, ord, axis),
         )
         g = SweepAxis("g", 0.5, 1.5, 9).values()
         k2 = generator_stack(uniform_bdg_stack(2, g=g, j=1.0, eta=0.2))
-        cms, error = evolve_grid(initial_state(2), k2, SweepAxis("t", 0.0, 5.0, 201).values())
+        cms, error = evolve_grid(vacuum[2], k2, SweepAxis("t", 0.0, 5.0, 201).values())
         assert error is None and len(cms) == 9 * 201
         grid = SweepAxis("g1", 0.0, 2.0, 21).values().tolist()
         k4 = generator_stack(bdg_stack([(g1, g2) for g1 in grid for g2 in grid], 1.0, 0.0))
-        cms, error = evolve_grid(initial_state(3), k4, [5.0])
+        cms, error = evolve_grid(vacuum[3], k4, [5.0])
         assert error is None and len(cms) == 21 * 21
+        for phi in (np.pi / 2, 0.0):
+            spec = ChainSpec.uniform(30, g=1.0, j=1.0, phi=phi)
+            k30 = quadrature_generator(build_bdg_matrix(spec)).data[None]
+            cms, error = evolve_grid(vacuum[30], k30, SweepAxis("t", 0.0, 3.0, 31).values())
+            assert error is None and len(cms) == 31
         assert calls == []
         # the exact tests still run where a certificate cannot clear: exp((K + lam I) t)
         # of the bounded g = 1.5 chain has a symplectic residual of about 2 lam t
-        _, error = evolve_grid(initial_state(2), k2[-1:] + 1e-12 * np.eye(4), [1e3])
+        _, error = evolve_grid(vacuum[2], k2[-1:] + 1e-12 * np.eye(4), [1e3])
         assert type(error) is EpchainError
         dynamics._bona_fide_count((1.0 - 1e-6) * np.eye(4)[None])
-        assert calls == ["svd", "eigvalsh"]
+        assert calls == ["svd", "cholesky", "eigvalsh"]
 
     def test_cholesky_certificate_size(self, monkeypatch):
         # n (8 n (n + 1) + 8 n + 1) u stays below 4.5e-10 up to 2N = 78, not beyond

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from epchain import cli
 from epchain.chain import symplectic_form
 from epchain.cli import build_parser, main
 
@@ -362,6 +363,18 @@ class TestFigureCommands:
         payload = json.loads(out.read_text())
         assert payload["columns"] == ["N", "phi", "nu_minus", "neg_log_nu"]
         assert len(payload["rows"]) == 3
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig4"])
+def test_default_threads_counted_per_call(command, tmp_path, monkeypatch):
+    # main reuses one parser, so --threads' default (the usable cores) is
+    # counted when each command runs, not when the parser was built
+    seen, builder = [], getattr(cli, f"{command}_grid")
+    monkeypatch.setattr(cli, f"{command}_grid", lambda **kw: seen.append(kw["threads"]) or builder(**kw))
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        assert main([command, "--g-steps", "2", "--out", str(tmp_path / "x.csv")]) == 0
+    assert seen == [1, 2]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "entangle", "fig3", "es-scan"])
