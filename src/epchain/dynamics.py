@@ -43,6 +43,7 @@ from .errors import (
     NegativeOccupancy,
     NonFiniteParameter,
     OverflowRisk,
+    SymplecticityLost,
     UnsortedTimes,
 )
 
@@ -181,7 +182,12 @@ def initial_state(n_modes: int, thermal_occupancies: Sequence[float] | float | N
     if np.any(occ < 0) or not np.all(np.isfinite(occ)):
         raise NegativeOccupancy(f"occupancies must be finite and nonnegative, got {occ}")
     diag = np.repeat(2.0 * occ + 1.0, 2)
-    return GaussianState(n_modes=n_modes, cm=np.diag(diag))
+    if not np.isfinite(diag).all():
+        raise NonFiniteParameter("covariance matrix has a NaN or infinite entry")
+    # diag(2 n + 1) with n >= 0 is symmetric and bona fide by construction
+    cm = np.diag(diag)
+    cm.setflags(write=False)
+    return GaussianState._checked(n_modes, cm)
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,8 @@ def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
     OverflowRisk
         If K t, exp(K t) or S Omega S^T is not finite: the propagator has left
         the range of double precision at t.
+    SymplecticityLost
+        If max|S Omega S^T - Omega| exceeds 1e-10 (1 + ||S||_2^2).
     """
     s, _, _, error = _propagators(k.data[None], np.array([t], dtype=float))
     if error is not None:
@@ -354,7 +362,7 @@ def _propagators(
         return *passed, ConfigError(f"time must be finite, got {t}")
     if stop == len(s) or not finite[stop]:
         return *passed, OverflowRisk(f"propagator at t={t} overflows double precision")
-    return *passed, EpchainError(
+    return *passed, SymplecticityLost(
         f"propagator lost symplecticity: residual {residual[stop]:.3e} at t={t}")
 
 

@@ -26,6 +26,7 @@ spectrum off it (``PrecisionLoss``), where rounding has eaten the witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -396,6 +397,7 @@ def nu_closed_form_two_mode(g: float, j: float, t: float) -> float:
     return _nu_from_excess(y)
 
 
+@functools.cache
 def xi_series_coefficients(max_n: int) -> tuple[float, ...]:
     """Exact coefficients c_1 .. c_(max_n - 1) of the coalescence-point invariant.
 
@@ -406,7 +408,8 @@ def xi_series_coefficients(max_n: int) -> tuple[float, ...]:
         c_j = 2 * 4^j / (j!)^2,
 
     the degree-(N-1) truncation of 2 I_0(4 J t) - 1.  Each value is the
-    correctly rounded quotient of two integers.
+    correctly rounded quotient of two integers.  The tuple is cached per
+    max_n: fig3 asks for the same few again for every cell.
     """
     if max_n < 2:
         raise OutOfRange(f"max_n must be at least 2, got {max_n}")

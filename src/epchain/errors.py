@@ -70,6 +70,14 @@ class OverflowRisk(EpchainError, ArithmeticError):
     """
 
 
+class SymplecticityLost(EpchainError, ArithmeticError):
+    """Rounding broke the propagator's symplecticity.
+
+    Its residual max|S Omega S^T - Omega| exceeds 1e-10 (1 + ||S||_2^2); the
+    message states the residual and the time.
+    """
+
+
 class UnsortedTimes(ConfigError):
     """Trajectory sample times must be sorted ascending."""
 

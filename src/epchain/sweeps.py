@@ -37,10 +37,12 @@ its dtype, with a pinned float format of 17 significant digits, so
 identical configurations produce byte-identical files regardless of thread
 count.  ``format_value`` is the one-value reference for that text, and
 ``write_rows`` gives the same bytes: the float columns are stacked into one
-float64 array whose text ``floattext.float_texts`` makes in numpy, leaving
-to Python's own '%.17g' only the cells it cannot certify (rounding ties,
-non-finite values, magnitudes outside [1e-280, 1e280]), and each row is
-one %-template, built once per table.
+float64 array, and each run of adjacent float columns becomes one template
+argument per row, whose text ``floattext.run_texts`` makes in numpy with
+the format's separator between its cells, leaving to Python's own '%.17g'
+only the cells it cannot certify (rounding ties outside -6 <= e <= 16,
+non-finite values, magnitudes outside [1e-280, 1e280]); each row is one
+%-template, built once per table.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
 configuration (the config file's keys and the value of every option that
 changes the data) and the tool version.
@@ -82,7 +84,7 @@ from .entanglement import (
     witness_stack,
 )
 from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, PrecisionLoss
-from .floattext import BLOCK_CELLS, float_texts
+from .floattext import BLOCK_CELLS, run_texts
 from .spectral import (
     _REGIONS,
     DEFAULT_RANK_TOL,
@@ -178,26 +180,33 @@ def _csv_text(text: str) -> str:
 
 def _table_template(
     header: Sequence[str], columns: Sequence[Sequence], fmt: str, text
-) -> tuple[str, list, np.ndarray]:
-    """The table's row %-template, its columns as template arguments and its
-    float columns stacked as one (rows, k) float64 array.
+) -> tuple[str, list, np.ndarray, np.ndarray, str]:
+    """The table's row %-template, its columns as template arguments, its
+    float columns stacked as one (rows, k) float64 array, which of those
+    columns end a run of adjacent float columns, and the text between two
+    cells of a run.
 
-    A float array's arguments are None (its text is made from the stack), an
-    int array's are its Python ints, a bool array's its lowercase names, and
-    any other column's the ``format_value`` text of each cell, escaped.
+    A run of float arrays is one argument, None (its text is made from the
+    stack); an int array's arguments are its Python ints, a bool array's its
+    lowercase names, and any other column's the ``format_value`` text of each
+    cell, escaped.
     """
     if len(columns) != len(header):
         raise ConfigError(f"table has {len(header)} header names but {len(columns)} columns")
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ConfigError(f"table columns differ in length: {[len(column) for column in columns]}")
-    specs, cells, floats = [], [], []
+    specs, cells, floats, run_ends = [], [], [], []
     for column in columns:
         kind = column.dtype.kind if isinstance(column, np.ndarray) else None
         if kind == "f":
-            specs.append(("%s", False))
-            cells.append(None)
+            if cells and cells[-1] is None:
+                run_ends[-1] = False  # the run goes on
+            else:
+                specs.append(("%s", False))
+                cells.append(None)
             floats.append(column)
+            run_ends.append(True)
         elif kind in ("i", "u"):
             specs.append(("%d", False))
             cells.append(column.tolist())
@@ -214,39 +223,37 @@ def _table_template(
                 cells.append(list(map(text, column)))
             else:
                 cells.append(list(map(text, map(format_value, column))))
-    stacked = np.empty((lengths.pop() if lengths else 0, len(floats)))
-    for j, column in enumerate(floats):
-        stacked[:, j] = column
+    n_rows = lengths.pop() if lengths else 0
+    stacked = np.array(floats, dtype=np.float64).reshape(len(floats), n_rows).T
+    run_ends = np.array(run_ends, dtype=bool)
     if fmt == "csv":
         if specs == [("%s", True)]:
             # csv quotes a row's only cell when it is empty
             cells[0] = [cell or '""' for cell in cells[0]]
-        return ",".join(spec for spec, _ in specs) + "\n", cells, stacked
+        return ",".join(spec for spec, _ in specs) + "\n", cells, stacked, run_ends, ","
     items = ",\n".join(f"   {spec}" if escaped else f'   "{spec}"' for spec, escaped in specs)
-    return f"  [\n{items}\n  ]", cells, stacked
+    # within a run, a cell closes its quote and the next opens its own item
+    return f"  [\n{items}\n  ]", cells, stacked, run_ends, '",\n   "'
 
 
-def _formatted_rows(template: str, cells: list, stacked: np.ndarray) -> Iterable[str]:
+def _formatted_rows(
+    template: str, cells: list, stacked: np.ndarray, run_ends: np.ndarray, sep: str
+) -> Iterable[str]:
     """Each row of the table as text.
 
-    ``float_texts`` makes the text of the stacked float columns about
-    ``BLOCK_CELLS`` cells at a time.  A table of floats alone is cut into
-    rows straight from that text; any other zips each float column's text
-    with the other columns' arguments.
+    ``run_texts`` makes the text of the stacked float columns in blocks of
+    whole rows, about ``BLOCK_CELLS`` cells (at least one row) at a time, one
+    str per run of a row; they are zipped with the other columns' arguments.
     """
-    k = stacked.shape[1]
-    floats = [i for i, cell in enumerate(cells) if cell is None]
-    step = max(1, BLOCK_CELLS // max(1, k))
+    runs = [i for i, cell in enumerate(cells) if cell is None]
+    step = max(1, BLOCK_CELLS // max(1, stacked.shape[1]))
     for first in range(0, len(stacked), step):
-        texts = float_texts(stacked[first : first + step].ravel())
-        if k == len(cells):
-            args = zip(*[iter(texts)] * k)
-        else:
-            block = [None if cell is None else cell[first : first + step] for cell in cells]
-            for j, i in enumerate(floats):
-                block[i] = texts[j::k]
-            args = zip(*block)
-        yield from map(template.__mod__, args)
+        block = [None if cell is None else cell[first : first + step] for cell in cells]
+        if runs:  # a table without floats needs no formatter tables
+            texts = run_texts(stacked[first : first + step], run_ends, sep)
+            for j, i in enumerate(runs):
+                block[i] = texts[j :: len(runs)]
+        yield from map(template.__mod__, zip(*block))
 
 
 def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequence], fmt: str = "csv") -> Path:
@@ -255,13 +262,15 @@ def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequen
     Every cell reads as ``format_value`` writes it, quoted as ``csv.writer``
     quotes it or laid out as ``json.dumps({"columns": header, "rows":
     rows}, indent=1, sort_keys=True)`` lays out the rows ``zip(*columns)``.
-    Each column is formatted once, by its type: a numpy float array is cast
-    to float64 and its '%.17g' text made in numpy (``floattext.float_texts``,
-    ``BLOCK_CELLS`` = 4096 cells at a time, so the layout's temporaries stay
-    near 1 MB), an int array is written with %d and a bool array as
-    ``true``/``false``; a column of ``str`` cells is escaped once per
-    distinct text, and any other column, a list or a text array, goes cell
-    by cell through ``format_value`` first.
+    Each column is formatted once, by its type: numpy float arrays are cast
+    to float64, and each run of adjacent ones is one argument of the row
+    template, whose '%.17g' text, cells and separators, is made in numpy
+    (``floattext.run_texts``, in blocks of whole rows of about
+    ``BLOCK_CELLS`` = 4096 cells, so the layout's temporaries stay near
+    1 MB unless one row is wider); an int array is written with %d and a
+    bool array as ``true``/``false``; a column of ``str`` cells is escaped
+    once per distinct text, and any other column, a list or a text array,
+    goes cell by cell through ``format_value`` first.
     The rows are then formatted by one %-template for the table.  A column
     count other than the header's, or columns of unequal length, raise
     ``ConfigError``.

@@ -11,10 +11,10 @@ from epchain import ChainSpec, EntanglementResult, dynamics, entanglement, sympl
 from epchain.errors import (
     AsymmetricInput,
     ConfigError,
-    EpchainError,
     InvalidBipartition,
     OverflowRisk,
     PrecisionLoss,
+    SymplecticityLost,
 )
 
 
@@ -93,7 +93,7 @@ def reference_symplectic_check(s, t):
     residual = float(np.abs(s @ omega @ s.T - omega).max())
     scale = 1.0 + float(np.linalg.norm(s, 2)) ** 2
     if residual > dynamics._SYMPLECTIC_RTOL * scale:
-        raise EpchainError(f"propagator lost symplecticity: residual {residual:.3e} at t={t}")
+        raise SymplecticityLost(f"propagator lost symplecticity: residual {residual:.3e} at t={t}")
     return s
 
 

@@ -60,6 +60,7 @@ from epchain.errors import (
     ImaginaryResidual,
     OverflowRisk,
     PrecisionLoss,
+    SymplecticityLost,
 )
 from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_tables, fig4_grid
 
@@ -436,8 +437,6 @@ class TestCertifiedGuards:
 
     def test_clean_stacks_run_no_eigensolve(self, monkeypatch):
         # fig2-, fig4- and long_chain-sized stacks as the benchmark runs them
-        # built first: each state checks itself with one Cholesky of sigma_0 + i Omega
-        vacuum = {n: initial_state(n) for n in (2, 3, 30)}
         calls = []
         eigvalsh, norm, cholesky = np.linalg.eigvalsh, np.linalg.norm, np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
@@ -449,6 +448,8 @@ class TestCertifiedGuards:
             np.linalg, "norm",
             lambda x, ord=None, axis=None: (ord == 2 and calls.append("svd")) or norm(x, ord, axis),
         )
+        # vacuum is bona fide by construction: building it proves nothing
+        vacuum = {n: initial_state(n) for n in (2, 3, 30)}
         g = SweepAxis("g", 0.5, 1.5, 9).values()
         k2 = generator_stack(uniform_bdg_stack(2, g=g, j=1.0, eta=0.2))
         cms, error = evolve_grid(vacuum[2], k2, SweepAxis("t", 0.0, 5.0, 201).values())
@@ -466,7 +467,7 @@ class TestCertifiedGuards:
         # the exact tests still run where a certificate cannot clear: exp((K + lam I) t)
         # of the bounded g = 1.5 chain has a symplectic residual of about 2 lam t
         _, error = evolve_grid(vacuum[2], k2[-1:] + 1e-12 * np.eye(4), [1e3])
-        assert type(error) is EpchainError
+        assert type(error) is SymplecticityLost
         dynamics._bona_fide_count((1.0 - 1e-6) * np.eye(4)[None])
         assert calls == ["svd", "cholesky", "eigvalsh"]
 
@@ -479,8 +480,8 @@ class TestCertifiedGuards:
         assert factor(size) < 4.5e-10 <= factor(size + 2)
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        initial_state(size // 2)
-        initial_state(size // 2 + 1)
+        GaussianState(size // 2, np.eye(size))
+        GaussianState(size // 2 + 1, np.eye(size + 2))
         assert calls == [(1, size + 2, size + 2)]
 
 
@@ -588,7 +589,7 @@ class TestKernelFailures:
         cms, error = assert_kernel_matches_scalar(
             initial_state(2), generators, times, [Bipartition.one_vs_rest(2)]
         )
-        assert type(error) is EpchainError and len(times) < len(cms) < 2 * len(times)
+        assert type(error) is SymplecticityLost and len(times) < len(cms) < 2 * len(times)
 
     def test_not_bona_fide(self, monkeypatch):
         # a negative slack fails the bona fide check once the thermal

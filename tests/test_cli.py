@@ -197,6 +197,18 @@ class TestEntangleCommand:
             assert err.rstrip().endswith(f"(t={t}, cut 1|2)")
             assert not out.exists()
 
+    def test_lost_symplecticity_exits_3(self, tmp_path, capsys):
+        # the bounded chain's rounded propagator breaks S Omega S^T = Omega at t = 13090
+        cfg = write_json(tmp_path / "lost.json", {
+            "n": 2, "g": 1.5, "J": 1.0, "eta": 0.2, "times": [0.0, 13090.0],
+        })
+        out = tmp_path / "lost.csv"
+        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: SymplecticityLost: propagator lost symplecticity: residual" in err
+        assert err.rstrip().endswith("at t=13090.0")
+        assert not out.exists()
+
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "o.json", {
             "n": 2, "eta": 5.0, "times": [0.0, 0.5, 1.0, 75.0, 100.0],
@@ -609,10 +621,12 @@ def test_float_formatting_17_digits(tmp_path):
 # column writer replaced it: they pin int, bool and text columns in both
 # layouts.
 GOLDEN_SHA256 = {
+    "cm.csv": "77a3bd95692b4f2da861b6525ae535f03ceb41a34f0c7ff0ad075739554b01be",
     "ent.json": "ad513755c1f1d2b64a9f8864d776317337adc0d8e5343a22c7ba231b75d0502a",
     "es.csv": "91202226cd30a298a7e0803ef728c68a74926d332722e6d472ecc930de0b0796",
     "es.json": "d3bb95a7d407ba1c6c485f3cf94f8f0b2c3314837b5d833acac51be00ff8f0e1",
     "fig2.csv": "63c2999c785f1d3d1210b76cc90eedaf736a243201f5d34196f8c26a85cecb88",
+    "fig2.json": "0b51bfa58459aab9fff2dd9c6a394a8f775ff1efccf0df3a0b76a2ba2025458e",
     "fig3.csv": "a3a4f32f26e5d35f2141ef56b42fcc7230b7673bc0fe1aeecc3aa7468278e4dc",
     "fig3_ratio.csv": "226cb8682ddd020de1d8ca300c3f8e5899562d48bf749c84f23073a0b9b8c5c5",
     "fig4.csv": "804bb8b8166baa60f90f2e48028329cc5f8cf991e6e594b6e09cb1d042e65e24",
@@ -635,6 +649,11 @@ def golden_outputs(tmp_path):
     trunc = write_json(tmp_path / "trunc_cfg.json", {
         "n": 10, "g": 1.5, "J": 1.0, "eta": 5.0, "times": [0.0, 0.5, 1.0, 75.0, 100.0],
     })
+    # long_chain's N = 30 table, all floats; the t = 1e-310 row holds
+    # subnormal covariances, which take Python's own '%.17g'
+    cm = write_json(tmp_path / "cm_cfg.json", {
+        "n": 30, "g": 1.0, "J": 1.0, "phi": math.pi / 2, "times": [0.0, 1e-310, 0.5, 1.5, 3.0],
+    })
     # a g-sweep through the order-3 EP at g = J, phi = pi/2; its manifest
     # pins the located transitions and the detected clusters
     spec = write_json(tmp_path / "spec_cfg.json", {
@@ -649,11 +668,15 @@ def golden_outputs(tmp_path):
         ["es-scan", "--detect-everywhere", "--out", "es.csv"],
         ["es-scan", "--detect-everywhere", "--format", "json", "--out", "es.json"],
         ["fig2", "--g-steps", "3", "--t-steps", "4", "--threads", "1", "--out", "fig2.csv"],
+        # two float runs split by the text column region
+        ["fig2", "--g-steps", "3", "--t-steps", "4", "--threads", "1", "--format", "json",
+         "--out", "fig2.json"],
         ["fig4", "--g-steps", "3", "--arc-steps", "3", "--threads", "1", "--out", "fig4.csv"],
         ["fig3", "--ns", "2,3", "--phi-steps", "3", "--fit-max-n", "5", "--out", "fig3.csv"],
         ["entangle", "--config", ent, "--partition", "1|23", "--partition", "13|2",
          "--include-cm", "--format", "json", "--out", "ent.json"],
         ["entangle", "--config", trunc, "--partition", cut, "--out", "trunc.csv"],
+        ["entangle", "--config", cm, "--include-cm", "--out", "cm.csv"],
         ["entangle", "--config", trunc, "--partition", cut, "--format", "json",
          "--out", "trunc.json"],
     ]

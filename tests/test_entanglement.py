@@ -387,6 +387,14 @@ class TestSeriesCoefficients:
     def test_min_size(self):
         with pytest.raises(OutOfRange):
             xi_series_coefficients(1)
+        # a refusal is not cached: it is raised again
+        with pytest.raises(OutOfRange):
+            xi_series_coefficients(1)
+
+    def test_cached_per_size(self):
+        # fig3 asks for the same tuples for every cell: they are made once
+        assert xi_series_coefficients(30) is xi_series_coefficients(30)
+        assert xi_series_coefficients(30) is not xi_series_coefficients(29)
 
     def test_large_sizes_are_exact(self):
         # no ceiling on the size: N = 12 and 30 give the exact values too

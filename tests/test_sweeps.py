@@ -1,6 +1,7 @@
 """Sweep axes, writers and the text of their float cells, and the figure-grid helpers."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -138,6 +139,43 @@ def assert_same_bytes_as_reference(tmp_path, header, columns, fmt):
     assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
+# cells that take Python's '%.17g' (non-finite, subnormal, a tie outside
+# -6 <= e <= 16), an exact tie that numpy rounds, and signed zeros
+SPECIAL_CELLS = [math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 2.0**-25,
+                 1234567890123456.25, 0.0, -0.0]
+
+
+def run_table(kinds, n_rows, seed):
+    """A table of one column per kind: 'f' a float array, 'i' an int array,
+    'b' a bool array and 't' text, so adjacent 'f' columns form a run.
+
+    Float cells are random over 40 decades.  The first and last cell of
+    every run, and a few others, hold ``SPECIAL_CELLS`` in the rows on
+    either side of each block edge of ``write_rows``.
+    """
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "f":
+            columns.append(rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows))
+        elif kind == "i":
+            columns.append(rng.integers(-10**6, 10**6, n_rows))
+        elif kind == "b":
+            columns.append(rng.integers(0, 2, n_rows).astype(bool))
+        else:
+            columns.append([f"x,{i}" for i in range(n_rows)])
+    floats = [j for j, kind in enumerate(kinds) if kind == "f"]
+    step = max(1, floattext.BLOCK_CELLS // len(floats))
+    edges = {0, n_rows - 1, *range(step - 1, n_rows, step), *range(step, n_rows, step)}
+    run_edges = {j for j in floats if kinds[j - 1 : j] != "f" or kinds[j + 1 : j + 2] != "f"}
+    picked = run_edges | set(rng.choice(floats, 3).tolist())
+    specials = itertools.cycle(SPECIAL_CELLS)
+    for i in sorted(edges):
+        for j in sorted(picked):
+            columns[j][i] = next(specials)
+    return [f"c{j}" for j in range(len(kinds))], columns
+
+
 class TestWriterBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @given(table=tables())
@@ -155,6 +193,23 @@ class TestWriterBytes:
     ], ids=["empty", "header-only", "one-cell", "float-beside-text"])
     def test_edge_tables(self, tmp_path, fmt, header, columns):
         assert_same_bytes_as_reference(tmp_path, header, columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kinds, n_rows", [
+        ("fffifbfftf", 1500),  # runs of 1 to 3 floats split by int, bool and text
+        ("ffff", 2100),  # a table of floats alone is one run
+        ("tfi", 9000),  # runs of one float, a block of 4096 rows
+        ("f" * 5000, 3),  # a row wider than a block
+    ], ids=["split-runs", "one-run", "one-float-runs", "wide-row"])
+    def test_runs_across_blocks(self, tmp_path, monkeypatch, fmt, kinds, n_rows):
+        header, columns = run_table(kinds, n_rows, seed=len(kinds) + n_rows)
+        fallbacks = count_fallbacks(monkeypatch)
+        assert_same_bytes_as_reference(tmp_path, header, columns, fmt)
+        cells = np.concatenate([c for c, kind in zip(columns, kinds) if kind == "f"])
+        blocks = -(-n_rows // max(1, floattext.BLOCK_CELLS // kinds.count("f")))
+        assert blocks >= 3
+        assert len(fallbacks) == np.count_nonzero(
+            (~in_band(cells) & (cells != 0.0)) | (cells == 2.0**-25)) > 0
 
     def test_list_columns_literal_text(self, tmp_path):
         assert write_rows(tmp_path / "m.csv", ["m"], [[1e-05, "x"]]).read_text() == (
@@ -192,10 +247,22 @@ def in_band(values):
     return (a >= 1e-280) & (a <= 1e280)
 
 
+def decade(value):
+    """The exact decimal exponent e of a nonzero value: 10^e <= |value| < 10^(e + 1)."""
+    exact = abs(Fraction(value))
+    e = math.floor(math.log10(abs(value)))
+    return e - (Fraction(10) ** e > exact) + (Fraction(10) ** (e + 1) <= exact)
+
+
+def half_unit_gap(value):
+    """How far 17 significant digits of the value lie from a half unit, exactly."""
+    scaled = abs(Fraction(value)) * Fraction(10) ** (16 - decade(value))
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2))
+
+
 def near_tie(value):
     """Whether 17 significant digits of the value lie within 1e-9 units of a half unit."""
-    scaled = abs(Fraction(value)) * Fraction(10) ** (16 - math.floor(math.log10(abs(value))))
-    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10**9)
+    return half_unit_gap(value) < Fraction(1, 10**9)
 
 
 BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
@@ -235,11 +302,35 @@ class TestFloatTexts:
         fallbacks = count_fallbacks(monkeypatch)
         assert floattext.float_texts(values) == python_texts(values)
         # the cells outside the band and the non-finite ones, and in the band
-        # only decimal ties: 17 digits of 1234567890123456.25 end in a half
+        # only decimal ties, none where 10^(16 - e) is a double: there 17 digits
+        # of 1234567890123456.25 round half to even in numpy
         outside = ~in_band(fallbacks)
         assert np.count_nonzero(outside) == np.count_nonzero(~in_band(values) & (values != 0.0)) > 0
         ties = np.array(fallbacks)[~outside].tolist()
-        assert all(near_tie(value) for value in ties) and 0 < len(ties) < 1e-3 * len(values)
+        assert all(near_tie(value) for value in ties) and len(ties) < 1e-3 * len(values)
+        assert not [value for value in ties if -6 <= decade(value) <= 16]
+
+    def test_exact_ties_round_half_to_even(self, monkeypatch):
+        # 17 digits of m 2^(e - 17), m odd, end in an exact half where
+        # m 5^(16 - e) has 18 digits; for -6 <= e <= 15 numpy rounds them
+        rng = np.random.default_rng(21)
+        ties = []
+        for e in range(-6, 16):
+            k = 16 - e
+            lo, hi = -(-2 * 10**16 // 5**k), min((2 * 10**17 - 1) // 5**k, 2**53 - 1)
+            odd = [lo | 1, hi - 1 + hi % 2, *(rng.integers(lo, hi - 1, 6, endpoint=True) | 1).tolist()]
+            ties += [math.ldexp(m, e - 17) for m in odd]
+        ties = np.array(ties + [-t for t in ties])
+        assert all(half_unit_gap(value) == 0 for value in ties)
+        assert sorted({decade(value) for value in ties}) == list(range(-6, 16))
+        fallbacks = count_fallbacks(monkeypatch)
+        assert floattext.float_texts(ties) == python_texts(ties)
+        assert fallbacks == []
+        # where 10^(16 - e) is not a double (e = -7, -8), a tie takes Python's '%.17g'
+        outside = np.array([3 * 2.0**-24, 2.0**-25])
+        assert all(half_unit_gap(value) == 0 for value in outside)
+        assert floattext.float_texts(outside) == python_texts(outside)
+        assert fallbacks == outside.tolist()
 
     def test_subnormals_take_the_fallback(self, monkeypatch):
         subnormals = np.array([5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300])
