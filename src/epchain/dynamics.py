@@ -25,11 +25,18 @@ half the slack run, then ``eigvalsh`` where that fails.  The stack's
 exponentials come from ``expm``, which gives scipy's bits for every slice
 but runs scipy's Python slice loop as stacked numpy around scipy's private
 Pade kernels, so it is tied to the scipy release that
-``.github/constraints.txt`` pins.
+``.github/constraints.txt`` pins.  It loads those kernels' extension module
+straight from its file in scipy's ``linalg`` directory, once per process,
+so a transport never runs ``scipy.linalg``'s package init, which is most
+of what importing ``scipy.linalg`` costs.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -263,23 +270,56 @@ def _sample_times(times: Sequence[float]) -> np.ndarray:
     return ts
 
 
+@functools.cache
+def _pade_kernels():
+    """scipy's compiled Pade kernels, ``scipy.linalg._matfuncs_expm``, loaded from its file.
+
+    The module is found by name in scipy's ``linalg`` directory and executed
+    without importing ``scipy.linalg``, whose package init (array-API
+    compatibility layers, BLAS and LAPACK wrappers) costs most of the
+    import and none of which the kernels use.  The module object is a second
+    one of the same shared library, with the same ``pick_pade_structure``
+    and ``pade_UV_calc``, so the bits are those ``scipy.linalg.expm`` gets,
+    in either import order.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg = [os.path.join(path, "linalg") for path in scipy_spec.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_matfuncs_expm", linalg)
+    if spec is None:
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            release = f"scipy {version('scipy')}"
+        except PackageNotFoundError:
+            release = "no installed scipy"
+        raise ImportError(
+            f"expm needs scipy's compiled Pade kernels, scipy/linalg/_matfuncs_expm, "
+            f"which {release} does not have; install the release that "
+            ".github/constraints.txt pins"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """exp of each slice of a (P, n, n) float stack, bit for bit ``scipy.linalg.expm``'s.
 
     scipy 1.17 loops over the slices in Python; this runs the same steps with
     the zero-pattern test and the squarings done once over the stack.  A
     slice without off-diagonal nonzeros is exp of its diagonal; a triangular
-    one goes to scipy, whose Code Fragment 2.1 it needs; any other is
+    one goes to ``scipy.linalg.expm``, whose Code Fragment 2.1 it needs (no
+    preset makes one, so no preset imports ``scipy.linalg``); any other is
     scaled and Pade-approximated by scipy's own C kernels (Al-Mohy & Higham
     2009), then squared s times, in rounds over the cells still to square.
+    The kernels' extension module is loaded once per process from its file
+    (``_pade_kernels``), without ``scipy.linalg``'s package init.
     The kernels work in place on each cell's view of one (cells, 5, n, n)
     workspace, filled and read back once per block of at most 2**16 / n^2
-    cells, so its memory stays near 2.6 MB for any stack.  scipy is imported
-    here, so commands that transport no covariance skip it.
+    cells, so its memory stays near 2.6 MB for any stack.
     """
-    import scipy.linalg
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     nonzero = a != 0
@@ -293,8 +333,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     out[diagonal, diag, diag] = np.exp(a[diagonal, diag, diag])
     triangular = np.flatnonzero(lower ^ upper)
     if triangular.size:
+        import scipy.linalg
+
         out[triangular] = scipy.linalg.expm(a[triangular])
     general = np.flatnonzero(lower & upper)
+    kernels = _pade_kernels()
     squarings = []
     # scipy's workspace, (cells, 5, n, n): its kernels scale and overwrite each cell's slabs
     step = max(1, _EXPM_BLOCK_ENTRIES // n**2)
@@ -304,10 +347,10 @@ def expm(a: np.ndarray) -> np.ndarray:
         block = work[: cells.size]
         block[:, 0] = a[cells]
         for cell in block:
-            m, s = pick_pade_structure(cell)
+            m, s = kernels.pick_pade_structure(cell)
             if m < 0:
                 raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
-            info = pade_UV_calc(cell, m)
+            info = kernels.pade_UV_calc(cell, m)
             if info <= -11:
                 raise MemoryError(f"expm could not allocate its workspace (error code {info})")
             if info != 0:
@@ -352,8 +395,11 @@ def _propagators(
             scale = 1.0 + np.linalg.norm(s[lost], 2, axis=(1, 2)) ** 2
             lost = lost[residual[lost] > _SYMPLECTIC_RTOL * scale]
         frobenius = squares.sum(axis=1)
-    failed = np.union1d(np.flatnonzero(~finite), lost)
-    stop = int(failed[0]) if failed.size else stop
+    # the first cell that is not finite or lost symplecticity
+    failed = ~finite
+    failed[lost] = True
+    first = np.flatnonzero(failed)
+    stop = int(first[0]) if first.size else stop
     if stop == cell_times.size:
         return s, residual, frobenius, None
     passed = s[:stop], residual[:stop], frobenius[:stop]

@@ -211,7 +211,8 @@ def _witnesses(pt: np.ndarray, half_log_det: float | None = None) -> tuple[np.nd
     below = values < 1.0
     counts = below.sum(axis=1)
     neg = np.zeros(len(values))
-    for count in np.unique(counts[counts > 0]):
+    # the distinct positive counts, ascending
+    for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         rows = counts == count
         neg[rows] = -np.sum(np.log(values[rows][below[rows]].reshape(-1, count)), axis=1)
     return values, np.where(0.0 > neg, 0.0, neg)

@@ -228,7 +228,8 @@ def _cluster_eigenvalues(values: np.ndarray, radius: float) -> list[np.ndarray]:
         if np.array_equal(spread, labels):
             break
         labels = spread
-    return [ordered[labels == label] for label in np.unique(labels)]
+    # a group's label is its first member's index, so the labels in order are the roots
+    return [ordered[labels == root] for root in np.flatnonzero(labels == np.arange(n))]
 
 
 def detect_eps(m: BdgMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[EpCluster, ...]:

@@ -26,9 +26,10 @@ The calling thread evolves the chunks in order; with ``threads > 1``
 while the next chunk evolves, and their results are collected in order, so
 values and errors are the same at any thread count.  fig3 needs
 no kernel: at g = J its witness is the exact coalescence-point series
-``nu_closed_form_bkc_ep``, and only its fit of the enhancement ratio
-imports ``scipy.optimize``.  The presets check their own arguments, so a
-library call gets the ``ConfigError`` the command line reports.
+``nu_closed_form_bkc_ep``, and its fit of the enhancement ratio is a
+variable projection in numpy (``_exponential_fit``), so no preset imports
+``scipy.optimize``.  The presets check their own arguments, so a library
+call gets the ``ConfigError`` the command line reports.
 
 Every builder returns its tables as columns, one per header name and in
 grid-index order: numeric columns are numpy arrays (float64 for floats),
@@ -56,8 +57,8 @@ import csv
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -73,7 +74,14 @@ from .chain import (
     spec_bdg_stack,
     uniform_bdg_stack,
 )
-from .dynamics import GaussianState, _sample_times, evolve, evolve_grid, initial_state
+from .dynamics import (
+    _UNIT_ROUNDOFF,
+    GaussianState,
+    _sample_times,
+    evolve,
+    evolve_grid,
+    initial_state,
+)
 from .entanglement import (
     Bipartition,
     _cut_witnesses,
@@ -112,6 +120,8 @@ __all__ = [
 AXIS_NAMES = ("g", "J", "eta", "phi", "g1", "g2", "J1", "J2", "t")
 # the times of fig3's enhancement-ratio table
 _RATIO_TIMES = tuple(np.linspace(0.25, 3.5, 14).tolist())
+# Newton and trust steps of fig3's fit at most; a fit of smooth data takes about 10
+_FIT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -290,10 +300,13 @@ def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequen
             fh.writelines(rows)
     else:
         body = ",\n".join(rows)
-        head = json.dumps({"columns": list(header), "rows": []}, indent=1, sort_keys=True)
+        # json.dumps's indent=1, sort_keys=True layout; each name goes through the C
+        # escaper json.dumps applies to a str, not one json.dumps call per name (2x slower
+        # than the whole indented dumps on a 1 833-name head)
+        names = ",\n  ".join(map(encode_basestring_ascii, header))
+        head = f'{{\n "columns": [\n  {names}\n ],\n "rows": ' if header else '{\n "columns": [],\n "rows": '
         with path.open("w") as fh:
-            # the head ends in '"rows": []\n}'; the rows go between the brackets
-            fh.writelines([head[:-4], "[\n", body, "\n ]\n}\n"] if body else [head, "\n"])
+            fh.writelines([head, "[\n", body, "\n ]\n}\n"] if body else [head, "[]\n}\n"])
     return path
 
 
@@ -589,6 +602,81 @@ def fig2_grid(
     return header, columns, extras
 
 
+def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """The least-squares a, b, c of y ~ a exp(b x) + c over x = x0, x0 + 1, ...
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): for a fixed b the model is linear in (a, c), whose best values
+    have a closed form and leave the residual |y_c|^2 - F(b), with
+    F = (e_c . y_c)^2 / |e_c|^2 for the centred column e_c of exp(b x) and
+    the centred data y_c.  So b maximizes F.  Three points are interpolated
+    exactly where exp(b) = (y3 - y2) / (y2 - y1) is positive and not 1.
+    Otherwise Newton steps on F'(b) = 0 run from b = -0.5: a step that
+    lowers F by more than its rounding is retried at half its length, and
+    where F is not concave the step goes uphill by a trust length that
+    doubles on success and must raise F.  The search stops once a step is
+    below 1e-12 (1 + |b|), or F is flat.  The column is
+    expm1(b (x - x_ref)), with x_ref the end of x that keeps b (x - x_ref)
+    <= 0: it neither overflows nor cancels for small |b|, and it differs
+    from exp(b x) by a factor and a constant, which the projection absorbs.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    centred_y = y - y.mean()
+    powers = {end: np.stack([x - end, (x - end) ** 2]) for end in (x[0], x[-1])}
+    columns = np.empty((3, len(x)))
+
+    def profile(b: float) -> tuple[float, float, float]:
+        """F(b), F'(b) and F''(b), from the columns e, de/db and d2e/db2."""
+        d = powers[x[0] if b < 0.0 else x[-1]]
+        columns[0] = np.expm1(b * d[0])
+        np.multiply(d, columns[0] + 1.0, out=columns[1:])
+        centred = columns - columns.mean(axis=1, keepdims=True)
+        (q, q1, q2), (_, g11, _) = (centred[:2] @ centred.T).tolist()
+        p, p1, p2 = (centred @ centred_y).tolist()
+        if not q > 0.0:
+            return -math.inf, 0.0, 0.0
+        # F = p^2 / q with p' = p1, q' = 2 q1, q'' = 2 (g11 + q2)
+        f = p * p / q
+        f1 = 2.0 * (p * p1 - f * q1) / q
+        f2 = 2.0 * (p1 * p1 + p * p2 - f * (g11 + q2) - 2.0 * q1 * f1) / q
+        return f, f1, f2
+
+    first, second = np.diff(y).tolist() if len(y) == 3 else (0.0, 0.0)
+    if 0.0 < first * second < math.inf and first != second:
+        b = math.log(second / first)
+    else:
+        b = -0.5
+        f, f1, f2 = profile(b)
+        trust = 1.0
+        for _ in range(_FIT_STEPS):
+            newton = f2 < 0.0
+            if newton:
+                step = max(-trust, min(trust, -f1 / f2))
+            elif f1 != 0.0:
+                step = math.copysign(trust, f1)
+            else:
+                break
+            if abs(step) <= 1e-12 * (1.0 + abs(b)):
+                b += step
+                break
+            trial = profile(b + step)
+            # F = p^2 / q is good to a few n u, which a Newton step may lose; a step uphill must gain
+            floor = f * (1.0 - 16.0 * len(x) * _UNIT_ROUNDOFF) if newton else math.nextafter(f, math.inf)
+            if trial[0] >= floor:
+                b += step
+                f, f1, f2 = trial
+                trust = max(trust, 2.0 * abs(step))
+            else:
+                trust = 0.5 * abs(step)
+    end = x[0] if b < 0.0 else x[-1]
+    e = np.expm1(b * (x - end))
+    centred = e - e.mean()
+    a = float(centred @ centred_y) / float(centred @ centred)
+    c = float(y.mean()) - a * (float(e.mean()) + 1.0)
+    return a * math.exp(-b * float(end)), b, c
+
+
 def fig3_tables(
     n_values: Sequence[int] = (2, 3, 4, 5, 6),
     phi_steps: int = 65,
@@ -600,16 +688,16 @@ def fig3_tables(
     Returns (witness table, ratio table, extras).  The witness table runs
     phi over [0, pi] (symmetry about pi/2 is reported in the extras); the
     ratio table gives R(N, t) at 14 times evenly spaced on [0.25, 3.5];
-    the extras carry the exponential fit a*exp(b*N)+c of R(N) at the
-    fixed time over N = 2..fit_max_n.  At g = J the witness is the exact
+    the extras carry the least-squares fit a*exp(b*N)+c of R(N) at the
+    fixed time over N = 2..fit_max_n (``_exponential_fit``: three sizes
+    are interpolated, more are fitted by variable projection from
+    b = -0.5).  At g = J the witness is the exact
     coalescence-point series, so every value comes from
     ``nu_closed_form_bkc_ep`` and every ratio from ``enhancement_ratio`` on
     it; no covariance is transported, and only an xi past the float range
     (``OutOfRange``) or a reference witness of 1 (``DivisionByZeroLog``, as
     at t = 0) fails.
     """
-    from scipy.optimize import OptimizeWarning, curve_fit
-
     if fit_max_n < 4:
         # the fit a*exp(b*N)+c needs at least three sizes, N = 2..4
         raise ConfigError(f"fit_max_n must be at least 4, got {fit_max_n}")
@@ -641,21 +729,11 @@ def fig3_tables(
 
     fit_ns = np.arange(2, fit_max_n + 1)
     fit_rs = np.array([enhancement_ratio(int(n), t, nu_fn=nu_closed_form_bkc_ep) for n in fit_ns])
-    with warnings.catch_warnings():
-        # tiny fit ranges can make the parameter covariance singular; only
-        # the point estimate is used
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(
-            lambda n, a, b, c: a * np.exp(b * n) + c,
-            fit_ns,
-            fit_rs,
-            p0=(-4.0, -0.5, 2.5),
-            maxfev=20000,
-        )
+    a, b, c = _exponential_fit(fit_ns, fit_rs)
     extras = {
         "t": t,
         "phi_symmetry_residual": asymmetry,
-        "ratio_fit": {"a": float(popt[0]), "b": float(popt[1]), "c": float(popt[2])},
+        "ratio_fit": {"a": a, "b": b, "c": c},
         "ratio_fit_n_range": [2, int(fit_max_n)],
     }
     return witness, ratio, extras

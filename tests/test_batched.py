@@ -13,15 +13,19 @@ every slice of a stack.  fig3 runs no kernel: its tables are the closed forms
 drift from the numeric pipeline is pinned.
 """
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg._matfuncs_expm import pick_pade_structure
@@ -538,6 +542,47 @@ class TestExpm:
             expected = [scipy.linalg.expm(a) for a in stack]
             assert bits(dynamics.expm(stack)) == bits(expected)
 
+    @pytest.mark.parametrize("first", ["dynamics.expm", "import scipy.linalg"])
+    def test_either_import_order(self, first):
+        # expm loads scipy's Pade extension from its file, a second module
+        # object of the same library: in a fresh process, calling it before or
+        # after importing scipy.linalg gives scipy.linalg.expm's bits, and only
+        # the triangular slices' fallback would import scipy.linalg itself
+        code = "\n".join([
+            "import sys, numpy as np",
+            "from epchain import dynamics",
+            "rng = np.random.default_rng(7)",
+            "stack = rng.standard_normal((40, 6, 6)) * np.logspace(-3, 1.5, 40)[:, None, None]",
+            "if sys.argv[1] == 'dynamics.expm':",
+            "    got = dynamics.expm(stack)",
+            "    assert 'scipy.linalg' not in sys.modules",
+            "import scipy.linalg",
+            "if sys.argv[1] != 'dynamics.expm':",
+            "    got = dynamics.expm(stack)",
+            "again = dynamics.expm(stack)",
+            "want = np.array([scipy.linalg.expm(a) for a in stack])",
+            "assert got.tobytes() == want.tobytes() == again.tobytes()",
+            "print('ok')",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, first], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert (out.returncode, out.stdout.strip()) == (0, "ok"), out.stderr
+
+    def test_missing_extension_named(self, monkeypatch, tmp_path):
+        # a scipy whose linalg directory lacks the compiled kernels is named with its version
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+        dynamics._pade_kernels.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=rf"scipy {re.escape(scipy.__version__)} does not"):
+                dynamics.expm(np.ones((1, 2, 2)))
+        finally:
+            monkeypatch.undo()
+            dynamics._pade_kernels.cache_clear()
+        assert bits(dynamics.expm(np.ones((1, 2, 2)))) == bits([scipy.linalg.expm(np.ones((2, 2)))])
+
     def test_example_reaches_every_pade_degree(self):
         structures = set()
         for a in expm_stack(*PADE_EXAMPLE)[:6]:
@@ -876,13 +921,13 @@ def recorded_fig3(monkeypatch, **kwargs):
 
     The rows hold Python ints and floats, so a repr tells an int column
     from a float one."""
-    fit_inputs, fit = [], scipy.optimize.curve_fit
+    fit_inputs, fit = [], sweeps._exponential_fit
 
-    def recording_fit(f, xdata, ydata, **kw):
-        fit_inputs.append(ydata.tolist())
-        return fit(f, xdata, ydata, **kw)
+    def recording_fit(ns, rs):
+        fit_inputs.append(rs.tolist())
+        return fit(ns, rs)
 
-    monkeypatch.setattr(scipy.optimize, "curve_fit", recording_fit)
+    monkeypatch.setattr(sweeps, "_exponential_fit", recording_fit)
     (_, witness), (_, ratio), _ = fig3_tables(**kwargs)
     [fit_rs] = fit_inputs
     return table_rows(witness), table_rows(ratio), fit_rs
@@ -962,8 +1007,8 @@ class TestFig3ThroughKernel:
             return 1.0 if outcome == "one" else 0.25 + t / 10
 
         monkeypatch.setattr(sweeps, "nu_closed_form_bkc_ep", nu)
-        # the fit runs at t = times[0], which the ratio table reaches first
-        monkeypatch.setattr(scipy.optimize, "curve_fit", lambda *args, **kw: (np.zeros(3), None))
+        # the fit runs at t = times[0], which the ratio table reaches first; its
+        # R(N) is the same for every N (constant data), which it fits with no warning
         monkeypatch.setattr(sweeps, "_RATIO_TIMES", times)
         kwargs = dict(n_values=(3,), phi_steps=0, t=times[0], fit_max_n=4)
         try:

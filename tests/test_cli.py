@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -484,14 +485,42 @@ def test_manifest_echoes_options(tmp_path, command, options, echoed):
     assert manifest["config"] == {**FULL_CONFIGS[command], **echoed}
 
 
-def test_cli_import_leaves_out_integrate_and_optimize():
-    # selftest, fig3's fit and the kernel's expm import them when they run
-    code = ("import sys, epchain.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))")
+# modules no preset loads: selftest alone imports scipy.integrate and scipy.optimize,
+# expm loads scipy's Pade extension without scipy.linalg, and np.unique and
+# np.union1d, which import numpy.ma, are not called
+UNLOADED = ["numpy.ma", "scipy.integrate", "scipy.linalg", "scipy.optimize"]
+
+
+def loaded_in_fresh_process(code):
+    """Which of UNLOADED are in sys.modules after code runs in a new interpreter."""
+    code += f"\nimport sys; print(sorted(set({UNLOADED!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    assert loaded_in_fresh_process("import epchain.cli") == []
+
+
+@pytest.mark.parametrize("command, options, config", [
+    ("fig2", ["--g-steps", "3", "--t-steps", "4", "--threads", "1"], None),
+    ("fig4", ["--g-steps", "3", "--arc-steps", "3", "--threads", "1"], None),
+    ("entangle", [], FULL_CONFIGS["entangle"]),
+    ("fig3", ["--ns", "2,3", "--phi-steps", "3", "--fit-max-n", "5"], None),
+    ("spectrum", ["--detect-eps"], FULL_CONFIGS["spectrum"]),
+    ("es-scan", ["--detect-everywhere"], FULL_CONFIGS["es-scan"]),
+], ids=["fig2", "fig4", "entangle", "fig3", "spectrum", "es-scan"])
+def test_preset_runs_load_no_scipy_subpackage(tmp_path, command, options, config):
+    # each command runs cold, with the transport, eigensolve, fit and writer it always runs
+    if config is not None:
+        options = [*options, "--config", write_json(tmp_path / "c.json", config)]
+    argv = [command, *options, "--out", str(tmp_path / "x.csv")]
+    code = f"from epchain.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_in_fresh_process(code) == []
+    assert (tmp_path / "x.csv").exists()
 
 
 class TestEsScanCommand:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epchain import ChainSpec, floattext, locate_ep_1d, spectrum_stack, symplectic_eigenvalues
+from epchain import ChainSpec, floattext, locate_ep_1d, spectrum_stack, sweeps, symplectic_eigenvalues
 from epchain.chain import uniform_bdg_stack
 from epchain.errors import ConfigError, NoTransition, PrecisionLoss, UnsortedTimes
 from epchain.sweeps import (
@@ -190,7 +190,12 @@ class TestWriterBytes:
         (["only"], [["", " ", '"']]),
         # numpy would coerce this list to text, 1e-05 as '1e-05'
         (["mixed"], [[1e-05, "x"]]),
-    ], ids=["empty", "header-only", "one-cell", "float-beside-text"])
+        # names json.dumps escapes: a quote, a backslash, non-ASCII and a control character
+        (['q"', "back\\slash", "\u03bd\u208b \u00e9", "tab\t"],
+         [np.array([0.5]), np.array([1]), ["x"], np.array([True])]),
+        (['q"', "\\", "\u00e9"], [[], [], []]),
+    ], ids=["empty", "header-only", "one-cell", "float-beside-text", "escaped-names",
+            "escaped-names-no-rows"])
     def test_edge_tables(self, tmp_path, fmt, header, columns):
         assert_same_bytes_as_reference(tmp_path, header, columns, fmt)
 
@@ -472,6 +477,102 @@ def test_fig3_ratio_rows_match_direct_call():
         assert ratio == enhancement_ratio(n, t, nu_fn=nu_closed_form_bkc_ep)
         assert ratio == pytest.approx(enhancement_ratio(n, t), rel=1e-7)
     assert extras["phi_symmetry_residual"] <= 1e-9
+
+
+def ratio_fit_data(fit_max_n, t):
+    """fig3's fit inputs: N = 2..fit_max_n and R(N, t) from the exact series."""
+    from epchain import enhancement_ratio, nu_closed_form_bkc_ep
+
+    ns = np.arange(2, fit_max_n + 1)
+    return ns, np.array([enhancement_ratio(int(n), t, nu_fn=nu_closed_form_bkc_ep) for n in ns])
+
+
+def ratio_model(n, a, b, c):
+    return a * np.exp(b * n) + c
+
+
+def ratio_residual(ns, rs, params):
+    return float(np.sum((rs - ratio_model(ns, *params)) ** 2))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
+class TestRatioFit:
+    """fig3's variable-projection fit of a exp(b N) + c against ``curve_fit``.
+
+    Its residual is never larger than that of ``curve_fit`` from
+    p0 = (-4, -0.5, 2.5) at the default tolerances.  Those tolerances stop
+    curve_fit up to 1.0e-6 (relative) short of the least-squares parameters
+    (N = 2..39 at t = 3.3577, against a 40-digit optimum), so the parameters
+    are compared with curve_fit rerun from its own result at tolerances of
+    1e-14, which is at most 3e-7 off them.
+    """
+
+    @given(fit_max_n=st.integers(4, 40), t=st.floats(0.25, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_curve_fit(self, fit_max_n, t):
+        from scipy.optimize import curve_fit
+
+        ns, rs = ratio_fit_data(fit_max_n, t)
+        fit = sweeps._exponential_fit(ns, rs)
+        default, _ = curve_fit(ratio_model, ns, rs, p0=(-4.0, -0.5, 2.5), maxfev=20000)
+        # three points are interpolated, and both residuals are the rounding of
+        # terms about the size of max|a exp(b N)| + |c| that cancel
+        scale = np.abs(ratio_model(ns, default[0], default[1], 0.0)).max() + abs(default[2])
+        floor = len(ns) * (4 * 2.0**-53 * scale) ** 2 if len(ns) == 3 else 0.0
+        assert ratio_residual(ns, rs, fit) <= ratio_residual(ns, rs, default) * (1 + 1e-9) + floor
+        tight, _ = curve_fit(ratio_model, ns, rs, p0=default, xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                             maxfev=20000)
+        np.testing.assert_allclose(fit, tight, rtol=1e-6, atol=0)
+
+    def test_least_squares_optimum(self):
+        # where curve_fit's defaults stop 1.0e-6 short: the fit is the optimum
+        # of its float data to 1e-12, found in 40 digits as the root of
+        # d/db of the residual left by the best (a, c)
+        mpmath = pytest.importorskip("mpmath")
+        ns, rs = ratio_fit_data(39, 3.3577133695222408)
+        fit = sweeps._exponential_fit(ns, rs)
+        n, y = [mpmath.mpf(int(v)) for v in ns], [mpmath.mpf(float(v)) for v in rs]
+
+        def projected(b):
+            e = [mpmath.exp(b * v) for v in n]
+            e_mean, y_mean = mpmath.fsum(e) / len(e), mpmath.fsum(y) / len(y)
+            a = (mpmath.fsum((u - e_mean) * (v - y_mean) for u, v in zip(e, y))
+                 / mpmath.fsum((u - e_mean) ** 2 for u in e))
+            c = y_mean - a * e_mean
+            return a, c, mpmath.fsum((v - a * u - c) ** 2 for u, v in zip(e, y))
+
+        with mpmath.workdps(40):
+            b = mpmath.findroot(lambda b: mpmath.diff(lambda x: projected(x)[2], b),
+                                mpmath.mpf(fit[1]))
+            a, c, _ = projected(b)
+            optimum = [float(a), float(b), float(c)]
+        np.testing.assert_allclose(fit, optimum, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("fit_max_n", [4, 5, 30])
+    def test_long_time_fit(self, fit_max_n):
+        # at t = 1e4 xi^2 overflows in the witness, the fit's decay rate is
+        # small (b from -0.045 at N <= 4 to -0.011 at N <= 30) and nothing warns
+        ns, rs = ratio_fit_data(fit_max_n, 1e4)
+        a, b, c = sweeps._exponential_fit(ns, rs)
+        assert all(math.isfinite(v) for v in (a, b, c)) and -0.05 < b < 0.0
+        assert ratio_residual(ns, rs, (a, b, c)) <= 0.06
+
+    @pytest.mark.parametrize("rs, params", [
+        # three points with equal steps, or constant data, have no exponential
+        # fit; the search stops where F is flat, with no warning
+        ([1.0, 1.0, 1.0, 1.0], (0.0, -0.5, 1.0)),
+        ([2.0, 2.0, 2.0], (0.0, -0.5, 2.0)),
+    ], ids=["constant", "constant-three"])
+    def test_flat_data(self, rs, params):
+        ns = np.arange(2, 2 + len(rs))
+        assert sweeps._exponential_fit(ns, np.array(rs)) == params
+
+    def test_three_points_interpolated(self):
+        # exp(b) is the ratio of the steps, and the points are met to rounding
+        ns, rs = np.arange(2, 5), np.array([1.0, 1.5, 1.75])
+        a, b, c = sweeps._exponential_fit(ns, rs)
+        assert b == math.log(0.5)
+        np.testing.assert_allclose(ratio_model(ns, a, b, c), rs, rtol=1e-15)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
