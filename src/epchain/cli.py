@@ -209,8 +209,10 @@ def _cmd_entangle(args) -> int:
     header, columns, extras = entanglement_trajectory(
         chain, times, args.partition or [], include_cm=args.include_cm, threads=_usable_cores()
     )
-    # the cuts as the table names them, the default 1|rest included
-    partitions = [name[len("nu_minus_"):] for name in header if name.startswith("nu_minus_")]
+    # the cuts as the table names them, the default 1|rest included: each cut's
+    # nu_minus_ column follows t or the previous cut's log_negativity_ column
+    n_cuts = len(args.partition) if args.partition else 1
+    partitions = [name[len("nu_minus_"):] for name in header[1 : 1 + 2 * n_cuts : 2]]
     config_echo = {**config, "partitions": partitions, "include_cm": args.include_cm}
     _emit(args, "entangle", {"": (header, columns)}, config_echo, extras, "entangle.csv")
     if "truncated_at" in extras:

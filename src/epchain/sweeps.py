@@ -19,7 +19,9 @@ the cells would raise first.  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
 stays flat on large grids (but of at least 512 witness values, so that
 numpy's stacked eigensolve releases the GIL), and stops at the first chunk
-with an error.
+with an error.  Only what a table writes outlives a chunk: the witnesses,
+and for ``entangle --include-cm`` the covariance entries it prints, copied
+into one array for the whole grid as each chunk is evolved.
 The calling thread evolves the chunks in order; with ``threads > 1``
 (the three witness presets take it) each chunk's cuts go to a
 ``concurrent.futures.ThreadPoolExecutor`` of that many worker threads
@@ -31,19 +33,22 @@ variable projection in numpy (``_exponential_fit``), so no preset imports
 ``scipy.optimize``.  The presets check their own arguments, so a library
 call gets the ``ConfigError`` the command line reports.
 
-Every builder returns its tables as columns, one per header name and in
-grid-index order: numeric columns are numpy arrays (float64 for floats),
-text columns lists of ``str``.  ``write_rows`` formats each column once, by
-its dtype, with a pinned float format of 17 significant digits, so
-identical configurations produce byte-identical files regardless of thread
-count.  ``format_value`` is the one-value reference for that text, and
-``write_rows`` gives the same bytes: the float columns are stacked into one
-float64 array, and each run of adjacent float columns becomes one template
-argument per row, whose text ``floattext.run_texts`` makes in numpy with
-the format's separator between its cells, leaving to Python's own '%.17g'
-only the cells it cannot certify (rounding ties outside -6 <= e <= 16,
-non-finite values, magnitudes outside [1e-280, 1e280]); each row is one
-%-template, built once per table.
+Every builder returns its tables as columns in grid-index order, one per
+header name: numeric columns are numpy arrays (float64 for floats), text
+columns lists of ``str``; a 2-D float64 array spans one header name per
+column of it (``entanglement_trajectory``'s covariance entries).
+``write_rows`` formats each column once, by its dtype, with a pinned float
+format of 17 significant digits, so identical configurations produce
+byte-identical files regardless of thread count.  ``format_value`` is the
+one-value reference for that text, and ``write_rows`` gives the same bytes:
+each run of adjacent float cells becomes one template argument per row,
+whose text ``floattext.run_texts`` makes in numpy with the format's
+separator between its cells, leaving to Python's own '%.17g' only the cells
+it cannot certify (rounding ties outside -6 <= e <= 16, non-finite values,
+magnitudes outside [1e-280, 1e280]); each row is one %-template, built once
+per table.  The float cells are stacked and the text is written one block
+of rows at a time, in CSV and JSON alike, so a wide table is held once, as
+its builder returned it.
 Each data file gets a sidecar ``<name>.manifest.json`` echoing the
 configuration (the config file's keys and the value of every option that
 changes the data) and the tool version.
@@ -190,33 +195,46 @@ def _csv_text(text: str) -> str:
 
 def _table_template(
     header: Sequence[str], columns: Sequence[Sequence], fmt: str, text
-) -> tuple[str, list, np.ndarray, np.ndarray, str]:
+) -> tuple[str, list, list[np.ndarray], np.ndarray, str, int]:
     """The table's row %-template, its columns as template arguments, its
-    float columns stacked as one (rows, k) float64 array, which of those
-    columns end a run of adjacent float columns, and the text between two
-    cells of a run.
+    float columns as (rows, width) arrays, which of their cells end a run of
+    adjacent float cells, the text between two cells of a run, and the row
+    count.
 
     A run of float arrays is one argument, None (its text is made from the
-    stack); an int array's arguments are its Python ints, a bool array's its
-    lowercase names, and any other column's the ``format_value`` text of each
-    cell, escaped.
+    float arrays); an int array's arguments are its Python ints, a bool
+    array's its lowercase names, and any other column's the ``format_value``
+    text of each cell, escaped.  A 2-D float array spans as many header
+    names as it has columns, so one of width 0 adds nothing, and a table
+    that spans no name has no rows.
     """
-    if len(columns) != len(header):
-        raise ConfigError(f"table has {len(header)} header names but {len(columns)} columns")
+    widths = []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.ndim != 1:
+            if column.ndim != 2 or column.dtype.kind != "f":
+                raise ConfigError(f"a table column must be 1-D or a 2-D float block, "
+                                  f"got a {column.dtype} array of shape {column.shape}")
+            widths.append(column.shape[1])
+        else:
+            widths.append(1)
+    if sum(widths) != len(header):
+        raise ConfigError(f"table has {len(header)} header names but {sum(widths)} columns")
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ConfigError(f"table columns differ in length: {[len(column) for column in columns]}")
     specs, cells, floats, run_ends = [], [], [], []
-    for column in columns:
+    for column, width in zip(columns, widths):
         kind = column.dtype.kind if isinstance(column, np.ndarray) else None
         if kind == "f":
+            if not width:
+                continue
             if cells and cells[-1] is None:
                 run_ends[-1] = False  # the run goes on
             else:
                 specs.append(("%s", False))
                 cells.append(None)
-            floats.append(column)
-            run_ends.append(True)
+            floats.append(column.reshape(len(column), width))
+            run_ends += [False] * (width - 1) + [True]
         elif kind in ("i", "u"):
             specs.append(("%d", False))
             cells.append(column.tolist())
@@ -233,57 +251,68 @@ def _table_template(
                 cells.append(list(map(text, column)))
             else:
                 cells.append(list(map(text, map(format_value, column))))
-    n_rows = lengths.pop() if lengths else 0
-    stacked = np.array(floats, dtype=np.float64).reshape(len(floats), n_rows).T
+    n_rows = lengths.pop() if specs else 0
     run_ends = np.array(run_ends, dtype=bool)
     if fmt == "csv":
         if specs == [("%s", True)]:
             # csv quotes a row's only cell when it is empty
             cells[0] = [cell or '""' for cell in cells[0]]
-        return ",".join(spec for spec, _ in specs) + "\n", cells, stacked, run_ends, ","
+        return ",".join(spec for spec, _ in specs) + "\n", cells, floats, run_ends, ",", n_rows
     items = ",\n".join(f"   {spec}" if escaped else f'   "{spec}"' for spec, escaped in specs)
     # within a run, a cell closes its quote and the next opens its own item
-    return f"  [\n{items}\n  ]", cells, stacked, run_ends, '",\n   "'
+    return f"  [\n{items}\n  ]", cells, floats, run_ends, '",\n   "', n_rows
 
 
-def _formatted_rows(
-    template: str, cells: list, stacked: np.ndarray, run_ends: np.ndarray, sep: str
+def _formatted_blocks(
+    template: str, cells: list, floats: list[np.ndarray], run_ends: np.ndarray, sep: str,
+    n_rows: int, row_sep: str,
 ) -> Iterable[str]:
-    """Each row of the table as text.
+    """The table's rows as text, one str per block of whole rows, the rows of
+    a block joined by row_sep.
 
-    ``run_texts`` makes the text of the stacked float columns in blocks of
-    whole rows, about ``BLOCK_CELLS`` cells (at least one row) at a time, one
-    str per run of a row; they are zipped with the other columns' arguments.
+    A block holds about ``BLOCK_CELLS`` float cells (at least one row).  Its
+    float cells are stacked into one (rows, k) float64 array, reused from
+    block to block, whose text ``run_texts`` makes, one str per run of a
+    row; they are zipped with the other columns' arguments.
     """
     runs = [i for i, cell in enumerate(cells) if cell is None]
-    step = max(1, BLOCK_CELLS // max(1, stacked.shape[1]))
-    for first in range(0, len(stacked), step):
+    step = max(1, BLOCK_CELLS // max(1, len(run_ends)))
+    stacked = np.empty((min(step, n_rows), len(run_ends)))
+    for first in range(0, n_rows, step):
         block = [None if cell is None else cell[first : first + step] for cell in cells]
         if runs:  # a table without floats needs no formatter tables
-            texts = run_texts(stacked[first : first + step], run_ends, sep)
+            rows = stacked[: min(step, n_rows - first)]
+            np.concatenate([column[first : first + step] for column in floats], axis=1, out=rows)
+            texts = run_texts(rows, run_ends, sep)
             for j, i in enumerate(runs):
                 block[i] = texts[j :: len(runs)]
-        yield from map(template.__mod__, zip(*block))
+        yield row_sep.join(map(template.__mod__, zip(*block)))
 
 
 def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequence], fmt: str = "csv") -> Path:
-    """Write a table, given as one column per header name, as CSV or JSON.
+    """Write a table, given as columns that span the header names, as CSV or JSON.
 
-    Every cell reads as ``format_value`` writes it, quoted as ``csv.writer``
-    quotes it or laid out as ``json.dumps({"columns": header, "rows":
-    rows}, indent=1, sort_keys=True)`` lays out the rows ``zip(*columns)``.
+    A column spans one header name, except a 2-D float array, which spans
+    as many as it has columns (so one wide block of floats need not be split
+    into 1-D arrays).  Every cell reads as ``format_value`` writes it,
+    quoted as ``csv.writer`` quotes it or laid out as ``json.dumps({"columns":
+    header, "rows": rows}, indent=1, sort_keys=True)`` lays out the rows
+    ``zip(*columns)`` of the 1-D columns the blocks split into.
     Each column is formatted once, by its type: numpy float arrays are cast
-    to float64, and each run of adjacent ones is one argument of the row
-    template, whose '%.17g' text, cells and separators, is made in numpy
-    (``floattext.run_texts``, in blocks of whole rows of about
+    to float64, and each run of adjacent float cells is one argument of the
+    row template, whose '%.17g' text, cells and separators, is made in
+    numpy (``floattext.run_texts``, in blocks of whole rows of about
     ``BLOCK_CELLS`` = 4096 cells, so the layout's temporaries stay near
     1 MB unless one row is wider); an int array is written with %d and a
     bool array as ``true``/``false``; a column of ``str`` cells is escaped
     once per distinct text, and any other column, a list or a text array,
-    goes cell by cell through ``format_value`` first.
-    The rows are then formatted by one %-template for the table.  A column
-    count other than the header's, or columns of unequal length, raise
-    ``ConfigError``.
+    goes cell by cell through ``format_value`` first.  The rows are then
+    formatted by one %-template for the table.  Each row block's float cells
+    are stacked, formatted and written before the next block's, in JSON as
+    in CSV, so neither a copy of the table's floats nor the file's whole
+    text is ever held.  Columns that span a count of names other than the
+    header's, columns of unequal length, or a 2-D array that is not float
+    raise ``ConfigError``.
     """
     if fmt == "csv":
         text = functools.cache(_csv_text)
@@ -291,22 +320,30 @@ def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequen
         text = functools.cache(json.dumps)
     else:
         raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-    rows = _formatted_rows(*_table_template(header, list(columns), fmt, text))
+    table = _table_template(header, list(columns), fmt, text)
+    blocks = _formatted_blocks(*table, row_sep="" if fmt == "csv" else ",\n")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            fh.writelines(rows)
+            fh.writelines(blocks)
     else:
-        body = ",\n".join(rows)
         # json.dumps's indent=1, sort_keys=True layout; each name goes through the C
         # escaper json.dumps applies to a str, not one json.dumps call per name (2x slower
         # than the whole indented dumps on a 1 833-name head)
         names = ",\n  ".join(map(encode_basestring_ascii, header))
         head = f'{{\n "columns": [\n  {names}\n ],\n "rows": ' if header else '{\n "columns": [],\n "rows": '
         with path.open("w") as fh:
-            fh.writelines([head, "[\n", body, "\n ]\n}\n"] if body else [head, "[]\n}\n"])
+            fh.write(head)
+            first = next(blocks, None)
+            if first is None:
+                fh.write("[]\n}\n")
+            else:
+                fh.writelines(["[\n", first])
+                for block in blocks:
+                    fh.writelines([",\n", block])
+                fh.write("\n ]\n}\n")
     return path
 
 
@@ -343,25 +380,27 @@ def _witness_map(
     times: np.ndarray,
     parts: Sequence[Bipartition],
     threads: int = 1,
-    keep_cm: bool = False,
+    keep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None, EpchainError | None]:
     """nu_- and E_N per cut for every (generator, time) cell, generator-major.
 
     Returns one (nu_minus, log_negativity) pair of arrays per cut over the
-    leading cells that passed every check, their covariances when
-    ``keep_cm``, and the error of the first failing cell (None if none);
-    a witness that ``witness_stack`` refuses is raised instead.  The chunks
-    come from ``evolve_grid``, exactly symmetric and finite, so they skip
-    ``witness_stack``'s input checks.
+    leading cells that passed every check, the covariance entries at the
+    index pair ``keep`` of those cells as one (cells, entries) float64 array
+    (None without ``keep``), and the error of the first failing cell (None
+    if none); a witness that ``witness_stack`` refuses is raised instead.
+    The kept entries are copied out of each chunk as it is evolved, into one
+    array allocated for the whole grid, so no chunk outlives its witnesses.
+    The chunks come from ``evolve_grid``, exactly symmetric and finite, so
+    they skip ``witness_stack``'s input checks.
 
     The calling thread evolves the chunks in order and stops at the first
     with an error.  With ``threads > 1`` and more than one chunk it hands
     each chunk's cuts to that many worker threads and goes on to the next
     chunk while they run (the witness's stacked eigensolve releases the
     GIL); results are collected in chunk and cut order, so the first
-    refused witness is raised as the serial loop raises it, and unless
-    ``keep_cm``, at most ``threads + 1`` chunks' covariances are alive at
-    once.
+    refused witness is raised as the serial loop raises it, and at most
+    ``threads + 1`` chunks' covariances are alive at once.
     """
     size = 2 * state0.n_modes
     # _CHUNK_ENTRIES entries per matrix stack, but at least _CHUNK_ENTRIES / 64
@@ -375,7 +414,12 @@ def _witness_map(
         step = per_chunk // len(times)
         blocks = [(k[g : g + step], times) for g in range(0, len(k), step)]
     half_log_det = 0.5 * np.linalg.slogdet(state0.cm)[1]
-    witnesses, cms, error = [], [], None
+    witnesses, error = [], None
+    if keep is not None:
+        # the kept entries as flat indices into a cell's covariance
+        flat = np.ravel_multi_index(keep, (size, size))
+        kept = np.empty((len(k) * len(times), len(flat)))
+    cells = 0
     pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 and len(blocks) > 1 else None
     pending = collections.deque()
 
@@ -391,8 +435,11 @@ def _witness_map(
                 while pending:
                     collect()
                 raise
-            if keep_cm:
-                cms.append(chunk)
+            if keep is not None:
+                # mode="clip" lets take write straight into the rows (its default buffers out)
+                chunk.reshape(len(chunk), size * size).take(
+                    flat, axis=1, out=kept[cells : cells + len(chunk)], mode="clip")
+            cells += len(chunk)
             if pool is None:
                 # a cell witness_stack refuses comes before any evolve_grid stopped at, so it raises
                 witnesses.append([_cut_witnesses(chunk, part, half_log_det) for part in parts])
@@ -412,7 +459,7 @@ def _witness_map(
         tuple(np.concatenate([chunk[p][i] for chunk in witnesses]) for i in (0, 1))
         for p in range(len(parts))
     ]
-    return per_cut, (np.concatenate(cms) if keep_cm else None), error
+    return per_cut, (None if keep is None else kept[:cells]), error
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +530,10 @@ def entanglement_trajectory(
 ) -> tuple[list[str], list[np.ndarray], dict]:
     """nu_- and logarithmic negativity per time per partition.
 
-    Returns (header, columns, extras), one float64 array per column.  If the
+    Returns (header, columns, extras): one float64 array per column, except
+    that with ``include_cm`` the last column is one (rows, entries) float64
+    block, the row-major upper triangle of each row's covariance, which
+    spans the ``cm_i_j`` names.  If the
     propagator or the covariance overflows at some time, the columns end
     before it; the extras hold that time as ``truncated_at`` and the guard's
     message as ``truncation``.  A witness that ``witness_stack`` refuses
@@ -502,14 +552,14 @@ def entanglement_trajectory(
     header = ["t"]
     for part in parts:
         header += [f"nu_minus_{part.label}", f"log_negativity_{part.label}"]
-    n2 = 2 * spec.n_modes
-    upper = np.triu_indices(n2)
+    upper = None
     if include_cm:
+        upper = np.triu_indices(2 * spec.n_modes)
         # Python ints format several times faster than numpy's
         header += [f"cm_{i+1}_{j+1}" for i, j in zip(upper[0].tolist(), upper[1].tolist())]
     state0 = initial_state(spec.n_modes)
     try:
-        witnesses, cms, error = _witness_map(state0, k.data[None], ts, parts, threads, include_cm)
+        witnesses, cms, error = _witness_map(state0, k.data[None], ts, parts, threads, upper)
     except PrecisionLoss as exc:
         where = _first_refusal(state0, k, ts, parts)
         if where is None:
@@ -520,7 +570,7 @@ def entanglement_trajectory(
     for nu, logneg in witnesses:
         columns += [nu, logneg]
     if include_cm:
-        columns += list(cms[:, upper[0], upper[1]].T)
+        columns.append(cms)
     extras: dict = {}
     if isinstance(error, OverflowRisk):
         extras["truncated_at"] = float(ts[n_rows])
@@ -602,8 +652,9 @@ def fig2_grid(
     return header, columns, extras
 
 
-def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """The least-squares a, b, c of y ~ a exp(b x) + c over x = x0, x0 + 1, ...
+def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, bool]:
+    """The least-squares a, b, c of y ~ a exp(b x) + c over x = x0, x0 + 1, ...,
+    and whether the fit is degenerate.
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): for a fixed b the model is linear in (a, c), whose best values
@@ -619,6 +670,11 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]
     expm1(b (x - x_ref)), with x_ref the end of x that keeps b (x - x_ref)
     <= 0: it neither overflows nor cancels for small |b|, and it differs
     from exp(b x) by a factor and a constant, which the projection absorbs.
+
+    Data with no finite optimum leaves b where the search stopped, so the
+    fit is flagged degenerate where exp(b) < 2^-52 (the exponential is a
+    step at x0), where |b| (x_max - x0) < 1e-8 (it is a straight line), or
+    where the search took all ``_FIT_STEPS`` steps.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -643,6 +699,7 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]
         return f, f1, f2
 
     first, second = np.diff(y).tolist() if len(y) == 3 else (0.0, 0.0)
+    exhausted = False
     if 0.0 < first * second < math.inf and first != second:
         b = math.log(second / first)
     else:
@@ -669,12 +726,16 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]
                 trust = max(trust, 2.0 * abs(step))
             else:
                 trust = 0.5 * abs(step)
+        else:
+            exhausted = True
+    # exp(b) < 2^-52, without overflowing exp for a large b
+    degenerate = exhausted or b < math.log(2.0**-52) or abs(b) * float(x[-1] - x[0]) < 1e-8
     end = x[0] if b < 0.0 else x[-1]
     e = np.expm1(b * (x - end))
     centred = e - e.mean()
     a = float(centred @ centred_y) / float(centred @ centred)
     c = float(y.mean()) - a * (float(e.mean()) + 1.0)
-    return a * math.exp(-b * float(end)), b, c
+    return a * math.exp(-b * float(end)), b, c, degenerate
 
 
 def fig3_tables(
@@ -691,7 +752,8 @@ def fig3_tables(
     the extras carry the least-squares fit a*exp(b*N)+c of R(N) at the
     fixed time over N = 2..fit_max_n (``_exponential_fit``: three sizes
     are interpolated, more are fitted by variable projection from
-    b = -0.5).  At g = J the witness is the exact
+    b = -0.5), with ``degenerate`` true where the data has no finite
+    optimum in reach (a step, a straight line, or a search out of steps).  At g = J the witness is the exact
     coalescence-point series, so every value comes from
     ``nu_closed_form_bkc_ep`` and every ratio from ``enhancement_ratio`` on
     it; no covariance is transported, and only an xi past the float range
@@ -729,11 +791,11 @@ def fig3_tables(
 
     fit_ns = np.arange(2, fit_max_n + 1)
     fit_rs = np.array([enhancement_ratio(int(n), t, nu_fn=nu_closed_form_bkc_ep) for n in fit_ns])
-    a, b, c = _exponential_fit(fit_ns, fit_rs)
+    a, b, c, degenerate = _exponential_fit(fit_ns, fit_rs)
     extras = {
         "t": t,
         "phi_symmetry_residual": asymmetry,
-        "ratio_fit": {"a": a, "b": b, "c": c},
+        "ratio_fit": {"a": a, "b": b, "c": c, "degenerate": degenerate},
         "ratio_fit_n_range": [2, int(fit_max_n)],
     }
     return witness, ratio, extras

@@ -295,6 +295,15 @@ class TestFigureCommands:
         assert fit["c"] == pytest.approx(2.5, abs=0.3)
         assert manifest["extras"]["phi_symmetry_residual"] <= 1e-9
 
+    @pytest.mark.parametrize("t, degenerate", [("3.5", False), ("0.001", True)])
+    def test_fig3_manifest_flags_degenerate_fit(self, tmp_path, t, degenerate):
+        # the long_chain benchmark's fig3, and at t = 0.001 a ratio flat past N = 2
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--ns", "2,3,4,5,6", "--phi-steps", "65", "--t", t,
+                     "--fit-max-n", "30", "--out", str(out)]) == 0
+        fit = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())["extras"]["ratio_fit"]
+        assert sorted(fit) == ["a", "b", "c", "degenerate"] and fit["degenerate"] is degenerate
+
     def test_fig3_long_time(self, tmp_path):
         # xi^2 overflows at N = 30 in the fit; the witness stays positive
         out = tmp_path / "fig3.csv"

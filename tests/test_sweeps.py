@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -120,22 +121,35 @@ LIST_CELL = st.one_of(
 
 @st.composite
 def tables(draw):
-    """A header and one column of one length per name, each a typed array or a mixed list."""
-    width = draw(st.integers(0, 5))
+    """A header and columns of one length that span its names: each a typed
+    array or a mixed list, one name each, or a 2-D float64 block of 0 to 3
+    columns, one name per column."""
     n_rows = draw(st.integers(0, 6))
-    header = draw(st.lists(TEXT, min_size=width, max_size=width))
     columns = []
-    for _ in range(width):
-        dtype = draw(st.sampled_from([None, *ARRAY_CELLS]))
+    for _ in range(draw(st.integers(0, 5))):
+        dtype = draw(st.sampled_from([None, "block", *ARRAY_CELLS]))
+        if dtype == "block":
+            width = draw(st.integers(0, 3))
+            cells = draw(st.lists(FLOAT64, min_size=n_rows * width, max_size=n_rows * width))
+            columns.append(np.array(cells, dtype=np.float64).reshape(n_rows, width))
+            continue
         cells = LIST_CELL if dtype is None else ARRAY_CELLS[dtype]
         column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
         columns.append(column if dtype is None else np.array(column, dtype=dtype))
+    width = len(flat_columns(columns))
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
     return header, columns
+
+
+def flat_columns(columns):
+    """The table's columns with each 2-D block split into its 1-D columns."""
+    return [part for column in columns
+            for part in (column.T if isinstance(column, np.ndarray) and column.ndim == 2 else [column])]
 
 
 def assert_same_bytes_as_reference(tmp_path, header, columns, fmt):
     write_rows(tmp_path / "new", header, columns, fmt)
-    reference_write_rows(tmp_path / "ref", header, zip(*columns), fmt)
+    reference_write_rows(tmp_path / "ref", header, zip(*flat_columns(columns)), fmt)
     assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
@@ -194,8 +208,12 @@ class TestWriterBytes:
         (['q"', "back\\slash", "\u03bd\u208b \u00e9", "tab\t"],
          [np.array([0.5]), np.array([1]), ["x"], np.array([True])]),
         (['q"', "\\", "\u00e9"], [[], [], []]),
+        # a block of no rows spans its two names; blocks of width 0 span none
+        (["a", "b", "c"], [np.zeros((0, 2)), np.zeros((0, 0)), np.array([], dtype=np.int64)]),
+        (["x", "y", "z"], [np.array([0.5, 2.0]), np.zeros((2, 0)), np.array([[1.5, -0.0], [3.0, 1e-310]])]),
+        ([], [np.zeros((3, 0))]),
     ], ids=["empty", "header-only", "one-cell", "float-beside-text", "escaped-names",
-            "escaped-names-no-rows"])
+            "escaped-names-no-rows", "block-no-rows", "run-across-empty-block", "only-empty-block"])
     def test_edge_tables(self, tmp_path, fmt, header, columns):
         assert_same_bytes_as_reference(tmp_path, header, columns, fmt)
 
@@ -227,7 +245,12 @@ class TestWriterBytes:
         (["a", "b"], [np.zeros(2)], "2 header names but 1 columns"),
         (["a"], [[1.0], [2.0]], "1 header names but 2 columns"),
         (["a", "b"], [np.zeros(2), [1, 2, 3]], r"differ in length: \[2, 3\]"),
-    ], ids=["too-few-columns", "too-many-columns", "unequal-lengths"])
+        # a block spans one name per column of it
+        (["a", "b", "c"], [np.zeros((2, 2))], "3 header names but 2 columns"),
+        (["a", "b"], [np.zeros(2), np.zeros((2, 2))], "2 header names but 3 columns"),
+        (["a", "b"], [np.zeros((2, 2), dtype=np.int64)], "1-D or a 2-D float block"),
+    ], ids=["too-few-columns", "too-many-columns", "unequal-lengths", "block-narrower",
+            "block-wider", "int-block"])
     def test_malformed_tables_rejected(self, tmp_path, fmt, header, columns, message):
         with pytest.raises(ConfigError, match=message):
             write_rows(tmp_path / "bad", header, columns, fmt)
@@ -354,9 +377,46 @@ class TestFloatTexts:
             {"n": 30, "g": 1.0, "J": 1.0, "phi": 0.0}, [0.0, 1e-310, 0.5, 1.5, 3.0], [],
             include_cm=True)
         assert all(column.dtype == np.float64 for column in columns)
+        assert columns[-1].shape == (5, 1830)
         assert_same_bytes_as_reference(tmp_path, header, columns, fmt)
-        cells = np.concatenate(columns)
+        cells = np.concatenate(flat_columns(columns))
         assert len(fallbacks) == np.count_nonzero(~in_band(cells) & (cells != 0.0)) > 0
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWideTableMemory:
+    """An N = 30 include-cm trajectory of 200 times, whose 1 830 covariance
+    entries per row are 2.9 MB of floats and 10 MB of JSON text."""
+
+    CHAIN = {"n": 30, "g": 1.0, "J": 1.0, "phi": math.pi / 2}
+    TIMES = np.linspace(0.0, 3.0, 200)
+
+    def trajectory(self):
+        return entanglement_trajectory(self.CHAIN, self.TIMES, [], include_cm=True)
+
+    def test_trajectory_keeps_only_the_written_entries(self):
+        entanglement_trajectory(self.CHAIN, self.TIMES[:2], [], include_cm=True)  # imports and caches
+        (header, columns, _), peak = traced_peak(self.trajectory)
+        kept = len(self.TIMES) * (len(header) - 3) * 8
+        # no full (2N)^2 covariance per cell outlives its chunk: the kept
+        # entries plus a few chunks' work, where whole covariances took 4x
+        assert kept == 200 * 1830 * 8 and peak <= 3 * kept
+
+    def test_write_rows_streams_json(self, tmp_path):
+        header, columns, _ = self.trajectory()
+        write_rows(tmp_path / "warm.json", ["x"], [np.array([0.5])], "json")  # the formatter's tables
+        path, peak = traced_peak(lambda: write_rows(tmp_path / "cm.json", header, columns, "json"))
+        # one row block's floats and text at a time, where the joined body and
+        # its rows took twice the file
+        assert peak <= path.stat().st_size / 4
 
 
 class TestSpectrumSweepErrors:
@@ -513,7 +573,8 @@ class TestRatioFit:
         from scipy.optimize import curve_fit
 
         ns, rs = ratio_fit_data(fit_max_n, t)
-        fit = sweeps._exponential_fit(ns, rs)
+        *fit, degenerate = sweeps._exponential_fit(ns, rs)
+        assert not degenerate
         default, _ = curve_fit(ratio_model, ns, rs, p0=(-4.0, -0.5, 2.5), maxfev=20000)
         # three points are interpolated, and both residuals are the rounding of
         # terms about the size of max|a exp(b N)| + |c| that cancel
@@ -530,7 +591,7 @@ class TestRatioFit:
         # d/db of the residual left by the best (a, c)
         mpmath = pytest.importorskip("mpmath")
         ns, rs = ratio_fit_data(39, 3.3577133695222408)
-        fit = sweeps._exponential_fit(ns, rs)
+        fit = sweeps._exponential_fit(ns, rs)[:3]
         n, y = [mpmath.mpf(int(v)) for v in ns], [mpmath.mpf(float(v)) for v in rs]
 
         def projected(b):
@@ -553,8 +614,8 @@ class TestRatioFit:
         # at t = 1e4 xi^2 overflows in the witness, the fit's decay rate is
         # small (b from -0.045 at N <= 4 to -0.011 at N <= 30) and nothing warns
         ns, rs = ratio_fit_data(fit_max_n, 1e4)
-        a, b, c = sweeps._exponential_fit(ns, rs)
-        assert all(math.isfinite(v) for v in (a, b, c)) and -0.05 < b < 0.0
+        a, b, c, degenerate = sweeps._exponential_fit(ns, rs)
+        assert all(math.isfinite(v) for v in (a, b, c)) and -0.05 < b < 0.0 and not degenerate
         assert ratio_residual(ns, rs, (a, b, c)) <= 0.06
 
     @pytest.mark.parametrize("rs, params", [
@@ -565,12 +626,31 @@ class TestRatioFit:
     ], ids=["constant", "constant-three"])
     def test_flat_data(self, rs, params):
         ns = np.arange(2, 2 + len(rs))
-        assert sweeps._exponential_fit(ns, np.array(rs)) == params
+        assert sweeps._exponential_fit(ns, np.array(rs))[:3] == params
+
+    def test_degenerate_fits_are_flagged(self):
+        # fig3 --t 0.001: R(N) is flat past N = 2, and the fit is a step there
+        ns, rs = ratio_fit_data(30, 0.001)
+        a, b, _, degenerate = sweeps._exponential_fit(ns, rs)
+        assert (a, b) == pytest.approx((-5.74e26, -38.06), rel=1e-3)
+        assert math.exp(b) < 2.0**-52 and degenerate
+        # a straight line has no finite optimum: exact data runs the search
+        # out of steps, and data 1e-9 off the line ends at b ~ 1.5e-10
+        line = 1.0 + 0.5 * ns
+        assert sweeps._exponential_fit(ns, line)[3]
+        _, b, _, degenerate = sweeps._exponential_fit(ns, line + 1e-9 * np.sin(ns))
+        assert abs(b) * 28 < 1e-8 and degenerate
+
+    def test_default_fit_is_not_degenerate(self):
+        # fig3's defaults, which the long_chain benchmark workload runs too
+        fit = fig3_tables()[2]["ratio_fit"]
+        assert fit["degenerate"] is False and fit["b"] == pytest.approx(-0.4327, abs=1e-4)
 
     def test_three_points_interpolated(self):
         # exp(b) is the ratio of the steps, and the points are met to rounding
         ns, rs = np.arange(2, 5), np.array([1.0, 1.5, 1.75])
-        a, b, c = sweeps._exponential_fit(ns, rs)
+        a, b, c, degenerate = sweeps._exponential_fit(ns, rs)
+        assert not degenerate
         assert b == math.log(0.5)
         np.testing.assert_allclose(ratio_model(ns, a, b, c), rs, rtol=1e-15)
 
@@ -580,10 +660,13 @@ class TestRatioFit:
     lambda: fig3_tables(n_values=(2, 3), phi_steps=0, fit_max_n=4)[0],
     lambda: fig4_grid(g_axis=SweepAxis("g", 0.0, 2.0, 2), arc_steps=0, threads=1)[1],
     lambda: entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [1e308], ["1|2"])[:2],
-], ids=["fig3_phi_steps_0", "fig4_arc_steps_0", "entangle_truncated_at_first_time"])
+    # the kernel's first chunk evolves no cell, and keeps no covariance entry
+    lambda: entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [1e308], ["1|2"], include_cm=True)[:2],
+], ids=["fig3_phi_steps_0", "fig4_arc_steps_0", "entangle_truncated_at_first_time",
+        "entangle_cm_truncated_at_first_time"])
 def test_zero_row_tables_write_the_header_alone(tmp_path, fmt, table):
     header, columns = table()
-    assert len(columns) == len(header) > 0 and all(len(column) == 0 for column in columns)
+    assert len(flat_columns(columns)) == len(header) > 0 and all(len(column) == 0 for column in columns)
     text = write_rows(tmp_path / "t", header, columns, fmt).read_text()
     if fmt == "csv":
         assert text == ",".join(header) + "\n"
