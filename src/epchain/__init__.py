@@ -7,115 +7,13 @@ induced symplectic flow, and evaluates partial-transpose entanglement
 witnesses, with closed-form references for the solvable families.
 """
 
-from .chain import (
-    BdgMatrix,
-    ChainSpec,
-    RealGenerator,
-    bdg_stack,
-    build_bdg_matrix,
-    build_chain_spec,
-    generator_stack,
-    particle_hole_residual,
-    quadrature_generator,
-    symplectic_form,
-    uniform_bdg_stack,
-)
-from .dynamics import (
-    GaussianState,
-    SymplecticPropagator,
-    evolve,
-    evolve_grid,
-    evolve_trajectory,
-    initial_state,
-    propagator,
-)
-from .entanglement import (
-    Bipartition,
-    EntanglementResult,
-    bkc_nu_minus,
-    chain_nu_minus,
-    enhancement_ratio,
-    entanglement_result,
-    log_negativity,
-    nu_closed_form_bkc_ep,
-    nu_closed_form_three_mode_nonuniform,
-    nu_closed_form_two_mode,
-    nu_from_xi,
-    nu_minus,
-    partial_transpose,
-    symplectic_eigenvalues,
-    three_mode_surface_spec,
-    witness_stack,
-    xi_from_nu,
-    xi_series_coefficients,
-)
-from .spectral import (
-    EpCluster,
-    EsPoint,
-    Region,
-    SpectrumReport,
-    classify_region,
-    detect_eps,
-    eigenspectrum,
-    jordan_structure,
-    locate_ep_1d,
-    scan_exceptional_surface,
-    spectrum_report,
-    spectrum_stack,
-)
-from . import errors
+from . import chain, dynamics, entanglement, errors, spectral
+from .chain import *
+from .dynamics import *
+from .entanglement import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BdgMatrix",
-    "Bipartition",
-    "ChainSpec",
-    "EntanglementResult",
-    "EpCluster",
-    "EsPoint",
-    "GaussianState",
-    "RealGenerator",
-    "Region",
-    "SpectrumReport",
-    "SymplecticPropagator",
-    "bdg_stack",
-    "bkc_nu_minus",
-    "build_bdg_matrix",
-    "build_chain_spec",
-    "chain_nu_minus",
-    "classify_region",
-    "detect_eps",
-    "eigenspectrum",
-    "enhancement_ratio",
-    "entanglement_result",
-    "errors",
-    "evolve",
-    "evolve_grid",
-    "evolve_trajectory",
-    "generator_stack",
-    "initial_state",
-    "jordan_structure",
-    "locate_ep_1d",
-    "log_negativity",
-    "nu_closed_form_bkc_ep",
-    "nu_closed_form_three_mode_nonuniform",
-    "nu_closed_form_two_mode",
-    "nu_from_xi",
-    "nu_minus",
-    "partial_transpose",
-    "particle_hole_residual",
-    "propagator",
-    "quadrature_generator",
-    "scan_exceptional_surface",
-    "spectrum_report",
-    "spectrum_stack",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "three_mode_surface_spec",
-    "uniform_bdg_stack",
-    "witness_stack",
-    "xi_from_nu",
-    "xi_series_coefficients",
-    "__version__",
-]
+__all__ = [*chain.__all__, *dynamics.__all__, *entanglement.__all__, *spectral.__all__,
+           "errors", "__version__"]

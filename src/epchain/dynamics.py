@@ -8,8 +8,9 @@ S = exp(K t).  The exponential is always taken from t = 0 rather than by
 step chaining, so results stay exact at exceptional points (where S is
 polynomial times exponential in t) and no error accumulates in regimes of
 exponential growth.  ``evolve_grid`` transports a whole stack of
-(generator, time) cells; ``propagator``, ``evolve`` and ``evolve_trajectory``
-are its one-generator case, and ``GaussianState`` shares its bona fide check.
+(generator, time) cells; ``propagator`` (which returns the read-only S),
+``evolve`` and ``evolve_trajectory`` are its one-generator case, and
+``GaussianState`` shares its bona fide check.
 Growth stops a cell only where its K t, S, S Omega S^T or covariance is
 not finite (``OverflowRisk``).  The other guards check a certificate first,
 over the whole stack, and run the exact test only for cells it cannot
@@ -20,15 +21,16 @@ S sigma_0 S^T (sigma + i Omega >= 0 is invariant under congruence), so a
 transported covariance from a diagonal sigma_0 with entries >= 1 (every
 ``initial_state``) is cleared by a bound built from S's residual and
 ||S||_F alone (``_certified_count``); only from the first cell it cannot
-clear, or for another sigma_0, does one Cholesky of sigma + i Omega plus
-half the slack run, then ``eigvalsh`` where that fails.  The stack's
-exponentials come from ``expm``, which gives scipy's bits for every slice
-but runs scipy's Python slice loop as stacked numpy around scipy's private
-Pade kernels, so it is tied to the scipy release that
-``.github/constraints.txt`` pins.  It loads those kernels' extension module
-straight from its file in scipy's ``linalg`` directory, once per process,
-so a transport never runs ``scipy.linalg``'s package init, which is most
-of what importing ``scipy.linalg`` costs.
+clear, or for another sigma_0, does the exact ``eigvalsh`` of
+sigma + i Omega run.  That one certificate and the exact test are the
+whole bona fide check.  The stack's exponentials come from ``expm``,
+which gives scipy's bits for every slice but runs scipy's Python slice
+loop as stacked numpy around scipy's private Pade kernels, so it is tied
+to the scipy release that ``.github/constraints.txt`` pins.  It loads
+those kernels' extension module straight from its file in scipy's
+``linalg`` directory, once per process, so a transport never runs
+``scipy.linalg``'s package init, which is most of what importing
+``scipy.linalg`` costs.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .errors import (
 
 __all__ = [
     "GaussianState",
-    "SymplecticPropagator",
     "initial_state",
     "propagator",
     "evolve",
@@ -68,8 +69,8 @@ _SYMMETRY_RTOL = 1e-12
 _BONA_FIDE_ATOL = 1e-9
 _BONA_FIDE_RTOL = 1e-8
 _SYMPLECTIC_RTOL = 1e-10
-# the largest 2N for which a Cholesky certifies bona-fide-ness (see _cholesky_clears)
-_CHOLESKY_CLEARS_SIZE = 78
+# the largest 2N for which the symplectic residual certifies bona-fide-ness (see _certified_count)
+_CERTIFIED_SIZE = 78
 # entries of slab 0 over one block of expm's Pade workspace, which holds five such
 # slabs (2.6 MB): 4096 cells of 4x4, 18 of 60x60
 _EXPM_BLOCK_ENTRIES = 1 << 16
@@ -92,10 +93,7 @@ def _bona_fide_count(cm: np.ndarray) -> tuple[int, ConfigError | None]:
     """The count of leading bona fide matrices of the stack cm and the next one's error."""
     norm = np.abs(cm).max(axis=(1, 2), initial=0.0)
     slack = np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm)
-    pencil = cm + 1j * symplectic_form(cm.shape[1] // 2)
-    if _cholesky_clears(pencil, slack):
-        return len(cm), None
-    lowest = np.linalg.eigvalsh(pencil).min(axis=1)
+    lowest = np.linalg.eigvalsh(cm + 1j * symplectic_form(cm.shape[1] // 2)).min(axis=1)
     failed = np.flatnonzero(lowest < -slack)
     if not failed.size:
         return len(cm), None
@@ -103,30 +101,6 @@ def _bona_fide_count(cm: np.ndarray) -> tuple[int, ConfigError | None]:
     return stop, ConfigError(
         f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest[stop]:.3e}"
     )
-
-
-def _cholesky_clears(pencil: np.ndarray, slack: np.ndarray) -> bool:
-    """Whether one Cholesky of pencil + (slack / 2) I proves eigvalsh(pencil) >= -slack per slice.
-
-    Let n = 2N, m = max|sigma| and u = 2**-53.  A Cholesky that completes on
-    B = fl(pencil + slack/2 I) is exact for B + dB with ||dB||_2 <= c n (n + 1)
-    u ||B||_2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., Thm 10.5; c = 8 covers complex arithmetic and LAPACK's blocking),
-    forming B costs u (m + slack/2), and eigvalsh's lowest eigenvalue is
-    exact for a perturbation of norm at most c n u ||pencil||_2.  With both
-    norms at most n (m + 1 + slack/2), the computed lowest eigenvalue is
-    then at least -slack/2 - n (c n (n + 1) + c n + 1) u (m + 1 + slack/2),
-    which is >= -slack for every m >= 0 while that factor n (...) u stays
-    below 4.5e-10: for 2N <= 78.  A larger size, a failed factorization or
-    a non-finite factor clears nothing, and the stack is eigensolved.
-    """
-    if pencil.shape[1] > _CHOLESKY_CLEARS_SIZE:
-        return False
-    try:
-        factor = np.linalg.cholesky(pencil + 0.5 * slack[:, None, None] * np.eye(pencil.shape[1]))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
 
 
 @dataclass(frozen=True)
@@ -197,20 +171,8 @@ def initial_state(n_modes: int, thermal_occupancies: Sequence[float] | float | N
     return GaussianState._checked(n_modes, cm)
 
 
-@dataclass(frozen=True)
-class SymplecticPropagator:
-    """Propagator S(t) = exp(K t) with S Omega S^T = Omega."""
-
-    s: np.ndarray
-    t: float
-
-    @property
-    def n_modes(self) -> int:
-        return self.s.shape[0] // 2
-
-
-def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
-    """Matrix exponential S(t) = exp(K t) by scaling and squaring.
+def propagator(k: RealGenerator, t: float) -> np.ndarray:
+    """Matrix exponential S(t) = exp(K t) by scaling and squaring, read-only.
 
     Valid at exceptional points, where K is non-diagonalizable and the
     entries of S are polynomials in t times exponentials.  The symplectic
@@ -228,7 +190,9 @@ def propagator(k: RealGenerator, t: float) -> SymplecticPropagator:
     s, _, _, error = _propagators(k.data[None], np.array([t], dtype=float))
     if error is not None:
         raise error
-    return SymplecticPropagator(s=s[0], t=float(t))
+    s = s[0]
+    s.setflags(write=False)
+    return s
 
 
 def evolve(state: GaussianState, k: RealGenerator, t: float) -> GaussianState:
@@ -438,11 +402,14 @@ def _certified_count(
         lambda_min(sigma^ + i Omega) >= -(n max|R^| + c gamma ||S||_F^2 (1 + ||sigma0||_F)
                                           + c u n m).
 
-    A cell clears where this bound is within half its slack.  For 2N <= 78
-    eigvalsh's own error, at most c n u ||sigma^ + i Omega||_2 <= c n^2 u (m + 1)
-    (``_cholesky_clears``), is below 5.4e-12 (m + 1), under 1/80 of the
-    other half of the slack.  That room also holds what the bound leaves
-    out, all of relative order u: the u max|R^| term, the rounding of
+    A cell clears where this bound is within half its slack.  The other half
+    holds eigvalsh's own error, which puts its lowest eigenvalue within
+    c n u ||sigma^ + i Omega||_2 <= c n^2 u (m + 1) of an exact one.  Against
+    half the slack, max(5e-10, 5e-9 m), that error is largest at m = 0.1,
+    where the slack's floor meets its relative part, and 2N <= 78
+    (``_CERTIFIED_SIZE``) is the largest size at which it stays under 1/80
+    there (5.4e-12 (m + 1) at 2N = 78).  That room also holds what the bound
+    leaves out, all of relative order u: the u max|R^| term, the rounding of
     ||S||_F^2 and of the bound itself, and underflow, whose absolute errors
     (n^2 2**-1074 per entry) are far below the slack's 1e-9 floor.  So a
     cleared cell passes the exact test, and that test still decides and
@@ -451,7 +418,7 @@ def _certified_count(
     """
     n = len(sigma0)
     diagonal = sigma0.diagonal()
-    if n > _CHOLESKY_CLEARS_SIZE or np.count_nonzero(sigma0) != n or not diagonal.min() >= 1.0:
+    if n > _CERTIFIED_SIZE or np.count_nonzero(sigma0) != n or not diagonal.min() >= 1.0:
         return 0
     norm = np.abs(cm).max(axis=(1, 2), initial=0.0)
     slack = np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm)
@@ -474,12 +441,12 @@ def evolve_grid(
     finite K t, the stacked ``expm`` (scipy's scaling-and-squaring algorithm
     and bits on each slice), a finite S and S Omega S^T, the symplectic
     residual, a finite covariance (``OverflowRisk`` where a value is not),
-    and bona-fide-ness; ``evolve`` is the case of one generator.  The last
-    two checks are certificate first, as the exact tests decide: where the
-    state's sigma_0 is diagonal with entries >= 1 and 2N <= 78, S's residual
-    and ||S||_F clear bona-fide-ness cell by cell (``_certified_count``),
-    and the Cholesky and ``eigvalsh`` of ``_bona_fide_count`` run only from
-    the first cell not cleared.
+    and bona-fide-ness; ``evolve`` is the case of one generator.  The
+    residual and bona-fide checks are certificate first, as the exact tests
+    decide: where the state's sigma_0 is diagonal with entries >= 1 and
+    2N <= 78, S's residual and ||S||_F clear bona-fide-ness cell by cell
+    (``_certified_count``), and the exact ``eigvalsh`` of
+    ``_bona_fide_count`` runs only from the first cell not cleared.
 
     Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
     and the error of the first cell that failed, or None when all G x T

@@ -277,23 +277,17 @@ def log_negativity(state: GaussianState, part: Bipartition) -> float:
 # ---------------------------------------------------------------------------
 # numeric pipeline helpers
 
-def chain_nu_minus(
-    spec: ChainSpec,
-    t: float,
-    part: Bipartition | None = None,
-    state: GaussianState | None = None,
-) -> float:
-    """nu_- of the evolved chain state: build M, transport sigma, eigensolve.
+def chain_nu_minus(spec: ChainSpec, t: float, part: Bipartition | None = None) -> float:
+    """nu_- of the evolved vacuum: build M, transport sigma, eigensolve.
 
-    Defaults to the vacuum initial state and the first-mode-vs-rest cut.
+    Defaults to the first-mode-vs-rest cut.
     """
     if part is None:
         part = Bipartition.one_vs_rest(spec.n_modes)
-    if state is None:
-        state = initial_state(spec.n_modes)
     k = quadrature_generator(build_bdg_matrix(spec))
-    pt = partial_transpose(evolve(state, k, t), part)
-    values, _ = _witnesses(pt[None], 0.5 * np.linalg.slogdet(state.cm)[1])
+    pt = partial_transpose(evolve(initial_state(spec.n_modes), k, t), part)
+    # the vacuum's 1/2 ln det sigma_0 is 0
+    values, _ = _witnesses(pt[None], 0.0)
     return float(values[0, 0])
 
 
@@ -417,15 +411,15 @@ def xi_series_coefficients(max_n: int) -> tuple[float, ...]:
     return tuple(2 * 4**j / math.factorial(j) ** 2 for j in range(1, max_n))
 
 
-def nu_closed_form_bkc_ep(n_modes: int, phi: float, t: float, j: float = 1.0) -> float:
-    """Closed-form nu_- of the uniform chain at g = J and hopping phase phi.
+def nu_closed_form_bkc_ep(n_modes: int, phi: float, t: float) -> float:
+    """Closed-form nu_- of the uniform chain at g = J = 1 and hopping phase phi.
 
-    Evaluates xi = 1 + sum_j c_j (J t)^(2 j) sin(phi)^(2 (j - 1)) with the
+    Evaluates xi = 1 + sum_j c_j t^(2 j) sin(phi)^(2 (j - 1)) with the
     exact coefficients of :func:`xi_series_coefficients`, by Horner's rule
-    so that no power of J t overflows on its own for large N.  An xi past
+    so that no power of t overflows on its own for large N.  An xi past
     the float range or a non-finite phi raises ``OutOfRange``.
     """
-    u = _square_of(j * t)
+    u = _square_of(t)
     step = u * _sin_squared(phi, "phi")
     acc = 0.0
     for c in reversed(xi_series_coefficients(n_modes) if n_modes >= 2 else ()):
@@ -447,10 +441,10 @@ def nu_closed_form_three_mode_nonuniform(varphi: float, j: float, t: float) -> f
     return nu_from_xi(xi)
 
 
-def three_mode_surface_spec(varphi: float, j: float = 1.0) -> ChainSpec:
-    """Three-mode chain on the coalescence circle, parameterized by varphi."""
-    g1, g2 = _surface_hopping(varphi, j)
-    return ChainSpec(n_modes=3, hopping=(complex(g1), complex(g2)), pairing=float(j), sms=0)
+def three_mode_surface_spec(varphi: float) -> ChainSpec:
+    """Three-mode chain at J = 1 on the coalescence circle, parameterized by varphi."""
+    g1, g2 = _surface_hopping(varphi)
+    return ChainSpec(n_modes=3, hopping=(complex(g1), complex(g2)), pairing=1.0, sms=0)
 
 
 def _surface_hopping(varphi: float, j: float = 1.0) -> tuple[float, float]:

@@ -15,7 +15,8 @@ initial covariance for all (generator, time) cells at once and
 stacks pass by construction) evaluates nu_- and E_N per cut.  ``evolve`` and
 ``entanglement_result`` are their one-cell case, so every value equals what
 they give for that cell, and a failing check raises the error a loop over
-the cells would raise first.  The kernel works
+the cells would raise first (a refused witness with its time and cut
+appended).  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
 stays flat on large grids (but of at least 512 witness values, so that
 numpy's stacked eigensolve releases the GIL), and stops at the first chunk
@@ -83,7 +84,6 @@ from .dynamics import (
     _UNIT_ROUNDOFF,
     GaussianState,
     _sample_times,
-    evolve,
     evolve_grid,
     initial_state,
 )
@@ -94,7 +94,6 @@ from .entanglement import (
     enhancement_ratio,
     nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
-    witness_stack,
 )
 from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, PrecisionLoss
 from .floattext import BLOCK_CELLS, run_texts
@@ -394,6 +393,12 @@ def _witness_map(
     The chunks come from ``evolve_grid``, exactly symmetric and finite, so
     they skip ``witness_stack``'s input checks.
 
+    ``witness_stack`` refuses a chunk as a whole, so a refused chunk's cells
+    are witnessed again one at a time, times first and then cuts, and the
+    first refused cell's own ``PrecisionLoss`` is raised with its time and
+    cut appended, as "(t=25.0, cut 1|2)"; the chunk's refusal is raised
+    unchanged if no cell alone is refused.
+
     The calling thread evolves the chunks in order and stops at the first
     with an error.  With ``threads > 1`` and more than one chunk it hands
     each chunk's cuts to that many worker threads and goes on to the next
@@ -421,10 +426,22 @@ def _witness_map(
         kept = np.empty((len(k) * len(times), len(flat)))
     cells = 0
     pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 and len(blocks) > 1 else None
+    # the pool's chunks not yet collected, as collect's arguments
     pending = collections.deque()
 
-    def collect():
-        witnesses.append([future.result() for future in pending.popleft()])
+    def collect(chunk, tb, results):
+        """Append the chunk's witnesses, from one result callable per cut."""
+        try:
+            witnesses.append([result() for result in results])
+        except PrecisionLoss:
+            for i in range(len(chunk)):
+                for part in parts:
+                    try:
+                        _cut_witnesses(chunk[i : i + 1], part, half_log_det)
+                    except PrecisionLoss as exc:
+                        t = float(tb[i % len(tb)])
+                        raise PrecisionLoss(f"{exc} (t={t}, cut {part.label})") from exc
+            raise
 
     try:
         for kb, tb in blocks:
@@ -433,7 +450,7 @@ def _witness_map(
             except Exception:
                 # a witness refused in an earlier chunk wins, as in the serial loop
                 while pending:
-                    collect()
+                    collect(*pending.popleft())
                 raise
             if keep is not None:
                 # mode="clip" lets take write straight into the rows (its default buffers out)
@@ -442,16 +459,17 @@ def _witness_map(
             cells += len(chunk)
             if pool is None:
                 # a cell witness_stack refuses comes before any evolve_grid stopped at, so it raises
-                witnesses.append([_cut_witnesses(chunk, part, half_log_det) for part in parts])
+                collect(chunk, tb, [functools.partial(_cut_witnesses, chunk, part, half_log_det)
+                                    for part in parts])
             else:
-                pending.append(
-                    [pool.submit(_cut_witnesses, chunk, part, half_log_det) for part in parts])
+                pending.append((chunk, tb, [pool.submit(_cut_witnesses, chunk, part, half_log_det).result
+                                            for part in parts]))
                 if len(pending) > threads:
-                    collect()
+                    collect(*pending.popleft())
             if error is not None:
                 break
         while pending:
-            collect()
+            collect(*pending.popleft())
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -536,9 +554,10 @@ def entanglement_trajectory(
     spans the ``cm_i_j`` names.  If the
     propagator or the covariance overflows at some time, the columns end
     before it; the extras hold that time as ``truncated_at`` and the guard's
-    message as ``truncation``.  A witness that ``witness_stack`` refuses
-    raises its ``PrecisionLoss`` with the first refused time and cut
-    appended, as "(t=25.0, cut 1|2)".
+    message as ``truncation``.  A refused witness raises the
+    ``PrecisionLoss`` of the first refused cell, times first and then cuts,
+    with its time and cut appended, as "(t=25.0, cut 1|2)"
+    (``_witness_map``).
     """
     _check_threads(threads)
     spec = build_chain_spec(chain)
@@ -557,14 +576,7 @@ def entanglement_trajectory(
         upper = np.triu_indices(2 * spec.n_modes)
         # Python ints format several times faster than numpy's
         header += [f"cm_{i+1}_{j+1}" for i, j in zip(upper[0].tolist(), upper[1].tolist())]
-    state0 = initial_state(spec.n_modes)
-    try:
-        witnesses, cms, error = _witness_map(state0, k.data[None], ts, parts, threads, upper)
-    except PrecisionLoss as exc:
-        where = _first_refusal(state0, k, ts, parts)
-        if where is None:
-            raise
-        raise PrecisionLoss(f"{exc} ({where})") from exc
+    witnesses, cms, error = _witness_map(initial_state(spec.n_modes), k.data[None], ts, parts, threads, upper)
     n_rows = len(witnesses[0][0])
     columns = [ts[:n_rows]]
     for nu, logneg in witnesses:
@@ -578,24 +590,6 @@ def entanglement_trajectory(
     elif error is not None:
         raise error
     return header, columns, extras
-
-
-def _first_refusal(state0: GaussianState, k, times: np.ndarray, parts: Sequence[Bipartition]) -> str | None:
-    """'t=..., cut ...' of the first (time, cut) cell, times first, that the
-    one-cell pipeline refuses; None if it refuses none.
-
-    The kernel raises a refusal only for cells before the first one that
-    fails to evolve, so every cell up to the refused one evolves here.
-    """
-    half_log_det = 0.5 * np.linalg.slogdet(state0.cm)[1]
-    for t in times.tolist():
-        cm = evolve(state0, k, t).cm[None]
-        for part in parts:
-            try:
-                witness_stack(cm, part, half_log_det)
-            except PrecisionLoss:
-                return f"t={t}, cut {part.label}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +668,8 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float,
     Data with no finite optimum leaves b where the search stopped, so the
     fit is flagged degenerate where exp(b) < 2^-52 (the exponential is a
     step at x0), where |b| (x_max - x0) < 1e-8 (it is a straight line), or
-    where the search took all ``_FIT_STEPS`` steps.
+    where the search took all ``_FIT_STEPS`` steps.  Constant data is
+    flagged too: it gives a = 0, which leaves b undetermined.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -729,7 +724,8 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float,
         else:
             exhausted = True
     # exp(b) < 2^-52, without overflowing exp for a large b
-    degenerate = exhausted or b < math.log(2.0**-52) or abs(b) * float(x[-1] - x[0]) < 1e-8
+    degenerate = (exhausted or not centred_y.any() or b < math.log(2.0**-52)
+                  or abs(b) * float(x[-1] - x[0]) < 1e-8)
     end = x[0] if b < 0.0 else x[-1]
     e = np.expm1(b * (x - end))
     centred = e - e.mean()
@@ -753,7 +749,8 @@ def fig3_tables(
     fixed time over N = 2..fit_max_n (``_exponential_fit``: three sizes
     are interpolated, more are fitted by variable projection from
     b = -0.5), with ``degenerate`` true where the data has no finite
-    optimum in reach (a step, a straight line, or a search out of steps).  At g = J the witness is the exact
+    optimum in reach (a step, a straight line, a constant, or a search out
+    of steps).  At g = J the witness is the exact
     coalescence-point series, so every value comes from
     ``nu_closed_form_bkc_ep`` and every ratio from ``enhancement_ratio`` on
     it; no covariance is transported, and only an xi past the float range

@@ -242,7 +242,7 @@ class TestOneCellCase:
             lambda: [reference_evolve(state, k, t) for t in times]
         )
         for t in times:
-            s = outcome(lambda: propagator(k, t).s)
+            s = outcome(lambda: propagator(k, t))
             assert s == outcome(lambda: reference_propagator(k, t))
             evolved = outcome(lambda: evolve(state, k, t).cm)
             assert evolved == outcome(lambda: reference_evolve(state, k, t))
@@ -412,7 +412,7 @@ class TestCertifiedGuards:
         thermal = initial_state(n, data.draw(occupancies))
         mixer = scipy.linalg.expm(0.3 * k[0])
         states = [thermal, GaussianState(n, mixer @ thermal.cm @ mixer.T)]
-        expm, cholesky = dynamics.expm, np.linalg.cholesky
+        expm, eigvalsh = dynamics.expm, np.linalg.eigvalsh
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_BONA_FIDE_ATOL", scale * dynamics._BONA_FIDE_ATOL)
             patch.setattr(dynamics, "_BONA_FIDE_RTOL", scale * dynamics._BONA_FIDE_RTOL)
@@ -420,7 +420,7 @@ class TestCertifiedGuards:
                 calls = []
                 with pytest.MonkeyPatch.context() as kernel:
                     kernel.setattr(dynamics, "expm", lambda a: expm(a) + kicks[: len(a)])
-                    kernel.setattr(np.linalg, "cholesky", lambda a: calls.append(a.dtype) or cholesky(a))
+                    kernel.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.dtype) or eigvalsh(a))
                     s, residual, frobenius, _ = dynamics._propagators(k, times)
                     with np.errstate(over="ignore", invalid="ignore"):
                         cm = s @ state.cm @ s.transpose(0, 2, 1)
@@ -442,12 +442,8 @@ class TestCertifiedGuards:
     def test_clean_stacks_run_no_eigensolve(self, monkeypatch):
         # fig2-, fig4- and long_chain-sized stacks as the benchmark runs them
         calls = []
-        eigvalsh, norm, cholesky = np.linalg.eigvalsh, np.linalg.norm, np.linalg.cholesky
+        eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
-        monkeypatch.setattr(  # the bona fide check's Cholesky of sigma + i Omega
-            np.linalg, "cholesky",
-            lambda a: (np.iscomplexobj(a) and calls.append("cholesky")) or cholesky(a),
-        )
         monkeypatch.setattr(  # the spectral norm is an SVD per matrix
             np.linalg, "norm",
             lambda x, ord=None, axis=None: (ord == 2 and calls.append("svd")) or norm(x, ord, axis),
@@ -473,19 +469,22 @@ class TestCertifiedGuards:
         _, error = evolve_grid(vacuum[2], k2[-1:] + 1e-12 * np.eye(4), [1e3])
         assert type(error) is SymplecticityLost
         dynamics._bona_fide_count((1.0 - 1e-6) * np.eye(4)[None])
-        assert calls == ["svd", "cholesky", "eigvalsh"]
+        assert calls == ["svd", "eigvalsh"]
 
-    def test_cholesky_certificate_size(self, monkeypatch):
-        # n (8 n (n + 1) + 8 n + 1) u stays below 4.5e-10 up to 2N = 78, not beyond
-        def factor(n):
-            return n * (8 * n * (n + 1) + 8 * n + 1) * 2.0**-53
+    def test_certificate_size(self, monkeypatch):
+        # eigvalsh's error 8 n^2 u (m + 1) against half the slack peaks at m = 0.1,
+        # where it stays under 1/80 up to 2N = 78, not beyond
+        def share(n):
+            half_slack = 0.5 * max(dynamics._BONA_FIDE_ATOL, dynamics._BONA_FIDE_RTOL * 0.1)
+            return 8 * n * n * 2.0**-53 * 1.1 / half_slack
 
-        size = dynamics._CHOLESKY_CLEARS_SIZE
-        assert factor(size) < 4.5e-10 <= factor(size + 2)
+        size = dynamics._CERTIFIED_SIZE
+        assert share(size) < 1 / 80 <= share(size + 2)
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        GaussianState(size // 2, np.eye(size))
-        GaussianState(size // 2 + 1, np.eye(size + 2))
+        for n in (size // 2, size // 2 + 1):
+            cms, error = evolve_grid(initial_state(n), np.zeros((1, 2 * n, 2 * n)), [1.0])
+            assert error is None and bits(cms) == bits(np.eye(2 * n)[None])
         assert calls == [(1, size + 2, size + 2)]
 
 
@@ -695,9 +694,8 @@ class TestSweepsThroughKernel:
         with pytest.raises(OverflowRisk) as excinfo:
             reference_evolve(initial_state(2), k, extras["truncated_at"])
         assert extras["truncation"] == str(excinfo.value)
-        # a growing chain loses its witness to rounding: the trajectory's one
-        # chunk is refused as the per-cell reference refuses it, and the
-        # message names the first cell the reference refuses
+        # a growing chain loses its witness to rounding: the trajectory raises
+        # the first refused cell's own refusal, and the message names that cell
         times = np.linspace(0.0, 400.0, 81)
         with pytest.raises(PrecisionLoss) as excinfo:
             entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, times, ["1|23"])
@@ -705,7 +703,38 @@ class TestSweepsThroughKernel:
         _, _, [results] = scalar_cells(initial_state(3), [k], times, [Bipartition.from_label("1|23", 3)])
         first = next(i for i, result in enumerate(results) if isinstance(result, PrecisionLoss))
         assert first == 2
-        assert str(excinfo.value) == f"{stack_refusal(results)} (t={times[first]}, cut 1|23)"
+        assert str(excinfo.value) == f"{results[first]} (t={times[first]}, cut 1|23)"
+        assert "not positive definite" in str(excinfo.value)
+
+    @pytest.mark.parametrize("n, eta, times, cuts, refusal", [
+        # the chunk's Cholesky fails at a later cell; the t = 9.5 cell factors and
+        # is refused by det S = 1
+        (2, 0.0, np.linspace(0.0, 60.0, 121), ["1|2"],
+         "the symplectic eigenvalues break det S = 1: their logs sum 0.0351 off "
+         "1/2 ln det sigma_0; the witness has lost precision (t=9.5, cut 1|2)"),
+        # three cuts: the first refused time decides, then the first of its cuts
+        (3, 0.3, np.linspace(0.0, 60.0, 121), ["3|12", "1|23", "2|13"],
+         "the symplectic eigenvalues break det S = 1: their logs sum 0.137 off "
+         "1/2 ln det sigma_0; the witness has lost precision (t=6.0, cut 3|12)"),
+    ], ids=["n2", "n3_three_cuts"])
+    @pytest.mark.parametrize("threads, chunk_cells", [(1, None), (2, None), (2, 8)],
+                             ids=["serial", "threads", "threads_8_cell_chunks"])
+    def test_refusal_is_the_first_refused_cells_own(self, monkeypatch, n, eta, times, cuts, refusal,
+                                                     threads, chunk_cells):
+        # one chunk holds all 121 times unless chunk_cells splits them, so that
+        # the worker threads run and the refused chunk is not the first
+        if chunk_cells:
+            monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", (2 * n) ** 2 * chunk_cells)
+        chain = {"n": n, "g": 0.5, "J": 1.0, "eta": eta}
+        with pytest.raises(PrecisionLoss) as excinfo:
+            entanglement_trajectory(chain, times, cuts, threads=threads)
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(n, g=0.5, j=1.0, eta=eta))).data
+        parts = [Bipartition.from_label(cut, n) for cut in cuts]
+        _, _, per_cut = scalar_cells(initial_state(n), [k], times, parts)
+        i, cut, result = next((i, cut, results[i]) for i in range(len(times))
+                              for cut, results in zip(cuts, per_cut)
+                              if isinstance(results[i], PrecisionLoss))
+        assert str(excinfo.value) == f"{result} (t={times[i]}, cut {cut})" == refusal
 
     def test_pool_chunks_do_not_change_values(self, monkeypatch):
         # small chunks split these grids over several pool tasks
@@ -819,7 +848,7 @@ class TestSweepsThroughKernel:
     def test_pool_reports_first_refused_cell(self, monkeypatch, g_start, error_type):
         # at eta = 5 and t = 100, g = 5 loses the witness and g = 1 overflows:
         # whichever generator, each a chunk of its own, comes first decides, at
-        # any thread count
+        # any thread count; a refused witness names its cell
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 2)
         g_axis = SweepAxis("g", g_start, 6.0 - g_start, 2)
         t_axis = SweepAxis("t", 0.0, 100.0, 2)
@@ -829,6 +858,7 @@ class TestSweepsThroughKernel:
                 fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
+        assert messages[0].endswith("(t=100.0, cut 1|2)") == (error_type is PrecisionLoss)
 
 
 def reference_bdg(spec):

@@ -620,13 +620,14 @@ class TestRatioFit:
 
     @pytest.mark.parametrize("rs, params", [
         # three points with equal steps, or constant data, have no exponential
-        # fit; the search stops where F is flat, with no warning
+        # fit; the search stops where F is flat, with no warning, and a = 0
+        # leaves b undetermined: the fit is degenerate
         ([1.0, 1.0, 1.0, 1.0], (0.0, -0.5, 1.0)),
         ([2.0, 2.0, 2.0], (0.0, -0.5, 2.0)),
     ], ids=["constant", "constant-three"])
     def test_flat_data(self, rs, params):
         ns = np.arange(2, 2 + len(rs))
-        assert sweeps._exponential_fit(ns, np.array(rs))[:3] == params
+        assert sweeps._exponential_fit(ns, np.array(rs)) == (*params, True)
 
     def test_degenerate_fits_are_flagged(self):
         # fig3 --t 0.001: R(N) is flat past N = 2, and the fit is a step there
@@ -640,6 +641,9 @@ class TestRatioFit:
         assert sweeps._exponential_fit(ns, line)[3]
         _, b, _, degenerate = sweeps._exponential_fit(ns, line + 1e-9 * np.sin(ns))
         assert abs(b) * 28 < 1e-8 and degenerate
+        # fig3 --t 1e-5: R(N) = 1 for every N
+        fit = fig3_tables(t=1e-5)[2]["ratio_fit"]
+        assert fit == {"a": 0.0, "b": -0.5, "c": 1.0, "degenerate": True}
 
     def test_default_fit_is_not_degenerate(self):
         # fig3's defaults, which the long_chain benchmark workload runs too
