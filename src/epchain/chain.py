@@ -177,8 +177,8 @@ def build_chain_spec(config: Mapping) -> ChainSpec:
 class BdgMatrix:
     """The 2N x 2N dynamical matrix M = [[A, B], [-B*, -A*]].
 
-    ``block_a`` (Hermitian) collects the hopping couplings and ``block_b``
-    (symmetric) the squeezing couplings; see :func:`build_bdg_matrix`.
+    A (Hermitian) collects the hopping couplings and B (symmetric) the
+    squeezing couplings; see :func:`bdg_stack`.
     """
 
     data: np.ndarray
@@ -200,16 +200,6 @@ class BdgMatrix:
     @property
     def n_modes(self) -> int:
         return self.size // 2
-
-    @property
-    def block_a(self) -> np.ndarray:
-        n = self.n_modes
-        return self.data[:n, :n]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        n = self.n_modes
-        return self.data[:n, n:]
 
 
 def bdg_stack(hopping, pairing, sms) -> np.ndarray:
@@ -261,23 +251,21 @@ def bdg_stack(hopping, pairing, sms) -> np.ndarray:
     return m
 
 
-def uniform_bdg_stack(n_modes: int, g=0.0, j=0.0, eta=0.0, phi=0.0) -> np.ndarray:
-    """``bdg_stack`` of uniform chains, one per entry of the broadcast rates.
+def uniform_bdg_stack(n_modes: int, g=0.0, j=0.0, eta=0.0) -> np.ndarray:
+    """``bdg_stack`` of uniform chains with real hopping, one per entry of the
+    broadcast rates.
 
-    Each of ``g``, ``j``, ``eta`` and ``phi`` is a scalar or a sequence with
-    one value per slice; slice p is the matrix of
-    ``ChainSpec.uniform(n_modes, g[p], j[p], eta[p], phi[p])``.
+    Each of ``g``, ``j`` and ``eta`` is a scalar or a sequence with one value
+    per slice; slice p is the matrix of
+    ``ChainSpec.uniform(n_modes, g[p], j[p], eta[p])``.
     """
     n = _check_mode_count(n_modes)
-    g, j, eta, phi = np.broadcast_arrays(
+    g, j, eta = np.broadcast_arrays(
         np.atleast_1d(np.asarray(g, dtype=float)),
         np.atleast_1d(np.asarray(j, dtype=float)),
         np.atleast_1d(np.asarray(eta, dtype=complex)),
-        np.atleast_1d(np.asarray(phi, dtype=float)),
     )
-    hop = np.array([_uniform_hopping(gv, pv) for gv, pv in zip(g.tolist(), phi.tolist())],
-                   dtype=complex)
-    return bdg_stack(np.repeat(hop[:, None], n - 1, axis=1), j[:, None], eta[:, None])
+    return bdg_stack(np.repeat(g[:, None], n - 1, axis=1), j[:, None], eta[:, None])
 
 
 def spec_bdg_stack(specs: Sequence[ChainSpec]) -> np.ndarray:

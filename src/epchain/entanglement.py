@@ -51,7 +51,6 @@ __all__ = [
     "entanglement_result",
     "witness_stack",
     "nu_minus",
-    "log_negativity",
     "chain_nu_minus",
     "bkc_nu_minus",
     "nu_from_xi",
@@ -138,7 +137,11 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class EntanglementResult:
-    """Partial-transpose symplectic spectrum and derived witnesses."""
+    """Partial-transpose symplectic spectrum and derived witnesses.
+
+    ``nu_minus`` is the smallest value of the spectrum and
+    ``log_negativity`` is -sum ln(nu~_k) over nu~_k < 1 (natural log).
+    """
 
     partition: Bipartition
     symplectic_eigenvalues_pt: tuple[float, ...]
@@ -267,11 +270,6 @@ def _cut_witnesses(
 def nu_minus(state: GaussianState, part: Bipartition) -> float:
     """Smallest symplectic eigenvalue of the partial transpose; < 1 means entangled."""
     return entanglement_result(state, part).nu_minus
-
-
-def log_negativity(state: GaussianState, part: Bipartition) -> float:
-    """Logarithmic negativity -sum ln(nu~_k) over nu~_k < 1 (natural log)."""
-    return entanglement_result(state, part).log_negativity
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Float values as the text of '%.17g', made in numpy a block at a time.
 
-``float_texts`` gives exactly what ``'%.17g' % value`` gives for each value
-of a float64 array, byte for byte, at a fraction of CPython's cost per
-value (its 17-digit path runs the bignum dtoa).  ``run_texts`` is the same
-text for a block of table rows, joined into one ``str`` per run of adjacent
-float cells of a row, with the table's separator between the cells of a
-run; ``float_texts`` is its case where every run holds one cell.
+``run_texts`` gives exactly what ``'%.17g' % value`` gives for each value
+of a (rows, k) float64 block of table rows, byte for byte, at a fraction
+of CPython's cost per value (its 17-digit path runs the bignum dtoa),
+joined into one ``str`` per run of adjacent float cells of a row, with the
+table's separator between the cells of a run.
 
 *Scale.*  A nonzero x with |x| in the certified band [1e-280, 1e280] has
 decimal exponent e = floor(log10 |x|), corrected once where log10 rounds
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BLOCK_CELLS", "float_texts", "run_texts"]
+__all__ = ["BLOCK_CELLS", "run_texts"]
 
 BLOCK_CELLS = 1 << 12  # values per block: its byte layout and temporaries stay near 1 MB
 _SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
@@ -167,15 +166,6 @@ def _decade_miss(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _python_text(value: float) -> str:
     """The fallback: CPython's own 17-digit text of one float."""
     return "%.17g" % value
-
-
-def float_texts(x: np.ndarray) -> list[str]:
-    """'%.17g' % value for each value of a float64 array, as a list of str,
-    made ``BLOCK_CELLS`` values at a time."""
-    texts = []
-    for start in range(0, len(x), BLOCK_CELLS):
-        texts += run_texts(x[start : start + BLOCK_CELLS, None], np.ones(1, bool), "")
-    return texts
 
 
 def run_texts(block: np.ndarray, run_ends: np.ndarray, sep: str) -> list[str]:

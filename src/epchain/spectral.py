@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "EsPoint",
     "spectrum_stack",
     "eigenspectrum",
-    "classify_region",
     "spectrum_report",
     "jordan_structure",
     "detect_eps",
@@ -69,7 +68,6 @@ class SpectrumReport:
 
     eigenvalues: tuple[complex, ...]
     region: Region
-    tolerance: float
     boundary: bool = False
 
 
@@ -89,10 +87,6 @@ class EpCluster:
     @property
     def order(self) -> int:
         return max(self.jordan_blocks)
-
-    @property
-    def geometric_multiplicity(self) -> int:
-        return len(self.jordan_blocks)
 
 
 def _check_tol(tol: float) -> None:
@@ -140,17 +134,10 @@ def eigenspectrum(m: BdgMatrix) -> np.ndarray:
     return spectrum_stack(m.data[None])[0][0]
 
 
-def classify_region(eigenvalues: Sequence[complex], tol: float = DEFAULT_REGION_TOL) -> Region:
-    """Classify a spectrum as purely imaginary, purely real, or mixed (see ``spectrum_stack``)."""
-    _check_tol(tol)
-    codes, _, _ = _label_rows(np.asarray(eigenvalues, dtype=complex).reshape(1, -1), tol)
-    return _REGIONS[int(codes[0])]
-
-
 def spectrum_report(m: BdgMatrix, tol: float = DEFAULT_REGION_TOL) -> SpectrumReport:
     """Eigensolve plus region classification, with a boundary-stability flag."""
     values, (region,), boundary = spectrum_stack(m.data[None], tol)
-    return SpectrumReport(tuple(values[0].tolist()), region, tol, bool(boundary[0]))
+    return SpectrumReport(tuple(values[0].tolist()), region, bool(boundary[0]))
 
 
 def jordan_structure(m: BdgMatrix, center: complex, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:

@@ -12,11 +12,12 @@ by the same rule.  fig2 and fig4 turn the stack into generators with
 arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
 ``witness_stack``'s core (without its input checks, which the kernel's own
-stacks pass by construction) evaluates nu_- and E_N per cut.  ``evolve`` and
-``entanglement_result`` are their one-cell case, so every value equals what
-they give for that cell, and a failing check raises the error a loop over
-the cells would raise first (a refused witness with its time and cut
-appended).  The kernel works
+stacks pass by construction) evaluates nu_- and E_N per cut.  Every preset
+starts from the vacuum.  ``evolve`` and ``entanglement_result`` are their
+one-cell case, so every value equals what they give for that cell, and a
+failing check raises the error a loop over the cells would raise first (a
+refused witness with its cell appended: the swept parameters of its
+generator, its time and its cut).  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
 stays flat on large grids (but of at least 512 witness values, so that
 numpy's stacked eigensolve releases the GIL), and stops at the first chunk
@@ -24,10 +25,11 @@ with an error.  Only what a table writes outlives a chunk: the witnesses,
 and for ``entangle --include-cm`` the covariance entries it prints, copied
 into one array for the whole grid as each chunk is evolved.
 The calling thread evolves the chunks in order; with ``threads > 1``
-(the three witness presets take it) each chunk's cuts go to a
-``concurrent.futures.ThreadPoolExecutor`` of that many worker threads
-while the next chunk evolves, and their results are collected in order, so
-values and errors are the same at any thread count.  fig3 needs
+(the three witness presets take it) and more than one chunk, each chunk's
+cuts go to a ``concurrent.futures.ThreadPoolExecutor`` of that many worker
+threads while the next chunk evolves, and their results are collected in
+order, so values and errors are the same at any thread count.  Only such a
+run imports ``concurrent.futures`` (and with it ``logging``).  fig3 needs
 no kernel: at g = J its witness is the exact coalescence-point series
 ``nu_closed_form_bkc_ep``, and its fit of the enhancement ratio is a
 variable projection in numpy (``_exponential_fit``), so no preset imports
@@ -58,7 +60,6 @@ changes the data) and the tool version.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import csv
 import functools
 import json
@@ -66,7 +67,7 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -80,13 +81,7 @@ from .chain import (
     spec_bdg_stack,
     uniform_bdg_stack,
 )
-from .dynamics import (
-    _UNIT_ROUNDOFF,
-    GaussianState,
-    _sample_times,
-    evolve_grid,
-    initial_state,
-)
+from .dynamics import _UNIT_ROUNDOFF, _sample_times, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
     _cut_witnesses,
@@ -374,14 +369,15 @@ _CHUNK_ENTRIES = 1 << 15
 
 
 def _witness_map(
-    state0: GaussianState,
     k: np.ndarray,
     times: np.ndarray,
     parts: Sequence[Bipartition],
     threads: int = 1,
     keep: tuple[np.ndarray, np.ndarray] | None = None,
+    axes: Mapping[str, np.ndarray] | None = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None, EpchainError | None]:
-    """nu_- and E_N per cut for every (generator, time) cell, generator-major.
+    """nu_- and E_N per cut for every (generator, time) cell of the vacuum,
+    generator-major.
 
     Returns one (nu_minus, log_negativity) pair of arrays per cut over the
     leading cells that passed every check, the covariance entries at the
@@ -395,9 +391,11 @@ def _witness_map(
 
     ``witness_stack`` refuses a chunk as a whole, so a refused chunk's cells
     are witnessed again one at a time, times first and then cuts, and the
-    first refused cell's own ``PrecisionLoss`` is raised with its time and
-    cut appended, as "(t=25.0, cut 1|2)"; the chunk's refusal is raised
-    unchanged if no cell alone is refused.
+    first refused cell's own ``PrecisionLoss`` is raised with the cell
+    appended: the value at its generator of each of ``axes`` (a swept
+    parameter's name and its value per generator), its time and its cut, as
+    "(g=5.0, t=100.0, cut 1|2)", or "(t=25.0, cut 1|2)" without ``axes``;
+    the chunk's refusal is raised unchanged if no cell alone is refused.
 
     The calling thread evolves the chunks in order and stops at the first
     with an error.  With ``threads > 1`` and more than one chunk it hands
@@ -405,31 +403,38 @@ def _witness_map(
     chunk while they run (the witness's stacked eigensolve releases the
     GIL); results are collected in chunk and cut order, so the first
     refused witness is raised as the serial loop raises it, and at most
-    ``threads + 1`` chunks' covariances are alive at once.
+    ``threads + 1`` chunks' covariances are alive at once.  Only then is
+    ``concurrent.futures`` imported.
     """
-    size = 2 * state0.n_modes
+    size = k.shape[1]
+    vacuum = initial_state(size // 2)
     # _CHUNK_ENTRIES entries per matrix stack, but at least _CHUNK_ENTRIES / 64
     # = 512 witness values: numpy runs a stacked eigvalsh without the GIL only
     # when it returns more than 500, which the first bound misses for N > 30
     per_chunk = max(_CHUNK_ENTRIES // size**2, math.ceil(_CHUNK_ENTRIES / 64 / size))
+    # (first generator, its generators, times) per chunk
     if len(times) >= per_chunk:
-        blocks = [(k[g : g + 1], times[i : i + per_chunk])
+        blocks = [(g, k[g : g + 1], times[i : i + per_chunk])
                   for g in range(len(k)) for i in range(0, len(times), per_chunk)]
     else:
         step = per_chunk // len(times)
-        blocks = [(k[g : g + step], times) for g in range(0, len(k), step)]
-    half_log_det = 0.5 * np.linalg.slogdet(state0.cm)[1]
+        blocks = [(g, k[g : g + step], times) for g in range(0, len(k), step)]
+    half_log_det = 0.0  # the vacuum's 1/2 ln det sigma_0
     witnesses, error = [], None
     if keep is not None:
         # the kept entries as flat indices into a cell's covariance
         flat = np.ravel_multi_index(keep, (size, size))
         kept = np.empty((len(k) * len(times), len(flat)))
     cells = 0
-    pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 and len(blocks) > 1 else None
+    pool = None
+    if threads > 1 and len(blocks) > 1:
+        import concurrent.futures
+
+        pool = concurrent.futures.ThreadPoolExecutor(threads)
     # the pool's chunks not yet collected, as collect's arguments
     pending = collections.deque()
 
-    def collect(chunk, tb, results):
+    def collect(chunk, first, tb, results):
         """Append the chunk's witnesses, from one result callable per cut."""
         try:
             witnesses.append([result() for result in results])
@@ -439,14 +444,16 @@ def _witness_map(
                     try:
                         _cut_witnesses(chunk[i : i + 1], part, half_log_det)
                     except PrecisionLoss as exc:
-                        t = float(tb[i % len(tb)])
-                        raise PrecisionLoss(f"{exc} (t={t}, cut {part.label})") from exc
+                        g = first + i // len(tb)
+                        cell = [f"{name}={float(values[g])}" for name, values in (axes or {}).items()]
+                        cell += [f"t={float(tb[i % len(tb)])}", f"cut {part.label}"]
+                        raise PrecisionLoss(f"{exc} ({', '.join(cell)})") from exc
             raise
 
     try:
-        for kb, tb in blocks:
+        for first, kb, tb in blocks:
             try:
-                chunk, error = evolve_grid(state0, kb, tb)
+                chunk, error = evolve_grid(vacuum, kb, tb)
             except Exception:
                 # a witness refused in an earlier chunk wins, as in the serial loop
                 while pending:
@@ -459,11 +466,11 @@ def _witness_map(
             cells += len(chunk)
             if pool is None:
                 # a cell witness_stack refuses comes before any evolve_grid stopped at, so it raises
-                collect(chunk, tb, [functools.partial(_cut_witnesses, chunk, part, half_log_det)
-                                    for part in parts])
+                collect(chunk, first, tb, [functools.partial(_cut_witnesses, chunk, part, half_log_det)
+                                           for part in parts])
             else:
-                pending.append((chunk, tb, [pool.submit(_cut_witnesses, chunk, part, half_log_det).result
-                                            for part in parts]))
+                futures = [pool.submit(_cut_witnesses, chunk, part, half_log_det) for part in parts]
+                pending.append((chunk, first, tb, [future.result for future in futures]))
                 if len(pending) > threads:
                     collect(*pending.popleft())
             if error is not None:
@@ -576,7 +583,7 @@ def entanglement_trajectory(
         upper = np.triu_indices(2 * spec.n_modes)
         # Python ints format several times faster than numpy's
         header += [f"cm_{i+1}_{j+1}" for i, j in zip(upper[0].tolist(), upper[1].tolist())]
-    witnesses, cms, error = _witness_map(initial_state(spec.n_modes), k.data[None], ts, parts, threads, upper)
+    witnesses, cms, error = _witness_map(k.data[None], ts, parts, threads, upper)
     n_rows = len(witnesses[0][0])
     columns = [ts[:n_rows]]
     for nu, logneg in witnesses:
@@ -631,9 +638,7 @@ def fig2_grid(
     codes, _, _ = _label_rows(roots, DEFAULT_REGION_TOL)
     regions = [_REGIONS[c].value for c in codes.tolist()]
     k = generator_stack(m)
-    [(nu, logneg)], _, error = _witness_map(
-        initial_state(2), k, times, [Bipartition.one_vs_rest(2)], threads
-    )
+    [(nu, logneg)], _, error = _witness_map(k, times, [Bipartition.one_vs_rest(2)], threads, axes={"g": g})
     if error is not None:
         raise error
     header = ["g", "t", "region", "nu_minus", "log_negativity"]
@@ -660,16 +665,20 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float,
     lowers F by more than its rounding is retried at half its length, and
     where F is not concave the step goes uphill by a trust length that
     doubles on success and must raise F.  The search stops once a step is
-    below 1e-12 (1 + |b|), or F is flat.  The column is
+    below 1e-12 (1 + |b|), or F is flat, or an accepted step crosses b = 0
+    no shorter than the last one that did: F then peaks at b = 0, where the
+    model is a straight line, and the search would cross back and forth
+    (between b = -1/8 and 1/8 on exact linear data).  The column is
     expm1(b (x - x_ref)), with x_ref the end of x that keeps b (x - x_ref)
     <= 0: it neither overflows nor cancels for small |b|, and it differs
     from exp(b x) by a factor and a constant, which the projection absorbs.
 
     Data with no finite optimum leaves b where the search stopped, so the
     fit is flagged degenerate where exp(b) < 2^-52 (the exponential is a
-    step at x0), where |b| (x_max - x0) < 1e-8 (it is a straight line), or
-    where the search took all ``_FIT_STEPS`` steps.  Constant data is
-    flagged too: it gives a = 0, which leaves b undetermined.
+    step at x0), where |b| (x_max - x0) < 1e-8 or the search stopped
+    crossing b = 0 (it is a straight line), or where the search took all
+    ``_FIT_STEPS`` steps.  Constant data is flagged too: it gives a = 0,
+    which leaves b undetermined.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -694,13 +703,15 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float,
         return f, f1, f2
 
     first, second = np.diff(y).tolist() if len(y) == 3 else (0.0, 0.0)
-    exhausted = False
+    stalled = False
     if 0.0 < first * second < math.inf and first != second:
         b = math.log(second / first)
     else:
         b = -0.5
         f, f1, f2 = profile(b)
         trust = 1.0
+        # the length of the last accepted step across b = 0
+        crossed = math.inf
         for _ in range(_FIT_STEPS):
             newton = f2 < 0.0
             if newton:
@@ -716,15 +727,20 @@ def _exponential_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float,
             # F = p^2 / q is good to a few n u, which a Newton step may lose; a step uphill must gain
             floor = f * (1.0 - 16.0 * len(x) * _UNIT_ROUNDOFF) if newton else math.nextafter(f, math.inf)
             if trial[0] >= floor:
+                if (b < 0.0) != (b + step < 0.0):
+                    if abs(step) >= crossed:
+                        stalled = True
+                        break
+                    crossed = abs(step)
                 b += step
                 f, f1, f2 = trial
                 trust = max(trust, 2.0 * abs(step))
             else:
                 trust = 0.5 * abs(step)
         else:
-            exhausted = True
+            stalled = True
     # exp(b) < 2^-52, without overflowing exp for a large b
-    degenerate = (exhausted or not centred_y.any() or b < math.log(2.0**-52)
+    degenerate = (stalled or not centred_y.any() or b < math.log(2.0**-52)
                   or abs(b) * float(x[-1] - x[0]) < 1e-8)
     end = x[0] if b < 0.0 else x[-1]
     e = np.expm1(b * (x - end))
@@ -819,16 +835,16 @@ def fig4_grid(
         raise ConfigError(f"arc_steps must be nonnegative, got {arc_steps}")
     g = (g_axis or SweepAxis("g", 0.0, 2.0, 81)).values()
     points = np.stack([np.repeat(g, len(g)), np.tile(g, len(g))], axis=1)
-    m = bdg_stack(points, float(j), 0.0)
-    _, regions, _ = spectrum_stack(m, DEFAULT_REGION_TOL)
     varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps)
     arc_hopping = np.array([_surface_hopping(varphi, j) for varphi in varphis.tolist()],
                            dtype=float).reshape(-1, 2)
-    arc_m = bdg_stack(arc_hopping, float(j), 0.0)
     # the grid and the arc share the chain size, time and cut: one stack
-    k = generator_stack(np.concatenate([m, arc_m]))
+    hopping = np.concatenate([points, arc_hopping])
+    m = bdg_stack(hopping, float(j), 0.0)
+    _, regions, _ = spectrum_stack(m[: len(points)], DEFAULT_REGION_TOL)
     [(nu, _)], _, error = _witness_map(
-        initial_state(3), k, np.array([float(t)]), [Bipartition.from_label("13|2", 3)], threads
+        generator_stack(m), np.array([float(t)]), [Bipartition.from_label("13|2", 3)], threads,
+        axes={"g1": hopping[:, 0], "g2": hopping[:, 1]},
     )
     if error is not None:
         raise error

@@ -21,7 +21,6 @@ from epchain import (
     bkc_nu_minus,
     build_bdg_matrix,
     chain_nu_minus,
-    classify_region,
     detect_eps,
     eigenspectrum,
     enhancement_ratio,
@@ -29,6 +28,7 @@ from epchain import (
     nu_closed_form_three_mode_nonuniform,
     nu_closed_form_two_mode,
     scan_exceptional_surface,
+    spectrum_report,
     xi_series_coefficients,
 )
 from epchain.selftest import run_selftest
@@ -76,8 +76,8 @@ def test_c03_region_classification():
             1.59: Region.PURELY_REAL,
         }
         for g, want in expected.items():
-            values = eigenspectrum(build_bdg_matrix(ChainSpec.uniform(2, g=g, j=1.0, eta=0.2)))
-            assert classify_region(values) is want, f"g={g}"
+            report = spectrum_report(build_bdg_matrix(ChainSpec.uniform(2, g=g, j=1.0, eta=0.2)))
+            assert report.region is want, f"g={g}"
 
 
 def test_c04_closed_form_oracle_two_mode():
@@ -193,10 +193,8 @@ def test_c10_three_mode_nonuniform():
 def test_c11_odd_chain_never_purely_real():
     with criterion("C11", "odd chain never purely real"):
         for g in np.linspace(0.0, 3.0, 301):
-            values = eigenspectrum(
-                build_bdg_matrix(ChainSpec.uniform(3, g=float(g), j=1.0, eta=0.2))
-            )
-            assert classify_region(values) is not Region.PURELY_REAL, f"g={g}"
+            report = spectrum_report(build_bdg_matrix(ChainSpec.uniform(3, g=float(g), j=1.0, eta=0.2)))
+            assert report.region is not Region.PURELY_REAL, f"g={g}"
 
 
 def test_c12_property_suite():

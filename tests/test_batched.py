@@ -848,7 +848,7 @@ class TestSweepsThroughKernel:
     def test_pool_reports_first_refused_cell(self, monkeypatch, g_start, error_type):
         # at eta = 5 and t = 100, g = 5 loses the witness and g = 1 overflows:
         # whichever generator, each a chunk of its own, comes first decides, at
-        # any thread count; a refused witness names its cell
+        # any thread count; a refused witness names its cell, generator first
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 2)
         g_axis = SweepAxis("g", g_start, 6.0 - g_start, 2)
         t_axis = SweepAxis("t", 0.0, 100.0, 2)
@@ -858,7 +858,24 @@ class TestSweepsThroughKernel:
                 fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
-        assert messages[0].endswith("(t=100.0, cut 1|2)") == (error_type is PrecisionLoss)
+        assert messages[0].endswith("(g=5.0, t=100.0, cut 1|2)") == (error_type is PrecisionLoss)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fig4_refusal_names_its_hopping(self, monkeypatch, threads):
+        # every fig4 cell has the same time, so only (g1, g2) tells them apart;
+        # at t = 10 the first refused of the 25 cells is the 14th, (1.0, 0.5),
+        # in the fourth of seven 4-cell chunks
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 36 * 4)
+        g_axis = SweepAxis("g", 2.0, 0.0, 5)
+        with pytest.raises(PrecisionLoss) as excinfo:
+            fig4_grid(t=10.0, g_axis=g_axis, arc_steps=0, threads=threads)
+        g = g_axis.values()
+        points = np.stack([np.repeat(g, len(g)), np.tile(g, len(g))], axis=1)
+        k = generator_stack(bdg_stack(points, 1.0, 0.0))
+        _, _, [results] = scalar_cells(initial_state(3), k, [10.0], [Bipartition.from_label("13|2", 3)])
+        first = next(i for i, result in enumerate(results) if isinstance(result, PrecisionLoss))
+        assert first == 13 and points[first].tolist() == [1.0, 0.5]
+        assert str(excinfo.value) == f"{results[first]} (g1=1.0, g2=0.5, t=10.0, cut 13|2)"
 
 
 def reference_bdg(spec):

@@ -107,11 +107,11 @@ class TestBuildBdgMatrix:
         spec = build_chain_spec({"n": 3, "g": [0.5, 0.7], "phi": [0.3, 0.0],
                                  "J": [1.0, 1.2], "eta": [0.1, 0.2, 0.3]})
         m = build_bdg_matrix(spec)
-        a, b = m.block_a, m.block_b
+        n = 3
+        a, b = m.data[:n, :n], m.data[:n, n:]
         assert a[0, 1] == spec.hopping[0] and a[1, 0] == np.conj(spec.hopping[0])
         assert b[0, 0] == np.conj(spec.sms[0])
         assert b[0, 1] == b[1, 0] == spec.pairing[0]
-        n = 3
         np.testing.assert_array_equal(m.data[n:, :n], -b.conj())
         np.testing.assert_array_equal(m.data[n:, n:], -a.conj())
 
@@ -119,7 +119,8 @@ class TestBuildBdgMatrix:
     @settings(max_examples=40, deadline=None)
     def test_blocks_exactly_hermitian_and_symmetric(self, spec):
         m = build_bdg_matrix(spec)
-        a, b = m.block_a, m.block_b
+        n = m.n_modes
+        a, b = m.data[:n, :n], m.data[:n, n:]
         assert np.array_equal(a, a.conj().T)
         assert np.array_equal(b, b.T)
 

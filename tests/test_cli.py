@@ -495,9 +495,10 @@ def test_manifest_echoes_options(tmp_path, command, options, echoed):
 
 
 # modules no preset loads: selftest alone imports scipy.integrate and scipy.optimize,
-# expm loads scipy's Pade extension without scipy.linalg, and np.unique and
-# np.union1d, which import numpy.ma, are not called
-UNLOADED = ["numpy.ma", "scipy.integrate", "scipy.linalg", "scipy.optimize"]
+# expm loads scipy's Pade extension without scipy.linalg, np.unique and
+# np.union1d, which import numpy.ma, are not called, and only a pooled witness
+# run (more than one thread and more than one chunk) imports concurrent.futures
+UNLOADED = ["concurrent.futures", "numpy.ma", "scipy.integrate", "scipy.linalg", "scipy.optimize"]
 
 
 def loaded_in_fresh_process(code):

@@ -21,7 +21,6 @@ from epchain import (
     entanglement_result,
     evolve,
     initial_state,
-    log_negativity,
     nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
     nu_closed_form_two_mode,
@@ -161,8 +160,9 @@ class TestWitnesses:
     def test_vacuum_not_entangled(self):
         state = initial_state(3)
         for label in ("1|23", "13|2", "12|3"):
-            assert nu_minus(state, Bipartition.from_label(label, 3)) == pytest.approx(1.0)
-            assert log_negativity(state, Bipartition.from_label(label, 3)) == 0.0
+            result = entanglement_result(state, Bipartition.from_label(label, 3))
+            assert nu_minus(state, result.partition) == result.nu_minus == pytest.approx(1.0)
+            assert result.log_negativity == 0.0
 
     def test_pure_pairing_matches_squeezer(self):
         # g = 0, J = 1: two-mode squeezer, nu_- = e^{-2 J t}
@@ -172,7 +172,7 @@ class TestWitnesses:
         assert value == pytest.approx(np.exp(-2.0), abs=1e-9)
         k = quadrature_generator(build_bdg_matrix(spec))
         state = evolve(initial_state(2), k, 1.0)
-        assert log_negativity(state, part) == pytest.approx(2.0, abs=1e-9)
+        assert entanglement_result(state, part).log_negativity == pytest.approx(2.0, abs=1e-9)
 
     def test_coalescence_point_value(self):
         # series limit of the closed form: xi = 1 + 8 J^2 t^2 at J t = 1

@@ -1,18 +1,22 @@
-"""Every name a package module imports is used there or exported, and every
-module-level private name is used somewhere in the package.
+"""Every name a package module imports is used there or exported, every
+module-level private name is used somewhere in the package, and every public
+name has a caller.
 
 No linter runs on the package, so an import that a change left behind (an
 error class no longer raised, a helper no longer called), or a private
 helper that lost its last caller, would stay unnoticed; these tests read
-each module's syntax tree instead.
+each module's syntax tree instead.  A public name, one that a module lists in
+its ``__all__``, needs a reader too: the package, the benchmark or the README.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epchain"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "epchain"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,29 +35,37 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used | set(public_names(tree)[1])]
+
+
+def public_names(tree: ast.Module) -> tuple[ast.stmt | None, list[str]]:
+    """A module's ``__all__`` statement (None if it has none) and its string items."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used |= {item.value for item in node.value.elts if isinstance(item, ast.Constant)}
-    return [name for name in imported if name not in used]
+        if isinstance(node, ast.Assign) and "__all__" in defined_names(node):
+            return node, [item.value for item in node.value.elts if isinstance(item, ast.Constant)]
+    return None, []
+
+
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level statement defines as a function, class or constant."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [target.id for target in statement.targets if isinstance(target, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
 
 
 def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
     """(name, statement) of each module-level function, class or constant whose
     name starts with one underscore."""
-    found = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        found += [(name, node) for name in names if name.startswith("_") and not name.startswith("__")]
-    return found
+    return [
+        (name, node)
+        for node in tree.body
+        for name in defined_names(node)
+        if name.startswith("_") and not name.startswith("__")
+    ]
 
 
 def loaded_names(node: ast.AST) -> set[str]:
@@ -76,6 +88,42 @@ def unreferenced_privates(sources: dict[str, str]) -> list[str]:
         for name, definition in private_definitions(tree)
         if not any(name in names for statement, names in statements if statement is not definition)
     ]
+
+
+def unreferenced_publics(sources: dict[str, str], bench: list[str], readme: str) -> list[str]:
+    """``module.name`` of each name of a module's ``__all__`` that nothing reads.
+
+    A name is read by a module-level statement of the sources other than its
+    own definition and its ``__all__`` (``loaded_names``), by any name,
+    attribute or import of the bench sources, or by an identifier inside
+    backticks in the README: an inline code span or a fenced block.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    statements = [
+        (module, statement, loaded_names(statement))
+        for module, tree in trees.items() for statement in tree.body
+    ]
+    outside = set()
+    for source in bench:
+        tree = ast.parse(source)
+        outside |= loaded_names(tree)
+        outside |= {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+    # the text between the 1st and 2nd backtick, the 3rd and 4th, ...: a ``` fence is three
+    outside |= set(re.findall(r"[A-Za-z_]\w*", " ".join(readme.split("`")[1::2])))
+    found = []
+    for module, tree in trees.items():
+        listing, names = public_names(tree)
+        for name in names:
+            read = name in outside or any(
+                name in loaded
+                for other, statement, loaded in statements
+                if statement is not listing and not (other == module and name in defined_names(statement))
+            )
+            if not read:
+                found.append(f"{module}.{name}")
+    return found
 
 
 def test_finds_an_unused_import():
@@ -122,3 +170,36 @@ def test_no_unused_imports(module):
 def test_every_private_name_is_referenced():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def test_finds_an_unreferenced_public_name():
+    sources = {
+        "a": (
+            "__all__ = ['LIMIT', 'f', 'g', 'h', 'Shown', 'Benched', 'Alone']\n"
+            "LIMIT = 3\n"
+            "def f():\n"
+            "    return f() + LIMIT\n"
+            "def g():\n"
+            "    return 0\n"
+            "def h():\n"
+            "    return 1\n"
+            "class Shown:\n"
+            "    pass\n"
+            "class Benched:\n"
+            "    pass\n"
+            "class Alone:\n"
+            "    def method(self):\n"
+            "        return Alone\n"
+        ),
+        "b": "from . import a\nfrom .a import h\ndef caller():\n    return a.g()\n",
+    }
+    bench = ["from a import Benched\n"]
+    readme = "Call `Shown(...)`.  Neither f nor Alone is in backticks.\n```python\nprint(1)\n```\n"
+    # f reads itself, Alone reads itself in a method, and b imports h but never calls it
+    assert unreferenced_publics(sources, bench, readme) == ["a.f", "a.h", "a.Alone"]
+
+
+def test_every_public_name_is_referenced():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert unreferenced_publics(sources, bench, (ROOT / "README.md").read_text()) == []

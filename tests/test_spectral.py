@@ -13,7 +13,6 @@ from epchain import (
     ChainSpec,
     Region,
     build_bdg_matrix,
-    classify_region,
     detect_eps,
     eigenspectrum,
     jordan_structure,
@@ -24,7 +23,7 @@ from epchain import (
 )
 from epchain.chain import spec_bdg_stack
 from epchain.errors import ConfigError, NoTransition, OutOfRange, RankAmbiguity
-from epchain.spectral import DEFAULT_REGION_TOL, _cluster_eigenvalues
+from epchain.spectral import _REGIONS, DEFAULT_REGION_TOL, _cluster_eigenvalues, _label_rows
 
 from conftest import assert_multiset_close, spec_stacks
 
@@ -134,7 +133,6 @@ class TestSpectrumStack:
         assert report.eigenvalues == tuple(values[0].tolist())
         assert (report.region, report.boundary) == (region, flag) == (Region.MIXED, False)
         assert eigenspectrum(m).tobytes() == values[0].tobytes()
-        assert classify_region(values[0]) is region
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_is_checked(self, tol):
@@ -166,6 +164,9 @@ class TestEigenspectrum:
 
 
 class TestClassifyRegion:
+    """The region rule of ``spectrum_stack``, through ``spectrum_report`` and
+    the row labeller ``_label_rows``."""
+
     @pytest.mark.parametrize(
         "g, expected",
         [
@@ -175,23 +176,25 @@ class TestClassifyRegion:
         ],
     )
     def test_three_regions_with_sms(self, g, expected):
-        values = eigenspectrum(two_mode(g, eta=0.2))
-        assert classify_region(values) is expected
+        assert spectrum_report(two_mode(g, eta=0.2)).region is expected
 
     def test_zero_spectrum_counts_as_imaginary(self):
-        assert classify_region([0.0, 0.0]) is Region.PURELY_IMAGINARY
+        # a single mode has no bonds: M is zero
+        report = spectrum_report(build_bdg_matrix(ChainSpec(n_modes=1)))
+        assert report.eigenvalues == (0j, 0j) and report.region is Region.PURELY_IMAGINARY
+        codes, _, _ = _label_rows(np.zeros((1, 2), dtype=complex), DEFAULT_REGION_TOL)
+        assert _REGIONS[codes[0]] is Region.PURELY_IMAGINARY
 
     def test_zero_modes_do_not_force_mixed(self):
         # permanent zero pair of the three-mode chain never forces MIXED
-        values = eigenspectrum(
-            build_bdg_matrix(ChainSpec(3, hopping=(0.4, 0.6), pairing=(1.0, 1.1), sms=0))
-        )
-        assert classify_region(values) is Region.PURELY_IMAGINARY
+        m = build_bdg_matrix(ChainSpec(3, hopping=(0.4, 0.6), pairing=(1.0, 1.1), sms=0))
+        assert spectrum_report(m).region is Region.PURELY_IMAGINARY
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_scaling_invariance(self, scale):
         values = eigenspectrum(two_mode(1.19, eta=0.2))
-        assert classify_region(scale * values) is Region.MIXED
+        codes, _, _ = _label_rows(scale * values[None], DEFAULT_REGION_TOL)
+        assert _REGIONS[codes[0]] is Region.MIXED
 
     def test_boundary_flag_near_transition(self):
         report = spectrum_report(two_mode(1.59, eta=0.2))
@@ -199,7 +202,7 @@ class TestClassifyRegion:
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
-            classify_region([1.0], tol=0.0)
+            spectrum_report(two_mode(1.0), tol=0.0)
 
 
 class TestJordanStructure:
@@ -259,8 +262,9 @@ class TestDetectEps:
         assert detect_eps(m) == ()
 
     def test_geometric_multiplicity(self):
+        # one Jordan block per eigenvector
         clusters = detect_eps(build_bdg_matrix(ChainSpec.uniform(2, g=1.0, j=1.0)))
-        assert clusters[0].geometric_multiplicity == 2
+        assert len(clusters[0].jordan_blocks) == 2
 
     @pytest.mark.parametrize(
         "n, phi, blocks",
@@ -344,14 +348,10 @@ class TestLocateEp1d:
         found = locate_ep_1d(family, 0.5, 1.5, tol=1e-7)
         assert len(found) == 4
         assert all(a < b for a, b in zip(found, found[1:]))
-        before = classify_region(eigenspectrum(build_bdg_matrix(family(found[0] - 1e-3))))
-        after = classify_region(eigenspectrum(build_bdg_matrix(family(found[3] + 1e-3))))
-        assert before is Region.PURELY_IMAGINARY
-        assert after is Region.PURELY_REAL
-        middle = classify_region(
-            eigenspectrum(build_bdg_matrix(family(0.5 * (found[1] + found[2]))))
-        )
-        assert middle is Region.MIXED
+        region = lambda g: spectrum_report(build_bdg_matrix(family(g))).region
+        assert region(found[0] - 1e-3) is Region.PURELY_IMAGINARY
+        assert region(found[3] + 1e-3) is Region.PURELY_REAL
+        assert region(0.5 * (found[1] + found[2])) is Region.MIXED
 
     def test_no_transition(self):
         with pytest.raises(NoTransition):
@@ -397,10 +397,8 @@ class TestLocateEp1d:
 class TestOddChains:
     def test_never_purely_real(self):
         for g in np.linspace(0.0, 3.0, 101):
-            values = eigenspectrum(
-                build_bdg_matrix(ChainSpec.uniform(3, g=float(g), j=1.0, eta=0.2))
-            )
-            assert classify_region(values) is not Region.PURELY_REAL
+            m = build_bdg_matrix(ChainSpec.uniform(3, g=float(g), j=1.0, eta=0.2))
+            assert spectrum_report(m).region is not Region.PURELY_REAL
 
     def test_three_mode_permanent_zero_pair(self):
         rng = np.random.default_rng(7)

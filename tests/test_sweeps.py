@@ -261,6 +261,13 @@ def python_texts(values):
     return ["%.17g" % float(value) for value in values]
 
 
+def cell_texts(values):
+    """``run_texts`` of the values as a column of one-cell runs, ``BLOCK_CELLS`` rows at a time."""
+    column = np.asarray(values, dtype=float)[:, None]
+    return [text for start in range(0, len(column), floattext.BLOCK_CELLS)
+            for text in floattext.run_texts(column[start : start + floattext.BLOCK_CELLS], np.ones(1, bool), "")]
+
+
 def count_fallbacks(monkeypatch):
     """Count the cells the vectorised formatter leaves to Python's '%.17g'."""
     calls = []
@@ -307,7 +314,7 @@ class TestFloatTexts:
     @given(values=st.lists(FLOAT_CELLS, max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_matches_python(self, values):
-        assert floattext.float_texts(np.array(values, dtype=float)) == python_texts(values)
+        assert cell_texts(values) == python_texts(values)
 
     def test_edge_values(self):
         k = np.arange(-1074, 1024)
@@ -323,12 +330,12 @@ class TestFloatTexts:
         ])
         assert Fraction(1e-243) < Fraction(1, 10**243)
         values = np.concatenate([values, -values])
-        assert floattext.float_texts(values) == python_texts(values)
+        assert cell_texts(values) == python_texts(values)
 
     def test_random_bit_patterns(self, monkeypatch):
         values = np.random.default_rng(20261019).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
         fallbacks = count_fallbacks(monkeypatch)
-        assert floattext.float_texts(values) == python_texts(values)
+        assert cell_texts(values) == python_texts(values)
         # the cells outside the band and the non-finite ones, and in the band
         # only decimal ties, none where 10^(16 - e) is a double: there 17 digits
         # of 1234567890123456.25 round half to even in numpy
@@ -352,21 +359,21 @@ class TestFloatTexts:
         assert all(half_unit_gap(value) == 0 for value in ties)
         assert sorted({decade(value) for value in ties}) == list(range(-6, 16))
         fallbacks = count_fallbacks(monkeypatch)
-        assert floattext.float_texts(ties) == python_texts(ties)
+        assert cell_texts(ties) == python_texts(ties)
         assert fallbacks == []
         # where 10^(16 - e) is not a double (e = -7, -8), a tie takes Python's '%.17g'
         outside = np.array([3 * 2.0**-24, 2.0**-25])
         assert all(half_unit_gap(value) == 0 for value in outside)
-        assert floattext.float_texts(outside) == python_texts(outside)
+        assert cell_texts(outside) == python_texts(outside)
         assert fallbacks == outside.tolist()
 
     def test_subnormals_take_the_fallback(self, monkeypatch):
         subnormals = np.array([5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300])
         normals = np.array([1e-280, 0.5, -3.25, 1.2345678901234567e279, 1e280, 0.0, -0.0])
         fallbacks = count_fallbacks(monkeypatch)
-        assert floattext.float_texts(normals) == python_texts(normals)
+        assert cell_texts(normals) == python_texts(normals)
         assert fallbacks == []
-        assert floattext.float_texts(subnormals) == python_texts(subnormals)
+        assert cell_texts(subnormals) == python_texts(subnormals)
         assert fallbacks == subnormals.tolist()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -635,8 +642,9 @@ class TestRatioFit:
         a, b, _, degenerate = sweeps._exponential_fit(ns, rs)
         assert (a, b) == pytest.approx((-5.74e26, -38.06), rel=1e-3)
         assert math.exp(b) < 2.0**-52 and degenerate
-        # a straight line has no finite optimum: exact data runs the search
-        # out of steps, and data 1e-9 off the line ends at b ~ 1.5e-10
+        # a straight line has no finite optimum: exact data stops the search
+        # where it crosses b = 0 back and forth, and data 1e-9 off the line
+        # ends at b ~ 1.5e-10
         line = 1.0 + 0.5 * ns
         assert sweeps._exponential_fit(ns, line)[3]
         _, b, _, degenerate = sweeps._exponential_fit(ns, line + 1e-9 * np.sin(ns))
@@ -644,6 +652,18 @@ class TestRatioFit:
         # fig3 --t 1e-5: R(N) = 1 for every N
         fit = fig3_tables(t=1e-5)[2]["ratio_fit"]
         assert fit == {"a": 0.0, "b": -0.5, "c": 1.0, "degenerate": True}
+
+    def test_straight_line_stops_early(self, monkeypatch):
+        # F peaks at b = 0 on exact linear data: the search crosses from b = -1/8
+        # to 1/8, and stops where it would cross back, not after all _FIT_STEPS;
+        # each profile evaluation, and the fitted column, calls expm1 once
+        calls = []
+        expm1 = np.expm1
+        monkeypatch.setattr(np, "expm1", lambda *args: calls.append(args) or expm1(*args))
+        ns = np.arange(2, 31)
+        _, b, _, degenerate = sweeps._exponential_fit(ns, 1 + 0.5 * ns)
+        assert b == 0.125 and degenerate
+        assert len(calls) - 1 < 30
 
     def test_default_fit_is_not_degenerate(self):
         # fig3's defaults, which the long_chain benchmark workload runs too
