@@ -44,7 +44,6 @@ __all__ = [
     "quadrature_generator",
     "bdg_stack",
     "spec_bdg_stack",
-    "uniform_bdg_stack",
     "generator_stack",
     "particle_hole_residual",
 ]
@@ -249,23 +248,6 @@ def bdg_stack(hopping, pairing, sms) -> np.ndarray:
     m[:, n:, :n] = -b.conj()
     m[:, n:, n:] = -a.conj()
     return m
-
-
-def uniform_bdg_stack(n_modes: int, g=0.0, j=0.0, eta=0.0) -> np.ndarray:
-    """``bdg_stack`` of uniform chains with real hopping, one per entry of the
-    broadcast rates.
-
-    Each of ``g``, ``j`` and ``eta`` is a scalar or a sequence with one value
-    per slice; slice p is the matrix of
-    ``ChainSpec.uniform(n_modes, g[p], j[p], eta[p])``.
-    """
-    n = _check_mode_count(n_modes)
-    g, j, eta = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(g, dtype=float)),
-        np.atleast_1d(np.asarray(j, dtype=float)),
-        np.atleast_1d(np.asarray(eta, dtype=complex)),
-    )
-    return bdg_stack(np.repeat(g[:, None], n - 1, axis=1), j[:, None], eta[:, None])
 
 
 def spec_bdg_stack(specs: Sequence[ChainSpec]) -> np.ndarray:

@@ -10,8 +10,9 @@ Subcommands::
     es-scan    exceptional-surface scan of the three-mode parameter space
     selftest   run the pinned invariant suite
 
-Exit codes: 0 success, 1 selftest check failure, 2 configuration error,
-3 numeric failure.
+Exit codes: 0 success (an entangle table that ends at a refused cell too),
+1 selftest check failure, 2 configuration error, 3 numeric failure of fig2,
+fig3, fig4, spectrum --detect-eps or es-scan.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _cmd_entangle(args) -> int:
     _emit(args, "entangle", {"": (header, columns)}, config_echo, extras, "entangle.csv")
     if "truncated_at" in extras:
         print(f"warning: trajectory truncated at t={extras['truncated_at']:.6g} "
-              "by the overflow guard", file=sys.stderr)
+              f"by {extras['truncated_by']}: {extras['truncation']}", file=sys.stderr)
     return 0
 
 

@@ -21,7 +21,9 @@ coalescence surface.
 
 det S = 1 gives every cut of a transported state prod nu~_k =
 sqrt(det sigma_0); ``witness_stack`` and ``chain_nu_minus`` refuse a
-spectrum off it (``PrecisionLoss``), where rounding has eaten the witness.
+spectrum off it (``PrecisionLoss``), where rounding has eaten the witness;
+a stack's refusal is its first refused matrix's own, which the kernel gets
+as a value, with the witnesses of the matrices before it.
 """
 
 from __future__ import annotations
@@ -243,10 +245,10 @@ def witness_stack(
 
     The whole (C, 2N, 2N) stack is sign-flipped into its partial transpose
     and goes through one stacked Cholesky factor L and the eigenvalues of
-    i L^T Omega L.  Returns (nu_minus, log_negativity) arrays; raises
-    ``PrecisionLoss`` if any matrix of the stack has no Cholesky factor or a
-    symplectic eigenvalue that is not positive, or else at the first whose
-    logs sum more than 1e-2 off ``half_log_det`` = 1/2 ln det sigma_0.
+    i L^T Omega L.  Returns (nu_minus, log_negativity) arrays; raises the
+    first refused matrix's own ``PrecisionLoss``: it has no Cholesky factor,
+    a symplectic eigenvalue that is not positive, or logs that sum more than
+    1e-2 off ``half_log_det`` = 1/2 ln det sigma_0.
     """
     cms = np.asarray(cms, dtype=float)
     n = part.n_modes
@@ -255,16 +257,35 @@ def witness_stack(
             f"partition is for {n} modes but the covariances have shape {cms.shape}"
         )
     # symmetrized before the sign flips: the same bits and errors as after them
-    return _cut_witnesses(_symmetrized(cms, "matrix"), part, half_log_det)
+    nu, neg, refusal = _cut_witnesses(_symmetrized(cms, "matrix"), part, half_log_det)
+    if refusal is not None:
+        raise refusal
+    return nu, neg
 
 
 def _cut_witnesses(
     cms: np.ndarray, part: Bipartition, half_log_det: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, PrecisionLoss | None]:
     """``witness_stack`` of a finite, exactly symmetric stack, such as ``evolve_grid``'s,
-    without its input checks."""
-    values, neg = _witnesses(cms * _flip_signs(part), half_log_det)
-    return values[:, 0], neg
+    without its input checks: (nu_minus, log_negativity) over the matrices
+    before the first refused one, and that matrix's own ``PrecisionLoss``
+    (None if none)."""
+    pt = cms * _flip_signs(part)
+    try:
+        values, neg = _witnesses(pt, half_log_det)
+        return values[:, 0], neg, None
+    except PrecisionLoss as exc:
+        refusal = exc
+    # the stacked Cholesky refuses a stack as a whole; a matrix alone gets the bits
+    # and refusal it gets in the stack, so it is found one matrix at a time
+    for stop in range(len(pt)):
+        try:
+            _witnesses(pt[stop : stop + 1], half_log_det)
+        except PrecisionLoss as exc:
+            refusal = exc
+            break
+    values, neg = _witnesses(pt[:stop], half_log_det)
+    return values[:, 0], neg, refusal
 
 
 def nu_minus(state: GaussianState, part: Bipartition) -> float:

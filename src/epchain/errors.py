@@ -66,7 +66,8 @@ class OverflowRisk(EpchainError, ArithmeticError):
     """Propagating this far overflows double precision.
 
     The message states the time at which K t, the propagator or the
-    transported covariance stopped being finite.
+    transported covariance stopped being finite.  ``entangle`` ends its
+    table before that time.
     """
 
 
@@ -74,7 +75,8 @@ class SymplecticityLost(EpchainError, ArithmeticError):
     """Rounding broke the propagator's symplecticity.
 
     Its residual max|S Omega S^T - Omega| exceeds 1e-10 (1 + ||S||_2^2); the
-    message states the residual and the time.
+    message states the residual and the time.  ``entangle`` ends its table
+    before that time.
     """
 
 
@@ -98,10 +100,12 @@ class OutOfRange(EpchainError, ValueError):
 
 
 class PrecisionLoss(EpchainError, ArithmeticError):
-    """A partial transpose is not positive definite in floating point.
+    """Rounding has eaten a witness, so it is refused, not eigensolved.
 
-    Cholesky cannot factor it, or a symplectic eigenvalue comes out <= 0: the
-    witness has no significant digit left, so it is refused, not eigensolved.
+    Cholesky cannot factor the partial transpose, a symplectic eigenvalue
+    comes out <= 0, or the eigenvalues' logs sum more than 1e-2 off
+    1/2 ln det sigma_0, which det S = 1 forbids.  ``entangle`` ends its
+    table before the refused time.
     """
 
 

@@ -24,7 +24,6 @@ from .chain import (
     particle_hole_residual,
     quadrature_generator,
     symplectic_form,
-    uniform_bdg_stack,
 )
 from .dynamics import evolve, initial_state, propagator
 from .entanglement import (
@@ -284,7 +283,7 @@ def run_selftest(tol_scale: float = 1.0, draws: int = 40) -> list[CheckResult]:
         worst_split = math.inf
     record("two_mode_ep_splitting", worst_split, 1e-6)
 
-    m = uniform_bdg_stack(3, g=np.linspace(0.0, 3.0, 61), j=1.0, eta=0.2)
+    m = bdg_stack(np.repeat(np.linspace(0.0, 3.0, 61)[:, None], 2, axis=1), 1.0, 0.2)
     never_real = Region.PURELY_REAL not in spectrum_stack(m)[1]
     results.append(
         CheckResult(

@@ -2,8 +2,8 @@
 
 Every bundled experiment reduces to evaluating the chain pipeline over a
 parameter grid and emitting tables.  fig2, fig4 and spectrum sweeps build the
-matrices of all their chains as one stack (``bdg_stack``,
-``uniform_bdg_stack`` or ``spec_bdg_stack``); fig4 and spectrum sweeps
+matrices of all their chains as one stack (``bdg_stack`` or
+``spec_bdg_stack``); fig4 and spectrum sweeps
 label it with one ``spectrum_stack`` call, and spectrum sweeps locate their
 transitions with ``locate_ep_1d``.  fig2 needs neither: its two-mode
 spectrum and exceptional points g = +-|1 +- eta| are closed forms, labelled
@@ -14,10 +14,11 @@ initial covariance for all (generator, time) cells at once and
 ``witness_stack``'s core (without its input checks, which the kernel's own
 stacks pass by construction) evaluates nu_- and E_N per cut.  Every preset
 starts from the vacuum.  ``evolve`` and ``entanglement_result`` are their
-one-cell case, so every value equals what they give for that cell, and a
-failing check raises the error a loop over the cells would raise first (a
-refused witness with its cell appended: the swept parameters of its
-generator, its time and its cut).  The kernel works
+one-cell case, so every value equals what they give for that cell, and the
+kernel returns, not raises, the error a loop over the cells would raise
+first (a refused witness with its cell appended: the swept parameters of
+its generator, its time and its cut): fig2 and fig4 raise it, and entangle
+ends its table before that cell.  The kernel works
 through a grid in chunks of a fixed number of matrix entries, so memory
 stays flat on large grids (but of at least 512 witness values, so that
 numpy's stacked eigensolve releases the GIL), and stops at the first chunk
@@ -79,7 +80,6 @@ from .chain import (
     generator_stack,
     quadrature_generator,
     spec_bdg_stack,
-    uniform_bdg_stack,
 )
 from .dynamics import _UNIT_ROUNDOFF, _sample_times, evolve_grid, initial_state
 from .entanglement import (
@@ -90,7 +90,7 @@ from .entanglement import (
     nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
 )
-from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, PrecisionLoss
+from .errors import ConfigError, EpchainError, NoTransition, PrecisionLoss
 from .floattext import BLOCK_CELLS, run_texts
 from .spectral import (
     _REGIONS,
@@ -382,29 +382,26 @@ def _witness_map(
     Returns one (nu_minus, log_negativity) pair of arrays per cut over the
     leading cells that passed every check, the covariance entries at the
     index pair ``keep`` of those cells as one (cells, entries) float64 array
-    (None without ``keep``), and the error of the first failing cell (None
-    if none); a witness that ``witness_stack`` refuses is raised instead.
-    The kept entries are copied out of each chunk as it is evolved, into one
-    array allocated for the whole grid, so no chunk outlives its witnesses.
-    The chunks come from ``evolve_grid``, exactly symmetric and finite, so
-    they skip ``witness_stack``'s input checks.
-
-    ``witness_stack`` refuses a chunk as a whole, so a refused chunk's cells
-    are witnessed again one at a time, times first and then cuts, and the
-    first refused cell's own ``PrecisionLoss`` is raised with the cell
-    appended: the value at its generator of each of ``axes`` (a swept
-    parameter's name and its value per generator), its time and its cut, as
-    "(g=5.0, t=100.0, cut 1|2)", or "(t=25.0, cut 1|2)" without ``axes``;
-    the chunk's refusal is raised unchanged if no cell alone is refused.
+    (None without ``keep``), and the error of the first refused cell (None
+    if none), whichever layer refused it: ``evolve_grid``'s, or the
+    ``PrecisionLoss`` of the first cut that refuses the cell's witness, with
+    the cell appended: the value at its generator of each of ``axes`` (a
+    swept parameter's name and its value per generator), its time and its
+    cut, as "(g=5.0, t=100.0, cut 1|2)", or "(t=25.0, cut 1|2)" without
+    ``axes``.  The kept entries are copied out of each chunk as it is
+    evolved, into one array allocated for the whole grid, so no chunk
+    outlives its witnesses.  The chunks come from ``evolve_grid``, exactly
+    symmetric and finite, so they skip ``witness_stack``'s input checks.
 
     The calling thread evolves the chunks in order and stops at the first
-    with an error.  With ``threads > 1`` and more than one chunk it hands
-    each chunk's cuts to that many worker threads and goes on to the next
-    chunk while they run (the witness's stacked eigensolve releases the
-    GIL); results are collected in chunk and cut order, so the first
-    refused witness is raised as the serial loop raises it, and at most
-    ``threads + 1`` chunks' covariances are alive at once.  Only then is
-    ``concurrent.futures`` imported.
+    with a refused cell.  With ``threads > 1`` and more than one chunk it
+    hands each chunk's cuts to that many worker threads and goes on to the
+    next chunk while they run (the witness's stacked eigensolve releases the
+    GIL); results are collected in chunk and cut order, so the first refused
+    cell is the serial loop's, and at most ``threads + 1`` chunks'
+    covariances are alive at once.  An exception from ``evolve_grid`` is
+    raised only if no chunk before it refused a cell.  Only a pooled run
+    imports ``concurrent.futures``.
     """
     size = k.shape[1]
     vacuum = initial_state(size // 2)
@@ -425,58 +422,60 @@ def _witness_map(
         # the kept entries as flat indices into a cell's covariance
         flat = np.ravel_multi_index(keep, (size, size))
         kept = np.empty((len(k) * len(times), len(flat)))
-    cells = 0
+    cells = rows = 0
     pool = None
     if threads > 1 and len(blocks) > 1:
         import concurrent.futures
 
         pool = concurrent.futures.ThreadPoolExecutor(threads)
-    # the pool's chunks not yet collected, as collect's arguments
+    # a cut's witnesses as a callable for their result: run when collected, or submitted now
+    defer = functools.partial if pool is None else (lambda *args: pool.submit(*args).result)
+    # the chunks not yet collected: (first generator, times, cells, one result callable per cut)
     pending = collections.deque()
 
-    def collect(chunk, first, tb, results):
-        """Append the chunk's witnesses, from one result callable per cut."""
-        try:
-            witnesses.append([result() for result in results])
-        except PrecisionLoss:
-            for i in range(len(chunk)):
-                for part in parts:
-                    try:
-                        _cut_witnesses(chunk[i : i + 1], part, half_log_det)
-                    except PrecisionLoss as exc:
-                        g = first + i // len(tb)
-                        cell = [f"{name}={float(values[g])}" for name, values in (axes or {}).items()]
-                        cell += [f"t={float(tb[i % len(tb)])}", f"cut {part.label}"]
-                        raise PrecisionLoss(f"{exc} ({', '.join(cell)})") from exc
-            raise
+    def drain(left=0):
+        """Collect the pending chunks in order until ``left`` are left, stopping at
+        the first refused cell, and return its refusal (None if none)."""
+        nonlocal rows
+        while len(pending) > left:
+            first, tb, n, results = pending.popleft()
+            outcomes = [result() for result in results]
+            # the first refused cell, and of its refused cuts the first
+            stop, part, refusal = min(
+                [(len(nu), part, refusal) for part, (nu, _, refusal) in zip(parts, outcomes)
+                 if refusal is not None], key=lambda refused: refused[0], default=(n, None, None))
+            witnesses.append([(nu[:stop], logneg[:stop]) for nu, logneg, _ in outcomes])
+            rows += stop
+            if refusal is not None:
+                pending.clear()
+                g = first + stop // len(tb)
+                cell = [f"{name}={float(values[g])}" for name, values in (axes or {}).items()]
+                cell += [f"t={float(tb[stop % len(tb)])}", f"cut {part.label}"]
+                return PrecisionLoss(f"{refusal} ({', '.join(cell)})")
+        return None
 
     try:
         for first, kb, tb in blocks:
             try:
                 chunk, error = evolve_grid(vacuum, kb, tb)
             except Exception:
-                # a witness refused in an earlier chunk wins, as in the serial loop
-                while pending:
-                    collect(*pending.popleft())
-                raise
+                # a cell refused in an earlier chunk comes first, as in the serial loop
+                error = drain()
+                if error is None:
+                    raise
+                break
             if keep is not None:
                 # mode="clip" lets take write straight into the rows (its default buffers out)
                 chunk.reshape(len(chunk), size * size).take(
                     flat, axis=1, out=kept[cells : cells + len(chunk)], mode="clip")
             cells += len(chunk)
-            if pool is None:
-                # a cell witness_stack refuses comes before any evolve_grid stopped at, so it raises
-                collect(chunk, first, tb, [functools.partial(_cut_witnesses, chunk, part, half_log_det)
-                                           for part in parts])
-            else:
-                futures = [pool.submit(_cut_witnesses, chunk, part, half_log_det) for part in parts]
-                pending.append((chunk, first, tb, [future.result for future in futures]))
-                if len(pending) > threads:
-                    collect(*pending.popleft())
+            pending.append((first, tb, len(chunk),
+                            [defer(_cut_witnesses, chunk, part, half_log_det) for part in parts]))
+            # a refused witness comes before any cell evolve_grid stopped at
+            error = drain(0 if pool is None else threads) or error
             if error is not None:
                 break
-        while pending:
-            collect(*pending.popleft())
+        error = drain() or error
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -484,7 +483,7 @@ def _witness_map(
         tuple(np.concatenate([chunk[p][i] for chunk in witnesses]) for i in (0, 1))
         for p in range(len(parts))
     ]
-    return per_cut, (None if keep is None else kept[:cells]), error
+    return per_cut, (None if keep is None else kept[:rows]), error
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +557,10 @@ def entanglement_trajectory(
     Returns (header, columns, extras): one float64 array per column, except
     that with ``include_cm`` the last column is one (rows, entries) float64
     block, the row-major upper triangle of each row's covariance, which
-    spans the ``cm_i_j`` names.  If the
-    propagator or the covariance overflows at some time, the columns end
-    before it; the extras hold that time as ``truncated_at`` and the guard's
-    message as ``truncation``.  A refused witness raises the
-    ``PrecisionLoss`` of the first refused cell, times first and then cuts,
-    with its time and cut appended, as "(t=25.0, cut 1|2)"
-    (``_witness_map``).
+    spans the ``cm_i_j`` names.  The columns end before the first time
+    whose cell ``_witness_map`` refuses, whatever refused it; the extras then
+    hold that time as ``truncated_at``, the refusal's message as
+    ``truncation`` and its class name as ``truncated_by``.
     """
     _check_threads(threads)
     spec = build_chain_spec(chain)
@@ -590,12 +586,8 @@ def entanglement_trajectory(
         columns += [nu, logneg]
     if include_cm:
         columns.append(cms)
-    extras: dict = {}
-    if isinstance(error, OverflowRisk):
-        extras["truncated_at"] = float(ts[n_rows])
-        extras["truncation"] = str(error)
-    elif error is not None:
-        raise error
+    extras = {} if error is None else {
+        "truncated_at": float(ts[n_rows]), "truncation": str(error), "truncated_by": type(error).__name__}
     return header, columns, extras
 
 
@@ -630,7 +622,7 @@ def fig2_grid(
     t_axis = t_axis or SweepAxis("t", 0.0, 5.0, 501)
     g = g_axis.values()
     times = t_axis.values()
-    m = uniform_bdg_stack(2, g=g, j=1.0, eta=eta)
+    m = bdg_stack(g[:, None], 1.0, eta)
     # the exceptional points on the g > 0 side; a root and its negative lie
     # on the same axes, so the roots alone decide the label
     ep_g = np.abs([1.0 + eta, 1.0 - eta])

@@ -53,7 +53,6 @@ from epchain import (
     quadrature_generator,
     symplectic_eigenvalues,
     symplectic_form,
-    uniform_bdg_stack,
     witness_stack,
 )
 from epchain import dynamics, sweeps
@@ -112,17 +111,6 @@ def scalar_cells(state0, generators, times, parts):
     return cms, error, [[witness(cm, part) for cm in cms] for part in parts]
 
 
-def stack_refusal(results):
-    """The PrecisionLoss that refuses a stack with these per-cell outcomes, or None.
-
-    A matrix that Cholesky cannot factor refuses the whole stack first, then
-    the first spectrum whose logs sum off 1/2 ln det sigma_0.
-    """
-    refusals = [r for r in results if isinstance(r, PrecisionLoss)]
-    unfactored = [r for r in refusals if "not positive definite" in str(r)]
-    return (unfactored + refusals + [None])[0]
-
-
 def assert_kernel_matches_scalar(state0, generators, times, parts):
     generators = np.asarray(generators, dtype=float)
     ref_cms, ref_error, ref_results = scalar_cells(state0, generators, times, parts)
@@ -136,7 +124,8 @@ def assert_kernel_matches_scalar(state0, generators, times, parts):
         assert str(error) == str(ref_error)
     half_log_det = 0.5 * np.linalg.slogdet(state0.cm)[1]
     for part, results in zip(parts, ref_results):
-        refusal = stack_refusal(results)
+        # a stack is refused by its first refused matrix's own refusal
+        refusal = next((r for r in results if isinstance(r, PrecisionLoss)), None)
         if refusal is not None:
             # the cuts are evaluated in order, each over the whole stack
             with pytest.raises(PrecisionLoss) as excinfo:
@@ -205,6 +194,18 @@ class TestKernelMatchesScalar:
         assert outcome(lambda: symplectic_eigenvalues(flipped[1])) == refused
         nu, _ = witness_stack(good[None], part, 0.0)
         assert bits(nu) == bits([reference_symplectic_eigenvalues(flipped[0])[0]])
+
+
+    def test_stack_refusal_is_the_first_refused_matrix(self):
+        # at g = 0.5 the t = 9.5 covariance factors and breaks det S = 1, and the
+        # t = 25 one has no Cholesky factor: the stack is refused by t = 9.5's own
+        # refusal, not by the later matrix's
+        spec = ChainSpec.uniform(2, g=0.5, j=1.0)
+        k = quadrature_generator(build_bdg_matrix(spec))
+        cms = np.stack([evolve(initial_state(2), k, t).cm for t in (1.0, 9.5, 25.0)])
+        with pytest.raises(PrecisionLoss, match="break det S = 1") as excinfo:
+            witness_stack(cms, Bipartition.one_vs_rest(2), 0.0)
+        assert outcome(lambda: chain_nu_minus(spec, 9.5)) == (PrecisionLoss, str(excinfo.value))
 
 
 def outcome(fn):
@@ -451,7 +452,7 @@ class TestCertifiedGuards:
         # vacuum is bona fide by construction: building it proves nothing
         vacuum = {n: initial_state(n) for n in (2, 3, 30)}
         g = SweepAxis("g", 0.5, 1.5, 9).values()
-        k2 = generator_stack(uniform_bdg_stack(2, g=g, j=1.0, eta=0.2))
+        k2 = generator_stack(bdg_stack(g[:, None], 1.0, 0.2))
         cms, error = evolve_grid(vacuum[2], k2, SweepAxis("t", 0.0, 5.0, 201).values())
         assert error is None and len(cms) == 9 * 201
         grid = SweepAxis("g1", 0.0, 2.0, 21).values().tolist()
@@ -691,20 +692,28 @@ class TestSweepsThroughKernel:
             result = reference_entanglement_result(reference_evolve(initial_state(2), k, row[0]), part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
         assert extras["truncated_at"] == times[len(rows)] == 75.0
+        assert extras["truncated_by"] == "OverflowRisk"
         with pytest.raises(OverflowRisk) as excinfo:
             reference_evolve(initial_state(2), k, extras["truncated_at"])
         assert extras["truncation"] == str(excinfo.value)
-        # a growing chain loses its witness to rounding: the trajectory raises
-        # the first refused cell's own refusal, and the message names that cell
+        # a growing chain loses its witness to rounding: the rows end before
+        # the first refused cell, and the extras hold that cell's own refusal
         times = np.linspace(0.0, 400.0, 81)
-        with pytest.raises(PrecisionLoss) as excinfo:
-            entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, times, ["1|23"])
+        _, columns, extras = entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, times, ["1|23"])
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3))).data
         _, _, [results] = scalar_cells(initial_state(3), [k], times, [Bipartition.from_label("1|23", 3)])
         first = next(i for i, result in enumerate(results) if isinstance(result, PrecisionLoss))
         assert first == 2
-        assert str(excinfo.value) == f"{results[first]} (t={times[first]}, cut 1|23)"
-        assert "not positive definite" in str(excinfo.value)
+        assert table_rows(columns) == [[t, r.nu_minus, r.log_negativity] for t, r in zip(times[:2], results)]
+        assert extras == {"truncated_at": 10.0, "truncated_by": "PrecisionLoss",
+                          "truncation": f"{results[first]} (t={times[first]}, cut 1|23)"}
+        assert "not positive definite" in extras["truncation"]
+        # a bounded chain is refused once rounding breaks S's symplecticity
+        times = np.linspace(0.0, 14000.0, 1401)
+        _, columns, extras = entanglement_trajectory(chain, times, ["1|2"])
+        assert len(columns[0]) == 1309 and extras["truncated_at"] == 13090.0
+        assert extras["truncated_by"] == "SymplecticityLost"
+        assert extras["truncation"].startswith("propagator lost symplecticity: residual")
 
     @pytest.mark.parametrize("n, eta, times, cuts, refusal", [
         # the chunk's Cholesky fails at a later cell; the t = 9.5 cell factors and
@@ -716,7 +725,11 @@ class TestSweepsThroughKernel:
         (3, 0.3, np.linspace(0.0, 60.0, 121), ["3|12", "1|23", "2|13"],
          "the symplectic eigenvalues break det S = 1: their logs sum 0.137 off "
          "1/2 ln det sigma_0; the witness has lost precision (t=6.0, cut 3|12)"),
-    ], ids=["n2", "n3_three_cuts"])
+        # the second cut is refused first, at t = 7.0; the first only at t = 7.5
+        (3, 0.0, np.linspace(0.0, 60.0, 121), ["3|12", "1|23"],
+         "the symplectic eigenvalues break det S = 1: their logs sum 0.0213 off "
+         "1/2 ln det sigma_0; the witness has lost precision (t=7.0, cut 1|23)"),
+    ], ids=["n2", "n3_three_cuts", "n3_second_cut_first"])
     @pytest.mark.parametrize("threads, chunk_cells", [(1, None), (2, None), (2, 8)],
                              ids=["serial", "threads", "threads_8_cell_chunks"])
     def test_refusal_is_the_first_refused_cells_own(self, monkeypatch, n, eta, times, cuts, refusal,
@@ -726,15 +739,23 @@ class TestSweepsThroughKernel:
         if chunk_cells:
             monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", (2 * n) ** 2 * chunk_cells)
         chain = {"n": n, "g": 0.5, "J": 1.0, "eta": eta}
-        with pytest.raises(PrecisionLoss) as excinfo:
-            entanglement_trajectory(chain, times, cuts, threads=threads)
+        _, columns, extras = entanglement_trajectory(chain, times, cuts, include_cm=True, threads=threads)
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(n, g=0.5, j=1.0, eta=eta))).data
         parts = [Bipartition.from_label(cut, n) for cut in cuts]
-        _, _, per_cut = scalar_cells(initial_state(n), [k], times, parts)
+        cms, _, per_cut = scalar_cells(initial_state(n), [k], times, parts)
         i, cut, result = next((i, cut, results[i]) for i in range(len(times))
                               for cut, results in zip(cuts, per_cut)
                               if isinstance(results[i], PrecisionLoss))
-        assert str(excinfo.value) == f"{result} (t={times[i]}, cut {cut})" == refusal
+        assert extras == {"truncated_at": times[i], "truncated_by": "PrecisionLoss",
+                          "truncation": f"{result} (t={times[i]}, cut {cut})"}
+        assert extras["truncation"] == refusal
+        # the rows before it are every cut's witnesses and the covariance entries
+        upper = np.triu_indices(2 * n)
+        assert bits(columns[0]) == bits(times[:i])
+        for p, results in enumerate(per_cut):
+            assert bits(columns[1 + 2 * p]) == bits([r.nu_minus for r in results[:i]])
+            assert bits(columns[2 + 2 * p]) == bits([r.log_negativity for r in results[:i]])
+        assert bits(columns[-1]) == bits([cm[upper] for cm in cms[:i]])
 
     def test_pool_chunks_do_not_change_values(self, monkeypatch):
         # small chunks split these grids over several pool tasks
@@ -758,7 +779,7 @@ class TestSweepsThroughKernel:
             with pytest.raises(OverflowRisk) as excinfo:
                 fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
             messages.append(str(excinfo.value))
-        k = generator_stack(uniform_bdg_stack(2, g=g_axis.values(), j=1.0, eta=5.0))
+        k = generator_stack(bdg_stack(g_axis.values()[:, None], 1.0, 5.0))
         _, error, _ = scalar_cells(initial_state(2), k, t_axis.values(), [])
         assert messages == [str(error)] * 2
         assert str(error) == "propagator at t=75.0 overflows double precision"
@@ -815,16 +836,18 @@ class TestSweepsThroughKernel:
             return evolve_grid(*args)
 
         monkeypatch.setattr(sweeps, "evolve_grid", counted)
-        messages = []
+        tables = []
         for threads in (1, 2, 3):
             calls.clear()
-            with pytest.raises(PrecisionLoss) as excinfo:
-                entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3},
-                                        np.linspace(0.0, 400.0, 81), ["1|23"], threads=threads)
-            messages.append(str(excinfo.value))
+            header, columns, extras = entanglement_trajectory(
+                {"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, np.linspace(0.0, 400.0, 81), ["1|23"],
+                include_cm=True, threads=threads)
+            tables.append((header, column_key(columns), extras))
             if failing_call:
                 assert len(calls) == (2 if threads == 1 else 3)
-        assert messages == [messages[0]] * 3 and "not positive definite" in messages[0]
+        assert tables == [tables[0]] * 3
+        assert len(columns[0]) == 2 and extras["truncated_at"] == 10.0
+        assert extras["truncated_by"] == "PrecisionLoss" and "not positive definite" in extras["truncation"]
 
     def test_chunks_clear_the_gil_release_size(self, monkeypatch):
         # numpy runs a loop without the GIL only above 500 values, and worker

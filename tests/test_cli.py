@@ -183,32 +183,40 @@ class TestEntangleCommand:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_lost_witness_exits_3(self, tmp_path, capsys):
+    def test_lost_witness_truncates(self, tmp_path, capsys):
         # at g = 0.5, eta = 0 the closed form is 7.8e-16 at t = 20 and 1.4e-19
         # at t = 25, and the rounded partial transpose has no Cholesky factor:
         # refused, with no log(0), E_N = inf or eigensolve of the rounded matrix
         for t in (20.0, 25.0):
             cfg = write_json(tmp_path / "lost.json", {
-                "n": 2, "g": 0.5, "J": 1.0, "eta": 0.0, "times": [t],
+                "n": 2, "g": 0.5, "J": 1.0, "eta": 0.0, "times": [1.0, t],
             })
             out = tmp_path / "lost.csv"
-            assert main(["entangle", "--config", cfg, "--out", str(out)]) == 3
+            assert main(["entangle", "--config", cfg, "--out", str(out)]) == 0
             err = capsys.readouterr().err
-            assert "numeric failure: PrecisionLoss: a matrix is not positive definite" in err
+            assert f"truncated at t={t:g} by PrecisionLoss: a matrix is not positive definite" in err
             assert err.rstrip().endswith(f"(t={t}, cut 1|2)")
-            assert not out.exists()
+            _, rows = read_csv(out)
+            assert [float(row[0]) for row in rows] == [1.0]
+            extras = json.loads((tmp_path / "lost.csv.manifest.json").read_text())["extras"]
+            assert extras["truncated_at"] == t and extras["truncated_by"] == "PrecisionLoss"
+            assert err.rstrip().endswith(extras["truncation"])
 
-    def test_lost_symplecticity_exits_3(self, tmp_path, capsys):
+    def test_lost_symplecticity_truncates(self, tmp_path, capsys):
         # the bounded chain's rounded propagator breaks S Omega S^T = Omega at t = 13090
         cfg = write_json(tmp_path / "lost.json", {
             "n": 2, "g": 1.5, "J": 1.0, "eta": 0.2, "times": [0.0, 13090.0],
         })
         out = tmp_path / "lost.csv"
-        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 3
+        assert main(["entangle", "--config", cfg, "--out", str(out)]) == 0
         err = capsys.readouterr().err
-        assert "numeric failure: SymplecticityLost: propagator lost symplecticity: residual" in err
+        assert ("truncated at t=13090 by SymplecticityLost: propagator lost symplecticity: residual"
+                in err)
         assert err.rstrip().endswith("at t=13090.0")
-        assert not out.exists()
+        _, rows = read_csv(out)
+        assert [float(row[0]) for row in rows] == [0.0]
+        extras = json.loads((tmp_path / "lost.csv.manifest.json").read_text())["extras"]
+        assert extras["truncated_at"] == 13090.0 and extras["truncated_by"] == "SymplecticityLost"
 
     def test_overflow_truncates_with_warning_row(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "o.json", {
@@ -217,13 +225,41 @@ class TestEntangleCommand:
         out = tmp_path / "o.csv"
         assert main(["entangle", "--config", cfg, "--out", str(out)]) == 0
         # the warning goes to stderr and the manifest; the table stays numeric
-        assert "truncated at t=75 by the overflow guard" in capsys.readouterr().err
+        assert ("truncated at t=75 by OverflowRisk: propagator at t=75.0 overflows double precision"
+                in capsys.readouterr().err)
         _, rows = read_csv(out)
         assert [float(row[0]) for row in rows] == [0.0, 0.5, 1.0]
         assert all(math.isfinite(float(value)) for row in rows for value in row)
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
-        assert manifest["extras"]["truncated_at"] == 75.0
-        assert manifest["extras"]["truncation"] == "propagator at t=75.0 overflows double precision"
+        assert manifest["extras"] == {"truncated_at": 75.0, "truncated_by": "OverflowRisk",
+                                      "truncation": "propagator at t=75.0 overflows double precision"}
+
+
+# the exit-code policy of the cli docstring and the README, one case per rule
+@pytest.mark.parametrize("argv, config, code", [
+    (["entangle"], {"n": 2, "g": 0.5, "J": 1.0, "times": [0.0, 1.0]}, 0),
+    # a refused cell ends entangle's table: a truncation, not a failure
+    (["entangle"], {"n": 2, "g": 0.5, "J": 1.0, "times": [1.0, 25.0]}, 0),
+    (["entangle"], {"n": 2, "g": 1.5, "J": 1.0, "eta": 0.2, "times": [0.0, 13090.0]}, 0),
+    (["selftest", "--draws", "8", "--tol", "1e-30"], None, 1),
+    (["entangle"], {"n": 2, "J": 1.0, "times": [0.0, float("nan")]}, 2),
+    (["fig2", "--eta", "5", "--g-min", "5", "--g-max", "1", "--g-steps", "2",
+      "--t-max", "100", "--t-steps", "2"], None, 3),
+    (["fig3", "--ns", "2", "--phi-steps", "3", "--t", "1e7"], None, 3),
+    (["fig4", "--t", "10", "--g-steps", "5", "--arc-steps", "0"], None, 3),
+    (["spectrum", "--detect-eps", "--tol", "0.3"], {"n": 2, "g": 1.0, "J": 1.0}, 3),
+    (["es-scan", "--detect-everywhere"], {"g1": [0.5, 1e200, 3]}, 3),
+], ids=["entangle", "entangle_witness_refused", "entangle_symplecticity_lost", "selftest_fails",
+        "config_error", "fig2_refused", "fig3_overflow", "fig4_refused", "spectrum_rank_ambiguity",
+        "es_scan_rank_overflow"])
+def test_exit_code_policy(tmp_path, capsys, argv, config, code):
+    options = [] if config is None else ["--config", write_json(tmp_path / "c.json", config)]
+    if argv[0] != "selftest":
+        options += ["--out", str(tmp_path / "x.csv")]
+    assert main([*argv, *options]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") == (code == 3)
+    assert err.startswith("config error: ") == (code == 2)
 
 
 @pytest.mark.parametrize("command, config", [

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epchain import ChainSpec, floattext, locate_ep_1d, spectrum_stack, sweeps, symplectic_eigenvalues
-from epchain.chain import uniform_bdg_stack
+from epchain.chain import bdg_stack
 from epchain.errors import ConfigError, NoTransition, PrecisionLoss, UnsortedTimes
 from epchain.sweeps import (
     SweepAxis,
@@ -453,7 +453,8 @@ class TestTrajectoryErrors:
         _, columns, extras = entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [0.0, 1e308], [])
         assert column_key(columns) == column_key([np.array([0.0]), np.array([1.0]), np.array([0.0])])
         assert extras == {"truncated_at": 1e308,
-                          "truncation": "propagator at t=1e+308 overflows double precision"}
+                          "truncation": "propagator at t=1e+308 overflows double precision",
+                          "truncated_by": "OverflowRisk"}
 
 
 def test_fig2_matches_closed_form_without_sms():
@@ -494,7 +495,7 @@ class TestFig2ClosedFormSpectrum:
         g_axis = SweepAxis("g", *ends, steps)
         _, columns, extras = fig2_grid(eta, g_axis, SweepAxis("t", 0.0, 0.0, 1))
         g = g_axis.values()
-        _, labels, _ = spectrum_stack(uniform_bdg_stack(2, g=g, j=1.0, eta=eta))
+        _, labels, _ = spectrum_stack(bdg_stack(g[:, None], 1.0, eta))
         far = np.abs(g[:, None] - points).min(axis=1) > 1e-6
         assert [region for region, keep in zip(columns[2], far) if keep] == [
             label.value for label, keep in zip(labels, far) if keep]
