@@ -9,8 +9,9 @@ step chaining, so results stay exact at exceptional points (where S is
 polynomial times exponential in t) and no error accumulates in regimes of
 exponential growth.  ``evolve_grid`` transports a whole stack of
 (generator, time) cells; ``propagator`` (which returns the read-only S),
-``evolve`` and ``evolve_trajectory`` are its one-generator case, and
-``GaussianState`` shares its bona fide check.
+``evolve`` and ``evolve_trajectory`` are its one-generator case, whose
+refusals end with their cell's time, "(t=75.0)", and ``GaussianState``
+shares its bona fide check.
 Growth stops a cell only where its K t, S, S Omega S^T or covariance is
 not finite (``OverflowRisk``).  The other guards check a certificate first,
 over the whole stack, and run the exact test only for cells it cannot
@@ -52,8 +53,10 @@ from .errors import (
     NegativeOccupancy,
     NonFiniteParameter,
     OverflowRisk,
+    PrecisionLoss,
     SymplecticityLost,
     UnsortedTimes,
+    _at_cell,
 )
 
 __all__ = [
@@ -89,8 +92,8 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def _bona_fide_count(cm: np.ndarray) -> tuple[int, ConfigError | None]:
-    """The count of leading bona fide matrices of the stack cm and the next one's error."""
+def _bona_fide_count(cm: np.ndarray, refusal=ConfigError) -> tuple[int, EpchainError | None]:
+    """The count of leading bona fide matrices of the stack cm and the next one's ``refusal``."""
     norm = np.abs(cm).max(axis=(1, 2), initial=0.0)
     slack = np.maximum(_BONA_FIDE_ATOL, _BONA_FIDE_RTOL * norm)
     lowest = np.linalg.eigvalsh(cm + 1j * symplectic_form(cm.shape[1] // 2)).min(axis=1)
@@ -98,7 +101,7 @@ def _bona_fide_count(cm: np.ndarray) -> tuple[int, ConfigError | None]:
     if not failed.size:
         return len(cm), None
     stop = int(failed[0])
-    return stop, ConfigError(
+    return stop, refusal(
         f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest[stop]:.3e}"
     )
 
@@ -189,7 +192,7 @@ def propagator(k: RealGenerator, t: float) -> np.ndarray:
     """
     s, _, _, error = _propagators(k.data[None], np.array([t], dtype=float))
     if error is not None:
-        raise error
+        raise _at_cell(error, [f"t={float(t)}"])
     s = s[0]
     s.setflags(write=False)
     return s
@@ -216,7 +219,7 @@ def _evolve(
         )
     cms, error = evolve_grid(state, k.data[None], times)
     if error is not None:
-        raise error
+        raise _at_cell(error, [f"t={float(times[len(cms)])}"])
     # evolve_grid's covariances are exactly symmetric and checked bona fide
     cms.setflags(write=False)
     return [GaussianState._checked(state.n_modes, cm) for cm in cms]
@@ -371,9 +374,8 @@ def _propagators(
     if not np.isfinite(t):
         return *passed, ConfigError(f"time must be finite, got {t}")
     if stop == len(s) or not finite[stop]:
-        return *passed, OverflowRisk(f"propagator at t={t} overflows double precision")
-    return *passed, SymplecticityLost(
-        f"propagator lost symplecticity: residual {residual[stop]:.3e} at t={t}")
+        return *passed, OverflowRisk("propagator overflows double precision")
+    return *passed, SymplecticityLost(f"propagator lost symplecticity: residual {residual[stop]:.3e}")
 
 
 def _certified_count(
@@ -450,7 +452,8 @@ def evolve_grid(
 
     Returns the (C, 2N, 2N) covariances of the C leading cells that passed,
     and the error of the first cell that failed, or None when all G x T
-    cells passed.
+    cells passed, stating its reason but not its cell (``_at_cell``); a
+    covariance that fails the bona fide test is a ``PrecisionLoss``.
     """
     k = np.asarray(k, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -468,10 +471,9 @@ def evolve_grid(
     overflowed = np.flatnonzero(~np.isfinite(cm).all(axis=(1, 2)))
     if overflowed.size:
         cm = cm[: overflowed[0]]
-        t = float(times[overflowed[0] % times.size])
-        error = OverflowRisk(f"covariance at t={t} overflows double precision")
+        error = OverflowRisk("covariance overflows double precision")
     cleared = _certified_count(state.cm, cm, residual, frobenius)
     if cleared == len(cm):
         return cm, error
-    stop, not_bona_fide = _bona_fide_count(cm[cleared:])
+    stop, not_bona_fide = _bona_fide_count(cm[cleared:], PrecisionLoss)
     return cm[: cleared + stop], not_bona_fide or error

@@ -65,9 +65,9 @@ class NegativeOccupancy(ConfigError):
 class OverflowRisk(EpchainError, ArithmeticError):
     """Propagating this far overflows double precision.
 
-    The message states the time at which K t, the propagator or the
-    transported covariance stopped being finite.  ``entangle`` ends its
-    table before that time.
+    The message states whether K t, the propagator or the transported
+    covariance stopped being finite, then the cell (``_at_cell``).
+    ``entangle`` ends its table before that time.
     """
 
 
@@ -75,7 +75,7 @@ class SymplecticityLost(EpchainError, ArithmeticError):
     """Rounding broke the propagator's symplecticity.
 
     Its residual max|S Omega S^T - Omega| exceeds 1e-10 (1 + ||S||_2^2); the
-    message states the residual and the time.  ``entangle`` ends its table
+    message states the residual, then the cell.  ``entangle`` ends its table
     before that time.
     """
 
@@ -100,14 +100,20 @@ class OutOfRange(EpchainError, ValueError):
 
 
 class PrecisionLoss(EpchainError, ArithmeticError):
-    """Rounding has eaten a witness, so it is refused, not eigensolved.
+    """Rounding has eaten a transported covariance or its witness: refused.
 
-    Cholesky cannot factor the partial transpose, a symplectic eigenvalue
-    comes out <= 0, or the eigenvalues' logs sum more than 1e-2 off
-    1/2 ln det sigma_0, which det S = 1 forbids.  ``entangle`` ends its
-    table before the refused time.
+    The covariance fails the bona fide test, Cholesky cannot factor the
+    partial transpose, a symplectic eigenvalue comes out <= 0, or the logs
+    sum more than 1e-2 off 1/2 ln det sigma_0, which det S = 1 forbids.
+    ``entangle`` ends its table before the refused time.
     """
 
 
 class DivisionByZeroLog(EpchainError, ZeroDivisionError):
     """The enhancement ratio is undefined when the reference witness is 1."""
+
+
+def _at_cell(refusal: EpchainError, cell: list[str]) -> EpchainError:
+    """The refusing layer's reason and, appended by the caller that walks the cells, the
+    cell, as "(g=1.0, t=100.0)", in the same class; a ConfigError (a wrong input) as it is."""
+    return refusal if isinstance(refusal, ConfigError) else type(refusal)(f"{refusal} ({', '.join(cell)})")

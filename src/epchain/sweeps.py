@@ -15,20 +15,20 @@ initial covariance for all (generator, time) cells at once and
 stacks pass by construction) evaluates nu_- and E_N per cut.  Every preset
 starts from the vacuum.  ``evolve`` and ``entanglement_result`` are their
 one-cell case, so every value equals what they give for that cell, and the
-kernel returns, not raises, the error a loop over the cells would raise
-first (a refused witness with its cell appended: the swept parameters of
-its generator, its time and its cut): fig2 and fig4 raise it, and entangle
-ends its table before that cell.  The kernel works
-through a grid in chunks of a fixed number of matrix entries, so memory
-stays flat on large grids (but of at least 512 witness values, so that
-numpy's stacked eigensolve releases the GIL), and stops at the first chunk
-with an error.  Only what a table writes outlives a chunk: the witnesses,
-and for ``entangle --include-cm`` the covariance entries it prints, copied
-into one array for the whole grid as each chunk is evolved.
+kernel returns, not raises, the first refusal a loop over the cells would
+raise: the refusing layer gives the reason and the kernel appends the cell
+(its generator's swept parameters, its time, a refused witness's cut);
+fig2 and fig4 raise it, and entangle ends its table before that cell.
+The kernel works through a grid in chunks of a fixed number of matrix
+entries, so memory stays flat on large grids (but of at least 512 witness
+values, so that numpy's stacked eigensolve releases the GIL), and stops at
+the first chunk with an error.  Only what a table writes outlives a chunk:
+the witnesses, and for ``entangle --include-cm`` the covariance entries it
+prints, copied into one array for the whole grid as each chunk is evolved.
 The calling thread evolves the chunks in order; with ``threads > 1``
 (the three witness presets take it) and more than one chunk, each chunk's
 cuts go to a ``concurrent.futures.ThreadPoolExecutor`` of that many worker
-threads while the next chunk evolves, and their results are collected in
+threads while the next chunks evolve, and their results are collected in
 order, so values and errors are the same at any thread count.  Only such a
 run imports ``concurrent.futures`` (and with it ``logging``).  fig3 needs
 no kernel: at g = J its witness is the exact coalescence-point series
@@ -68,7 +68,7 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -90,7 +90,7 @@ from .entanglement import (
     nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
 )
-from .errors import ConfigError, EpchainError, NoTransition, PrecisionLoss
+from .errors import ConfigError, EpchainError, NoTransition, _at_cell
 from .floattext import BLOCK_CELLS, run_texts
 from .spectral import (
     _REGIONS,
@@ -368,6 +368,21 @@ def write_manifest(data_path: str | Path, command: str, config: dict, extras: di
 _CHUNK_ENTRIES = 1 << 15
 
 
+def _ahead(items: Iterable, n: int) -> Iterator:
+    """The items in order, each handed out once the n after it are taken or the
+    items end; an exception from items is raised after the items taken before it."""
+    taken = collections.deque()
+    try:
+        for item in items:
+            taken.append(item)
+            if len(taken) > n:
+                yield taken.popleft()
+    except Exception:
+        yield from taken
+        raise
+    yield from taken
+
+
 def _witness_map(
     k: np.ndarray,
     times: np.ndarray,
@@ -382,26 +397,24 @@ def _witness_map(
     Returns one (nu_minus, log_negativity) pair of arrays per cut over the
     leading cells that passed every check, the covariance entries at the
     index pair ``keep`` of those cells as one (cells, entries) float64 array
-    (None without ``keep``), and the error of the first refused cell (None
-    if none), whichever layer refused it: ``evolve_grid``'s, or the
-    ``PrecisionLoss`` of the first cut that refuses the cell's witness, with
-    the cell appended: the value at its generator of each of ``axes`` (a
-    swept parameter's name and its value per generator), its time and its
-    cut, as "(g=5.0, t=100.0, cut 1|2)", or "(t=25.0, cut 1|2)" without
-    ``axes``.  The kept entries are copied out of each chunk as it is
-    evolved, into one array allocated for the whole grid, so no chunk
-    outlives its witnesses.  The chunks come from ``evolve_grid``, exactly
-    symmetric and finite, so they skip ``witness_stack``'s input checks.
+    (None without ``keep``), and the refusal of the first refused cell (None
+    if none): its first refused cut's ``PrecisionLoss``, else
+    ``evolve_grid``'s error.  The refusing layer gives the reason and this
+    loop names the cell: its value of each of ``axes`` (a parameter's name
+    and its values per generator), its time and a refused cut, as
+    "(g=5.0, t=100.0, cut 1|2)".  The kept entries are copied out of each
+    chunk as it is evolved, so no chunk outlives its witnesses.  The chunks
+    come from ``evolve_grid``, exactly symmetric and finite, so they skip
+    ``witness_stack``'s input checks.
 
     The calling thread evolves the chunks in order and stops at the first
-    with a refused cell.  With ``threads > 1`` and more than one chunk it
-    hands each chunk's cuts to that many worker threads and goes on to the
-    next chunk while they run (the witness's stacked eigensolve releases the
-    GIL); results are collected in chunk and cut order, so the first refused
-    cell is the serial loop's, and at most ``threads + 1`` chunks'
-    covariances are alive at once.  An exception from ``evolve_grid`` is
-    raised only if no chunk before it refused a cell.  Only a pooled run
-    imports ``concurrent.futures``.
+    with a refused cell.  With ``threads > 1`` and more than one chunk, each
+    chunk's cuts go to that many worker threads (the stacked eigensolve
+    releases the GIL) while up to ``threads`` more chunks evolve; results
+    are collected in chunk and cut order, so the first refused cell is the
+    serial loop's.  An exception from ``evolve_grid`` is raised only if no
+    chunk before it refused a cell.  Only a pooled run imports
+    ``concurrent.futures``.
     """
     size = k.shape[1]
     vacuum = initial_state(size // 2)
@@ -409,81 +422,56 @@ def _witness_map(
     # = 512 witness values: numpy runs a stacked eigvalsh without the GIL only
     # when it returns more than 500, which the first bound misses for N > 30
     per_chunk = max(_CHUNK_ENTRIES // size**2, math.ceil(_CHUNK_ENTRIES / 64 / size))
-    # (first generator, its generators, times) per chunk
-    if len(times) >= per_chunk:
-        blocks = [(g, k[g : g + 1], times[i : i + per_chunk])
-                  for g in range(len(k)) for i in range(0, len(times), per_chunk)]
-    else:
-        step = per_chunk // len(times)
-        blocks = [(g, k[g : g + step], times) for g in range(0, len(k), step)]
-    half_log_det = 0.0  # the vacuum's 1/2 ln det sigma_0
-    witnesses, error = [], None
+    # (first cell, generators, times): a span of one generator's times, or whole generators
+    span, step = min(per_chunk, len(times)), max(1, per_chunk // len(times))
+    chunks = [(g * len(times) + i, k[g : g + step], times[i : i + span])
+              for g in range(0, len(k), step) for i in range(0, len(times), span)]
     if keep is not None:
         # the kept entries as flat indices into a cell's covariance
         flat = np.ravel_multi_index(keep, (size, size))
         kept = np.empty((len(k) * len(times), len(flat)))
-    cells = rows = 0
     pool = None
-    if threads > 1 and len(blocks) > 1:
+    if threads > 1 and len(chunks) > 1:
         import concurrent.futures
 
         pool = concurrent.futures.ThreadPoolExecutor(threads)
-    # a cut's witnesses as a callable for their result: run when collected, or submitted now
-    defer = functools.partial if pool is None else (lambda *args: pool.submit(*args).result)
-    # the chunks not yet collected: (first generator, times, cells, one result callable per cut)
-    pending = collections.deque()
 
-    def drain(left=0):
-        """Collect the pending chunks in order until ``left`` are left, stopping at
-        the first refused cell, and return its refusal (None if none)."""
-        nonlocal rows
-        while len(pending) > left:
-            first, tb, n, results = pending.popleft()
-            outcomes = [result() for result in results]
-            # the first refused cell, and of its refused cuts the first
-            stop, part, refusal = min(
-                [(len(nu), part, refusal) for part, (nu, _, refusal) in zip(parts, outcomes)
-                 if refusal is not None], key=lambda refused: refused[0], default=(n, None, None))
-            witnesses.append([(nu[:stop], logneg[:stop]) for nu, logneg, _ in outcomes])
-            rows += stop
-            if refusal is not None:
-                pending.clear()
-                g = first + stop // len(tb)
-                cell = [f"{name}={float(values[g])}" for name, values in (axes or {}).items()]
-                cell += [f"t={float(tb[stop % len(tb)])}", f"cut {part.label}"]
-                return PrecisionLoss(f"{refusal} ({', '.join(cell)})")
-        return None
-
-    try:
-        for first, kb, tb in blocks:
-            try:
-                chunk, error = evolve_grid(vacuum, kb, tb)
-            except Exception:
-                # a cell refused in an earlier chunk comes first, as in the serial loop
-                error = drain()
-                if error is None:
-                    raise
-                break
+    def stream():
+        # per chunk until evolve_grid's error: its first cell, cells, witnesses per cut, error
+        for first, kb, tb in chunks:
+            chunk, error = evolve_grid(vacuum, kb, tb)
             if keep is not None:
                 # mode="clip" lets take write straight into the rows (its default buffers out)
                 chunk.reshape(len(chunk), size * size).take(
-                    flat, axis=1, out=kept[cells : cells + len(chunk)], mode="clip")
-            cells += len(chunk)
-            pending.append((first, tb, len(chunk),
-                            [defer(_cut_witnesses, chunk, part, half_log_det) for part in parts]))
-            # a refused witness comes before any cell evolve_grid stopped at
-            error = drain(0 if pool is None else threads) or error
+                    flat, axis=1, out=kept[first : first + len(chunk)], mode="clip")
+            # the vacuum's 1/2 ln det sigma_0 is 0; a pool starts the cuts now, map when read
+            witness = functools.partial(_cut_witnesses, chunk, half_log_det=0.0)
+            yield first, len(chunk), (map if pool is None else pool.map)(witness, parts), error
             if error is not None:
+                return
+
+    witnesses, refusal, rows = [], None, len(k) * len(times)
+    try:
+        for first, n, outcomes, error in _ahead(stream(), 0 if pool is None else threads):
+            outcomes = list(outcomes)
+            # the first refused cell, whichever layer refused it, and of its refused cuts the first
+            stop, part, refusal = min(
+                [(len(nu), part, refused) for part, (nu, _, refused) in zip(parts, outcomes)
+                 if refused is not None], key=lambda refused: refused[0], default=(n, None, error))
+            witnesses.append([(nu[:stop], logneg[:stop]) for nu, logneg, _ in outcomes])
+            if refusal is not None:
+                rows = first + stop
+                g, i = divmod(rows, len(times))
+                cell = [f"{name}={float(values[g])}" for name, values in (axes or {}).items()]
+                cell.append(f"t={float(times[i])}")
+                refusal = _at_cell(refusal, cell + ([] if part is None else [f"cut {part.label}"]))
                 break
-        error = drain() or error
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    per_cut = [
-        tuple(np.concatenate([chunk[p][i] for chunk in witnesses]) for i in (0, 1))
-        for p in range(len(parts))
-    ]
-    return per_cut, (None if keep is None else kept[:rows]), error
+    # each cut's (nu, log_negativity) over the chunks, joined
+    per_cut = [tuple(map(np.concatenate, zip(*cut))) for cut in zip(*witnesses)]
+    return per_cut, (None if keep is None else kept[:rows]), refusal
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +813,9 @@ def fig4_grid(
     _check_threads(threads)
     if arc_steps < 0:
         raise ConfigError(f"arc_steps must be nonnegative, got {arc_steps}")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ConfigError(f"time must be finite, got {t}")
     g = (g_axis or SweepAxis("g", 0.0, 2.0, 81)).values()
     points = np.stack([np.repeat(g, len(g)), np.tile(g, len(g))], axis=1)
     varphis = np.linspace(-math.pi / 4, math.pi / 4, arc_steps)
@@ -835,7 +826,7 @@ def fig4_grid(
     m = bdg_stack(hopping, float(j), 0.0)
     _, regions, _ = spectrum_stack(m[: len(points)], DEFAULT_REGION_TOL)
     [(nu, _)], _, error = _witness_map(
-        generator_stack(m), np.array([float(t)]), [Bipartition.from_label("13|2", 3)], threads,
+        generator_stack(m), np.array([t]), [Bipartition.from_label("13|2", 3)], threads,
         axes={"g1": hopping[:, 0], "g2": hopping[:, 1]},
     )
     if error is not None:
@@ -845,7 +836,7 @@ def fig4_grid(
     closed_form = [nu_closed_form_three_mode_nonuniform(varphi, j, t) for varphi in varphis.tolist()]
     arc = (["varphi", "g1", "g2", "nu_minus_13|2", "nu_closed_form"],
            [varphis, *arc_hopping.T, nu[len(points) :], np.array(closed_form, dtype=float)])
-    extras = {"j": float(j), "t": float(t)}
+    extras = {"j": float(j), "t": t}
     return grid, arc, extras
 
 

@@ -11,6 +11,7 @@ from epchain import ChainSpec, EntanglementResult, dynamics, entanglement, sympl
 from epchain.errors import (
     AsymmetricInput,
     ConfigError,
+    EpchainError,
     InvalidBipartition,
     OverflowRisk,
     PrecisionLoss,
@@ -71,7 +72,9 @@ def spec_stacks(draw):
 # stacked kernel that ``propagator``, ``evolve``, ``symplectic_eigenvalues``
 # and ``entanglement_result`` are the one-cell case of; the tolerances are
 # read from ``dynamics`` and ``entanglement`` at call time, so a
-# monkeypatched one applies to both
+# monkeypatched one applies to both.  Like the kernel's, a refusal states
+# its reason only; ``at_time`` appends the cell's time as the one-cell
+# functions do
 
 
 def reference_propagator(k, t):
@@ -83,17 +86,17 @@ def reference_propagator(k, t):
         kt = k.data * t
         s = expm(kt) if np.isfinite(kt).all() else None
         if s is None or not (np.isfinite(s).all() and np.isfinite(s @ omega @ s.T).all()):
-            raise OverflowRisk(f"propagator at t={t} overflows double precision")
-    return reference_symplectic_check(s, t)
+            raise OverflowRisk("propagator overflows double precision")
+    return reference_symplectic_check(s)
 
 
-def reference_symplectic_check(s, t):
+def reference_symplectic_check(s):
     """s itself, once its symplectic residual is within 1e-10 (1 + ||S||_2^2) by an SVD."""
     omega = symplectic_form(len(s) // 2)
     residual = float(np.abs(s @ omega @ s.T - omega).max())
     scale = 1.0 + float(np.linalg.norm(s, 2)) ** 2
     if residual > dynamics._SYMPLECTIC_RTOL * scale:
-        raise SymplecticityLost(f"propagator lost symplecticity: residual {residual:.3e} at t={t}")
+        raise SymplecticityLost(f"propagator lost symplecticity: residual {residual:.3e}")
     return s
 
 
@@ -108,8 +111,19 @@ def reference_evolve(state, k, t):
         cm = s @ state.cm @ s.T
         cm = 0.5 * (cm + cm.T)
     if not np.isfinite(cm).all():
-        raise OverflowRisk(f"covariance at t={t} overflows double precision")
-    return reference_bona_fide_check(cm)
+        raise OverflowRisk("covariance overflows double precision")
+    return reference_bona_fide_check(cm, PrecisionLoss)
+
+
+def at_time(reference, *args):
+    """reference(*args), whose last argument is a time, with that time appended to a
+    refusal as the one-cell functions append it; a ConfigError as it is."""
+    try:
+        return reference(*args)
+    except ConfigError:
+        raise
+    except EpchainError as exc:
+        raise type(exc)(f"{exc} (t={float(args[-1])})") from None
 
 
 def reference_half_log_det(state):
@@ -117,12 +131,13 @@ def reference_half_log_det(state):
     return 0.5 * math.fsum(math.log(v) for v in np.linalg.eigvalsh(state.cm))
 
 
-def reference_bona_fide_check(cm):
-    """cm itself, once the eigvalsh of sigma + i Omega shows it bona fide."""
+def reference_bona_fide_check(cm, refusal=ConfigError):
+    """cm itself, once the eigvalsh of sigma + i Omega shows it bona fide; else a
+    refusal, a ConfigError for a user's matrix and a PrecisionLoss for a transported one."""
     norm = float(np.abs(cm).max())
     lowest = float(np.linalg.eigvalsh(cm + 1j * symplectic_form(len(cm) // 2)).min())
     if lowest < -max(dynamics._BONA_FIDE_ATOL, dynamics._BONA_FIDE_RTOL * norm):
-        raise ConfigError(
+        raise refusal(
             f"not a bona fide covariance matrix: min eig(sigma + i Omega) = {lowest:.3e}"
         )
     return cm

@@ -68,6 +68,7 @@ from epchain.errors import (
 from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_tables, fig4_grid
 
 from conftest import (
+    at_time,
     chain_specs,
     column_key,
     reference_bona_fide_check,
@@ -240,13 +241,13 @@ class TestOneCellCase:
         spec, state, times, part = cell
         k = quadrature_generator(build_bdg_matrix(spec))
         assert outcome(lambda: [s.cm for s in evolve_trajectory(state, k, times)]) == outcome(
-            lambda: [reference_evolve(state, k, t) for t in times]
+            lambda: [at_time(reference_evolve, state, k, t) for t in times]
         )
         for t in times:
             s = outcome(lambda: propagator(k, t))
-            assert s == outcome(lambda: reference_propagator(k, t))
+            assert s == outcome(lambda: at_time(reference_propagator, k, t))
             evolved = outcome(lambda: evolve(state, k, t).cm)
-            assert evolved == outcome(lambda: reference_evolve(state, k, t))
+            assert evolved == outcome(lambda: at_time(reference_evolve, state, k, t))
             if not isinstance(evolved, list):
                 continue
             cm = evolve(state, k, t).cm
@@ -337,14 +338,14 @@ def kicked_evolve(state, kg, t, kick):
     with np.errstate(over="ignore", invalid="ignore"):
         s = scipy.linalg.expm(kg * t) + kick
         if not (np.isfinite(s).all() and np.isfinite(s @ omega @ s.T).all()):
-            raise OverflowRisk(f"propagator at t={t} overflows double precision")
-    reference_symplectic_check(s, t)
+            raise OverflowRisk("propagator overflows double precision")
+    reference_symplectic_check(s)
     with np.errstate(over="ignore", invalid="ignore"):
         cm = s @ state.cm @ s.T
         cm = 0.5 * (cm + cm.T)
     if not np.isfinite(cm).all():
-        raise OverflowRisk(f"covariance at t={t} overflows double precision")
-    return reference_bona_fide_check(cm)
+        raise OverflowRisk("covariance overflows double precision")
+    return reference_bona_fide_check(cm, PrecisionLoss)
 
 
 class TestCertifiedGuards:
@@ -390,7 +391,7 @@ class TestCertifiedGuards:
             patch.setattr(dynamics, "expm", lambda a: expm(a) + kicks[: len(a)])
             s, _, _, error = dynamics._propagators(k, times)
         assert guard_outcome((s, error)) == reference_guard(
-            lambda kg, t, kick: reference_symplectic_check(scipy.linalg.expm(kg * t) + kick, t),
+            lambda kg, t, kick: reference_symplectic_check(scipy.linalg.expm(kg * t) + kick),
             [(kg, t, kick) for (kg, t), kick in zip(cells, kicks)],
         )
 
@@ -610,7 +611,7 @@ class TestKernelFailures:
         cms, error = assert_kernel_matches_scalar(
             initial_state(2), [k], times, [Bipartition.one_vs_rest(2)]
         )
-        assert len(cms) == 3 and str(error) == "propagator at t=75.0 overflows double precision"
+        assert len(cms) == 3 and str(error) == "propagator overflows double precision"
         # a growing chain loses its witness to rounding long before it overflows
         k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3))).data
         _, error = assert_kernel_matches_scalar(
@@ -647,7 +648,8 @@ class TestKernelFailures:
         cms, error = assert_kernel_matches_scalar(
             initial_state(2, 0.5), [k], times, [Bipartition.one_vs_rest(2)]
         )
-        assert type(error) is ConfigError and 0 < len(cms) < len(times)
+        # rounding, not an input, broke the transported covariance: a numeric refusal
+        assert type(error) is PrecisionLoss and 0 < len(cms) < len(times)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_precision_loss(self):
@@ -695,7 +697,7 @@ class TestSweepsThroughKernel:
         assert extras["truncated_by"] == "OverflowRisk"
         with pytest.raises(OverflowRisk) as excinfo:
             reference_evolve(initial_state(2), k, extras["truncated_at"])
-        assert extras["truncation"] == str(excinfo.value)
+        assert extras["truncation"] == f"{excinfo.value} (t=75.0)"
         # a growing chain loses its witness to rounding: the rows end before
         # the first refused cell, and the extras hold that cell's own refusal
         times = np.linspace(0.0, 400.0, 81)
@@ -714,6 +716,7 @@ class TestSweepsThroughKernel:
         assert len(columns[0]) == 1309 and extras["truncated_at"] == 13090.0
         assert extras["truncated_by"] == "SymplecticityLost"
         assert extras["truncation"].startswith("propagator lost symplecticity: residual")
+        assert extras["truncation"].endswith(" (t=13090.0)")
 
     @pytest.mark.parametrize("n, eta, times, cuts, refusal", [
         # the chunk's Cholesky fails at a later cell; the t = 9.5 cell factors and
@@ -781,8 +784,22 @@ class TestSweepsThroughKernel:
             messages.append(str(excinfo.value))
         k = generator_stack(bdg_stack(g_axis.values()[:, None], 1.0, 5.0))
         _, error, _ = scalar_cells(initial_state(2), k, t_axis.values(), [])
-        assert messages == [str(error)] * 2
-        assert str(error) == "propagator at t=75.0 overflows double precision"
+        assert messages == [f"{error} (g=1.0, t=75.0)"] * 2
+        assert str(error) == "propagator overflows double precision"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_transport_refusal_names_its_cell(self, monkeypatch, threads):
+        # the transport gives the reason and the kernel the cell, generator
+        # included; one-cell chunks make the worker threads run at threads=2
+        monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16)
+        with pytest.raises(OverflowRisk) as excinfo:
+            fig2_grid(eta=5.0, g_axis=SweepAxis("g", 1.0, 5.0, 2), t_axis=SweepAxis("t", 0.0, 100.0, 2),
+                      threads=threads)
+        assert str(excinfo.value) == "propagator overflows double precision (g=1.0, t=100.0)"
+        # all 25 cells share t = 400: only the generator tells them apart
+        with pytest.raises(OverflowRisk) as excinfo:
+            fig4_grid(t=400.0, g_axis=SweepAxis("g", 0.0, 2.0, 5), arc_steps=0, threads=threads)
+        assert str(excinfo.value).endswith(" (g1=0.0, g2=0.0, t=400.0)")
 
     def test_map_stops_at_first_failing_chunk(self, monkeypatch):
         # 2-cell chunks of two generators each at two times: at eta = 5, g = 10

@@ -212,7 +212,7 @@ class TestEntangleCommand:
         err = capsys.readouterr().err
         assert ("truncated at t=13090 by SymplecticityLost: propagator lost symplecticity: residual"
                 in err)
-        assert err.rstrip().endswith("at t=13090.0")
+        assert err.rstrip().endswith(" (t=13090.0)")
         _, rows = read_csv(out)
         assert [float(row[0]) for row in rows] == [0.0]
         extras = json.loads((tmp_path / "lost.csv.manifest.json").read_text())["extras"]
@@ -225,14 +225,14 @@ class TestEntangleCommand:
         out = tmp_path / "o.csv"
         assert main(["entangle", "--config", cfg, "--out", str(out)]) == 0
         # the warning goes to stderr and the manifest; the table stays numeric
-        assert ("truncated at t=75 by OverflowRisk: propagator at t=75.0 overflows double precision"
+        assert ("truncated at t=75 by OverflowRisk: propagator overflows double precision (t=75.0)"
                 in capsys.readouterr().err)
         _, rows = read_csv(out)
         assert [float(row[0]) for row in rows] == [0.0, 0.5, 1.0]
         assert all(math.isfinite(float(value)) for row in rows for value in row)
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["extras"] == {"truncated_at": 75.0, "truncated_by": "OverflowRisk",
-                                      "truncation": "propagator at t=75.0 overflows double precision"}
+                                      "truncation": "propagator overflows double precision (t=75.0)"}
 
 
 # the exit-code policy of the cli docstring and the README, one case per rule
@@ -360,6 +360,13 @@ class TestFigureCommands:
         out = tmp_path / "fig3.csv"
         assert main(["fig3", "--ns", "2", "--phi-steps", "3", "--t", t, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_fig4_bad_time_exits_2(self, tmp_path, capsys, t):
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", "--g-steps", "2", "--arc-steps", "0", "--t", t, "--out", str(out)]) == 2
+        assert f"config error: time must be finite, got {t}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -453,7 +453,7 @@ class TestTrajectoryErrors:
         _, columns, extras = entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [0.0, 1e308], [])
         assert column_key(columns) == column_key([np.array([0.0]), np.array([1.0]), np.array([0.0])])
         assert extras == {"truncated_at": 1e308,
-                          "truncation": "propagator at t=1e+308 overflows double precision",
+                          "truncation": "propagator overflows double precision (t=1e+308)",
                           "truncated_by": "OverflowRisk"}
 
 
@@ -719,6 +719,16 @@ def test_fig3_needs_two_modes(n_values):
 def test_preset_arguments_checked_in_library(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_fig4_checks_its_time(monkeypatch, t):
+    # a time that is not finite is a wrong input, refused before any cell evolves
+    calls = []
+    monkeypatch.setattr(sweeps, "evolve_grid", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match=f"^time must be finite, got {t}$"):
+        fig4_grid(t=t)
+    assert calls == []
 
 
 def test_threads_need_no_main_guard(tmp_path):
