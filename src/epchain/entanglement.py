@@ -24,6 +24,8 @@ sqrt(det sigma_0); ``witness_stack`` and ``chain_nu_minus`` refuse a
 spectrum off it (``PrecisionLoss``), where rounding has eaten the witness;
 a stack's refusal is its first refused matrix's own, which the kernel gets
 as a value, with the witnesses of the matrices before it.
+``chain_nu_minus`` is the kernel's one cell, so its refusals end with the
+cell, as the sweeps' do.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import ChainSpec, build_bdg_matrix, quadrature_generator, symplectic_form
-from .dynamics import GaussianState, _symmetrized, evolve, initial_state
+from .dynamics import GaussianState, _symmetrized, evolve_grid, initial_state
 from .errors import (
     AsymmetricInput,
     DivisionByZeroLog,
     InvalidBipartition,
     OutOfRange,
     PrecisionLoss,
+    _at_cell,
 )
 
 __all__ = [
@@ -297,17 +300,29 @@ def nu_minus(state: GaussianState, part: Bipartition) -> float:
 # numeric pipeline helpers
 
 def chain_nu_minus(spec: ChainSpec, t: float, part: Bipartition | None = None) -> float:
-    """nu_- of the evolved vacuum: build M, transport sigma, eigensolve.
+    """nu_- of the evolved vacuum: the witness kernel's one cell.
 
-    Defaults to the first-mode-vs-rest cut.
+    Builds M, transports the vacuum (``evolve_grid``) and takes the cut's
+    witness (``_cut_witnesses``), as the sweeps do for each of their cells.
+    A refusal ends with its cell: "(t=25.0, cut 1|2)" for the witness's,
+    "(t=1e+308)" for the transport's.  Defaults to the first-mode-vs-rest cut.
     """
     if part is None:
         part = Bipartition.one_vs_rest(spec.n_modes)
+    if part.n_modes != spec.n_modes:
+        raise InvalidBipartition(
+            f"partition is for {part.n_modes} modes but the state has {spec.n_modes}"
+        )
     k = quadrature_generator(build_bdg_matrix(spec))
-    pt = partial_transpose(evolve(initial_state(spec.n_modes), k, t), part)
-    # the vacuum's 1/2 ln det sigma_0 is 0
-    values, _ = _witnesses(pt[None], 0.0)
-    return float(values[0, 0])
+    cms, refusal = evolve_grid(initial_state(spec.n_modes), k.data[None], [t])
+    cell = [f"t={float(t)}"]
+    if refusal is None:
+        # the vacuum's 1/2 ln det sigma_0 is 0
+        nu, _, refusal = _cut_witnesses(cms, part, 0.0)
+        cell.append(f"cut {part.label}")
+    if refusal is not None:
+        raise _at_cell(refusal, cell)
+    return float(nu[0])
 
 
 def bkc_nu_minus(n_modes: int, phi: float, t: float) -> float:

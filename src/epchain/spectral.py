@@ -8,35 +8,33 @@ of matrices with one eigensolve; ``spectrum_report`` is its one-slice case.
 Where eigenvalues and eigenvectors coalesce the matrix acquires nontrivial
 Jordan blocks; this module computes those block structures numerically
 (rank staircase of matrix powers with singular-value thresholding), groups
-eigenvalues into exceptional-point clusters, locates spectral transitions
-along 1-d parameter families, and scans the exceptional surface of
-three-mode chains.
+eigenvalues into exceptional-point clusters, and locates spectral
+transitions along 1-d parameter families.  It analyses matrices only: the
+presets that build grids of chains (the exceptional-surface scan among
+them) live in ``sweeps``.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .chain import BdgMatrix, ChainSpec, build_bdg_matrix, spec_bdg_stack
+from .chain import BdgMatrix, ChainSpec, spec_bdg_stack
 from .errors import ConfigError, EigensolverFailure, NoTransition, OutOfRange, RankAmbiguity
 
 __all__ = [
     "Region",
     "SpectrumReport",
     "EpCluster",
-    "EsPoint",
     "spectrum_stack",
     "eigenspectrum",
     "spectrum_report",
     "jordan_structure",
     "detect_eps",
     "locate_ep_1d",
-    "scan_exceptional_surface",
 ]
 
 DEFAULT_REGION_TOL = 1e-9
@@ -336,66 +334,3 @@ def locate_ep_1d(
         else:
             merged.append([x])
     return tuple(float(np.mean(group)) for group in merged)
-
-
-@dataclass(frozen=True)
-class EsPoint:
-    """One grid point of an exceptional-surface scan of a three-mode chain."""
-
-    g1: float
-    g2: float
-    j1: float
-    j2: float
-    residual: float
-    on_surface: bool
-    ep_order: int
-    block_sizes: tuple[int, ...]
-
-
-def scan_exceptional_surface(
-    g1_values: Iterable[float],
-    g2_values: Iterable[float],
-    j1_values: Iterable[float],
-    j2_values: Iterable[float],
-    tol: float = 1e-9,
-    detect_everywhere: bool = False,
-) -> list[EsPoint]:
-    """Scan three-mode chains for the coalescence surface g1^2+g2^2 = J1^2+J2^2.
-
-    For every grid combination the residual ``|g1^2 + g2^2 - J1^2 - J2^2|``
-    is evaluated; where it is at most ``tol`` (finite and nonnegative, else
-    ``ConfigError``), or always with ``detect_everywhere``, ``detect_eps``
-    runs at its default rank tolerance, and the point records the highest
-    Jordan order found and that cluster's block sizes: order 3 on the
-    surface proper, order 2 at the arc point g1 = J1, g2 = J2.
-    """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"surface tolerance must be nonnegative and finite, got {tol}")
-    # float64 axes: a square past the float range is inf here, not an OverflowError
-    axes = [np.asarray(list(values), dtype=np.float64)
-            for values in (g1_values, g2_values, j1_values, j2_values)]
-    points: list[EsPoint] = []
-    for g1, g2, j1, j2 in itertools.product(*axes):
-        with np.errstate(over="ignore"):  # an overflowed square: an infinite residual
-            residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
-        on_surface = residual <= tol
-        order = 0
-        blocks: tuple[int, ...] = ()
-        if on_surface or detect_everywhere:
-            spec = ChainSpec(
-                n_modes=3, hopping=(complex(g1), complex(g2)),
-                pairing=(float(j1), float(j2)), sms=0,
-            )
-            eps = detect_eps(build_bdg_matrix(spec))
-            if eps:
-                best = max(eps, key=lambda c: c.order)
-                order = best.order
-                blocks = best.jordan_blocks
-        points.append(
-            EsPoint(
-                g1=float(g1), g2=float(g2), j1=float(j1), j2=float(j2),
-                residual=float(residual), on_surface=bool(on_surface),
-                ep_order=order, block_sizes=blocks,
-            )
-        )
-    return points

@@ -7,7 +7,10 @@ matrices of all their chains as one stack (``bdg_stack`` or
 label it with one ``spectrum_stack`` call, and spectrum sweeps locate their
 transitions with ``locate_ep_1d``.  fig2 needs neither: its two-mode
 spectrum and exceptional points g = +-|1 +- eta| are closed forms, labelled
-by the same rule.  fig2 and fig4 turn the stack into generators with
+by the same rule.  The exceptional-surface scan builds its grid here too,
+as columns: its residuals over the whole grid at once, and one
+``bdg_stack`` of the points it probes, whose slices ``detect_eps`` reads
+one by one.  fig2 and fig4 turn the stack into generators with
 ``generator_stack``, and the numeric witness presets (fig2, fig4 and its
 arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
@@ -99,7 +102,6 @@ from .spectral import (
     _label_rows,
     detect_eps,
     locate_ep_1d,
-    scan_exceptional_surface,
     spectrum_stack,
 )
 
@@ -116,7 +118,6 @@ __all__ = [
     "es_scan_table",
 ]
 
-AXIS_NAMES = ("g", "J", "eta", "phi", "g1", "g2", "J1", "J2", "t")
 # the times of fig3's enhancement-ratio table
 _RATIO_TIMES = tuple(np.linspace(0.25, 3.5, 14).tolist())
 # Newton and trust steps of fig3's fit at most; a fit of smooth data takes about 10
@@ -125,7 +126,11 @@ _FIT_STEPS = 200
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept parameter: an inclusive linear range."""
+    """One swept parameter: an inclusive linear range.
+
+    The name is not checked here: only a spectrum sweep takes a name from
+    outside the program, and ``spectrum_sweep`` checks it.
+    """
 
     name: str
     start: float
@@ -133,8 +138,6 @@ class SweepAxis:
     steps: int
 
     def __post_init__(self):
-        if self.name not in AXIS_NAMES:
-            raise ConfigError(f"unknown sweep axis {self.name!r}; expected one of {AXIS_NAMES}")
         if self.steps < 1:
             raise ConfigError(f"axis {self.name!r} needs at least 1 step, got {self.steps}")
         if not (np.isfinite(self.start) and np.isfinite(self.stop)):
@@ -548,7 +551,9 @@ def entanglement_trajectory(
     spans the ``cm_i_j`` names.  The columns end before the first time
     whose cell ``_witness_map`` refuses, whatever refused it; the extras then
     hold that time as ``truncated_at``, the refusal's message as
-    ``truncation`` and its class name as ``truncated_by``.
+    ``truncation`` and its class name as ``truncated_by``.  A cut whose
+    label repeats an earlier one's ("12|3" after "1,2|3") is a
+    ``ConfigError``.
     """
     _check_threads(threads)
     spec = build_chain_spec(chain)
@@ -558,6 +563,10 @@ def entanglement_trajectory(
     if not partitions:
         partitions = [Bipartition.one_vs_rest(spec.n_modes).label]
     parts = [Bipartition.from_label(p, spec.n_modes) for p in partitions]
+    labels = [part.label for part in parts]
+    repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"cut {repeated} is given more than once")
     k = quadrature_generator(build_bdg_matrix(spec))
     header = ["t"]
     for part in parts:
@@ -601,9 +610,11 @@ def fig2_grid(
     The spectrum is exact: at J = 1 the symmetric and antisymmetric modes
     decouple, so the eigenvalues are +-sqrt(g^2 - (1 + eta)^2) and
     +-sqrt(g^2 - (1 - eta)^2), labelled by ``spectrum_stack``'s rule at the
-    default region tolerance.  The transitions are the exceptional points
-    g = +-|1 +- eta| other than 0 that lie strictly inside the g range, in
-    increasing order.  Only the witness runs the numeric kernel.
+    default region tolerance.  Where (g - e)(g + e) could overflow (a rate
+    past about 1.3e154) the row's g and e are first scaled by a power of two,
+    which is exact and keeps the label.  The transitions are the exceptional
+    points g = +-|1 +- eta| other than 0 that lie strictly inside the g range,
+    in increasing order.  Only the witness runs the numeric kernel.
     """
     _check_threads(threads)
     g_axis = g_axis or SweepAxis("g", 0.5, 1.5, 301)
@@ -614,7 +625,12 @@ def fig2_grid(
     # the exceptional points on the g > 0 side; a root and its negative lie
     # on the same axes, so the roots alone decide the label
     ep_g = np.abs([1.0 + eta, 1.0 - eta])
-    roots = np.sqrt(((g[:, None] - ep_g) * (g[:, None] + ep_g)).astype(complex))
+    # |g|, e < 2^510 keep (g - e)(g + e) below 2^1022; a row past that is first scaled
+    # by a power of two: exact, and the label's threshold is relative, so it is kept
+    _, exponent = np.frexp(np.maximum(np.abs(g), ep_g.max()))
+    shift = np.where(exponent > 510, -exponent, 0)[:, None]
+    g_row, ep_row = np.ldexp(g[:, None], shift), np.ldexp(ep_g, shift)
+    roots = np.sqrt(((g_row - ep_row) * (g_row + ep_row)).astype(complex))
     codes, _, _ = _label_rows(roots, DEFAULT_REGION_TOL)
     regions = [_REGIONS[c].value for c in codes.tolist()]
     k = generator_stack(m)
@@ -848,21 +864,35 @@ def es_scan_table(
     tol: float = 1e-9,
     detect_everywhere: bool = False,
 ) -> tuple[list[str], list[Sequence], dict]:
-    """Exceptional-surface scan in the three-mode parameter space."""
-    points = scan_exceptional_surface(
-        g1_axis.values(),
-        g2_axis.values(),
-        j1_axis.values(),
-        j2_axis.values(),
-        tol=tol,
-        detect_everywhere=detect_everywhere,
-    )
+    """Scan three-mode chains for the coalescence surface g1^2 + g2^2 = J1^2 + J2^2.
+
+    The grid is g1-major.  Every point gets its residual
+    ``|g1^2 + g2^2 - J1^2 - J2^2|`` (an overflowed square makes it infinite)
+    and is on the surface where that is at most ``tol`` (finite and
+    nonnegative, else ``ConfigError``).  The points on the surface, or every
+    point with ``detect_everywhere``, are probed: their dynamical matrices
+    are one ``bdg_stack``, which checks their rates, and ``detect_eps``
+    runs on each at its default rank tolerance.  A probed point records the
+    highest Jordan order found and that cluster's block sizes: order 3 on
+    the surface proper, order 2 at the arc point g1 = J1, g2 = J2.
+    """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"surface tolerance must be nonnegative and finite, got {tol}")
+    axes = [np.asarray(axis.values(), dtype=float) for axis in (g1_axis, g2_axis, j1_axis, j2_axis)]
+    g1, g2, j1, j2 = (value.ravel() for value in np.meshgrid(*axes, indexing="ij"))
+    with np.errstate(over="ignore"):  # an overflowed square: an infinite residual
+        residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
+    on_surface = residual <= tol
+    order = np.zeros(len(g1), dtype=np.int64)
+    blocks = [""] * len(g1)
+    probed = np.flatnonzero(on_surface | detect_everywhere)
+    rates = np.stack([g1, g2, j1, j2], axis=1)[probed]
+    for point, matrix in zip(probed.tolist(), bdg_stack(rates[:, :2], rates[:, 2:], 0.0)):
+        eps = detect_eps(BdgMatrix(matrix))
+        if eps:
+            best = max(eps, key=lambda c: c.order)
+            order[point] = best.order
+            blocks[point] = "+".join(map(str, best.jordan_blocks))
     header = ["g1", "g2", "J1", "J2", "residual", "on_surface", "ep_order", "block_sizes"]
-    values = np.array([(p.g1, p.g2, p.j1, p.j2, p.residual) for p in points], dtype=float)
-    on_surface = np.array([p.on_surface for p in points], dtype=bool)
-    columns = [
-        *values.reshape(-1, 5).T, on_surface,
-        np.array([p.ep_order for p in points], dtype=np.int64),
-        ["+".join(str(b) for b in p.block_sizes) for p in points],
-    ]
-    return header, columns, {"points": len(points), "on_surface": int(np.count_nonzero(on_surface))}
+    columns = [g1, g2, j1, j2, residual, on_surface, order, blocks]
+    return header, columns, {"points": len(g1), "on_surface": int(np.count_nonzero(on_surface))}

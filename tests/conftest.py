@@ -1,5 +1,6 @@
 """Shared test helpers, hypothesis strategies and per-cell references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from epchain import ChainSpec, EntanglementResult, dynamics, entanglement, symplectic_form
+from epchain import (
+    ChainSpec,
+    EntanglementResult,
+    build_bdg_matrix,
+    detect_eps,
+    dynamics,
+    entanglement,
+    symplectic_form,
+)
 from epchain.errors import (
     AsymmetricInput,
     ConfigError,
@@ -193,3 +202,38 @@ def reference_entanglement_result(cm, part, half_log_det=None):
         nu_minus=float(values[0]),
         log_negativity=max(neg, 0.0),
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-point exceptional-surface scan that ``es_scan_table`` replaced, kept
+# as its reference: a ChainSpec and one detect_eps per probed point, in
+# itertools.product order, transposed into the table's columns
+
+
+def reference_es_scan(g1_values, g2_values, j1_values, j2_values, tol=1e-9, detect_everywhere=False):
+    """The eight columns of the surface scan, point by point."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"surface tolerance must be nonnegative and finite, got {tol}")
+    axes = [np.asarray(list(values), dtype=np.float64)
+            for values in (g1_values, g2_values, j1_values, j2_values)]
+    rows = []
+    for g1, g2, j1, j2 in itertools.product(*axes):
+        with np.errstate(over="ignore"):
+            residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
+        on_surface = residual <= tol
+        order, blocks = 0, ()
+        if on_surface or detect_everywhere:
+            spec = ChainSpec(n_modes=3, hopping=(complex(g1), complex(g2)),
+                             pairing=(float(j1), float(j2)), sms=0)
+            eps = detect_eps(build_bdg_matrix(spec))
+            if eps:
+                best = max(eps, key=lambda c: c.order)
+                order, blocks = best.order, best.jordan_blocks
+        rows.append((float(g1), float(g2), float(j1), float(j2), float(residual),
+                     bool(on_surface), order, blocks))
+    values = np.array([row[:5] for row in rows], dtype=float)
+    return [
+        *values.reshape(-1, 5).T, np.array([row[5] for row in rows], dtype=bool),
+        np.array([row[6] for row in rows], dtype=np.int64),
+        ["+".join(str(b) for b in row[7]) for row in rows],
+    ]

@@ -27,11 +27,11 @@ from epchain import (
     locate_ep_1d,
     nu_closed_form_three_mode_nonuniform,
     nu_closed_form_two_mode,
-    scan_exceptional_surface,
     spectrum_report,
     xi_series_coefficients,
 )
 from epchain.selftest import run_selftest
+from epchain.sweeps import SweepAxis, es_scan_table
 
 from conftest import assert_multiset_close
 
@@ -155,13 +155,13 @@ def test_c10_three_mode_nonuniform():
         ]
         off_points = [(0.7, 0.7), (1.3, 1.1), (0.4, 1.2)]
         for g1, g2 in surface_points + off_points:
-            (point,) = scan_exceptional_surface(
-                [g1], [g2], [1.0], [1.0], tol=1e-6, detect_everywhere=True
-            )
-            detected = point.ep_order >= 2
-            assert detected == (point.residual <= 1e-6), (g1, g2)
+            axes = [SweepAxis(name, v, v, 1) for name, v in (("g1", g1), ("g2", g2), ("J1", 1.0), ("J2", 1.0))]
+            header, columns, _ = es_scan_table(*axes, tol=1e-6, detect_everywhere=True)
+            point = {name: column[0] for name, column in zip(header, columns)}
+            detected = point["ep_order"] >= 2
+            assert detected == (point["residual"] <= 1e-6), (g1, g2)
             if detected:
-                assert point.residual <= 1e-6
+                assert point["residual"] <= 1e-6
 
         # permanent double zero across random draws
         rng = np.random.default_rng(42)

@@ -206,7 +206,20 @@ class TestKernelMatchesScalar:
         cms = np.stack([evolve(initial_state(2), k, t).cm for t in (1.0, 9.5, 25.0)])
         with pytest.raises(PrecisionLoss, match="break det S = 1") as excinfo:
             witness_stack(cms, Bipartition.one_vs_rest(2), 0.0)
-        assert outcome(lambda: chain_nu_minus(spec, 9.5)) == (PrecisionLoss, str(excinfo.value))
+        assert outcome(lambda: chain_nu_minus(spec, 9.5)) == (
+            PrecisionLoss, f"{excinfo.value} (t=9.5, cut 1|2)")
+
+    def test_one_cell_refusals_end_with_their_cell(self):
+        # chain_nu_minus is the kernel's one cell: a witness refusal names its time
+        # and cut, a transport refusal its time
+        spec = ChainSpec.uniform(2, g=0.5, j=1.0)
+        assert [outcome(lambda: chain_nu_minus(spec, t)) for t in (25.0, 9.5, 1e308)] == [
+            (PrecisionLoss, "a matrix is not positive definite in floating point: "
+                            "the witness has lost all precision (t=25.0, cut 1|2)"),
+            (PrecisionLoss, "the symplectic eigenvalues break det S = 1: their logs sum 0.0351 "
+                            "off 1/2 ln det sigma_0; the witness has lost precision (t=9.5, cut 1|2)"),
+            (OverflowRisk, "propagator overflows double precision (t=1e+308)"),
+        ]
 
 
 def outcome(fn):

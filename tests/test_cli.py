@@ -289,6 +289,20 @@ def test_misspelled_axis_key_exits_2(tmp_path, capsys, command, config, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    # spectrum_sweep is the one check of an axis name from outside the program
+    (["spectrum"], {"n": 2, "sweep": {"axis": "foo", "start": 0.5, "stop": 1.5, "steps": 3}},
+     "spectrum sweeps support uniform axes g/J/eta/phi, not 'foo'"),
+    (["entangle", "--partition", "1,2|3", "--partition", "12|3"],
+     {"n": 3, "g": 1.0, "J": 1.0, "times": [0.0, 1.0]}, "cut 12|3 is given more than once"),
+], ids=["unknown_spectrum_axis", "repeated_cut"])
+def test_config_error_message(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--config", write_json(tmp_path / "c.json", config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_integral_float_steps_accepted(tmp_path):
     cfg = write_json(tmp_path / "c.json", {"n": 2, "times": {"start": 0, "stop": 1, "steps": 3.0}})
     out = tmp_path / "whole.csv"

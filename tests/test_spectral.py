@@ -17,15 +17,15 @@ from epchain import (
     eigenspectrum,
     jordan_structure,
     locate_ep_1d,
-    scan_exceptional_surface,
     spectrum_report,
     spectrum_stack,
 )
 from epchain.chain import spec_bdg_stack
 from epchain.errors import ConfigError, NoTransition, OutOfRange, RankAmbiguity
 from epchain.spectral import _REGIONS, DEFAULT_REGION_TOL, _cluster_eigenvalues, _label_rows
+from epchain.sweeps import SweepAxis, es_scan_table
 
-from conftest import assert_multiset_close, spec_stacks
+from conftest import assert_multiset_close, spec_stacks, table_rows
 
 
 def two_mode(g, j=1.0, eta=0.0):
@@ -410,56 +410,58 @@ class TestOddChains:
             assert values[1] <= 1e-9 * scale
 
 
+def scan_point(g1, g2, j1, j2, **kwargs):
+    """The one row of ``es_scan_table`` on one-point axes, by column name."""
+    axes = [SweepAxis(name, v, v, 1) for name, v in zip(("g1", "g2", "J1", "J2"), (g1, g2, j1, j2))]
+    header, columns, _ = es_scan_table(*axes, **kwargs)
+    (row,) = table_rows(columns)
+    return dict(zip(header, row))
+
+
 class TestExceptionalSurface:
     def test_arc_point(self):
-        points = scan_exceptional_surface([1.0], [1.0], [1.0], [1.0], tol=1e-9)
-        (point,) = points
-        assert point.on_surface
-        assert point.ep_order == 2
-        assert point.block_sizes == (2, 2, 1, 1)
+        point = scan_point(1.0, 1.0, 1.0, 1.0, tol=1e-9)
+        assert point["on_surface"]
+        assert point["ep_order"] == 2
+        assert point["block_sizes"] == "2+2+1+1"
 
     def test_surface_point_order_three(self):
-        points = scan_exceptional_surface([np.sqrt(2.0)], [0.0], [1.0], [1.0], tol=1e-9)
-        (point,) = points
-        assert point.on_surface
-        assert point.ep_order == 3
-        assert point.block_sizes == (3, 3)
+        point = scan_point(np.sqrt(2.0), 0.0, 1.0, 1.0, tol=1e-9)
+        assert point["on_surface"]
+        assert point["ep_order"] == 3
+        assert point["block_sizes"] == "3+3"
 
     def test_off_surface(self):
-        points = scan_exceptional_surface([1.0], [1.0], [0.5], [0.5], tol=1e-9)
-        (point,) = points
-        assert not point.on_surface
-        assert point.residual == pytest.approx(1.5)
-        assert point.ep_order == 0
+        point = scan_point(1.0, 1.0, 0.5, 0.5, tol=1e-9)
+        assert not point["on_surface"]
+        assert point["residual"] == pytest.approx(1.5)
+        assert point["ep_order"] == 0
 
     def test_detector_finds_nothing_off_surface(self):
-        points = scan_exceptional_surface(
-            [0.6, 1.3], [0.4, 0.9], [1.0], [1.0], tol=1e-9, detect_everywhere=True
+        header, columns, _ = es_scan_table(
+            SweepAxis("g1", 0.6, 1.3, 2), SweepAxis("g2", 0.4, 0.9, 2),
+            SweepAxis("J1", 1.0, 1.0, 1), SweepAxis("J2", 1.0, 1.0, 1),
+            tol=1e-9, detect_everywhere=True,
         )
-        for point in points:
-            if not point.on_surface:
-                assert point.ep_order < 2
-
-    def test_generator_axes_keep_every_point(self):
-        axes = ([1.0, 1.1], (x for x in [1.0, 0.9]), [1.0], iter([1.0]))
-        points = scan_exceptional_surface(*axes, tol=1e-9)
-        assert [(p.g1, p.g2) for p in points] == [(1.0, 1.0), (1.0, 0.9), (1.1, 1.0), (1.1, 0.9)]
-        assert points == scan_exceptional_surface([1.0, 1.1], [1.0, 0.9], [1.0], [1.0], tol=1e-9)
+        for row in table_rows(columns):
+            point = dict(zip(header, row))
+            if not point["on_surface"]:
+                assert point["ep_order"] < 2
 
     @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
     def test_bad_tolerance(self, tol):
         with pytest.raises(ConfigError, match="surface tolerance must be nonnegative and finite"):
-            scan_exceptional_surface([1.0], [1.0], [1.0], [1.0], tol=tol)
+            scan_point(1.0, 1.0, 1.0, 1.0, tol=tol)
 
     def test_overflowing_square_is_off_surface_for_python_and_numpy_floats(self):
         for g1 in (1e200, np.float64(1e200)):
-            (point,) = scan_exceptional_surface([g1], [1.0], [1.0], [1.0])
-            assert point.residual == np.inf
-            assert not point.on_surface and point.ep_order == 0
+            point = scan_point(g1, 1.0, 1.0, 1.0)
+            assert point["residual"] == np.inf
+            assert not point["on_surface"] and point["ep_order"] == 0
 
     def test_generic_surface_points_are_order_three(self):
         for theta in (np.pi / 8, np.pi / 5):
             g1 = np.sqrt(2.0) * np.cos(theta)
             g2 = np.sqrt(2.0) * np.sin(theta)
-            (point,) = scan_exceptional_surface([g1], [g2], [1.0], [1.0], tol=1e-9)
-            assert point.on_surface and point.ep_order == 3
+            point = scan_point(g1, g2, 1.0, 1.0, tol=1e-9)
+            assert point["on_surface"] and point["ep_order"] == 3

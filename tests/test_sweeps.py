@@ -12,15 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epchain import ChainSpec, floattext, locate_ep_1d, spectrum_stack, sweeps, symplectic_eigenvalues
 from epchain.chain import bdg_stack
-from epchain.errors import ConfigError, NoTransition, PrecisionLoss, UnsortedTimes
+from epchain.errors import ConfigError, EpchainError, NoTransition, OutOfRange, PrecisionLoss, UnsortedTimes
 from epchain.sweeps import (
     SweepAxis,
     entanglement_trajectory,
+    es_scan_table,
     fig2_grid,
     fig3_tables,
     fig4_grid,
@@ -29,7 +30,7 @@ from epchain.sweeps import (
     write_rows,
 )
 
-from conftest import column_key, table_rows
+from conftest import column_key, reference_es_scan, table_rows
 
 
 class TestSweepAxis:
@@ -39,10 +40,6 @@ class TestSweepAxis:
 
     def test_single_step(self):
         np.testing.assert_allclose(SweepAxis("t", 2.0, 9.0, 1).values(), [2.0])
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigError):
-            SweepAxis("gamma", 0.0, 1.0, 5)
 
     def test_bad_steps(self):
         with pytest.raises(ConfigError):
@@ -431,6 +428,12 @@ class TestSpectrumSweepErrors:
         with pytest.raises(ConfigError):
             spectrum_sweep({"n": 3}, SweepAxis("g1", 0.0, 1.0, 3))
 
+    def test_unknown_axis_name(self):
+        # the one check of an axis name from outside the program
+        with pytest.raises(ConfigError, match="^spectrum sweeps support uniform axes "
+                                              "g/J/eta/phi, not 'gamma'$"):
+            spectrum_sweep({"n": 3}, SweepAxis("gamma", 0.0, 1.0, 5))
+
 
 class TestTrajectoryErrors:
     def test_single_mode_rejected(self):
@@ -446,6 +449,13 @@ class TestTrajectoryErrors:
         # it must still be reported as an input error
         with pytest.raises(ConfigError, match="finite"):
             entanglement_trajectory({"n": 2, "eta": 5.0}, [0.0, 75.0, float("nan")], [])
+
+    @pytest.mark.parametrize("cuts", [["1,2|3", "12|3"], ["1|23", "12|3", "1|23"]])
+    def test_repeated_cut_rejected(self, cuts):
+        # a cut is named by its label, however it was written
+        with pytest.raises(ConfigError) as excinfo:
+            entanglement_trajectory({"n": 3, "g": 1.0, "J": 1.0}, [0.0, 1.0], cuts)
+        assert str(excinfo.value) == f"cut {cuts[-1]} is given more than once"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_time_past_the_float_range_truncates(self):
@@ -525,12 +535,86 @@ class TestFig2ClosedFormSpectrum:
         assert regions[1.2] == "purely_real"
         assert extras["transitions"] == [0.8, 1.2]
 
+    @pytest.mark.parametrize("eta, g, region", [
+        (0.2, 1e200, "purely_real"), (1e200, 1.0, "purely_imaginary")])
+    def test_labels_rates_past_the_square_range(self, eta, g, region):
+        # (g - e)(g + e) overflows past about 1.3e154 unless the row is scaled
+        # first; the label is the eigensolve's, with no RuntimeWarning
+        g_axis = SweepAxis("g", g, g, 1)
+        _, columns, _ = fig2_grid(eta, g_axis, SweepAxis("t", 0.0, 0.0, 1), threads=1)
+        _, labels, _ = spectrum_stack(bdg_stack(g_axis.values()[:, None], 1.0, eta))
+        assert columns[2] == [label.value for label in labels] == [region]
+
     def test_transitions_in_either_axis_order(self):
         t_axis = SweepAxis("t", 0.0, 0.0, 1)
         up = fig2_grid(0.5, SweepAxis("g", -2.0, 1.0, 3), t_axis)[2]["transitions"]
         down = fig2_grid(0.5, SweepAxis("g", 1.0, -2.0, 3), t_axis)[2]["transitions"]
         # of g = +-0.5 and +-1.5, only 1.5 lies outside (-2, 1)
         assert up == down == [-1.5, -0.5, 0.5]
+
+
+def es_axes(draw_value):
+    """A strategy of the scan's four axes, 1 to 3 steps each, over the given values."""
+    def axis(name, value):
+        return st.builds(SweepAxis, st.just(name), value, value, st.integers(1, 3))
+    rate = st.sampled_from([0.0, 0.5, 1.0, math.sqrt(2.0), 1.5]) | st.floats(0.0, 2.0)
+    return st.tuples(axis("g1", rate), axis("g2", rate), axis("J1", draw_value), axis("J2", draw_value))
+
+
+def scan_outcome(fn):
+    """fn()'s columns bit for bit with its extras, or its error's class and message."""
+    try:
+        columns = fn()
+    except EpchainError as exc:
+        return type(exc), str(exc)
+    on_surface = int(np.count_nonzero(columns[5]))
+    return column_key(columns), {"points": len(columns[0]), "on_surface": on_surface}
+
+
+class TestEsScanTable:
+    HEADER = ["g1", "g2", "J1", "J2", "residual", "on_surface", "ep_order", "block_sizes"]
+
+    @given(
+        axes=es_axes(st.sampled_from([0.5, 1.0]) | st.floats(-0.5, 2.0)),
+        tol=st.sampled_from([0.0, 1e-9, 1e-6, 0.2]),
+        detect_everywhere=st.booleans(),
+    )
+    @example(axes=tuple(SweepAxis(name, 1.0, 1.0, 1) for name in ("g1", "g2", "J1", "J2")),
+             tol=1e-9, detect_everywhere=False)  # the arc point
+    @example(axes=(SweepAxis("g1", 0.0, math.sqrt(2.0), 3), SweepAxis("g2", math.sqrt(2.0), 0.0, 2),
+                   SweepAxis("J1", 1.0, 1.0, 1), SweepAxis("J2", 1.0, 1.0, 1)),
+             tol=1e-9, detect_everywhere=False)  # surface points
+    @example(axes=(SweepAxis("g1", 0.5, 1.5, 3), SweepAxis("g2", 0.5, 1.5, 3),
+                   SweepAxis("J1", 1.0, 1.0, 1), SweepAxis("J2", 0.5, 1.0, 2)),
+             tol=1e-9, detect_everywhere=True)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_point_reference(self, axes, tol, detect_everywhere):
+        # the rates are checked all at once, so a negative pairing rate at a probed
+        # point is refused before any detection; the reference checks it at its point
+        values = [axis.values().astype(float) for axis in axes]
+        probed_negative = any(
+            min(j1, j2) < 0 and (detect_everywhere or abs(g1**2 + g2**2 - j1**2 - j2**2) <= tol)
+            for g1, g2, j1, j2 in itertools.product(*values))
+        expected = ((ConfigError, "pairing rates must be nonnegative") if probed_negative else
+                    scan_outcome(lambda: reference_es_scan(*values, tol, detect_everywhere)))
+
+        def table():
+            header, columns, extras = es_scan_table(*axes, tol=tol, detect_everywhere=detect_everywhere)
+            assert header == self.HEADER and extras == scan_outcome(lambda: columns)[1]
+            return columns
+
+        assert scan_outcome(table) == expected
+
+    def test_rates_are_checked_before_any_detection(self):
+        # the first point alone would be refused by the detector (its rank
+        # threshold overflows); the second point's negative pairing rate is
+        # the input error, and it is reported
+        axes = (SweepAxis("g1", 1e200, 1e200, 1), SweepAxis("g2", 1.0, 1.0, 1),
+                SweepAxis("J1", 1.0, -1.0, 2), SweepAxis("J2", 1.0, 1.0, 1))
+        with pytest.raises(OutOfRange):
+            es_scan_table(*axes[:2], SweepAxis("J1", 1.0, 1.0, 1), axes[3], detect_everywhere=True)
+        with pytest.raises(ConfigError, match="^pairing rates must be nonnegative$"):
+            es_scan_table(*axes, detect_everywhere=True)
 
 
 def test_fig3_ratio_rows_match_direct_call():
