@@ -33,6 +33,7 @@ from .errors import ConfigError, EpchainError
 from .spectral import DEFAULT_RANK_TOL, DEFAULT_REGION_TOL
 from .sweeps import (
     SweepAxis,
+    _check_threads,
     entanglement_trajectory,
     es_scan_table,
     fig2_grid,
@@ -93,10 +94,10 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _add_threads(parser: argparse.ArgumentParser):
+def _add_threads(parser: argparse.ArgumentParser,
+                 text: str = "worker threads for the witness kernel (default: the usable cores)"):
     # None is the usable cores, counted when the command runs
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the witness kernel (default: the usable cores)")
+    parser.add_argument("--threads", type=int, default=None, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig2", help="two-mode witness map")
     _add_output(p)
-    _add_threads(p)
+    _add_threads(p, "accepted and checked, but no effect on fig2: its witness is exact, "
+                         "with no kernel to run")
     p.add_argument("--eta", type=float, default=0.2)
     p.add_argument("--g-min", type=float, default=0.5)
     p.add_argument("--g-max", type=float, default=1.5)
@@ -223,11 +225,12 @@ def _cmd_entangle(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    if args.threads is not None:
+        _check_threads(args.threads)
     header, columns, extras = fig2_grid(
         eta=args.eta,
         g_axis=SweepAxis("g", args.g_min, args.g_max, args.g_steps),
         t_axis=SweepAxis("t", 0.0, args.t_max, args.t_steps),
-        threads=_usable_cores() if args.threads is None else args.threads,
     )
     config_echo = {
         "eta": args.eta, "g_min": args.g_min, "g_max": args.g_max,

@@ -26,6 +26,13 @@ a stack's refusal is its first refused matrix's own, which the kernel gets
 as a value, with the witnesses of the matrices before it.
 ``chain_nu_minus`` is the kernel's one cell, so its refusals end with the
 cell, as the sweeps' do.
+
+The two-mode chain with real hopping and equal, real on-site squeezing
+(``_two_mode_rates`` decides it from the spec's fields) needs no kernel:
+its K splits into two traceless 2x2 blocks, whose exponentials are closed
+forms, and ``_two_mode_witness`` gives nu_- and E_N of a whole stack of
+cells exactly, with no matrix exponential and no eigensolve.  fig2,
+``chain_nu_minus`` and entangle take that route for such a chain.
 """
 
 from __future__ import annotations
@@ -41,9 +48,11 @@ from .chain import ChainSpec, build_bdg_matrix, quadrature_generator, symplectic
 from .dynamics import GaussianState, _symmetrized, evolve_grid, initial_state
 from .errors import (
     AsymmetricInput,
+    ConfigError,
     DivisionByZeroLog,
     InvalidBipartition,
     OutOfRange,
+    OverflowRisk,
     PrecisionLoss,
     _at_cell,
 )
@@ -297,6 +306,116 @@ def nu_minus(state: GaussianState, part: Bipartition) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the two-mode chain in closed form
+
+# |(mu t)^2| below which a block's c and s are summed as series in it: the
+# first term left out, x^4 / 8!, is below 2.5e-17
+_SERIES_LIMIT = 1e-3
+
+
+def _two_mode_rates(spec: ChainSpec) -> tuple[float, float, float] | None:
+    """(h, J, eta) of a two-mode chain with real hopping h and equal, real on-site
+    squeezing eta, which ``_two_mode_witness`` takes exactly; None for any other chain."""
+    if spec.n_modes != 2:
+        return None
+    (h,), (j,), (eta, eta_2) = spec.hopping, spec.pairing, spec.sms
+    if h.imag != 0.0 or eta.imag != 0.0 or eta != eta_2:
+        return None
+    return h.real, j, eta.real
+
+
+def _block_exponential(upper, lower) -> tuple[np.ndarray, ...]:
+    """x = upper lower = (mu t)^2, |mu t|, and c and s of e^B = c I + s B, for
+    B = [[0, upper], [lower, 0]] (entries of K t).
+
+    c = cosh(mu t) and s = sinh(mu t)/(mu t) where x > 0, cos and sin of
+    |mu t| where x < 0, with |mu t| = sqrt|upper| sqrt|lower|, which
+    overflows only where an entry does.  Where |x| < 1e-3 both are series in
+    x, which hold at the EP, x = 0.
+    """
+    x = upper * lower
+    z = np.sqrt(abs(upper)) * np.sqrt(abs(lower))
+    growing = x > 0.0
+    c = np.where(growing, np.cosh(z), np.cos(z))
+    s = np.where(growing, np.sinh(z), np.sin(z)) / z
+    series = abs(x) < _SERIES_LIMIT
+    c = np.where(series, 1.0 + x * (1.0 / 2.0 + x * (1.0 / 24.0 + x / 720.0)), c)
+    s = np.where(series, 1.0 + x * (1.0 / 6.0 + x * (1.0 / 120.0 + x / 5040.0)), s)
+    return x, z, c, s
+
+
+def _two_mode_blocks(h, j, eta, t) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """``_block_exponential`` of K+ t and of K- t, per cell of h and t broadcast.
+
+    In the basis X+- = (X1 +- X2)/sqrt(2), P+- alike, K splits into the
+    traceless blocks K+ = [[0, h - (J + eta)], [-h - (J + eta), 0]] and
+    K- = [[0, (J - eta) - h], [h + (J - eta), 0]], so e^{K+- t} is
+    c I + s K+- t.
+    """
+    return (_block_exponential((h - (j + eta)) * t, (-h - (j + eta)) * t),
+            _block_exponential(((j - eta) - h) * t, (h + (j - eta)) * t))
+
+
+def _two_mode_witness(h, j, eta, t) -> tuple[np.ndarray, np.ndarray, OverflowRisk | None]:
+    """nu_- and E_N of the two-mode chain's evolved vacuum, exactly, per cell of h
+    and t broadcast, in C order: over the cells before the first refused one, and
+    that cell's ``OverflowRisk`` (None if none).
+
+    With a, b, c, d the entries of e^{-K+ t} e^{K- t} (``_two_mode_blocks``),
+    the invariant excess is y = ((a - d)^2 + (b + c)^2)/2, where exactly
+    a - d = 4 (h t s+)(eta t s-) and b + c = 2 ((J - eta) t s- c+ + (J + eta) t s+ c-),
+    so neither is formed as a difference of a and d or of b and c.  Where both
+    blocks grow past their series and J - eta and J + eta differ in sign, the
+    two terms of b + c, of size e^{(mu+ + mu-) t}, cancel down to
+    e^{(mu+ - mu-) t}; there, with z = mu t, A = (J + eta) t / z+ and
+    B = (J - eta) t / z-, b + c = 2 (A sinh(z+ - z-) + (A + B) c+ sinh(z-)), with
+    z+ - z- = 4 J eta t^2 / (z+ + z-) and A + B = -4 J eta h^2 t^4 / ((z+ z-)^2 (A - B)),
+    none of which cancels.  Then nu_- = 1/sqrt(1 + y + sqrt(y (y + 2))) and
+    E_N = -ln nu_- = log1p(y + sqrt(y (y + 2)))/2; where y (y + 2) overflows,
+    nu_- = 1/sqrt(2 (1 + y)) as in ``_nu_from_excess`` and
+    E_N = (ln 2 + log1p(y))/2.  A cell is refused only where y is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        (x_plus, z_plus, c_plus, s_plus), (x_minus, z_minus, c_minus, s_minus) = _two_mode_blocks(h, j, eta, t)
+        a_minus_d = 4.0 * (h * t * s_plus) * (eta * t * s_minus)
+        b_plus_c = 2.0 * ((j - eta) * t * s_minus * c_plus + (j + eta) * t * s_plus * c_minus)
+        apart = (x_plus >= _SERIES_LIMIT) & (x_minus >= _SERIES_LIMIT) & ((j - eta) * (j + eta) < 0.0)
+        if apart.any():
+            a, b = (j + eta) * t / z_plus, (j - eta) * t / z_minus
+            jt, et, ht = j * t, eta * t, h * t
+            a_plus_b = -4.0 * jt * et * ht * ht / ((z_plus * z_minus) ** 2 * (a - b))
+            split = a * np.sinh(4.0 * jt * et / (z_plus + z_minus)) + a_plus_b * c_plus * (z_minus * s_minus)
+            b_plus_c = np.where(apart, 2.0 * split, b_plus_c)
+        # (y/2) y, not y^2 / 2: no square overflows where y does not
+        y = ((0.5 * a_minus_d) * a_minus_d + (0.5 * b_plus_c) * b_plus_c).ravel()
+        square = y * (y + 2.0)
+        root = np.sqrt(square)
+        wide = np.isinf(square)
+        nu = np.where(wide, 0.5 / np.sqrt(0.5 * (1.0 + y)), 1.0 / np.sqrt(1.0 + y + root))
+        logneg = 0.5 * np.where(wide, math.log(2.0) + np.log1p(y), np.log1p(y + root))
+    refused = np.flatnonzero(~np.isfinite(y))
+    if not refused.size:
+        return nu, logneg, None
+    stop = refused[0]
+    return nu[:stop], logneg[:stop], OverflowRisk("the witness overflows double precision")
+
+
+def _two_mode_propagators(h, j, eta, t) -> np.ndarray:
+    """S = e^{K t} of the two-mode chain per cell of h and t broadcast, as a
+    (C, 4, 4) stack in the ordering (X1, P1, X2, P2), from ``_two_mode_blocks``:
+    with E+- = e^{K+- t}, S's mode blocks are S11 = S22 = (E+ + E-)/2 and
+    S12 = S21 = (E+ - E-)/2."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        (_, _, c_plus, s_plus), (_, _, c_minus, s_minus) = _two_mode_blocks(h, j, eta, t)
+        blocks = []
+        for c, s, upper, lower in ((c_plus, s_plus, h - (j + eta), -h - (j + eta)),
+                                   (c_minus, s_minus, (j - eta) - h, h + (j - eta))):
+            blocks.append(np.stack([c, s * (upper * t), s * (lower * t), c], axis=-1).reshape(-1, 2, 2))
+        total, difference = 0.5 * (blocks[0] + blocks[1]), 0.5 * (blocks[0] - blocks[1])
+    return np.block([[total, difference], [difference, total]])
+
+
+# ---------------------------------------------------------------------------
 # numeric pipeline helpers
 
 def chain_nu_minus(spec: ChainSpec, t: float, part: Bipartition | None = None) -> float:
@@ -305,7 +424,10 @@ def chain_nu_minus(spec: ChainSpec, t: float, part: Bipartition | None = None) -
     Builds M, transports the vacuum (``evolve_grid``) and takes the cut's
     witness (``_cut_witnesses``), as the sweeps do for each of their cells.
     A refusal ends with its cell: "(t=25.0, cut 1|2)" for the witness's,
-    "(t=1e+308)" for the transport's.  Defaults to the first-mode-vs-rest cut.
+    "(t=1e+308)" for the transport's.  A two-mode chain with real hopping
+    and equal, real on-site squeezing takes the exact route instead, as
+    fig2 and entangle do (``_two_mode_witness`` on a one-cell array), and
+    its refusal ends with "(t=...)".  Defaults to the first-mode-vs-rest cut.
     """
     if part is None:
         part = Bipartition.one_vs_rest(spec.n_modes)
@@ -313,13 +435,19 @@ def chain_nu_minus(spec: ChainSpec, t: float, part: Bipartition | None = None) -
         raise InvalidBipartition(
             f"partition is for {part.n_modes} modes but the state has {spec.n_modes}"
         )
-    k = quadrature_generator(build_bdg_matrix(spec))
-    cms, refusal = evolve_grid(initial_state(spec.n_modes), k.data[None], [t])
     cell = [f"t={float(t)}"]
-    if refusal is None:
-        # the vacuum's 1/2 ln det sigma_0 is 0
-        nu, _, refusal = _cut_witnesses(cms, part, 0.0)
-        cell.append(f"cut {part.label}")
+    rates = _two_mode_rates(spec)
+    if rates is not None:
+        if not math.isfinite(t):
+            raise ConfigError(f"time must be finite, got {float(t)}")
+        nu, _, refusal = _two_mode_witness(*rates, np.array([float(t)]))
+    else:
+        k = quadrature_generator(build_bdg_matrix(spec))
+        cms, refusal = evolve_grid(initial_state(spec.n_modes), k.data[None], [t])
+        if refusal is None:
+            # the vacuum's 1/2 ln det sigma_0 is 0
+            nu, _, refusal = _cut_witnesses(cms, part, 0.0)
+            cell.append(f"cut {part.label}")
     if refusal is not None:
         raise _at_cell(refusal, cell)
     return float(nu[0])

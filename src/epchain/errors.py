@@ -65,8 +65,9 @@ class NegativeOccupancy(ConfigError):
 class OverflowRisk(EpchainError, ArithmeticError):
     """Propagating this far overflows double precision.
 
-    The message states whether K t, the propagator or the transported
-    covariance stopped being finite, then the cell (``_at_cell``).
+    The message states whether K t, the propagator, the transported
+    covariance or the two-mode chain's exact witness stopped being finite,
+    then the cell (``_at_cell``).
     ``entangle`` ends its table before that time.
     """
 

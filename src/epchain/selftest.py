@@ -25,9 +25,11 @@ from .chain import (
     quadrature_generator,
     symplectic_form,
 )
-from .dynamics import evolve, initial_state, propagator
+from .dynamics import evolve, evolve_grid, initial_state, propagator
 from .entanglement import (
     Bipartition,
+    _cut_witnesses,
+    _two_mode_witness,
     entanglement_result,
     nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
@@ -198,16 +200,23 @@ def run_selftest(tol_scale: float = 1.0, draws: int = 40) -> list[CheckResult]:
         )
     record("ode_vs_exponential", worst_ode, 1e-7)
 
-    # closed-form oracles
-    worst_cf = 0.0
+    # closed-form oracles; chain_nu_minus takes the two-mode chain's exact route,
+    # so the partial-transpose kernel (evolve_grid, then _cut_witnesses) is the
+    # numeric reference here, and the exact route is checked against the same form
+    worst_cf = worst_exact = 0.0
+    times = np.linspace(0.0, 5.0, 26)
+    part = Bipartition.one_vs_rest(2)
     for g in (0.5, 0.99, 1.0, 1.01, 1.5):
-        spec = ChainSpec.uniform(2, g=g, j=1.0)
-        for t in np.linspace(0.0, 5.0, 26):
-            worst_cf = max(
-                worst_cf,
-                abs(chain_nu_minus(spec, float(t)) - nu_closed_form_two_mode(g, 1.0, float(t))),
-            )
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=g, j=1.0))).data
+        cms, error = evolve_grid(initial_state(2), k[None], times)
+        kernel, _, refusal = _cut_witnesses(cms, part, 0.0)
+        exact, _, _ = _two_mode_witness(g, 1.0, 0.0, times)
+        closed = np.array([nu_closed_form_two_mode(g, 1.0, float(t)) for t in times])
+        # a refused cell fails the check
+        worst_cf = max(worst_cf, math.inf if error or refusal else float(np.abs(kernel - closed).max()))
+        worst_exact = max(worst_exact, float(np.abs(exact - closed).max()))
     record("two_mode_closed_form", worst_cf, 1e-8)
+    record("two_mode_exact_route", worst_exact, 1e-14)
 
     worst_nid = 0.0
     for varphi in (0.0, math.pi / 8, math.pi / 4):

@@ -10,9 +10,12 @@ spectrum and exceptional points g = +-|1 +- eta| are closed forms, labelled
 by the same rule.  The exceptional-surface scan builds its grid here too,
 as columns: its residuals over the whole grid at once, and one
 ``bdg_stack`` of the points it probes, whose slices ``detect_eps`` reads
-one by one.  fig2 and fig4 turn the stack into generators with
-``generator_stack``, and the numeric witness presets (fig2, fig4 and its
-arc, entangle) run one batched kernel: ``evolve_grid`` transports the
+one by one.  fig2's witness is exact too: the two-mode chain's K splits
+into two 2x2 blocks, and ``_two_mode_witness`` takes the whole grid in one
+call, with no matrix exponential and no eigensolve; entangle takes the same
+route for such a chain (``_two_mode_map``).  fig4 turns its stack into
+generators with ``generator_stack``, and the numeric witness presets (fig4
+and its arc, entangle) run one batched kernel: ``evolve_grid`` transports the
 initial covariance for all (generator, time) cells at once and
 ``witness_stack``'s core (without its input checks, which the kernel's own
 stacks pass by construction) evaluates nu_- and E_N per cut.  Every preset
@@ -21,7 +24,7 @@ one-cell case, so every value equals what they give for that cell, and the
 kernel returns, not raises, the first refusal a loop over the cells would
 raise: the refusing layer gives the reason and the kernel appends the cell
 (its generator's swept parameters, its time, a refused witness's cut);
-fig2 and fig4 raise it, and entangle ends its table before that cell.
+fig4 raises it, and entangle ends its table before that cell.
 The kernel works through a grid in chunks of a fixed number of matrix
 entries, so memory stays flat on large grids (but of at least 512 witness
 values, so that numpy's stacked eigensolve releases the GIL), and stops at
@@ -29,7 +32,7 @@ the first chunk with an error.  Only what a table writes outlives a chunk:
 the witnesses, and for ``entangle --include-cm`` the covariance entries it
 prints, copied into one array for the whole grid as each chunk is evolved.
 The calling thread evolves the chunks in order; with ``threads > 1``
-(the three witness presets take it) and more than one chunk, each chunk's
+(fig4 and entangle take it) and more than one chunk, each chunk's
 cuts go to a ``concurrent.futures.ThreadPoolExecutor`` of that many worker
 threads while the next chunks evolve, and their results are collected in
 order, so values and errors are the same at any thread count.  Only such a
@@ -89,11 +92,14 @@ from .entanglement import (
     Bipartition,
     _cut_witnesses,
     _surface_hopping,
+    _two_mode_propagators,
+    _two_mode_rates,
+    _two_mode_witness,
     enhancement_ratio,
     nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
 )
-from .errors import ConfigError, EpchainError, NoTransition, _at_cell
+from .errors import ConfigError, EpchainError, NoTransition, OverflowRisk, _at_cell
 from .floattext import BLOCK_CELLS, run_texts
 from .spectral import (
     _REGIONS,
@@ -552,8 +558,9 @@ def entanglement_trajectory(
     whose cell ``_witness_map`` refuses, whatever refused it; the extras then
     hold that time as ``truncated_at``, the refusal's message as
     ``truncation`` and its class name as ``truncated_by``.  A cut whose
-    label repeats an earlier one's ("12|3" after "1,2|3") is a
-    ``ConfigError``.
+    sides repeat an earlier one's ("12|3" after "1,2|3", or "3|12") is a
+    ``ConfigError``.  A two-mode chain with real hopping and equal, real
+    on-site squeezing is exact (``_two_mode_map``), with no kernel.
     """
     _check_threads(threads)
     spec = build_chain_spec(chain)
@@ -563,11 +570,11 @@ def entanglement_trajectory(
     if not partitions:
         partitions = [Bipartition.one_vs_rest(spec.n_modes).label]
     parts = [Bipartition.from_label(p, spec.n_modes) for p in partitions]
-    labels = [part.label for part in parts]
-    repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    # a cut is its pair of sides, in either order
+    cuts = [{part.side_a, part.side_b} for part in parts]
+    repeated = next((part.label for i, part in enumerate(parts) if cuts[i] in cuts[:i]), None)
     if repeated is not None:
         raise ConfigError(f"cut {repeated} is given more than once")
-    k = quadrature_generator(build_bdg_matrix(spec))
     header = ["t"]
     for part in parts:
         header += [f"nu_minus_{part.label}", f"log_negativity_{part.label}"]
@@ -576,7 +583,12 @@ def entanglement_trajectory(
         upper = np.triu_indices(2 * spec.n_modes)
         # Python ints format several times faster than numpy's
         header += [f"cm_{i+1}_{j+1}" for i, j in zip(upper[0].tolist(), upper[1].tolist())]
-    witnesses, cms, error = _witness_map(k.data[None], ts, parts, threads, upper)
+    rates = _two_mode_rates(spec)
+    if rates is None:
+        k = quadrature_generator(build_bdg_matrix(spec))
+        witnesses, cms, error = _witness_map(k.data[None], ts, parts, threads, upper)
+    else:
+        witnesses, cms, error = _two_mode_map(rates, ts, upper)
     n_rows = len(witnesses[0][0])
     columns = [ts[:n_rows]]
     for nu, logneg in witnesses:
@@ -586,6 +598,30 @@ def entanglement_trajectory(
     extras = {} if error is None else {
         "truncated_at": float(ts[n_rows]), "truncation": str(error), "truncated_by": type(error).__name__}
     return header, columns, extras
+
+
+def _two_mode_map(
+    rates: tuple[float, float, float], times: np.ndarray, keep: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None, EpchainError | None]:
+    """``_witness_map`` of a chain that ``_two_mode_rates`` takes exactly, for its one
+    cut (two modes have no other): ``_two_mode_witness`` per time, and the kept
+    entries of sigma = S S^T, S from ``_two_mode_propagators``.  The first time
+    whose witness or kept entries are not finite is refused (``OverflowRisk``),
+    named "(t=...)"."""
+    nu, logneg, error = _two_mode_witness(*rates, times)
+    kept = None
+    if keep is not None:
+        s = _two_mode_propagators(*rates, times[: len(nu)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = np.einsum("cik,cik->ci", s[:, keep[0]], s[:, keep[1]])
+        overflowed = np.flatnonzero(~np.isfinite(kept).all(axis=1))
+        if overflowed.size:
+            stop = overflowed[0]
+            nu, logneg, kept = nu[:stop], logneg[:stop], kept[:stop]
+            error = OverflowRisk("covariance overflows double precision")
+    if error is not None:
+        error = _at_cell(error, [f"t={float(times[len(nu)])}"])
+    return [(nu, logneg)], kept, error
 
 
 # ---------------------------------------------------------------------------
@@ -600,28 +636,28 @@ def fig2_grid(
     eta: float = 0.2,
     g_axis: SweepAxis | None = None,
     t_axis: SweepAxis | None = None,
-    threads: int = 1,
 ) -> tuple[list[str], list[Sequence], dict]:
     """Two-mode witness map over hopping strength and time, g-major.
 
     Default grid: 301 hopping values on [0.5, 1.5] by 501 times on [0, 5],
     fine enough to resolve the splitting boundaries visibly.
 
-    The spectrum is exact: at J = 1 the symmetric and antisymmetric modes
-    decouple, so the eigenvalues are +-sqrt(g^2 - (1 + eta)^2) and
+    Everything is exact: at J = 1 the symmetric and antisymmetric modes
+    decouple.  The eigenvalues are +-sqrt(g^2 - (1 + eta)^2) and
     +-sqrt(g^2 - (1 - eta)^2), labelled by ``spectrum_stack``'s rule at the
     default region tolerance.  Where (g - e)(g + e) could overflow (a rate
     past about 1.3e154) the row's g and e are first scaled by a power of two,
     which is exact and keeps the label.  The transitions are the exceptional
     points g = +-|1 +- eta| other than 0 that lie strictly inside the g range,
-    in increasing order.  Only the witness runs the numeric kernel.
+    in increasing order.  The witness of the whole grid is one
+    ``_two_mode_witness`` call, with no matrix exponential and no eigensolve;
+    a cell whose witness overflows raises its ``OverflowRisk``, named
+    "(g=1.0, t=100.0)".
     """
-    _check_threads(threads)
     g_axis = g_axis or SweepAxis("g", 0.5, 1.5, 301)
     t_axis = t_axis or SweepAxis("t", 0.0, 5.0, 501)
     g = g_axis.values()
     times = t_axis.values()
-    m = bdg_stack(g[:, None], 1.0, eta)
     # the exceptional points on the g > 0 side; a root and its negative lie
     # on the same axes, so the roots alone decide the label
     ep_g = np.abs([1.0 + eta, 1.0 - eta])
@@ -633,10 +669,10 @@ def fig2_grid(
     roots = np.sqrt(((g_row - ep_row) * (g_row + ep_row)).astype(complex))
     codes, _, _ = _label_rows(roots, DEFAULT_REGION_TOL)
     regions = [_REGIONS[c].value for c in codes.tolist()]
-    k = generator_stack(m)
-    [(nu, logneg)], _, error = _witness_map(k, times, [Bipartition.one_vs_rest(2)], threads, axes={"g": g})
+    nu, logneg, error = _two_mode_witness(g[:, None], 1.0, eta, times)
     if error is not None:
-        raise error
+        row, i = divmod(len(nu), len(times))
+        raise _at_cell(error, [f"g={float(g[row])}", f"t={float(times[i])}"])
     header = ["g", "t", "region", "nu_minus", "log_negativity"]
     columns = [np.repeat(g, len(times)), np.tile(times, len(g)),
                [region for region in regions for _ in times], nu, logneg]

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -237,3 +238,38 @@ def reference_es_scan(g1_values, g2_values, j1_values, j2_values, tol=1e-9, dete
         np.array([row[6] for row in rows], dtype=np.int64),
         ["+".join(str(b) for b in row[7]) for row in rows],
     ]
+
+
+def oracle_propagator(h, j, eta, t, dps=50):
+    """exp(K t) of the two-mode chain in dps-digit mpmath, with K built from
+    M = [[A, B], [-B*, -A*]] by the chain's definition (not through
+    ``epchain.chain`` or the X+- blocks), in the ordering (X1, P1, X2, P2)."""
+    with mpmath.workdps(dps):
+        h, j, eta, t = map(mpmath.mpf, (h, j, eta, t))
+        m = mpmath.matrix([[0, h, eta, j], [h, 0, j, eta], [-eta, -j, 0, -h], [-j, -eta, -h, 0]])
+        r, i = 1 / mpmath.sqrt(2), mpmath.mpc(0, 1)
+        u = mpmath.matrix([[r, 0, r, 0], [0, r, 0, r], [-i * r, 0, i * r, 0], [0, -i * r, 0, i * r]])
+        k = -i * (u * m * u**-1)
+        order = [0, 2, 1, 3]  # (X1, X2, P1, P2) read as (X1, P1, X2, P2)
+        k = mpmath.matrix([[mpmath.re(k[a, b]) for b in order] for a in order])
+        return mpmath.expm(k * t)
+
+
+def oracle_two_mode(h, j, eta, t):
+    """(nu_-, E_N) of the two-mode chain's evolved vacuum from ``oracle_propagator``.
+
+    det sigma = 1 makes the partial transpose's two symplectic eigenvalues
+    reciprocal, so nu_-^2 = 2 / (D + sqrt(D^2 - 4)) with
+    D = det A + det B + 2 det C of sigma~ (D >= 2), which does not cancel; the digits
+    grow with ||K|| t, since D is formed from entries up to e^{4 ||K|| t}.
+    """
+    dps = 30 + int(1.8 * (abs(h) + abs(j) + abs(eta)) * abs(t))
+    s = oracle_propagator(h, j, eta, t, dps)
+    with mpmath.workdps(dps):
+        flip = mpmath.diag([1, 1, 1, -1])
+        pt = flip * s * s.T * flip
+        d = mpmath.det(pt[0:2, 0:2]) + mpmath.det(pt[2:4, 2:4]) + 2 * mpmath.det(pt[0:2, 2:4])
+        # D >= 2; a product state's D = 2 may round below it
+        d = max(d, 2)
+        nu = mpmath.sqrt(2 / (d + mpmath.sqrt(d * d - 4)))
+        return float(nu), float(-mpmath.log(nu))

@@ -65,7 +65,7 @@ from epchain.errors import (
     PrecisionLoss,
     SymplecticityLost,
 )
-from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid, fig3_tables, fig4_grid
+from epchain.sweeps import SweepAxis, entanglement_trajectory, fig3_tables, fig4_grid
 
 from conftest import (
     at_time,
@@ -198,28 +198,45 @@ class TestKernelMatchesScalar:
 
 
     def test_stack_refusal_is_the_first_refused_matrix(self):
-        # at g = 0.5 the t = 9.5 covariance factors and breaks det S = 1, and the
-        # t = 25 one has no Cholesky factor: the stack is refused by t = 9.5's own
-        # refusal, not by the later matrix's
-        spec = ChainSpec.uniform(2, g=0.5, j=1.0)
+        # at N = 3, g = 0.5, eta = 0.3 the t = 6 covariance factors and breaks
+        # det S = 1, and the t = 10 one has no Cholesky factor: the stack is
+        # refused by t = 6's own refusal, not by the later matrix's
+        spec = ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3)
         k = quadrature_generator(build_bdg_matrix(spec))
-        cms = np.stack([evolve(initial_state(2), k, t).cm for t in (1.0, 9.5, 25.0)])
+        cms = np.stack([evolve(initial_state(3), k, t).cm for t in (1.0, 6.0, 10.0)])
         with pytest.raises(PrecisionLoss, match="break det S = 1") as excinfo:
-            witness_stack(cms, Bipartition.one_vs_rest(2), 0.0)
-        assert outcome(lambda: chain_nu_minus(spec, 9.5)) == (
-            PrecisionLoss, f"{excinfo.value} (t=9.5, cut 1|2)")
+            witness_stack(cms, Bipartition.one_vs_rest(3), 0.0)
+        assert outcome(lambda: chain_nu_minus(spec, 6.0)) == (
+            PrecisionLoss, f"{excinfo.value} (t=6.0, cut 1|23)")
 
     def test_one_cell_refusals_end_with_their_cell(self):
         # chain_nu_minus is the kernel's one cell: a witness refusal names its time
         # and cut, a transport refusal its time
-        spec = ChainSpec.uniform(2, g=0.5, j=1.0)
-        assert [outcome(lambda: chain_nu_minus(spec, t)) for t in (25.0, 9.5, 1e308)] == [
+        spec = ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3)
+        assert [outcome(lambda: chain_nu_minus(spec, t)) for t in (10.0, 6.0, 1e308)] == [
             (PrecisionLoss, "a matrix is not positive definite in floating point: "
-                            "the witness has lost all precision (t=25.0, cut 1|2)"),
-            (PrecisionLoss, "the symplectic eigenvalues break det S = 1: their logs sum 0.0351 "
-                            "off 1/2 ln det sigma_0; the witness has lost precision (t=9.5, cut 1|2)"),
+                            "the witness has lost all precision (t=10.0, cut 1|23)"),
+            (PrecisionLoss, "the symplectic eigenvalues break det S = 1: their logs sum 0.137 "
+                            "off 1/2 ln det sigma_0; the witness has lost precision (t=6.0, cut 1|23)"),
             (OverflowRisk, "propagator overflows double precision (t=1e+308)"),
         ]
+        # the two-mode chain's exact witness is refused only where it overflows, named by its time
+        spec = ChainSpec.uniform(2, g=0.5, j=1.0)
+        assert outcome(lambda: chain_nu_minus(spec, 1e308)) == (
+            OverflowRisk, "the witness overflows double precision (t=1e+308)")
+
+
+def kernel_map(eta, g_axis, t_axis, threads):
+    """The witness kernel over fig2's grid of two-mode chains, which fig2 no
+    longer runs (its witness is exact): (nu, E_N), or the first refused cell's
+    refusal, raised."""
+    g = g_axis.values()
+    k = generator_stack(bdg_stack(g[:, None], 1.0, eta))
+    [witness], _, error = sweeps._witness_map(
+        k, t_axis.values(), [Bipartition.one_vs_rest(2)], threads, axes={"g": g})
+    if error is not None:
+        raise error
+    return witness
 
 
 def outcome(fn):
@@ -666,32 +683,32 @@ class TestKernelFailures:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_precision_loss(self):
-        # at g = 0.5, J = 1, eta = 0 the rounded partial transpose has no
-        # Cholesky factor by t = 20: refused before any log is taken
-        spec = ChainSpec.uniform(2, g=0.5, j=1.0)
+        # at N = 3, g = 0.5, J = 1, eta = 0.3 the rounded partial transpose has
+        # no Cholesky factor by t = 10: refused before any log is taken
+        spec = ChainSpec.uniform(3, g=0.5, j=1.0, eta=0.3)
         k = quadrature_generator(build_bdg_matrix(spec)).data
         _, error = assert_kernel_matches_scalar(
-            initial_state(2), [k], [5.0, 20.0, 25.0], [Bipartition.one_vs_rest(2)]
+            initial_state(3), [k], [5.0, 10.0, 25.0], [Bipartition.one_vs_rest(3)]
         )
         assert type(error) is PrecisionLoss
         with pytest.raises(PrecisionLoss, match="not positive definite"):
-            chain_nu_minus(spec, 20.0)
+            chain_nu_minus(spec, 10.0)
 
 
 class TestSweepsThroughKernel:
     def test_entangle_truncation_matches_scalar(self):
         # a bounded chain runs to t = 400 untruncated: every row is the per-cell reference's
-        chain = {"n": 2, "g": 1.5, "J": 1.0, "eta": 0.2}
+        chain = {"n": 3, "g": 1.5, "J": 1.0}
         times = np.linspace(0.0, 400.0, 401)
-        _, columns, extras = entanglement_trajectory(chain, times, ["1|2"])
+        _, columns, extras = entanglement_trajectory(chain, times, ["1|23"])
         rows = table_rows(columns)
         assert extras == {} and [row[0] for row in rows] == times.tolist()
-        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=1.5, j=1.0, eta=0.2)))
-        part = Bipartition.from_label("1|2", 2)
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, g=1.5, j=1.0)))
+        part = Bipartition.from_label("1|23", 3)
         for row in rows:
-            result = reference_entanglement_result(reference_evolve(initial_state(2), k, row[0]), part)
+            result = reference_entanglement_result(reference_evolve(initial_state(3), k, row[0]), part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
-        # without on-site squeezing it is the closed form's
+        # the two-mode chain without on-site squeezing is exact: the closed form's
         _, columns, extras = entanglement_trajectory({"n": 2, "g": 1.5, "J": 1.0}, times, ["1|2"])
         rows = table_rows(columns)
         assert extras == {} and len(rows) == len(times)
@@ -700,16 +717,16 @@ class TestSweepsThroughKernel:
         # a product of squeezers overflows at t = 75: the rows end before it,
         # and the extras hold the reference's refusal
         times = [0.0, 0.5, 1.0, 75.0, 100.0]
-        _, columns, extras = entanglement_trajectory({"n": 2, "eta": 5.0}, times, ["1|2"])
+        _, columns, extras = entanglement_trajectory({"n": 3, "eta": 5.0}, times, ["1|23"])
         rows = table_rows(columns)
-        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, eta=5.0)))
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(3, eta=5.0)))
         for row in rows:
-            result = reference_entanglement_result(reference_evolve(initial_state(2), k, row[0]), part)
+            result = reference_entanglement_result(reference_evolve(initial_state(3), k, row[0]), part)
             assert bits(row[1:]) == bits([result.nu_minus, result.log_negativity])
         assert extras["truncated_at"] == times[len(rows)] == 75.0
         assert extras["truncated_by"] == "OverflowRisk"
         with pytest.raises(OverflowRisk) as excinfo:
-            reference_evolve(initial_state(2), k, extras["truncated_at"])
+            reference_evolve(initial_state(3), k, extras["truncated_at"])
         assert extras["truncation"] == f"{excinfo.value} (t=75.0)"
         # a growing chain loses its witness to rounding: the rows end before
         # the first refused cell, and the extras hold that cell's own refusal
@@ -725,19 +742,15 @@ class TestSweepsThroughKernel:
         assert "not positive definite" in extras["truncation"]
         # a bounded chain is refused once rounding breaks S's symplecticity
         times = np.linspace(0.0, 14000.0, 1401)
-        _, columns, extras = entanglement_trajectory(chain, times, ["1|2"])
-        assert len(columns[0]) == 1309 and extras["truncated_at"] == 13090.0
+        _, columns, extras = entanglement_trajectory(chain, times, ["1|23"])
+        assert len(columns[0]) == 543 and extras["truncated_at"] == 5430.0
         assert extras["truncated_by"] == "SymplecticityLost"
         assert extras["truncation"].startswith("propagator lost symplecticity: residual")
-        assert extras["truncation"].endswith(" (t=13090.0)")
+        assert extras["truncation"].endswith(" (t=5430.0)")
 
     @pytest.mark.parametrize("n, eta, times, cuts, refusal", [
-        # the chunk's Cholesky fails at a later cell; the t = 9.5 cell factors and
-        # is refused by det S = 1
-        (2, 0.0, np.linspace(0.0, 60.0, 121), ["1|2"],
-         "the symplectic eigenvalues break det S = 1: their logs sum 0.0351 off "
-         "1/2 ln det sigma_0; the witness has lost precision (t=9.5, cut 1|2)"),
-        # three cuts: the first refused time decides, then the first of its cuts
+        # three cuts: the chunk's Cholesky fails at a later cell; the t = 6 cell
+        # factors and is refused by det S = 1, and of its cuts the first decides
         (3, 0.3, np.linspace(0.0, 60.0, 121), ["3|12", "1|23", "2|13"],
          "the symplectic eigenvalues break det S = 1: their logs sum 0.137 off "
          "1/2 ln det sigma_0; the witness has lost precision (t=6.0, cut 3|12)"),
@@ -745,7 +758,7 @@ class TestSweepsThroughKernel:
         (3, 0.0, np.linspace(0.0, 60.0, 121), ["3|12", "1|23"],
          "the symplectic eigenvalues break det S = 1: their logs sum 0.0213 off "
          "1/2 ln det sigma_0; the witness has lost precision (t=7.0, cut 1|23)"),
-    ], ids=["n2", "n3_three_cuts", "n3_second_cut_first"])
+    ], ids=["n3_three_cuts", "n3_second_cut_first"])
     @pytest.mark.parametrize("threads, chunk_cells", [(1, None), (2, None), (2, 8)],
                              ids=["serial", "threads", "threads_8_cell_chunks"])
     def test_refusal_is_the_first_refused_cells_own(self, monkeypatch, n, eta, times, cuts, refusal,
@@ -777,9 +790,8 @@ class TestSweepsThroughKernel:
         # small chunks split these grids over several pool tasks
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16 * 5)
         g_axis, t_axis = SweepAxis("g", 0.8, 1.2, 3), SweepAxis("t", 0.0, 5.0, 7)
-        pooled, serial = (fig2_grid(g_axis=g_axis, t_axis=t_axis, threads=threads) for threads in (2, 1))
-        assert (pooled[0], column_key(pooled[1]), pooled[2]) == (
-            serial[0], column_key(serial[1]), serial[2])
+        pooled, serial = (kernel_map(0.2, g_axis, t_axis, threads) for threads in (2, 1))
+        assert column_key(pooled) == column_key(serial)
         kwargs = dict(g_axis=SweepAxis("g", 0.0, 2.0, 4), arc_steps=5)
         pooled, serial = (fig4_grid(threads=threads, **kwargs) for threads in (2, 1))
         assert [(h, column_key(c)) for h, c in pooled[:2]] + [pooled[2]] == (
@@ -793,7 +805,7 @@ class TestSweepsThroughKernel:
         messages = []
         for threads in (1, 2):
             with pytest.raises(OverflowRisk) as excinfo:
-                fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+                kernel_map(5.0, g_axis, t_axis, threads)
             messages.append(str(excinfo.value))
         k = generator_stack(bdg_stack(g_axis.values()[:, None], 1.0, 5.0))
         _, error, _ = scalar_cells(initial_state(2), k, t_axis.values(), [])
@@ -806,8 +818,7 @@ class TestSweepsThroughKernel:
         # included; one-cell chunks make the worker threads run at threads=2
         monkeypatch.setattr("epchain.sweeps._CHUNK_ENTRIES", 16)
         with pytest.raises(OverflowRisk) as excinfo:
-            fig2_grid(eta=5.0, g_axis=SweepAxis("g", 1.0, 5.0, 2), t_axis=SweepAxis("t", 0.0, 100.0, 2),
-                      threads=threads)
+            kernel_map(5.0, SweepAxis("g", 1.0, 5.0, 2), SweepAxis("t", 0.0, 100.0, 2), threads)
         assert str(excinfo.value) == "propagator overflows double precision (g=1.0, t=100.0)"
         # all 25 cells share t = 400: only the generator tells them apart
         with pytest.raises(OverflowRisk) as excinfo:
@@ -827,7 +838,7 @@ class TestSweepsThroughKernel:
         for threads in (1, 2):
             calls.clear()
             with pytest.raises(OverflowRisk) as excinfo:
-                fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+                kernel_map(5.0, g_axis, t_axis, threads)
             errors.append((type(excinfo.value), str(excinfo.value)))
             assert len(calls) == 2
         assert errors[0] == errors[1]
@@ -908,7 +919,7 @@ class TestSweepsThroughKernel:
         messages = []
         for threads in (1, 2):
             with pytest.raises(error_type) as excinfo:
-                fig2_grid(eta=5.0, g_axis=g_axis, t_axis=t_axis, threads=threads)
+                kernel_map(5.0, g_axis, t_axis, threads)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert messages[0].endswith("(g=5.0, t=100.0, cut 1|2)") == (error_type is PrecisionLoss)

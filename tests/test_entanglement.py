@@ -7,7 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epchain import (
@@ -35,6 +36,7 @@ from epchain import (
     xi_from_nu,
     xi_series_coefficients,
 )
+from epchain.entanglement import _two_mode_propagators, _two_mode_rates, _two_mode_witness
 from epchain.errors import (
     AsymmetricInput,
     DivisionByZeroLog,
@@ -44,6 +46,9 @@ from epchain.errors import (
     OverflowRisk,
     PrecisionLoss,
 )
+from epchain.sweeps import entanglement_trajectory
+
+from conftest import oracle_propagator, oracle_two_mode
 
 
 # hopping phases with rational (cos phi, sin phi), the last two at phi = pi/2
@@ -344,10 +349,12 @@ def oracle_nu_minus(spec, t, part):
     (2, 0.5, 0.0, "1|2"), (2, 0.8, 0.2, "1|2"), (3, 0.5, 0.3, "1|23"),
 ])
 def test_accepted_witnesses_of_growing_chains_match_oracle(n, g, eta, label):
-    # the kernel refuses these chains' witnesses from t ~ 6-10 on; every value
-    # it still prints, up to that edge, is within 1 % of the oracle
+    # the kernel refuses the N = 3 chain's witnesses from t ~ 10 on; every value
+    # it still prints, up to that edge, is within 1 % of the oracle.  The
+    # two-mode chains take the exact route: every time is accepted, within 1e-12
     spec = ChainSpec.uniform(n, g=g, j=1.0, eta=eta)
     part = Bipartition.from_label(label, n)
+    rtol = 1e-12 if n == 2 else 1e-2
     accepted = 0
     for t in np.arange(2.0, 12.0, 0.5):
         try:
@@ -356,8 +363,108 @@ def test_accepted_witnesses_of_growing_chains_match_oracle(n, g, eta, label):
             continue
         accepted += 1
         exact = oracle_nu_minus(spec, float(t), part)
-        assert abs(nu - exact) <= 1e-2 * exact, (float(t), nu, exact)
-    assert 5 <= accepted < 20
+        assert abs(nu - exact) <= rtol * exact, (float(t), nu, exact)
+    if n == 2:
+        assert accepted == 20
+    else:
+        assert 5 <= accepted < 20
+
+
+def two_mode_norm(h, j, eta):
+    """||K||_2: the largest |entry| of the two blocks K+- of the two-mode K."""
+    return max(abs(h - (j + eta)), abs(h + j + eta), abs((j - eta) - h), abs(h + (j - eta)))
+
+
+@st.composite
+def two_mode_cells(draw):
+    """(h, J, eta, t) with ||K|| t <= 100; a third of the draws on or next to an
+    EP, h = +-(J +- eta) (1 + offset), where a block of K is nilpotent or nearly so."""
+    j = draw(st.floats(0.0, 3.0))
+    eta = draw(st.floats(-3.0, 3.0))
+    if draw(st.integers(0, 2)) == 0:
+        offset = draw(st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 1e-4]))
+        h = draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from([j + eta, j - eta])) * (1 + offset)
+    else:
+        h = draw(st.floats(-3.0, 3.0))
+    norm = two_mode_norm(h, j, eta)
+    t = draw(st.floats(0.0, 1.0)) * 100.0 / norm if norm else draw(st.floats(0.0, 100.0))
+    return h, j, eta, t
+
+
+class TestTwoModeWitness:
+    """The two-mode chain's exact witness (``_two_mode_witness``) and its callers."""
+
+    @given(two_mode_cells())
+    @settings(max_examples=60, deadline=None)
+    @example((0.9, 1.0, 0.2, 10.0))
+    @example((1.2, 1.0, 0.2, 5.0))  # on the EP g = 1 + eta
+    @example((0.8, 1.0, 0.2, 40.0))  # on the EP g = 1 - eta, polynomial growth
+    def test_matches_mpmath_oracle(self, cell):
+        nu, logneg, refusal = _two_mode_witness(*cell[:3], np.array([cell[3]]))
+        assert refusal is None
+        exact_nu, exact_logneg = oracle_two_mode(*cell)
+        assert abs(nu[0] - exact_nu) <= 1e-12 * exact_nu, (cell, nu[0], exact_nu)
+        # E_N = -ln nu_-: nu_-'s relative error, in E_N's units
+        assert abs(logneg[0] - exact_logneg) <= 1e-12 * max(exact_logneg, 1.0), (cell, logneg[0])
+
+    @given(st.floats(-3.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_without_sms_is_the_closed_form(self, h, j, t):
+        nu, _, _ = _two_mode_witness(h, j, 0.0, np.array([t]))
+        assert nu[0] == pytest.approx(nu_closed_form_two_mode(h, j, t), rel=1e-12, abs=0.0)
+
+    def test_state_table_cell(self):
+        # the cell of the PT route's silent wrong value (1.3657249e-4, 1.08e-3 off):
+        # entangle at g = 0.9, eta = 0.2, t = 10 now matches the oracle
+        _, columns, extras = entanglement_trajectory(
+            {"n": 2, "g": 0.9, "J": 1.0, "eta": 0.2}, [5.0, 10.0], [])
+        exact = oracle_two_mode(0.9, 1.0, 0.2, 10.0)
+        assert extras == {}
+        assert abs(columns[1][1] - exact[0]) <= 1e-10 * exact[0]
+        assert abs(columns[2][1] - exact[1]) <= 1e-10 * exact[1]
+        assert f"{columns[1][1]:.7e}" == "1.3642527e-04"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h, j, eta", [(0.7, 1.0, 0.2), (1.2, 1.0, 0.2), (0.8, 1.0, 0.2),
+                                           (1.3, 0.8, 0.5), (-0.4, 0.3, -1.2), (0.0, 0.0, 5.0)])
+    def test_propagators_match_oracle(self, h, j, eta):
+        # S from the two blocks is exp(K t), and so symplectic, to rounding
+        times = np.array([0.0, 0.3, 1.7, 4.0])
+        for cell, t in zip(_two_mode_propagators(h, j, eta, times), times):
+            exact = np.array(oracle_propagator(h, j, eta, t).tolist(), dtype=float)
+            assert np.abs(cell - exact).max() <= 1e-14 * np.abs(exact).max()
+        # the chain's own generator: scipy's expm agrees to its rounding
+        k = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=h, j=j, eta=eta))).data
+        expected = scipy.linalg.expm(k * 1.7)
+        assert np.abs(_two_mode_propagators(h, j, eta, np.array([1.7]))[0] - expected).max() <= (
+            1e-11 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("spec, exact", [
+        (ChainSpec.uniform(2, g=0.7, j=1.0, eta=0.2), (0.7, 1.0, 0.2)),
+        (ChainSpec.uniform(2, g=-1.5), (-1.5, 0.0, 0.0)),
+        (ChainSpec(2, hopping=0.7, pairing=1.0, sms=(0.2, 0.2)), (0.7, 1.0, 0.2)),
+        # a hopping phase, unequal or complex squeezing, or a third mode: the kernel
+        (ChainSpec.uniform(2, g=0.7, j=1.0, phi=0.3), None),
+        (ChainSpec.uniform(2, g=0.7, j=1.0, phi=math.pi), None),
+        (ChainSpec(2, hopping=0.7, pairing=1.0, sms=(0.2, 0.3)), None),
+        (ChainSpec(2, hopping=0.7, pairing=1.0, sms=0.2 + 1e-300j), None),
+        (ChainSpec.uniform(3, g=0.7, j=1.0), None),
+    ])
+    def test_route_is_decided_from_the_spec(self, spec, exact):
+        assert _two_mode_rates(spec) == exact
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused_only_where_y_overflows(self):
+        # nu_- ~ 1e-151 at y ~ 1e301 is printed; y past the float range is refused
+        times = np.array([0.0, 150.0, 200.0, 400.0])
+        nu, logneg, refusal = _two_mode_witness(0.5, 1.0, 0.2, times)
+        assert len(nu) == 3 and str(refusal) == "the witness overflows double precision"
+        assert (nu > 0).all() and np.isfinite(logneg).all()
+        exact = oracle_two_mode(0.5, 1.0, 0.2, 200.0)
+        assert abs(nu[2] - exact[0]) <= 1e-12 * exact[0] and abs(logneg[2] - exact[1]) <= 1e-12 * exact[1]
+        # rates past about 1e154, at t = 0 and after: no NaN from an overflowed (mu t)^2
+        nu, _, refusal = _two_mode_witness(1e200, 1.0, 0.2, np.array([0.0, 0.025]))
+        assert refusal is None and nu[0] == 1.0 and 0.0 < nu[1] <= 1.0
 
 
 class TestSeriesCoefficients:

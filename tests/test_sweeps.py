@@ -15,9 +15,26 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epchain import ChainSpec, floattext, locate_ep_1d, spectrum_stack, sweeps, symplectic_eigenvalues
+from epchain import (
+    ChainSpec,
+    chain_nu_minus,
+    dynamics,
+    floattext,
+    locate_ep_1d,
+    spectrum_stack,
+    sweeps,
+    symplectic_eigenvalues,
+)
 from epchain.chain import bdg_stack
-from epchain.errors import ConfigError, EpchainError, NoTransition, OutOfRange, PrecisionLoss, UnsortedTimes
+from epchain.errors import (
+    ConfigError,
+    EpchainError,
+    NoTransition,
+    OutOfRange,
+    OverflowRisk,
+    PrecisionLoss,
+    UnsortedTimes,
+)
 from epchain.sweeps import (
     SweepAxis,
     entanglement_trajectory,
@@ -30,7 +47,7 @@ from epchain.sweeps import (
     write_rows,
 )
 
-from conftest import column_key, reference_es_scan, table_rows
+from conftest import column_key, oracle_two_mode, reference_es_scan, table_rows
 
 
 class TestSweepAxis:
@@ -450,9 +467,10 @@ class TestTrajectoryErrors:
         with pytest.raises(ConfigError, match="finite"):
             entanglement_trajectory({"n": 2, "eta": 5.0}, [0.0, 75.0, float("nan")], [])
 
-    @pytest.mark.parametrize("cuts", [["1,2|3", "12|3"], ["1|23", "12|3", "1|23"]])
+    @pytest.mark.parametrize("cuts", [["1,2|3", "12|3"], ["1|23", "12|3", "1|23"],
+                                      ["1|23", "23|1"], ["13|2", "12|3", "2|13"]])
     def test_repeated_cut_rejected(self, cuts):
-        # a cut is named by its label, however it was written
+        # a cut is its pair of sides, however it was written and whichever side comes first
         with pytest.raises(ConfigError) as excinfo:
             entanglement_trajectory({"n": 3, "g": 1.0, "J": 1.0}, [0.0, 1.0], cuts)
         assert str(excinfo.value) == f"cut {cuts[-1]} is given more than once"
@@ -460,10 +478,24 @@ class TestTrajectoryErrors:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_time_past_the_float_range_truncates(self):
         # K t overflows at t = 1e308: the trajectory stops there, with no RuntimeWarning
-        _, columns, extras = entanglement_trajectory({"n": 2, "g": 0.5, "J": 1.0}, [0.0, 1e308], [])
+        _, columns, extras = entanglement_trajectory({"n": 3, "g": 0.5, "J": 1.0}, [0.0, 1e308], [])
         assert column_key(columns) == column_key([np.array([0.0]), np.array([1.0]), np.array([0.0])])
         assert extras == {"truncated_at": 1e308,
                           "truncation": "propagator overflows double precision (t=1e+308)",
+                          "truncated_by": "OverflowRisk"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("include_cm", [False, True])
+    def test_exact_two_mode_witness_past_the_float_range_truncates(self, include_cm):
+        # the two-mode chain's exact witness overflows at t = 1e308, where K t does not
+        _, columns, extras = entanglement_trajectory(
+            {"n": 2, "g": 0.5, "J": 1.0}, [0.0, 1e308], [], include_cm=include_cm)
+        expected = [np.array([0.0]), np.array([1.0]), np.array([0.0])]
+        if include_cm:
+            expected.append(np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]]))
+        assert column_key(columns) == column_key(expected)
+        assert extras == {"truncated_at": 1e308,
+                          "truncation": "the witness overflows double precision (t=1e+308)",
                           "truncated_by": "OverflowRisk"}
 
 
@@ -479,6 +511,53 @@ def test_fig2_matches_closed_form_without_sms():
     for g, t, _region, nu, _logneg in table_rows(columns):
         assert nu == pytest.approx(nu_closed_form_two_mode(g, 1.0, t), abs=1e-9)
     assert extras["transitions"] == pytest.approx([1.0], abs=1e-5)
+
+
+class TestFig2ExactWitness:
+    """fig2's witness is ``_two_mode_witness`` of its whole grid: no kernel."""
+
+    @pytest.mark.parametrize("eta, g_axis, t_axis", [
+        # small_maps' grid
+        (0.2, SweepAxis("g", 0.5, 1.5, 9), SweepAxis("t", 0.0, 5.0, 201)),
+        # eta > J: both blocks grow below g = 4, where b + c is split
+        (5.0, SweepAxis("g", 0.0, 6.0, 13), SweepAxis("t", 0.0, 5.0, 21)),
+    ])
+    def test_cells_are_chain_nu_minus_bit_for_bit(self, eta, g_axis, t_axis):
+        _, columns, _ = fig2_grid(eta, g_axis, t_axis)
+        for g, t, _, nu, _ in table_rows(columns):
+            assert chain_nu_minus(ChainSpec.uniform(2, g=g, j=1.0, eta=eta), t) == nu, (g, t)
+
+    def test_runs_no_expm_or_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fig2 ran a matrix exponential or an eigensolve")
+
+        for module, name in [(dynamics, "expm"), (dynamics, "evolve_grid"), (np.linalg, "eigvalsh"),
+                             (np.linalg, "eigvals"), (np.linalg, "eig")]:
+            monkeypatch.setattr(module, name, refuse)
+        _, columns, _ = fig2_grid(0.2, SweepAxis("g", 0.5, 1.5, 9), SweepAxis("t", 0.0, 5.0, 201))
+        assert len(columns[3]) == 9 * 201
+
+    def test_default_grid_matches_oracle(self):
+        # rows through both EPs (g = 0.8, 1.2) and the ends; the first and last times
+        g_axis, t_axis = SweepAxis("g", 0.5, 1.5, 301), SweepAxis("t", 0.0, 5.0, 501)
+        _, columns, _ = fig2_grid(0.2, g_axis, t_axis)
+        nu, logneg = columns[3].reshape(301, 501), columns[4].reshape(301, 501)
+        g, times = g_axis.values(), t_axis.values()
+        for row, i in itertools.product([0, 90, 150, 210, 300], [1, 100, 250, 500]):
+            exact = oracle_two_mode(g[row], 1.0, 0.2, times[i])
+            assert abs(nu[row, i] - exact[0]) <= 1e-12 * exact[0], (g[row], times[i])
+            assert abs(logneg[row, i] - exact[1]) <= 1e-12 * exact[1], (g[row], times[i])
+        assert (nu[:, 0] == 1.0).all() and (logneg[:, 0] == 0.0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refusal_names_its_cell(self):
+        # at eta = 5 and t = 100 the g = 5 cell is printed and the g = 1 cell's
+        # witness overflows: the first refused cell, named by g and t
+        with pytest.raises(OverflowRisk) as excinfo:
+            fig2_grid(5.0, SweepAxis("g", 5.0, 1.0, 2), SweepAxis("t", 0.0, 100.0, 2))
+        assert str(excinfo.value) == "the witness overflows double precision (g=1.0, t=100.0)"
+        _, columns, _ = fig2_grid(5.0, SweepAxis("g", 5.0, 5.0, 1), SweepAxis("t", 0.0, 100.0, 2))
+        assert 0.0 < columns[3][1] < 1e-140
 
 
 class TestFig2ClosedFormSpectrum:
@@ -541,7 +620,7 @@ class TestFig2ClosedFormSpectrum:
         # (g - e)(g + e) overflows past about 1.3e154 unless the row is scaled
         # first; the label is the eigensolve's, with no RuntimeWarning
         g_axis = SweepAxis("g", g, g, 1)
-        _, columns, _ = fig2_grid(eta, g_axis, SweepAxis("t", 0.0, 0.0, 1), threads=1)
+        _, columns, _ = fig2_grid(eta, g_axis, SweepAxis("t", 0.0, 0.0, 1))
         _, labels, _ = spectrum_stack(bdg_stack(g_axis.values()[:, None], 1.0, eta))
         assert columns[2] == [label.value for label in labels] == [region]
 
@@ -794,12 +873,10 @@ def test_fig3_needs_two_modes(n_values):
     (lambda: fig3_tables(phi_steps=-1), "phi_steps must be nonnegative"),
     (lambda: fig3_tables(fit_max_n=3), "fit_max_n must be at least 4"),
     (lambda: fig4_grid(arc_steps=-2), "arc_steps must be nonnegative"),
-    (lambda: fig2_grid(threads=0), "threads must be at least 1, got 0"),
     (lambda: fig4_grid(threads=-3), "threads must be at least 1, got -3"),
     (lambda: entanglement_trajectory({"n": 2}, [0.0], [], threads=0),
      "threads must be at least 1, got 0"),
-], ids=["phi_steps", "fit_max_n", "arc_steps", "fig2_threads", "fig4_threads",
-        "entangle_threads"])
+], ids=["phi_steps", "fit_max_n", "arc_steps", "fig4_threads", "entangle_threads"])
 def test_preset_arguments_checked_in_library(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
@@ -820,9 +897,9 @@ def test_threads_need_no_main_guard(tmp_path):
     # interpreter: the worker threads start no new process
     script = tmp_path / "script.py"
     script.write_text("\n".join([
-        "from epchain.sweeps import SweepAxis, entanglement_trajectory, fig2_grid",
-        "# 5 x 501 cells are two kernel chunks, 120 times at N = 12 are three",
-        "fig2_grid(g_axis=SweepAxis('g', 0.5, 1.5, 5), threads=2)",
+        "from epchain.sweeps import SweepAxis, entanglement_trajectory, fig4_grid",
+        "# 31 x 31 + 33 cells are two kernel chunks, 120 times at N = 12 are three",
+        "fig4_grid(g_axis=SweepAxis('g', 0.0, 2.0, 31), arc_steps=33, threads=2)",
         "chain = {'n': 12, 'g': 1.0, 'J': 1.0}",
         "times = [0.025 * i for i in range(120)]",
         "entanglement_trajectory(chain, times, ['1|2,3,4,5,6,7,8,9,10,11,12'], threads=2)",
