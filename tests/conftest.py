@@ -219,8 +219,10 @@ def reference_es_scan(g1_values, g2_values, j1_values, j2_values, tol=1e-9, dete
             for values in (g1_values, g2_values, j1_values, j2_values)]
     rows = []
     for g1, g2, j1, j2 in itertools.product(*axes):
+        # squares as products: a scalar ** goes through pow, which can be an ulp
+        # off the correctly rounded square that the array scan computes
         with np.errstate(over="ignore"):
-            residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
+            residual = abs(g1 * g1 + g2 * g2 - j1 * j1 - j2 * j2)
         on_surface = residual <= tol
         order, blocks = 0, ()
         if on_surface or detect_everywhere:

@@ -666,6 +666,9 @@ class TestEsScanTable:
     @example(axes=(SweepAxis("g1", 0.5, 1.5, 3), SweepAxis("g2", 0.5, 1.5, 3),
                    SweepAxis("J1", 1.0, 1.0, 1), SweepAxis("J2", 0.5, 1.0, 2)),
              tol=1e-9, detect_everywhere=True)
+    @example(axes=(SweepAxis("g1", 0.0, 0.0, 1), SweepAxis("g2", 1.3963484362616476, 0.0, 1),
+                   SweepAxis("J1", 0.5, 0.5, 1), SweepAxis("J2", 0.5, 0.5, 1)),
+             tol=0.0, detect_everywhere=False)  # pow(g2, 2) is an ulp off g2 * g2
     @settings(max_examples=60, deadline=None)
     def test_matches_per_point_reference(self, axes, tol, detect_everywhere):
         # the rates are checked all at once, so a negative pairing rate at a probed
