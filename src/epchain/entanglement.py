@@ -345,15 +345,27 @@ def _block_exponential(upper, lower) -> tuple[np.ndarray, ...]:
 
 
 def _two_mode_blocks(h, j, eta, t) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """``_block_exponential`` of K+ t and of K- t, per cell of h and t broadcast.
+    """(upper, lower, x, z, c, s) of K+ t and of K- t, per cell of h and t
+    broadcast: the block's off-diagonal entries and their ``_block_exponential``.
 
     In the basis X+- = (X1 +- X2)/sqrt(2), P+- alike, K splits into the
     traceless blocks K+ = [[0, h - (J + eta)], [-h - (J + eta), 0]] and
     K- = [[0, (J - eta) - h], [h + (J - eta), 0]], so e^{K+- t} is
     c I + s K+- t.
     """
-    return (_block_exponential((h - (j + eta)) * t, (-h - (j + eta)) * t),
-            _block_exponential(((j - eta) - h) * t, (h + (j - eta)) * t))
+    entries = (((h - (j + eta)) * t, (-h - (j + eta)) * t),
+               (((j - eta) - h) * t, (h + (j - eta)) * t))
+    return tuple((upper, lower, *_block_exponential(upper, lower)) for upper, lower in entries)
+
+
+def _times(coefficient, *factors) -> np.ndarray:
+    """coefficient * factors, left to right, and exactly 0 where the coefficient
+    is: a factor that overflowed to inf stands for a finite one, so 0 * inf,
+    NaN in floats, is 0."""
+    product = coefficient
+    for factor in factors:
+        product = product * factor
+    return np.where(coefficient == 0.0, 0.0, product)
 
 
 def _two_mode_witness(h, j, eta, t) -> tuple[np.ndarray, np.ndarray, OverflowRisk | None]:
@@ -376,15 +388,18 @@ def _two_mode_witness(h, j, eta, t) -> tuple[np.ndarray, np.ndarray, OverflowRis
     E_N = (ln 2 + log1p(y))/2.  A cell is refused only where y is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        (x_plus, z_plus, c_plus, s_plus), (x_minus, z_minus, c_minus, s_minus) = _two_mode_blocks(h, j, eta, t)
-        a_minus_d = 4.0 * (h * t * s_plus) * (eta * t * s_minus)
-        b_plus_c = 2.0 * ((j - eta) * t * s_minus * c_plus + (j + eta) * t * s_plus * c_minus)
+        ((_, _, x_plus, z_plus, c_plus, s_plus),
+         (_, _, x_minus, z_minus, c_minus, s_minus)) = _two_mode_blocks(h, j, eta, t)
+        # 0 where h t or eta t is, though the other factor's s may have overflowed
+        a_minus_d = np.where((h * t == 0.0) | (eta * t == 0.0), 0.0,
+                             4.0 * (h * t * s_plus) * (eta * t * s_minus))
+        b_plus_c = 2.0 * (_times((j - eta) * t, s_minus, c_plus) + _times((j + eta) * t, s_plus, c_minus))
         apart = (x_plus >= _SERIES_LIMIT) & (x_minus >= _SERIES_LIMIT) & ((j - eta) * (j + eta) < 0.0)
         if apart.any():
             a, b = (j + eta) * t / z_plus, (j - eta) * t / z_minus
             jt, et, ht = j * t, eta * t, h * t
             a_plus_b = -4.0 * jt * et * ht * ht / ((z_plus * z_minus) ** 2 * (a - b))
-            split = a * np.sinh(4.0 * jt * et / (z_plus + z_minus)) + a_plus_b * c_plus * (z_minus * s_minus)
+            split = a * np.sinh(4.0 * jt * et / (z_plus + z_minus)) + _times(a_plus_b, c_plus, z_minus * s_minus)
             b_plus_c = np.where(apart, 2.0 * split, b_plus_c)
         # (y/2) y, not y^2 / 2: no square overflows where y does not
         y = ((0.5 * a_minus_d) * a_minus_d + (0.5 * b_plus_c) * b_plus_c).ravel()
@@ -406,11 +421,8 @@ def _two_mode_propagators(h, j, eta, t) -> np.ndarray:
     with E+- = e^{K+- t}, S's mode blocks are S11 = S22 = (E+ + E-)/2 and
     S12 = S21 = (E+ - E-)/2."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        (_, _, c_plus, s_plus), (_, _, c_minus, s_minus) = _two_mode_blocks(h, j, eta, t)
-        blocks = []
-        for c, s, upper, lower in ((c_plus, s_plus, h - (j + eta), -h - (j + eta)),
-                                   (c_minus, s_minus, (j - eta) - h, h + (j - eta))):
-            blocks.append(np.stack([c, s * (upper * t), s * (lower * t), c], axis=-1).reshape(-1, 2, 2))
+        blocks = [np.stack([c, s * upper, s * lower, c], axis=-1).reshape(-1, 2, 2)
+                  for upper, lower, _, _, c, s in _two_mode_blocks(h, j, eta, t)]
         total, difference = 0.5 * (blocks[0] + blocks[1]), 0.5 * (blocks[0] - blocks[1])
     return np.block([[total, difference], [difference, total]])
 

@@ -48,7 +48,7 @@ from epchain.errors import (
 )
 from epchain.sweeps import entanglement_trajectory
 
-from conftest import oracle_propagator, oracle_two_mode
+from conftest import oracle_propagator, oracle_two_mode, reference_evolve
 
 
 # hopping phases with rational (cos phi, sin phi), the last two at phi = pi/2
@@ -465,6 +465,33 @@ class TestTwoModeWitness:
         # rates past about 1e154, at t = 0 and after: no NaN from an overflowed (mu t)^2
         nu, _, refusal = _two_mode_witness(1e200, 1.0, 0.2, np.array([0.0, 0.025]))
         assert refusal is None and nu[0] == 1.0 and 0.0 < nu[1] <= 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h, j, eta", [(0.0, 1.0, 5.0), (0.0, 0.0, 5.0), (0.0, -1.0, 5.0)])
+    def test_zero_hopping_past_the_blocks_overflow(self, h, j, eta):
+        # at t = 150 cosh(mu t) of a block overflows, but with h = 0 it only multiplies the
+        # terms A + B = 0 and h t = 0: y is finite (about 1e260 at J = 1, eta = 5,
+        # where b + c = 2 sinh(2 t); 0 at J = 0, a product state), and the cell is printed
+        nu, logneg, refusal = _two_mode_witness(h, j, eta, np.array([150.0]))
+        assert refusal is None
+        exact_nu, exact_logneg = oracle_two_mode(h, j, eta, 150.0)
+        assert abs(nu[0] - exact_nu) <= 1e-12 * exact_nu
+        assert abs(logneg[0] - exact_logneg) <= 1e-12 * max(exact_logneg, 1.0)
+
+    @pytest.mark.parametrize("g", [0.7, 1.2, 1.6])
+    def test_include_cm_is_the_evolved_covariance(self, g):
+        # entangle's N = 2 covariance columns are the row-major upper triangle of
+        # S sigma_0 S^T, sigma_0 the vacuum's, as the kernel writes them
+        times = [0.0, 0.4, 1.7, 5.0]
+        header, columns, extras = entanglement_trajectory(
+            {"n": 2, "g": g, "J": 1.0, "eta": 0.2}, times, [], include_cm=True)
+        assert extras == {}
+        upper = np.triu_indices(4)
+        assert header[3:] == [f"cm_{i + 1}_{k + 1}" for i, k in zip(*upper)]
+        generator = quadrature_generator(build_bdg_matrix(ChainSpec.uniform(2, g=g, j=1.0, eta=0.2)))
+        for row, t in zip(columns[3], times):
+            expected = reference_evolve(initial_state(2), generator, t)[upper]
+            assert np.abs(row - expected).max() <= 1e-12 * np.abs(expected).max(), (g, t)
 
 
 class TestSeriesCoefficients:
