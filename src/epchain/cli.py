@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--tol", type=float, default=DEFAULT_REGION_TOL,
-                   help="surface residual tolerance (default: %(default)g)")
+                   help="surface residual tolerance, relative to max(1, g1^2 + g2^2, "
+                        "J1^2 + J2^2) (default: %(default)g)")
     p.add_argument("--detect-everywhere", action="store_true",
                    help="run the detector at every grid point, not only on-surface")
 

@@ -24,15 +24,22 @@ sqrt(det sigma_0); ``witness_stack`` and ``chain_nu_minus`` refuse a
 spectrum off it (``PrecisionLoss``), where rounding has eaten the witness;
 a stack's refusal is its first refused matrix's own, which the kernel gets
 as a value, with the witnesses of the matrices before it.
-``chain_nu_minus`` is the kernel's one cell, so its refusals end with the
-cell, as the sweeps' do.
+``chain_nu_minus`` is one cell of entangle's route table
+(``sweeps._spec_map``), so its value and its refusals are that cell's.
 
-The two-mode chain with real hopping and equal, real on-site squeezing
-(``_two_mode_rates`` decides it from the spec's fields) needs no kernel:
-its K splits into two traceless 2x2 blocks, whose exponentials are closed
-forms, and ``_two_mode_witness`` gives nu_- and E_N of a whole stack of
-cells exactly, with no matrix exponential and no eigensolve.  fig2,
-``chain_nu_minus`` and entangle take that route for such a chain.
+Two families need no kernel, each decided from the spec's fields:
+- the two-mode chain with real hopping and equal, real on-site squeezing
+  (``_two_mode_rates``): its K splits into two traceless 2x2 blocks, whose
+  exponentials are closed forms, and ``_two_mode_witness`` gives nu_- and
+  E_N of a whole stack of cells exactly;
+- the one-quadrature chain, N >= 3 with no on-site squeezing and real
+  hopping h_b = J_b on every bond or h_b = -J_b on every bond
+  (``_one_quadrature_bonds``): K^2 = 0, S = I + K t, and
+  ``_one_quadrature_witness`` gives every cut's witness at all times from
+  the singular values of the cut's bond matrix.
+Neither runs a matrix exponential or an eigensolve.  fig2 takes the first
+for its grid, and ``chain_nu_minus`` and entangle take either for such a
+chain.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, build_bdg_matrix, quadrature_generator, symplectic_form
-from .dynamics import GaussianState, _symmetrized, evolve_grid, initial_state
+from .chain import ChainSpec, symplectic_form
+from .dynamics import GaussianState, _symmetrized
 from .errors import (
     AsymmetricInput,
     ConfigError,
@@ -54,7 +61,6 @@ from .errors import (
     OutOfRange,
     OverflowRisk,
     PrecisionLoss,
-    _at_cell,
 )
 
 __all__ = [
@@ -427,41 +433,142 @@ def _two_mode_propagators(h, j, eta, t) -> np.ndarray:
     return np.block([[total, difference], [difference, total]])
 
 
+def _two_mode_entries(h, j, eta, keep: tuple[np.ndarray, np.ndarray], t: np.ndarray) -> np.ndarray:
+    """sigma = S S^T of the two-mode chain at the index pairs ``keep``, per time, as a
+    (T, entries) array, S from ``_two_mode_propagators``; an overflowed entry is not
+    finite."""
+    s = _two_mode_propagators(h, j, eta, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("cik,cik->ci", s[:, keep[0]], s[:, keep[1]])
+
+
+# ---------------------------------------------------------------------------
+# the one-quadrature chain in closed form
+
+def _one_quadrature_bonds(spec: ChainSpec) -> tuple[tuple[float, ...], bool] | None:
+    """(J_b per bond, whether X is the coupled quadrature) of a chain of N >= 3 modes
+    with no on-site squeezing whose hopping h_b is real and equal to J_b on every bond
+    (X-coupled) or to -J_b on every bond (P-coupled), which ``_one_quadrature_witness``
+    takes exactly; None for any other chain.
+
+    Bond b then contributes 2 J_b X_b X_(b+1) (or -2 J_b P_b P_(b+1)) to H, so K
+    maps the coupled quadrature onto the other one only: K^2 = 0 and S = I + K t
+    exactly, the structure of a Gaussian cluster state (Menicucci et al., PRL 97,
+    110501 (2006)).  Rates and zero bonds may differ from bond to bond.
+    """
+    if spec.n_modes < 3 or any(eta != 0.0 for eta in spec.sms):
+        return None
+    if any(h.imag != 0.0 for h in spec.hopping):
+        return None
+    for x_coupled, sign in ((True, 1.0), (False, -1.0)):
+        if all(h.real == sign * j for h, j in zip(spec.hopping, spec.pairing)):
+            return spec.pairing, x_coupled
+    return None
+
+
+def _cut_couplings(pairing: Sequence[float], part: Bipartition) -> np.ndarray:
+    """The singular values of W_AB, the |A| x |B| matrix that holds 2 J_b for each
+    bond b joining a mode of side A to one of side B, without its zero rows and
+    columns; empty where no bond of nonzero rate crosses the cut."""
+    crossing = [(bond, bond + 1) if bond in part.side_a else (bond + 1, bond)
+                for bond, rate in enumerate(pairing)
+                if rate != 0.0 and (bond in part.side_a) != (bond + 1 in part.side_a)]
+    rows = {a: i for i, a in enumerate(sorted({a for a, _ in crossing}))}
+    columns = {b: i for i, b in enumerate(sorted({b for _, b in crossing}))}
+    w = np.zeros((len(rows), len(columns)))
+    for a, b in crossing:
+        w[rows[a], columns[b]] = 2.0 * pairing[min(a, b)]
+    return np.linalg.svd(w, compute_uv=False) if crossing else np.zeros(0)
+
+
+def _one_quadrature_witness(
+    pairing: Sequence[float], parts: Sequence[Bipartition], t: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], OverflowRisk | None]:
+    """nu_- and E_N per cut of a one-quadrature chain's evolved vacuum, exactly, per
+    time: over the times before the first one refused, and its ``OverflowRisk``
+    (None if none).
+
+    sigma = S S^T is I on the coupled quadrature, -2 J_b t between it and the other,
+    and I + 4 t^2 A^2 on the other (A the bonds' adjacency, ``_one_quadrature_entries``).
+    For a cut A|B the reduced state's symplectic eigenvalues are
+    nu_k^2 = 1 + t^2 s_k^2, with s_k the singular values of W_AB (``_cut_couplings``):
+    the symplectic shear that clears its cross block leaves I + t^2 W_AB W_AB^T on
+    the other quadrature.  The state is pure, so E_N = sum_k arccosh nu_k =
+    sum_k arcsinh(|t| s_k) and nu_- = 1/(x + hypot(1, x)), x = |t| max s_k.  A cut
+    that no bond crosses gives exactly 1 and 0.  A time is refused only where an
+    E_N overflows.
+    """
+    at = np.abs(t)
+    witnesses = []
+    with np.errstate(over="ignore"):
+        for part in parts:
+            s = _cut_couplings(pairing, part)
+            x = at * s.max(initial=0.0)
+            logneg = np.zeros(len(t))
+            for value in s.tolist():
+                logneg = logneg + np.arcsinh(at * value)
+            witnesses.append((1.0 / (x + np.hypot(1.0, x)), logneg))
+    refused = np.flatnonzero(~np.isfinite(np.array([logneg for _, logneg in witnesses])).all(axis=0))
+    if not refused.size:
+        return witnesses, None
+    stop = refused[0]
+    return ([(nu[:stop], logneg[:stop]) for nu, logneg in witnesses],
+            OverflowRisk("the witness overflows double precision"))
+
+
+def _one_quadrature_entries(
+    pairing: Sequence[float], x_coupled: bool, keep: tuple[np.ndarray, np.ndarray], t: np.ndarray
+) -> np.ndarray:
+    """sigma = S S^T = I + t (K + K^T) + t^2 K K^T of a one-quadrature chain at the
+    index pairs ``keep``, per time, as a (T, entries) array.  K is built from the
+    rates, with -2 J_b at (other quadrature of one mode, coupled quadrature of its
+    neighbour) and exact zeros elsewhere, so an entry that is 0 for all t is 0.
+    t^2 K K^T is formed as t (t K K^T), so a zero entry stays 0 where t^2 overflows."""
+    n = len(pairing) + 1
+    coupled, other = (0, 1) if x_coupled else (1, 0)
+    k = np.zeros((2 * n, 2 * n))
+    bond = np.arange(n - 1)
+    rates = -2.0 * np.asarray(pairing, dtype=float)
+    k[2 * bond + other, 2 * bond + 2 + coupled] = rates
+    k[2 * bond + 2 + other, 2 * bond + coupled] = rates
+    identity = (keep[0] == keep[1]).astype(float)
+    linear, quadratic = (k + k.T)[keep], (k @ k.T)[keep]
+    t = np.asarray(t, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return identity + t * linear + t * (t * quadratic)
+
+
 # ---------------------------------------------------------------------------
 # numeric pipeline helpers
 
 def chain_nu_minus(spec: ChainSpec, t: float, part: Bipartition | None = None) -> float:
-    """nu_- of the evolved vacuum: the witness kernel's one cell.
+    """nu_- of the evolved vacuum: one cell of entangle's route table.
 
-    Builds M, transports the vacuum (``evolve_grid``) and takes the cut's
-    witness (``_cut_witnesses``), as the sweeps do for each of their cells.
-    A refusal ends with its cell: "(t=25.0, cut 1|2)" for the witness's,
-    "(t=1e+308)" for the transport's.  A two-mode chain with real hopping
-    and equal, real on-site squeezing takes the exact route instead, as
-    fig2 and entangle do (``_two_mode_witness`` on a one-cell array), and
-    its refusal ends with "(t=...)".  Defaults to the first-mode-vs-rest cut.
+    Takes the chain's route by ``sweeps._spec_map``, as entangle does for
+    each of its times, so the value is that cell's, bit for bit.  A
+    two-mode chain with real hopping and equal, real on-site squeezing,
+    and a one-quadrature chain (N >= 3, real hopping h_b = J_b on every
+    bond or h_b = -J_b on every bond, no on-site squeezing), are exact,
+    with no matrix exponential and no eigensolve, and a refusal ends with
+    "(t=...)".  Any other chain runs the kernel's one cell: it transports
+    the vacuum (``evolve_grid``) and takes the cut's witness
+    (``_cut_witnesses``), and a refusal ends with its cell, "(t=25.0, cut
+    1|2)" for the witness's, "(t=1e+308)" for the transport's.  A time that
+    is not finite is a ``ConfigError``.  Defaults to the first-mode-vs-rest cut.
     """
+    from .sweeps import _spec_map  # sweeps builds on this module
+
     if part is None:
         part = Bipartition.one_vs_rest(spec.n_modes)
     if part.n_modes != spec.n_modes:
         raise InvalidBipartition(
             f"partition is for {part.n_modes} modes but the state has {spec.n_modes}"
         )
-    cell = [f"t={float(t)}"]
-    rates = _two_mode_rates(spec)
-    if rates is not None:
-        if not math.isfinite(t):
-            raise ConfigError(f"time must be finite, got {float(t)}")
-        nu, _, refusal = _two_mode_witness(*rates, np.array([float(t)]))
-    else:
-        k = quadrature_generator(build_bdg_matrix(spec))
-        cms, refusal = evolve_grid(initial_state(spec.n_modes), k.data[None], [t])
-        if refusal is None:
-            # the vacuum's 1/2 ln det sigma_0 is 0
-            nu, _, refusal = _cut_witnesses(cms, part, 0.0)
-            cell.append(f"cut {part.label}")
+    if not math.isfinite(t):
+        raise ConfigError(f"time must be finite, got {float(t)}")
+    [(nu, _)], _, refusal = _spec_map(spec, np.array([float(t)]), [part])
     if refusal is not None:
-        raise _at_cell(refusal, cell)
+        raise refusal
     return float(nu[0])
 
 

@@ -29,6 +29,7 @@ from .dynamics import evolve, evolve_grid, initial_state, propagator
 from .entanglement import (
     Bipartition,
     _cut_witnesses,
+    _one_quadrature_witness,
     _two_mode_witness,
     entanglement_result,
     nu_closed_form_bkc_ep,
@@ -218,6 +219,26 @@ def run_selftest(tol_scale: float = 1.0, draws: int = 40) -> list[CheckResult]:
     record("two_mode_closed_form", worst_cf, 1e-8)
     record("two_mode_exact_route", worst_exact, 1e-14)
 
+    # one-quadrature chains (h_b = +-J_b, no on-site squeezing) take an exact route
+    # too; the partial-transpose kernel is its independent reference here.  The
+    # draws come from a generator of their own, so the later checks draw as before
+    worst_oq = 0.0
+    times = np.linspace(0.0, 3.0, 7)
+    oq_rng = np.random.default_rng([SELFTEST_SEED, 1])
+    for _ in range(draws):
+        n = int(oq_rng.integers(3, 7))
+        rates = oq_rng.uniform(0.0, 1.5, n - 1) * (oq_rng.uniform(size=n - 1) > 0.2)
+        sign = 1.0 if oq_rng.uniform() < 0.5 else -1.0
+        spec = ChainSpec(n, hopping=tuple(sign * rates), pairing=tuple(rates))
+        part = Bipartition.from_sides(n, oq_rng.choice(n, int(oq_rng.integers(1, n)), replace=False))
+        k = quadrature_generator(build_bdg_matrix(spec)).data
+        cms, error = evolve_grid(initial_state(n), k[None], times)
+        kernel, kernel_logneg, refusal = _cut_witnesses(cms, part, 0.0)
+        [(exact, exact_logneg)], _ = _one_quadrature_witness(spec.pairing, [part], times)
+        worst_oq = max(worst_oq, math.inf if error or refusal else max(
+            float(np.abs(kernel - exact).max()), float(np.abs(kernel_logneg - exact_logneg).max())))
+    record("one_quadrature_closed_form", worst_oq, 1e-10)
+
     worst_nid = 0.0
     for varphi in (0.0, math.pi / 8, math.pi / 4):
         spec = three_mode_surface_spec(varphi)
@@ -232,7 +253,8 @@ def run_selftest(tol_scale: float = 1.0, draws: int = 40) -> list[CheckResult]:
             )
     record("three_mode_surface_closed_form", worst_nid, 1e-6)
 
-    # the coalescence-point series that fig3 prints, against the numeric pipeline
+    # the coalescence-point series that fig3 prints, against chain_nu_minus: at
+    # phi = 0 that is the one-quadrature route, else the kernel
     record(
         "bkc_ep_closed_form",
         _worst(

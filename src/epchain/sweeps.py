@@ -12,11 +12,15 @@ as columns: its residuals over the whole grid at once, and one
 ``bdg_stack`` of the points it probes, whose slices ``detect_eps`` reads
 one by one.  fig2's witness is exact too: the two-mode chain's K splits
 into two 2x2 blocks, and ``_two_mode_witness`` takes the whole grid in one
-call, with no matrix exponential and no eigensolve; entangle takes the same
-route for such a chain (``_two_mode_map``).  fig4 turns its stack into
-generators with ``generator_stack``, and the numeric witness presets (fig4
-and its arc, entangle) run one batched kernel: ``evolve_grid`` transports the
-initial covariance for all (generator, time) cells at once and
+call, with no matrix exponential and no eigensolve.  entangle decides its
+chain's route in one table, ``_spec_map``, which ``chain_nu_minus`` calls
+too: a two-mode chain takes the same closed form, a one-quadrature chain
+(h_b = +-J_b, no on-site squeezing, K^2 = 0) its own
+(``_one_quadrature_witness``), and any other chain the kernel.  fig4
+turns its stack into generators with ``generator_stack``, and the numeric
+witness presets (fig4 and its arc, entangle) run one batched kernel:
+``evolve_grid`` transports the initial covariance for all (generator,
+time) cells at once and
 ``witness_stack``'s core (without its input checks, which the kernel's own
 stacks pass by construction) evaluates nu_- and E_N per cut.  Every preset
 starts from the vacuum.  ``evolve`` and ``entanglement_result`` are their
@@ -80,6 +84,7 @@ import numpy as np
 
 from .chain import (
     BdgMatrix,
+    ChainSpec,
     bdg_stack,
     build_bdg_matrix,
     build_chain_spec,
@@ -91,8 +96,11 @@ from .dynamics import _UNIT_ROUNDOFF, _sample_times, evolve_grid, initial_state
 from .entanglement import (
     Bipartition,
     _cut_witnesses,
+    _one_quadrature_bonds,
+    _one_quadrature_entries,
+    _one_quadrature_witness,
     _surface_hopping,
-    _two_mode_propagators,
+    _two_mode_entries,
     _two_mode_rates,
     _two_mode_witness,
     enhancement_ratio,
@@ -483,6 +491,55 @@ def _witness_map(
     return per_cut, (None if keep is None else kept[:rows]), refusal
 
 
+def _spec_map(
+    spec: ChainSpec,
+    times: np.ndarray,
+    parts: Sequence[Bipartition],
+    keep: tuple[np.ndarray, np.ndarray] | None = None,
+    threads: int = 1,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None, EpchainError | None]:
+    """``_witness_map``'s outcome for one chain over its times, by the chain's route:
+    the one table of witness routes, which ``entanglement_trajectory`` and
+    ``chain_nu_minus`` both call.
+
+    The route is decided exactly from the spec's fields, never from float
+    entries of K.  Two exact routes run no matrix exponential, Cholesky factor
+    or eigensolve, and ignore ``threads``:
+    - a two-mode chain that ``_two_mode_rates`` takes: ``_two_mode_witness``
+      for its one cut, and the kept entries of S S^T (``_two_mode_entries``);
+    - a one-quadrature chain (``_one_quadrature_bonds``): one SVD per cut
+      for all times (``_one_quadrature_witness``), and the kept entries of
+      the quadratic sigma(t) (``_one_quadrature_entries``).
+    In both, the first time whose witness or kept entries are not finite is
+    refused (``OverflowRisk``), named "(t=...)".  Every other chain runs the
+    kernel, ``_witness_map``.
+    """
+    rates = _two_mode_rates(spec)
+    bonds = _one_quadrature_bonds(spec)
+    if rates is not None:
+        nu, logneg, error = _two_mode_witness(*rates, times)
+        witnesses, entries = [(nu, logneg)], functools.partial(_two_mode_entries, *rates)
+    elif bonds is not None:
+        witnesses, error = _one_quadrature_witness(bonds[0], parts, times)
+        entries = functools.partial(_one_quadrature_entries, *bonds)
+    else:
+        k = quadrature_generator(build_bdg_matrix(spec))
+        return _witness_map(k.data[None], times, parts, threads, keep)
+    rows = len(witnesses[0][0])
+    kept = None
+    if keep is not None:
+        kept = entries(keep, times[:rows])
+        overflowed = np.flatnonzero(~np.isfinite(kept).all(axis=1))
+        if overflowed.size:
+            rows = overflowed[0]
+            witnesses = [(nu[:rows], logneg[:rows]) for nu, logneg in witnesses]
+            kept = kept[:rows]
+            error = OverflowRisk("covariance overflows double precision")
+    if error is not None:
+        error = _at_cell(error, [f"t={float(times[rows])}"])
+    return witnesses, kept, error
+
+
 # ---------------------------------------------------------------------------
 # spectrum and trajectory commands
 
@@ -555,12 +612,15 @@ def entanglement_trajectory(
     that with ``include_cm`` the last column is one (rows, entries) float64
     block, the row-major upper triangle of each row's covariance, which
     spans the ``cm_i_j`` names.  The columns end before the first time
-    whose cell ``_witness_map`` refuses, whatever refused it; the extras then
+    whose cell ``_spec_map`` refuses, whatever refused it; the extras then
     hold that time as ``truncated_at``, the refusal's message as
     ``truncation`` and its class name as ``truncated_by``.  A cut whose
     sides repeat an earlier one's ("12|3" after "1,2|3", or "3|12") is a
-    ``ConfigError``.  A two-mode chain with real hopping and equal, real
-    on-site squeezing is exact (``_two_mode_map``), with no kernel.
+    ``ConfigError``.  The chain's route is ``_spec_map``'s: a two-mode
+    chain with real hopping and equal, real on-site squeezing, and a
+    one-quadrature chain (N >= 3, real hopping h_b = J_b on every bond or
+    h_b = -J_b on every bond, no on-site squeezing), are exact, with no
+    kernel and no threads; any other chain runs the kernel.
     """
     _check_threads(threads)
     spec = build_chain_spec(chain)
@@ -583,12 +643,7 @@ def entanglement_trajectory(
         upper = np.triu_indices(2 * spec.n_modes)
         # Python ints format several times faster than numpy's
         header += [f"cm_{i+1}_{j+1}" for i, j in zip(upper[0].tolist(), upper[1].tolist())]
-    rates = _two_mode_rates(spec)
-    if rates is None:
-        k = quadrature_generator(build_bdg_matrix(spec))
-        witnesses, cms, error = _witness_map(k.data[None], ts, parts, threads, upper)
-    else:
-        witnesses, cms, error = _two_mode_map(rates, ts, upper)
+    witnesses, cms, error = _spec_map(spec, ts, parts, upper, threads)
     n_rows = len(witnesses[0][0])
     columns = [ts[:n_rows]]
     for nu, logneg in witnesses:
@@ -598,30 +653,6 @@ def entanglement_trajectory(
     extras = {} if error is None else {
         "truncated_at": float(ts[n_rows]), "truncation": str(error), "truncated_by": type(error).__name__}
     return header, columns, extras
-
-
-def _two_mode_map(
-    rates: tuple[float, float, float], times: np.ndarray, keep: tuple[np.ndarray, np.ndarray] | None
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None, EpchainError | None]:
-    """``_witness_map`` of a chain that ``_two_mode_rates`` takes exactly, for its one
-    cut (two modes have no other): ``_two_mode_witness`` per time, and the kept
-    entries of sigma = S S^T, S from ``_two_mode_propagators``.  The first time
-    whose witness or kept entries are not finite is refused (``OverflowRisk``),
-    named "(t=...)"."""
-    nu, logneg, error = _two_mode_witness(*rates, times)
-    kept = None
-    if keep is not None:
-        s = _two_mode_propagators(*rates, times[: len(nu)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            kept = np.einsum("cik,cik->ci", s[:, keep[0]], s[:, keep[1]])
-        overflowed = np.flatnonzero(~np.isfinite(kept).all(axis=1))
-        if overflowed.size:
-            stop = overflowed[0]
-            nu, logneg, kept = nu[:stop], logneg[:stop], kept[:stop]
-            error = OverflowRisk("covariance overflows double precision")
-    if error is not None:
-        error = _at_cell(error, [f"t={float(times[len(nu)])}"])
-    return [(nu, logneg)], kept, error
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +935,10 @@ def es_scan_table(
 
     The grid is g1-major.  Every point gets its residual
     ``|g1^2 + g2^2 - J1^2 - J2^2|`` (an overflowed square makes it infinite)
-    and is on the surface where that is at most ``tol`` (finite and
-    nonnegative, else ``ConfigError``).  The points on the surface, or every
+    and is on the surface where that is finite and at most
+    ``tol * max(1, g1^2 + g2^2, J1^2 + J2^2)``: the tolerance (finite and
+    nonnegative, else ``ConfigError``) is relative to the rates' scale, which
+    the squares' rounding follows, and absolute below 1.  The points on the surface, or every
     point with ``detect_everywhere``, are probed: their dynamical matrices
     are one ``bdg_stack``, which checks their rates, and ``detect_eps``
     runs on each at its default rank tolerance.  A probed point records the
@@ -916,9 +949,10 @@ def es_scan_table(
         raise ConfigError(f"surface tolerance must be nonnegative and finite, got {tol}")
     axes = [np.asarray(axis.values(), dtype=float) for axis in (g1_axis, g2_axis, j1_axis, j2_axis)]
     g1, g2, j1, j2 = (value.ravel() for value in np.meshgrid(*axes, indexing="ij"))
-    with np.errstate(over="ignore"):  # an overflowed square: an infinite residual
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed square: an infinite residual
         residual = abs(g1**2 + g2**2 - j1**2 - j2**2)
-    on_surface = residual <= tol
+        bound = tol * np.maximum(np.maximum(g1**2 + g2**2, j1**2 + j2**2), 1.0)
+    on_surface = np.isfinite(residual) & (residual <= bound)
     order = np.zeros(len(g1), dtype=np.int64)
     blocks = [""] * len(g1)
     probed = np.flatnonzero(on_surface | detect_everywhere)

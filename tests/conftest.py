@@ -221,9 +221,10 @@ def reference_es_scan(g1_values, g2_values, j1_values, j2_values, tol=1e-9, dete
     for g1, g2, j1, j2 in itertools.product(*axes):
         # squares as products: a scalar ** goes through pow, which can be an ulp
         # off the correctly rounded square that the array scan computes
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             residual = abs(g1 * g1 + g2 * g2 - j1 * j1 - j2 * j2)
-        on_surface = residual <= tol
+            scale = max(1.0, g1 * g1 + g2 * g2, j1 * j1 + j2 * j2)
+        on_surface = bool(np.isfinite(residual)) and residual <= tol * scale
         order, blocks = 0, ()
         if on_surface or detect_everywhere:
             spec = ChainSpec(n_modes=3, hopping=(complex(g1), complex(g2)),

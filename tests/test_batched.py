@@ -903,7 +903,9 @@ class TestSweepsThroughKernel:
                             lambda state0, k, t: lengths.append(len(k) * len(t)) or evolve_grid(state0, k, t))
         for n in (30, 31, 40, 64):
             lengths.clear()
-            entanglement_trajectory({"n": n, "g": 1.0, "J": 1.0}, np.linspace(0.0, 1.0, 12), [])
+            # at phi = 0 the chain is one-quadrature, which is exact with no kernel
+            entanglement_trajectory({"n": n, "g": 1.0, "J": 1.0, "phi": math.pi / 2},
+                                    np.linspace(0.0, 1.0, 12), [])
             assert lengths[0] * 2 * n > 500 and sum(lengths) == 12
         assert sweeps._CHUNK_ENTRIES // 80**2 * 80 <= 500  # N = 40: the budget alone gives 5 cells
 

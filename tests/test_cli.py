@@ -593,6 +593,15 @@ def test_preset_runs_load_no_scipy_subpackage(tmp_path, command, options, config
     assert (tmp_path / "x.csv").exists()
 
 
+def test_one_quadrature_entangle_loads_no_pade_kernels(tmp_path):
+    # the N = 30, phi = 0 chain at g = J is exact: no expm, so scipy's extension stays unloaded
+    config = write_json(tmp_path / "c.json", {"n": 30, "g": 1.0, "J": 1.0, "times": [0.0, 1.0]})
+    argv = ["entangle", "--config", config, "--include-cm", "--out", str(tmp_path / "x.csv")]
+    code = (f"from epchain import dynamics\nfrom epchain.cli import main\nassert main({argv!r}) == 0\n"
+            "assert dynamics._pade_kernels.cache_info().currsize == 0")
+    assert loaded_in_fresh_process(code) == []
+
+
 class TestEsScanCommand:
     def test_arc_point_row(self, tmp_path):
         cfg = write_json(tmp_path / "es.json", {
@@ -647,6 +656,17 @@ class TestSelftestCommand:
         assert "checks passed" in out
         assert "FAIL" not in out
         assert "PASS  bkc_ep_closed_form" in out
+        assert "PASS  one_quadrature_closed_form" in out
+
+    def test_one_quadrature_route_is_checked_against_the_kernel(self, capsys, monkeypatch):
+        # a route that drops its largest coupling is caught by the kernel's witness
+        from epchain import selftest
+
+        route = selftest._one_quadrature_witness
+        monkeypatch.setattr(selftest, "_one_quadrature_witness",
+                            lambda pairing, parts, t: route([0.9 * rate for rate in pairing], parts, t))
+        assert main(["selftest", "--draws", "8"]) == 1
+        assert "FAIL  one_quadrature_closed_form" in capsys.readouterr().out
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         # a sign flip in the suite's reference Omega: S Omega S^T = Omega fails

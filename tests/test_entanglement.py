@@ -17,10 +17,13 @@ from epchain import (
     GaussianState,
     bkc_nu_minus,
     build_bdg_matrix,
+    build_chain_spec,
     chain_nu_minus,
+    dynamics,
     enhancement_ratio,
     entanglement_result,
     evolve,
+    evolve_grid,
     initial_state,
     nu_closed_form_bkc_ep,
     nu_closed_form_three_mode_nonuniform,
@@ -36,7 +39,15 @@ from epchain import (
     xi_from_nu,
     xi_series_coefficients,
 )
-from epchain.entanglement import _two_mode_propagators, _two_mode_rates, _two_mode_witness
+from epchain import sweeps
+from epchain.entanglement import (
+    _cut_witnesses,
+    _one_quadrature_bonds,
+    _one_quadrature_witness,
+    _two_mode_propagators,
+    _two_mode_rates,
+    _two_mode_witness,
+)
 from epchain.errors import (
     AsymmetricInput,
     DivisionByZeroLog,
@@ -387,7 +398,8 @@ def two_mode_cells(draw):
     else:
         h = draw(st.floats(-3.0, 3.0))
     norm = two_mode_norm(h, j, eta)
-    t = draw(st.floats(0.0, 1.0)) * 100.0 / norm if norm else draw(st.floats(0.0, 100.0))
+    # 100 / norm overflows for a subnormal norm; a time must be finite
+    t = draw(st.floats(0.0, 1.0)) * min(100.0 / norm, 1e300) if norm else draw(st.floats(0.0, 100.0))
     return h, j, eta, t
 
 
@@ -399,6 +411,7 @@ class TestTwoModeWitness:
     @example((0.9, 1.0, 0.2, 10.0))
     @example((1.2, 1.0, 0.2, 5.0))  # on the EP g = 1 + eta
     @example((0.8, 1.0, 0.2, 40.0))  # on the EP g = 1 - eta, polynomial growth
+    @example((2.2250738585e-313, 0.0, 0.0, 1e300))  # a subnormal hopping at the time cap
     def test_matches_mpmath_oracle(self, cell):
         nu, logneg, refusal = _two_mode_witness(*cell[:3], np.array([cell[3]]))
         assert refusal is None
@@ -492,6 +505,187 @@ class TestTwoModeWitness:
         for row, t in zip(columns[3], times):
             expected = reference_evolve(initial_state(2), generator, t)[upper]
             assert np.abs(row - expected).max() <= 1e-12 * np.abs(expected).max(), (g, t)
+
+
+@st.composite
+def one_quadrature_chains(draw):
+    """(chain config, cut, ascending times) of a one-quadrature chain: N = 3..8,
+    bond rates in [0, 2] with some bonds 0, hopping h_b = J_b on every bond or
+    h_b = -J_b on every bond, a random cut, and |t| <= 3."""
+    n = draw(st.integers(3, 8))
+    rates = draw(st.lists(st.just(0.0) | st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    side = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    times = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5)))
+    return {"n": n, "g": [sign * rate for rate in rates], "J": rates}, Bipartition.from_sides(n, side), times
+
+
+def long_chain_cuts(n):
+    """The benchmark's three N-mode cuts: 1|rest, half|half and odd|even."""
+    side = lambda modes: ",".join(map(str, modes))
+    return [f"1|{side(range(2, n + 1))}",
+            f"{side(range(1, n // 2 + 1))}|{side(range(n // 2 + 1, n + 1))}",
+            f"{side(range(1, n + 1, 2))}|{side(range(2, n + 1, 2))}"]
+
+
+def oracle_pure_witness(spec, t, part, dps=40):
+    """(nu_-, E_N) of the evolved vacuum from the symplectic eigenvalues of the
+    reduced state of side A in dps-digit mpmath: S_A, the rows of side A of
+    I + K t + (K t)^2 / 2 with K the chain's float generator (its K^2 is zero up
+    to the generator's rounding), sigma_A = S_A S_A^T, and the eigenvalues nu_k^2
+    of B^T B, B = L^T Omega L, L the Cholesky factor of sigma_A (Williamson).  A
+    pure state's partial transpose has nu_k - sqrt(nu_k^2 - 1) and its inverse,
+    so nu_- = 1 / (nu_max + sqrt(nu_max^2 - 1)) and E_N = sum_k arccosh nu_k."""
+    k = quadrature_generator(build_bdg_matrix(spec)).data
+    rows = [2 * mode + q for mode in sorted(part.side_a) for q in (0, 1)]
+    with mpmath.workdps(dps):
+        kt = mpmath.matrix(k.tolist()) * mpmath.mpf(t)
+        kt_a = mpmath.matrix([[kt[r, c] for c in range(len(k))] for r in rows])
+        s_a = kt_a + kt_a * kt / 2
+        for i, r in enumerate(rows):
+            s_a[i, r] += 1
+        lower = mpmath.cholesky(s_a * s_a.T)
+        b = lower.T * mpmath.matrix(symplectic_form(len(rows) // 2).tolist()) * lower
+        squares = mpmath.eigsy(b.T * b, eigvals_only=True)
+        nus = [mpmath.sqrt(max(value, 1)) for value in squares]
+        top = max(nus)
+        # each nu_k appears twice among the eigenvalues of B^T B
+        return float(1 / (top + mpmath.sqrt(top * top - 1))), float(sum(mpmath.acosh(v) for v in nus) / 2)
+
+
+class TestOneQuadratureWitness:
+    """The one-quadrature chain's exact witness (``_one_quadrature_witness``) and its callers."""
+
+    @given(one_quadrature_chains())
+    @settings(max_examples=60, deadline=None)
+    @example(({"n": 3, "g": [1.0, 1.0], "J": [1.0, 1.0]}, Bipartition.from_sides(3, [1]), [0.0, 3.0]))
+    @example(({"n": 4, "g": [-0.0, -1.5, -0.0], "J": [0.0, 1.5, 0.0]}, Bipartition.from_sides(4, [0, 3]),
+              [-2.0, 1.0]))  # a P-coupled chain whose cut no bond of nonzero rate crosses
+    def test_matches_the_partial_transpose_kernel(self, chain):
+        config, part, times = chain
+        spec = build_chain_spec(config)
+        assert _one_quadrature_bonds(spec) is not None
+        _, columns, extras = entanglement_trajectory(config, times, [part.label])
+        assert extras == {}
+        k = quadrature_generator(build_bdg_matrix(spec)).data
+        cms, error = evolve_grid(initial_state(spec.n_modes), k[None], times)
+        nu, logneg, refusal = _cut_witnesses(cms, part, 0.0)
+        assert error is None and refusal is None
+        assert (np.abs(columns[1] - nu) <= 1e-10 * nu).all(), (columns[1], nu)
+        assert (np.abs(columns[2] - logneg) <= 1e-10 * np.maximum(logneg, 1.0)).all(), (columns[2], logneg)
+        # chain_nu_minus takes the same route: each cell bit for bit
+        assert [chain_nu_minus(spec, t, part) for t in times] == columns[1].tolist()
+        # on-site squeezing, a hopping phase of pi (whose hopping has an imaginary
+        # part of 1.2e-16 g) and mixed signs leave the family
+        assert _one_quadrature_bonds(build_chain_spec({**config, "eta": 0.1})) is None
+        nonzero = [b for b, rate in enumerate(config["J"]) if rate]
+        if nonzero:
+            assert _one_quadrature_bonds(build_chain_spec({**config, "phi": math.pi})) is None
+        if len(nonzero) >= 2:
+            g = list(config["g"])
+            g[nonzero[0]] = -g[nonzero[0]]
+            assert _one_quadrature_bonds(build_chain_spec({**config, "g": g})) is None
+
+    @pytest.mark.parametrize("spec, bonds", [
+        (ChainSpec.uniform(3, g=1.0, j=1.0), ((1.0, 1.0), True)),
+        (ChainSpec(4, hopping=(-0.5, 0.0, -2.0), pairing=(0.5, 0.0, 2.0)), ((0.5, 0.0, 2.0), False)),
+        (ChainSpec(3), ((0.0, 0.0), True)),
+        (build_chain_spec({"n": 30, "g": 1.0, "J": 1.0, "phi": 0.0}), ((1.0,) * 29, True)),
+        # two modes keep the two-mode route; any other chain runs the kernel
+        (ChainSpec.uniform(2, g=1.0, j=1.0), None),
+        (ChainSpec(4, hopping=(1.0, -1.0, 1.0), pairing=1.0), None),
+        (ChainSpec.uniform(3, g=1.0, j=1.0, eta=0.1), None),
+        (ChainSpec(3, hopping=1.0, pairing=1.0, sms=1e-300j), None),
+        (build_chain_spec({"n": 3, "g": 1.0, "J": 1.0, "phi": math.pi}), None),
+        (build_chain_spec({"n": 3, "g": 1.0, "J": 1.0, "phi": math.pi / 2}), None),
+        (ChainSpec(3, hopping=1.0 + 1e-300j, pairing=1.0), None),
+        (ChainSpec.uniform(3, g=0.5, j=1.0), None),
+    ])
+    def test_route_is_decided_from_the_spec(self, monkeypatch, spec, bonds):
+        assert _one_quadrature_bonds(spec) == bonds
+        calls = []
+        evolve_grid = sweeps.evolve_grid
+        monkeypatch.setattr(sweeps, "evolve_grid", lambda *args: calls.append(1) or evolve_grid(*args))
+        chain_nu_minus(spec, 0.5)
+        assert bool(calls) == (bonds is None and spec.n_modes > 2)
+
+    def test_long_chain_cuts_match_mpmath(self):
+        spec = build_chain_spec({"n": 30, "g": 1.0, "J": 1.0, "phi": 0.0})
+        parts = [Bipartition.from_label(label, 30) for label in long_chain_cuts(30)]
+        times = np.array([0.35, 3.35])
+        witnesses, _ = _one_quadrature_witness(spec.pairing, parts, times)
+        for part, (nu, logneg) in zip(parts, witnesses):
+            for t, got_nu, got_logneg in zip(times.tolist(), nu.tolist(), logneg.tolist()):
+                exact_nu, exact_logneg = oracle_pure_witness(spec, t, part)
+                assert abs(got_nu - exact_nu) <= 1e-13 * exact_nu, (part.label, t, got_nu, exact_nu)
+                assert abs(got_logneg - exact_logneg) <= 1e-13 * exact_logneg, (part.label, t, got_logneg)
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 30])
+    def test_one_vs_rest_is_the_series(self, n):
+        times = np.linspace(0.0, 3.5, 15)
+        spec = ChainSpec.uniform(n, g=1.0, j=1.0)
+        [(nu, _)], _ = _one_quadrature_witness(spec.pairing, [Bipartition.one_vs_rest(n)], times)
+        for t, value in zip(times.tolist(), nu.tolist()):
+            exact = nu_closed_form_bkc_ep(n, 0.0, t)
+            assert abs(value - exact) <= 1e-14 * exact, (t, value, exact)
+
+    def test_even_in_time(self):
+        times = [-3.0, -1.5, -0.1, 0.0, 0.1, 1.5, 3.0]
+        _, columns, _ = entanglement_trajectory({"n": 6, "g": [1.0, 0.5, 0.0, 2.0, 1.0],
+                                                 "J": [1.0, 0.5, 0.0, 2.0, 1.0]},
+                                                times, ["135|246", "12|3456"])
+        for column in columns[1:]:
+            assert column.tolist() == column[::-1].tolist()
+        assert columns[1][3] == 1.0 and columns[2][3] == 0.0
+
+    def test_runs_no_expm_cholesky_or_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-quadrature chain ran a matrix exponential or an eigensolve")
+
+        for module, name in [(dynamics, "expm"), (dynamics, "evolve_grid"), (sweeps, "evolve_grid"),
+                             (np.linalg, "cholesky"), (np.linalg, "eigvalsh"), (np.linalg, "eigvals"),
+                             (np.linalg, "eig")]:
+            monkeypatch.setattr(module, name, refuse)
+        config = {"n": 30, "g": 1.0, "J": 1.0, "phi": 0.0}
+        _, columns, extras = entanglement_trajectory(config, np.linspace(0.0, 3.0, 31), long_chain_cuts(30),
+                                                     include_cm=True)
+        assert extras == {} and columns[-1].shape == (31, 60 * 61 // 2)
+        assert 0.0 < chain_nu_minus(build_chain_spec(config), 3.0) < 1.0
+
+    @pytest.mark.parametrize("x_coupled", [True, False])
+    def test_include_cm_is_the_evolved_covariance(self, x_coupled):
+        # the kept entries are sigma = S S^T to rounding, and exactly 0 wherever
+        # the quadratic in t has no term
+        rates = [1.0, 0.4, 0.0, 1.7]
+        config = {"n": 5, "g": [r if x_coupled else -r for r in rates], "J": rates}
+        times = [0.0, 0.3, 1.7, 3.0]
+        header, columns, extras = entanglement_trajectory(config, times, [], include_cm=True)
+        assert extras == {}
+        upper = np.triu_indices(10)
+        assert header[3:] == [f"cm_{i + 1}_{k + 1}" for i, k in zip(*upper)]
+        generator = quadrature_generator(build_bdg_matrix(build_chain_spec(config)))
+        for row, t in zip(columns[3], times):
+            expected = reference_evolve(initial_state(5), generator, t)[upper]
+            assert np.abs(row - expected).max() <= 1e-12 * np.abs(expected).max(), t
+        k = generator.data * (np.abs(generator.data) > 1e-12)  # without the basis change's residue
+        zero = ((k + k.T) == 0.0) & ((k @ k.T) == 0.0) & ~np.eye(10, dtype=bool)
+        assert zero[upper].sum() > 0 and (columns[3][:, zero[upper]] == 0.0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_the_float_range(self):
+        # nu_- = 1/(x + hypot(1, x)) stays finite while t s does; with --include-cm the
+        # t^2 entries overflow first, and the table ends at that time
+        config = {"n": 5, "g": 1.0, "J": 1.0}
+        _, columns, extras = entanglement_trajectory(config, [0.0, 1.0, 1e200], ["12|345"])
+        assert extras == {} and columns[1][2] == 1.0 / 4e200 and np.isfinite(columns[2][2])
+        _, columns, extras = entanglement_trajectory(config, [0.0, 1.0, 1e150, 1e200, 1e300], ["12|345"],
+                                                     include_cm=True)
+        assert len(columns[0]) == 3 and extras["truncated_by"] == "OverflowRisk"
+        assert extras["truncation"] == "covariance overflows double precision (t=1e+200)"
+        # past t s = 1.8e308 E_N overflows too
+        _, columns, extras = entanglement_trajectory(config, [1.0, 1e308], ["12|345"])
+        assert len(columns[0]) == 1
+        assert extras["truncation"] == "the witness overflows double precision (t=1e+308)"
 
 
 class TestSeriesCoefficients:

@@ -459,6 +459,20 @@ class TestExceptionalSurface:
             assert point["residual"] == np.inf
             assert not point["on_surface"] and point["ep_order"] == 0
 
+    @pytest.mark.parametrize("scale, residual", [(1.0, 4.440892098500626e-16),
+                                                 (1e3, 2.3283064365386963e-10),
+                                                 (1e5, 3.814697265625e-06)])
+    def test_surface_tolerance_is_relative(self, scale, residual):
+        # the residual of (sqrt(2) s, 0, s, s) is the squares' rounding, which grows
+        # with s^2; the tolerance scales with them, so the point is on the surface,
+        # with its order-3 EP, at every scale, and the residual column stays absolute
+        point = scan_point(np.sqrt(2.0) * scale, 0.0, scale, scale, tol=1e-9)
+        assert point["residual"] == residual
+        assert point["on_surface"] and point["ep_order"] == 3 and point["block_sizes"] == "3+3"
+        # a point 1e-6 off the surface, relative to the rates' scale, is off it
+        point = scan_point(np.sqrt(2.0) * scale * (1 + 1e-6), 0.0, scale, scale, tol=1e-9)
+        assert not point["on_surface"] and point["ep_order"] == 0
+
     def test_generic_surface_points_are_order_three(self):
         for theta in (np.pi / 8, np.pi / 5):
             g1 = np.sqrt(2.0) * np.cos(theta)

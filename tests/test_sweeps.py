@@ -16,7 +16,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epchain import (
+    Bipartition,
     ChainSpec,
+    build_chain_spec,
     chain_nu_minus,
     dynamics,
     floattext,
@@ -499,6 +501,43 @@ class TestTrajectoryErrors:
                           "truncated_by": "OverflowRisk"}
 
 
+@st.composite
+def routed_chains(draw):
+    """(chain config, cut label, ascending times) of a chain of each route:
+    two modes, one quadrature (h_b = +-J_b, no on-site squeezing) or the kernel."""
+    n = draw(st.integers(2, 5))
+    pairing = draw(st.lists(st.floats(0.0, 1.5), min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        config = {"n": n, "g": [sign * j for j in pairing], "J": pairing}
+    else:
+        config = {"n": n, "g": draw(st.lists(st.floats(-1.5, 1.5), min_size=n - 1, max_size=n - 1)),
+                  "J": pairing, "phi": draw(st.sampled_from([0.0, 0.3, math.pi / 2])),
+                  "eta": draw(st.sampled_from([0.0, 0.2, -0.4]))}
+    side = draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+    label = "".join(map(str, sorted(side))) + "|" + "".join(str(m) for m in range(1, n + 1) if m not in side)
+    times = sorted(draw(st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4)))
+    return config, label, times
+
+
+@given(routed_chains())
+@settings(max_examples=60, deadline=None)
+@example(({"n": 3, "g": 0.5, "J": 1.0, "eta": 0.3}, "1|23", [0.0, 5.0, 10.0]))  # refused at t = 10
+@example(({"n": 4, "g": [-1.0, 0.0, -0.5], "J": [1.0, 0.0, 0.5]}, "13|24", [0.0, 1e200]))
+def test_chain_nu_minus_is_the_trajectory_cell_on_every_route(chain):
+    # one route table serves both: each printed cell bit for bit, and the first
+    # refused time with the same refusal
+    config, label, times = chain
+    _, columns, extras = entanglement_trajectory(config, times, [label])
+    spec = build_chain_spec(config)
+    part = Bipartition.from_label(label, config["n"])
+    assert [chain_nu_minus(spec, t, part) for t in columns[0].tolist()] == columns[1].tolist()
+    if extras:
+        with pytest.raises(EpchainError) as excinfo:
+            chain_nu_minus(spec, extras["truncated_at"], part)
+        assert (type(excinfo.value).__name__, str(excinfo.value)) == (extras["truncated_by"], extras["truncation"])
+
+
 def test_fig2_matches_closed_form_without_sms():
     # with eta = 0 the map must collapse onto the two-mode closed form
     from epchain import nu_closed_form_two_mode
@@ -675,7 +714,8 @@ class TestEsScanTable:
         # point is refused before any detection; the reference checks it at its point
         values = [axis.values().astype(float) for axis in axes]
         probed_negative = any(
-            min(j1, j2) < 0 and (detect_everywhere or abs(g1**2 + g2**2 - j1**2 - j2**2) <= tol)
+            min(j1, j2) < 0 and (detect_everywhere or abs(g1**2 + g2**2 - j1**2 - j2**2)
+                                 <= tol * max(1.0, g1**2 + g2**2, j1**2 + j2**2))
             for g1, g2, j1, j2 in itertools.product(*values))
         expected = ((ConfigError, "pairing rates must be nonnegative") if probed_negative else
                     scan_outcome(lambda: reference_es_scan(*values, tol, detect_everywhere)))
